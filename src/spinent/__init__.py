@@ -56,7 +56,6 @@ from .hamiltonian import (
     ModelSpec,
     SectorWorkspace,
     SparseHamiltonian,
-    apply,
     assemble,
     model_for,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "TwoSiteRDM",
     "UnsupportedRegimeError",
     "XFormElements",
-    "apply",
     "assemble",
     "bond_correlators",
     "build_basis",

@@ -119,7 +119,7 @@ def _sweep_point(task) -> SweepRow:
             degeneracy=report.degeneracy,
             degenerate_flag=report.degenerate_flag,
         )
-    except (ValueError, RuntimeError) as fail:
+    except (ValueError, RuntimeError, MemoryError) as fail:
         return SweepRow(
             family=family,
             geometry=geometry,
@@ -132,7 +132,7 @@ def _sweep_point(task) -> SweepRow:
             concurrence=None,
             degeneracy=None,
             degenerate_flag=None,
-            error=str(fail),
+            error=str(fail) or type(fail).__name__,
         )
 
 
@@ -151,11 +151,14 @@ def sweep(
 
     grid is (start, end, count) with count >= 2 and both endpoints included.
     A solver failure annotates its row with the error text instead of
-    aborting the sweep. jobs > 1 spreads grid points over a process pool;
-    the table order is by (size, param) either way.
+    aborting the sweep; so does running out of memory. jobs > 1 spreads
+    grid points over a process pool; the table order is by (size, param)
+    either way.
     """
     if family not in FAMILY_SPIN:
         raise ValueError(f"unknown model family '{family}'")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start, end, count = grid
     if int(count) != count or count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")

@@ -44,13 +44,11 @@ class SpinBasis:
     def bits_per_site(self) -> int:
         return _BITS_PER_SITE[self.spin]
 
-    def site_digits(self, site: int, states: np.ndarray | None = None) -> np.ndarray:
+    def site_digits(self, site: int) -> np.ndarray:
         """Packed digit of ``site`` for every state (0 = lowest local Sz)."""
-        if states is None:
-            states = self.states
         shift = self.bits_per_site * site
         mask = self.local_dim - 1 if self.spin == "half" else 3
-        return (states >> shift) & mask
+        return (self.states >> shift) & mask
 
     def with_pair_digits(
         self, states: np.ndarray, i: int, j: int, digit_i: int, digit_j: int

@@ -29,6 +29,7 @@ from .eigensolver import (
     dense_lowest,
     lanczos_lowest,
     low_spectrum,
+    sector_lowest,
 )
 from .entanglement import (
     XFormElements,
@@ -42,8 +43,6 @@ from .entanglement import (
 )
 from .hamiltonian import model_for
 from .basis import SpinBasis, nonnegative_sectors
-
-_DENSE_GROUND_CUTOFF = 300
 
 
 @dataclass(eq=False)
@@ -78,11 +77,7 @@ class CheckContext:
         if hit is None:
             workspace = shared_workspace(family, geometry, size)
             ham = workspace.matrix(model_for(family, param), 0.0)
-            if ham.dimension <= _DENSE_GROUND_CUTOFF:
-                result = dense_lowest(ham, 1)[0]
-            else:
-                result = lanczos_lowest(ham, 1)[0]
-            hit = (result, workspace.basis(0.0))
+            hit = (sector_lowest(ham)[1], workspace.basis(0.0))
             self._grounds[key] = hit
         return hit
 

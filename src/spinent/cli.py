@@ -23,11 +23,13 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
     EdgeExtremumError,
+    SweepRow,
     extrapolate,
     finite_difference,
     locate_extremum,
@@ -41,10 +43,6 @@ from .eigensolver import ConvergenceError, degeneracy_count, low_spectrum
 from .hamiltonian import FAMILY_SPIN, model_for
 
 _MODEL_NAMES = {"xxz-half": "xxz_half", "xxz-one": "xxz_one", "blbq": "blbq"}
-_CSV_COLUMNS = (
-    "family", "geometry", "size", "param", "energy", "czz", "cxx", "ev",
-    "concurrence", "degeneracy", "degenerate_flag",
-)
 
 
 class _UsageError(Exception):
@@ -62,6 +60,16 @@ def _default_jobs() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise _UsageError(f"could not parse --jobs '{text}'") from None
+    if jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -92,6 +100,8 @@ def _parse_sizes(text: str) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int,)):
@@ -141,39 +151,12 @@ def _write_sweep_csv(path: str, meta: dict, rows) -> None:
         if row.error is not None:
             lines.append(f"# row_error: param={_fmt(row.param)} size={row.size}: {row.error}")
     lines.append(f"# elapsed_seconds: {meta['elapsed_seconds']}")
-    lines.append(",".join(_CSV_COLUMNS))
+    # the error text already went into the row_error lines above
+    columns = [f.name for f in fields(SweepRow) if f.name != "error"]
+    lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join((
-            row.family,
-            row.geometry,
-            row.size,
-            _fmt(row.param),
-            _fmt(row.energy),
-            _fmt(row.czz),
-            _fmt(row.cxx),
-            _fmt(row.ev),
-            _fmt(row.concurrence),
-            _fmt(row.degeneracy),
-            _fmt(row.degenerate_flag),
-        )))
+        lines.append(",".join(_fmt(getattr(row, name)) for name in columns))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _row_payload(row) -> dict:
-    return {
-        "family": row.family,
-        "geometry": row.geometry,
-        "size": row.size,
-        "param": row.param,
-        "energy": row.energy,
-        "czz": row.czz,
-        "cxx": row.cxx,
-        "ev": row.ev,
-        "concurrence": row.concurrence,
-        "degeneracy": row.degeneracy,
-        "degenerate_flag": row.degenerate_flag,
-        "error": row.error,
-    }
 
 
 def _model_param(ns, family: str) -> float:
@@ -210,7 +193,7 @@ def _cmd_sweep(ns) -> int:
     failed = [row for row in table.rows if row.error is not None]
     meta = _meta("sweep", config, elapsed, {"failed_rows": len(failed)})
     if ns.format == "json":
-        _write_json(ns.out, {"meta": meta, "rows": [_row_payload(r) for r in table.rows]})
+        _write_json(ns.out, {"meta": meta, "rows": [asdict(r) for r in table.rows]})
     else:
         _write_sweep_csv(ns.out, meta, table.rows)
     if failed:
@@ -371,7 +354,7 @@ def _add_common_solver_flags(parser, with_jobs=True):
     parser.add_argument("--tol-deg", type=float, default=1e-8, dest="tol_deg",
                         help="energy window counted as degenerate")
     if with_jobs:
-        parser.add_argument("--jobs", type=int, default=_default_jobs(),
+        parser.add_argument("--jobs", type=_parse_jobs, default=_default_jobs(),
                             help="parallel sweep workers (env SPINENT_JOBS)")
 
 
@@ -427,7 +410,7 @@ def _build_parser() -> _Parser:
     check_parser = commands.add_parser("check", help="run the acceptance battery")
     check_parser.add_argument("--criteria", default=None,
                               help="comma-separated subset, e.g. 1,3,10")
-    check_parser.add_argument("--jobs", type=int, default=_default_jobs())
+    check_parser.add_argument("--jobs", type=_parse_jobs, default=_default_jobs())
     check_parser.add_argument("--out", default=None, help="optional JSON report path")
 
     return parser
@@ -465,3 +448,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

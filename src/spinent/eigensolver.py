@@ -25,6 +25,8 @@ _PRIMARY_SEED = 1299709
 _RESTART_SEED = 15485863
 _CHECK_EVERY = 5
 _DENSE_LIMIT = 4000
+# Sector dimension up to which sector_lowest and low_spectrum diagonalize densely.
+_DENSE_CUTOFF = 300
 
 
 class ConvergenceError(RuntimeError):
@@ -49,11 +51,12 @@ class GroundStateReport:
 
     ``degeneracy`` counts states within ``tol_deg`` of the ground energy
     across all sectors, doubling Sz > 0 sectors for their spin-flipped
-    partners. Sectors solved iteratively contribute only the lowest levels
-    actually computed (one per sector during sweeps); every degenerate
-    manifold the package's own analyses meet is resolved by that counting,
-    because ferromagnetic multiplets place exactly one member per sector
-    and small sectors are diagonalized densely in full.
+    partners. Sectors diagonalized densely contribute their full spectrum,
+    but a sector solved by Lanczos contributes only the ``k_per_sector``
+    lowest levels (one during sweeps). A manifold with several members in
+    one large sector is therefore undercounted: at blbq theta = 5*pi/4,
+    L = 8, the scan reports 25 where ``low_spectrum(..., 60)`` finds 45
+    levels within 1e-8 of the ground (ROADMAP open item 3).
 
     For a degenerate ground state the representative is the lowest state of
     the largest-Sz sector attaining the ground energy, i.e. the polarized
@@ -222,6 +225,12 @@ def _ritz_bottom(matrix, rows, alpha, beta, next_beta, tol, force=False):
     return None, residual
 
 
+def _dense_pair(dense: np.ndarray, vals: np.ndarray, vecs: np.ndarray, idx: int):
+    vec = vecs[:, idx]
+    residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
+    return EigenResult(float(vals[idx]), vec, residual, True)
+
+
 def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult]:
     """Full dense diagonalization oracle; k lowest eigenpairs.
 
@@ -237,30 +246,23 @@ def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult
         raise ValueError(f"need k >= 1, got {k}")
     dense = hamiltonian.matrix.toarray()
     vals, vecs = np.linalg.eigh(dense)
-    results = []
-    for idx in range(min(k, n)):
-        vec = vecs[:, idx]
-        residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
-        results.append(EigenResult(float(vals[idx]), vec, residual, True))
-    return results
+    return [_dense_pair(dense, vals, vecs, idx) for idx in range(min(k, n))]
 
 
-def _sector_lowest(
-    hamiltonian: SparseHamiltonian, count: int, tol: float, dense_cutoff: int
+def sector_lowest(
+    hamiltonian: SparseHamiltonian, count: int = 1, tol: float = 1e-10
 ) -> tuple[list[float], EigenResult]:
     """Lowest energies of one sector plus the bottom eigenpair.
 
-    Small sectors are diagonalized densely in full (their complete spectrum
-    feeds degeneracy counting for free); large ones use Lanczos.
+    Sectors of dimension <= _DENSE_CUTOFF are diagonalized densely in full
+    (their complete spectrum feeds degeneracy counting for free); larger
+    ones get the ``count`` lowest levels from Lanczos.
     """
-    n = hamiltonian.dimension
-    if n <= dense_cutoff:
+    if hamiltonian.dimension <= _DENSE_CUTOFF:
         dense = hamiltonian.matrix.toarray()
         vals, vecs = np.linalg.eigh(dense)
-        vec = vecs[:, 0]
-        residual = float(np.linalg.norm(dense @ vec - vals[0] * vec))
-        return list(map(float, vals)), EigenResult(float(vals[0]), vec, residual, True)
-    results = lanczos_lowest(hamiltonian, k=min(count, n), tol=tol)
+        return list(map(float, vals)), _dense_pair(dense, vals, vecs, 0)
+    results = lanczos_lowest(hamiltonian, k=count, tol=tol)
     return [r.energy for r in results], results[0]
 
 
@@ -271,7 +273,6 @@ def ground_state_scan(
     *,
     tol: float = 1e-10,
     k_per_sector: int = 1,
-    dense_cutoff: int = 300,
     workspace: SectorWorkspace | None = None,
 ) -> GroundStateReport:
     """Scan Sz >= 0 sectors for the global ground state and its degeneracy.
@@ -284,8 +285,7 @@ def ground_state_scan(
     per_sector: dict[float, tuple[float, ...]] = {}
     bottoms: dict[float, EigenResult] = {}
     for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
-        ham = ws.matrix(model, sz)
-        energies, bottom = _sector_lowest(ham, k_per_sector, tol, dense_cutoff)
+        energies, bottom = sector_lowest(ws.matrix(model, sz), k_per_sector, tol)
         per_sector[sz] = tuple(energies)
         bottoms[sz] = bottom
 
@@ -315,7 +315,6 @@ def low_spectrum(
     levels: int,
     *,
     tol: float = 1e-10,
-    dense_cutoff: int = 300,
     workspace: SectorWorkspace | None = None,
 ) -> list[tuple[float, float]]:
     """Lowest ``levels`` states of the full Hamiltonian as (energy, sz) pairs.
@@ -325,7 +324,9 @@ def low_spectrum(
     lowest of the merge. Any state missing from a sector's contribution sits
     above ``levels`` states of that sector alone, so the returned prefix is
     complete; a degenerate manifold straddling the cutoff is still reported
-    truncated, as with any fixed-depth listing.
+    truncated, as with any fixed-depth listing. Dense sectors use the
+    values-only ``eigvalsh``, whose last digits can differ from the ``eigh``
+    behind sector_lowest.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
@@ -333,11 +334,10 @@ def low_spectrum(
     merged: list[tuple[float, float]] = []
     for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
         ham = ws.matrix(model, sz)
-        n = ham.dimension
-        if n <= dense_cutoff:
+        if ham.dimension <= _DENSE_CUTOFF:
             energies = list(map(float, np.linalg.eigvalsh(ham.matrix.toarray())))[:levels]
         else:
-            energies = [r.energy for r in lanczos_lowest(ham, k=min(levels, n), tol=tol)]
+            energies = [r.energy for r in lanczos_lowest(ham, k=levels, tol=tol)]
         for e in energies:
             merged.append((e, sz))
             if sz > 1e-12:

@@ -63,12 +63,6 @@ class ModelSpec:
             return {"xy": 1.0, "zz": self.delta, "bq": -self.beta}
         return {"bl": math.cos(self.theta), "bq": math.sin(self.theta)}
 
-    def replace_sweep_parameter(self, value: float) -> "ModelSpec":
-        """Copy of this spec with the family's swept parameter set to ``value``."""
-        if self.family == "blbq":
-            return ModelSpec(self.family, theta=float(value))
-        return ModelSpec(self.family, delta=float(value), beta=self.beta)
-
 
 def model_for(family: str, value: float, beta: float = 0.0) -> ModelSpec:
     """ModelSpec of a family at one value of its swept parameter."""
@@ -84,24 +78,10 @@ class SparseHamiltonian:
     """Real symmetric CSR matrix over one Sz sector."""
 
     matrix: sparse.csr_matrix
-    sector: SpinBasis
-    model: ModelSpec
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def column_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,17 +199,7 @@ def combine_parts(
 def assemble(model: ModelSpec, lattice: Lattice, basis: SpinBasis) -> SparseHamiltonian:
     """Matrix of <row|H|col> over the sector for one parameter point."""
     parts = assemble_parts(model.family, lattice, basis)
-    return SparseHamiltonian(combine_parts(parts, model.part_coefficients()), basis, model)
-
-
-def apply(hamiltonian: SparseHamiltonian, vector: np.ndarray) -> np.ndarray:
-    """H times a sector vector."""
-    vector = np.asarray(vector)
-    if vector.shape != (hamiltonian.dimension,):
-        raise ValueError(
-            f"vector has shape {vector.shape}, expected ({hamiltonian.dimension},)"
-        )
-    return hamiltonian.matrix @ vector
+    return SparseHamiltonian(combine_parts(parts, model.part_coefficients()))
 
 
 class SectorWorkspace:
@@ -264,7 +234,5 @@ class SectorWorkspace:
             raise ValueError(
                 f"workspace built for {self.family!r}, got model {model.family!r}"
             )
-        sector_basis, parts = self.sector(sz)
-        return SparseHamiltonian(
-            combine_parts(parts, model.part_coefficients()), sector_basis, model
-        )
+        parts = self.sector(sz)[1]
+        return SparseHamiltonian(combine_parts(parts, model.part_coefficients()))

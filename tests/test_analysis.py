@@ -79,6 +79,10 @@ def test_sweep_input_validation():
         sweep("xxz_half", "chain", [4], (0.0, 1.0, 1))
     with pytest.raises(ValueError):
         sweep("xxz_half", "chain", [4], (1.0, 0.0, 3))
+    # rejected before any process pool is started
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep("xxz_half", "chain", [4], (0.0, 1.0, 2), jobs=jobs)
 
 
 def test_series_selects_one_size_and_column():

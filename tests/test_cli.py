@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinent import __version__, cli
+import spinent
+from spinent import __version__, analysis, cli
 from spinent.basis import build_basis
 from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import assemble, model_for
@@ -36,6 +41,11 @@ def _strip_elapsed(text: str) -> list[str]:
         ["scaling", "--model", "xxz-half", "--sizes", "8,10", "--param", "0:1:3", "--out", "x.json"],
         ["check", "--criteria", "0,11"],
         ["check", "--criteria", "two"],
+        ["sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:3", "--jobs", "0",
+         "--out", "x.csv"],
+        ["scaling", "--model", "xxz-half", "--sizes", "4,6,8", "--param", "0:1:3",
+         "--jobs", "-3", "--out", "x.json"],
+        ["check", "--criteria", "4", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -120,6 +130,39 @@ def test_sweep_annotates_failures_and_exits_two(tmp_path, capsys):
     data = lines[lines.index(CSV_HEADER) + 1 :]
     # numeric fields are left empty rather than faked
     assert data[0].split(",")[4] == ""
+
+
+def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
+    real_scan = analysis.ground_state_scan
+
+    def scan(model, *args, **kwargs):
+        if model.delta == 0.5:
+            raise MemoryError()  # what a failed allocation in Python raises
+        return real_scan(model, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ground_state_scan", scan)
+    out = tmp_path / "table.csv"
+    code = cli.run([
+        "sweep", "--model", "xxz-half", "--sizes", "4",
+        "--param", "0:1:3", "--out", str(out),
+    ])
+    assert code == 2
+    assert "1 of 3 rows failed" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert "# row_error: param=0.5 size=4: MemoryError" in lines
+    data = lines[lines.index(CSV_HEADER) + 1 :]
+    assert [bool(line.split(",")[4]) for line in data] == [True, False, True]
+
+
+def test_module_entry_point_runs_the_cli():
+    paths = [str(Path(spinent.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "spinent.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"spinent {__version__}"
 
 
 def test_spectrum_reports_levels_and_clusters(tmp_path):

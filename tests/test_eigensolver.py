@@ -10,8 +10,11 @@ from spinent.eigensolver import (
     ground_state_scan,
     lanczos_lowest,
     low_spectrum,
+    sector_lowest,
 )
-from spinent.hamiltonian import ModelSpec, SectorWorkspace, assemble
+from spinent.analysis import shared_workspace
+from spinent.checks import CheckContext
+from spinent.hamiltonian import ModelSpec, SectorWorkspace, assemble, model_for
 from spinent.lattice import chain_lattice
 
 
@@ -19,7 +22,7 @@ def _fake_ham(matrix):
     """Wrap a plain symmetric matrix; the solvers only look at .matrix."""
     from spinent.hamiltonian import SparseHamiltonian
 
-    return SparseHamiltonian(sparse.csr_matrix(matrix), None, None)
+    return SparseHamiltonian(sparse.csr_matrix(matrix))
 
 
 def _sector_ham(model, n, sz):
@@ -117,6 +120,21 @@ def test_dense_oracle_guards():
         dense_lowest(_fake_ham(np.eye(2)), k=0)
     with pytest.raises(ValueError):
         lanczos_lowest(_fake_ham(np.eye(2)), k=0)
+
+
+@pytest.mark.parametrize("n,dim,oracle", [(10, 252, dense_lowest), (12, 924, lanczos_lowest)])
+def test_scans_and_checks_share_one_dispatch(n, dim, oracle):
+    """sector_lowest picks dense for dim 252 and Lanczos for dim 924, and the
+    check battery's Sz=0 solves go through it with nothing changed."""
+    ham = shared_workspace("xxz_half", "chain", n).matrix(model_for("xxz_half", 0.5), 0.0)
+    assert ham.dimension == dim
+    expected = oracle(ham, 1)[0]
+    energies, bottom = sector_lowest(ham)
+    checked, _ = CheckContext().sector_ground("xxz_half", n, 0.5)
+    assert energies[0] == expected.energy
+    for got in (bottom, checked):
+        assert got.energy == expected.energy
+        assert np.array_equal(got.vector, expected.vector)
 
 
 def test_scan_ferromagnet_is_doubly_degenerate():
