@@ -10,6 +10,7 @@ and extrapolate finite-size trends.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -152,8 +153,9 @@ def sweep(
     grid is (start, end, count) with count >= 2 and both endpoints included.
     A solver failure annotates its row with the error text instead of
     aborting the sweep; so does running out of memory. jobs > 1 spreads
-    grid points over a process pool; the table order is by (size, param)
-    either way.
+    grid points over a process pool of at most one worker per task and per
+    core, and a pool of one runs serially instead; the table order is by
+    (size, param) either way.
     """
     if family not in FAMILY_SPIN:
         raise ValueError(f"unknown model family '{family}'")
@@ -170,8 +172,9 @@ def sweep(
         for size in sizes
         for param in params
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks, chunksize=4))
     else:
         rows = [_sweep_point(task) for task in tasks]

@@ -54,12 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("SPINENT_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _default_jobs() -> str:
+    """SPINENT_JOBS, or "1" when it is unset or empty.
+
+    argparse runs a string default through the option's type when the flag
+    is absent, so a bad value is rejected by _parse_jobs exactly like a bad
+    --jobs, and only by the subcommands that take --jobs.
+    """
+    return os.environ.get("SPINENT_JOBS") or "1"
 
 
 def _parse_jobs(text: str) -> int:
@@ -426,9 +428,8 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         if ns.command == "sweep" and ns.format is None:
             ns.format = "json" if ns.out.endswith(".json") else "csv"
         return _HANDLERS[ns.command](ns)

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from spinent import analysis
 from spinent.analysis import (
     EdgeExtremumError,
     SweepRow,
@@ -55,6 +58,47 @@ def test_parallel_sweep_matches_serial():
     serial = sweep("xxz_half", "chain", [4, 6], (0.0, 1.0, 3), jobs=1)
     parallel = sweep("xxz_half", "chain", [4, 6], (0.0, 1.0, 3), jobs=2)
     assert serial.rows == parallel.rows
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs,cores,sizes,count,workers",
+    [
+        (8, 4, [4], 2, [2]),  # clamped to the task count
+        (8, 3, [4], 5, [3]),  # clamped to the core count
+        (2, 8, [4], 5, [2]),  # the request itself
+        (4, 1, [4], 5, []),  # one core: serial, no pool
+        (4, None, [4], 5, []),  # unknown core count counts as one
+        (4, 8, [], 2, []),  # no tasks: no pool
+    ],
+)
+def test_sweep_clamps_workers_to_tasks_and_cores(
+    monkeypatch, jobs, cores, sizes, count, workers
+):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    table = sweep("xxz_half", "chain", sizes, (0.0, 1.0, count), jobs=jobs)
+    assert _RecordingPool.created == workers
+    assert len(table.rows) == len(sizes) * count
+    assert all(row.error is None for row in table.rows)
 
 
 def test_failed_points_annotate_rows_instead_of_aborting():

@@ -54,6 +54,45 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("abc", "could not parse --jobs 'abc'"),
+        ("0", "--jobs must be at least 1, got 0"),
+        ("-3", "--jobs must be at least 1, got -3"),
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_bad_jobs_environment_is_a_usage_error(
+    monkeypatch, capsys, tmp_path, value, message, command
+):
+    monkeypatch.setenv("SPINENT_JOBS", value)
+    argv = {
+        "sweep": ["sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:3",
+                  "--out", str(tmp_path / "x.csv")],
+        "check": ["check", "--criteria", "4"],
+    }[command]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value,jobs", [("2", 2), ("", 1)])
+def test_jobs_environment_sets_the_default(monkeypatch, tmp_path, value, jobs):
+    monkeypatch.setenv("SPINENT_JOBS", value)
+    out = tmp_path / "x.csv"
+    argv = [
+        "sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:2", "--out", str(out),
+    ]
+    assert cli.run(argv) == 0
+    assert f'"jobs": {jobs},' in out.read_text()
+    # the flag wins over the environment, and only subcommands with --jobs read it
+    monkeypatch.setenv("SPINENT_JOBS", "0")
+    assert cli.run(argv + ["--jobs", "1"]) == 0
+    bethe = ["bethe", "--size", "4", "--delta", "0.5", "--out", str(tmp_path / "b.json")]
+    assert cli.run(bethe) == 0
+
+
 def test_sweep_writes_the_documented_csv(tmp_path):
     out = tmp_path / "table.csv"
     code = cli.run([

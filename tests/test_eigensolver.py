@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
+from spinent import eigensolver
 from spinent.basis import build_basis, nonnegative_sectors
 from spinent.eigensolver import (
     ConvergenceError,
@@ -48,30 +50,78 @@ def test_lanczos_matches_dense_on_a_ring():
         assert a.converged and a.residual_norm <= 1e-10
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lanczos_matches_dense_on_random_sparse(seed):
-    rng = np.random.default_rng(seed)
-    n = 120
-    mat = sparse.random(n, n, density=0.05, random_state=rng, format="csr")
-    mat = mat + mat.T  # symmetrize
+def _clustered():
+    """n=60 in a random orthonormal basis: an exact triple at 0, levels at
+    1e-6, 2e-6 and 3e-6, then 1..54. Lanczos without reorthogonalization
+    against its Krylov basis converges on none of the bottom three."""
+    levels = np.concatenate([np.zeros(3), [1e-6, 2e-6, 3e-6], np.arange(1.0, 55.0)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((60, 60)))
+    mat = q @ np.diag(levels) @ q.T
+    return sparse.csr_matrix((mat + mat.T) / 2)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "clustered"])
+def test_lanczos_matches_dense_on_random_sparse(case):
+    if case == "clustered":
+        mat, k = _clustered(), 3
+    else:
+        rng = np.random.default_rng(case)
+        mat = sparse.random(120, 120, density=0.05, random_state=rng, format="csr")
+        mat, k = mat + mat.T, 2  # symmetrize
     ham = _fake_ham(mat)
-    iterative = lanczos_lowest(ham, k=2)
-    direct = dense_lowest(ham, k=2)
+    iterative = lanczos_lowest(ham, k=k)
+    direct = dense_lowest(ham, k=k)
     for a, b in zip(iterative, direct):
         assert abs(a.energy - b.energy) < 1e-10
         # variational: an iterative level never undershoots the true one
         assert a.energy >= b.energy - 1e-10
+    vectors = np.array([r.vector for r in iterative])
+    np.testing.assert_allclose(vectors @ vectors.T, np.eye(k), atol=1e-9)
+
+
+def test_clustered_levels_need_the_restart_pass(monkeypatch):
+    """The cheap first pass fails on every level of the clustered matrix; the
+    fully reorthogonalized restart is what resolves it."""
+    real = eigensolver._lanczos_ground
+    passes = []
+
+    def recording(*args):
+        passes.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(eigensolver, "_lanczos_ground", recording)
+    lanczos_lowest(_fake_ham(_clustered()), k=3)
+    assert passes == [False, True] * 3
+
+    monkeypatch.setattr(eigensolver, "_lanczos_ground", lambda *args: real(*args[:-1], False))
+    with pytest.raises(ConvergenceError):
+        lanczos_lowest(_fake_ham(_clustered()), k=3)
 
 
 def test_degenerate_ground_needs_injected_directions():
-    """A Krylov space holds one direction per eigenvalue, so resolving a
-    triple-degenerate ground state exercises the injection path."""
+    """A Krylov space holds one direction per eigenvalue, so the second and
+    third copies of a triple-degenerate ground state come into reach only
+    through deflation: one pass per copy, each orthogonal to those locked."""
     diag = np.concatenate([np.zeros(3), np.arange(1.0, 38.0)])
     ham = _fake_ham(sparse.diags(diag))
     results = lanczos_lowest(ham, k=3)
     np.testing.assert_allclose([r.energy for r in results], 0.0, atol=1e-10)
     vectors = np.array([r.vector for r in results])
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize("delta", [-0.95, 8.0])
+def test_lanczos_matches_eigsh_on_a_large_sector(delta):
+    """xxz_half N=16 Sz=0 (dim 12,870) against ARPACK: at delta = -0.95
+    convergence is slowest, at delta = 8 the Neel pair is split by 2.3e-5."""
+    ham = _sector_ham(ModelSpec("xxz_half", delta=delta), 16, 0.0)
+    assert ham.dimension == 12870
+    ours = lanczos_lowest(ham, k=2)
+    v0 = np.random.default_rng(5).standard_normal(ham.dimension)
+    theirs = np.sort(eigsh(ham.matrix, k=2, which="SA", tol=1e-14, v0=v0)[0])
+    np.testing.assert_allclose([r.energy for r in ours], theirs, rtol=0, atol=1e-10)
+    for result in ours:
+        assert result.residual_norm <= 1e-10
 
 
 def test_small_sector_exhausts_cleanly():
