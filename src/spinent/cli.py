@@ -219,7 +219,8 @@ def _cmd_spectrum(ns) -> int:
     workspace = shared_workspace(family, ns.geometry, ns.size)
     started = time.perf_counter()
     merged = low_spectrum(
-        model, workspace.lattice, ns.levels, tol=ns.tol, workspace=workspace
+        model, workspace.lattice, ns.levels, tol=ns.tol, tol_deg=ns.tol_deg,
+        workspace=workspace,
     )
     elapsed = time.perf_counter() - started
     cluster_sizes = degeneracy_count([energy for energy, _ in merged], ns.tol_deg)

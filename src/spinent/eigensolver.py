@@ -8,11 +8,14 @@ every Lanczos vector orthogonal to the locked eigenvectors only; Krylov
 vectors lose orthogonality to one another only along Ritz vectors that have
 already converged (Paige, Linear Algebra Appl. 34, 235 (1980)), and the true
 residual decides acceptance, so the bottom pair comes out right without the
-per-step sweep over the whole Krylov basis. The start vector comes from a
+per-step sweep over the whole Krylov basis. The Krylov vectors are kept, in
+fixed 64-row blocks that are added as the pass grows and never copied, only
+to form the Ritz vector and for the restart pass. The start vector comes from a
 hard-coded seed so runs are reproducible bit for bit; if that pass fails it
 is restarted once from a second hard-coded seed, with full
-reorthogonalization against every stored vector, before failing. A dense
-eigendecomposition doubles as an independent oracle for small sectors.
+reorthogonalization against the locked and every stored Krylov vector,
+before failing. A dense eigendecomposition doubles as an independent oracle
+for small sectors.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .lattice import Lattice
 _PRIMARY_SEED = 1299709
 _RESTART_SEED = 15485863
 _CHECK_EVERY = 5
+# Krylov vectors per storage block; see _lanczos_ground.
+_BLOCK_ROWS = 64
 _DENSE_LIMIT = 4000
 # Sector dimension up to which sector_lowest and low_spectrum diagonalize densely.
 _DENSE_CUTOFF = 300
@@ -135,30 +140,43 @@ def lanczos_lowest(
     return results
 
 
-def _orthonormalize(vec: np.ndarray, basis_rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project out stored rows (twice if needed) and return (vec, norm)."""
+def _project_out(vec: np.ndarray, blocks) -> float:
+    """Project the rows of every block out of ``vec`` in place (twice if
+    needed) and return the norm of what is left."""
+    blocks = [rows for rows in blocks if rows.shape[0]]
     before = np.linalg.norm(vec)
     for _ in range(2):
-        if basis_rows.shape[0]:
-            vec = vec - basis_rows.T @ (basis_rows @ vec)
+        if blocks:
+            coeffs = [rows @ vec for rows in blocks]
+            for rows, c in zip(blocks, coeffs):
+                vec -= rows.T @ c
         after = np.linalg.norm(vec)
         if after > 0.5 * before:
             break
         before = after
-    return vec, float(np.linalg.norm(vec))
+    return float(after)
+
+
+def _filled(blocks: list[np.ndarray], m: int) -> list[np.ndarray]:
+    """Views of the first ``m`` Krylov rows, one per block."""
+    return [block[: m - i * _BLOCK_ROWS] for i, block in enumerate(blocks)]
 
 
 def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult:
     """Lowest eigenpair of ``matrix`` on the complement of the locked rows.
 
-    The locked vectors sit at the front of the storage block. Every new
-    Lanczos vector is projected against them, so deflation stays exact;
-    with ``full`` it is projected against the stored Krylov vectors too, in
-    the same sweep. Without ``full`` the three-term recurrence alone keeps
-    the Krylov vectors orthogonal until the bottom Ritz pair converges,
-    which is all the pass needs. The bottom Ritz pair is only formed once
-    the cheap coupling bound |beta_next * y[-1]| clears the tolerance;
-    acceptance then rests on the true residual. A Krylov space that closes
+    The Krylov vectors live in a list of ``_BLOCK_ROWS``-row blocks, each
+    allocated uninitialized when the previous one fills and never copied or
+    resized; the locked rows stay in the caller's ``locked`` array. Every
+    new Lanczos vector is projected against the locked rows, so deflation
+    stays exact; with ``full`` it is projected against the filled blocks
+    too, in the same sweep. Without ``full`` the three-term recurrence alone
+    keeps the Krylov vectors orthogonal until the bottom Ritz pair
+    converges, which is all the pass needs. The three-term update runs in
+    place through one scratch vector, so outside the projections a step
+    allocates only the product ``matrix @ v``. The bottom Ritz pair is only
+    formed once the cheap coupling bound |beta_next * y[-1]| clears the
+    tolerance; acceptance then rests on the true residual. A Krylov space that closes
     early (numerically invariant subspace) is accepted at whatever it
     converged to: the seeded Gaussian start has weight on every
     eigendirection apart from a measure-zero accident, and the second seed
@@ -169,39 +187,44 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
     # zero weight on a degenerate copy whose partner was already locked
     # (its share of the draw is exactly what got locked in).
     rng = np.random.default_rng([seed, base])
-    store = np.empty((base + min(64, max_iter + 1), n))
-    store[:base] = locked
-    start, start_norm = _orthonormalize(rng.standard_normal(n), store[:base])
+    blocks = [np.empty((min(_BLOCK_ROWS, max_iter + 1), n))]
+    start = rng.standard_normal(n, out=blocks[0][0])
+    start_norm = _project_out(start, [locked])
     if start_norm <= 1e-13:
         raise _NotConverged(np.inf)
-    store[base] = start / start_norm
+    np.divide(start, start_norm, out=start)
+    tmp = np.empty(n)
     alpha: list[float] = []
     beta: list[float] = []
+    scale = 1.0
     best = np.inf
 
     for j in range(max_iter):
-        row = base + j
-        if row + 1 >= store.shape[0]:
-            grown = np.empty((min(store.shape[0] + 64, base + max_iter + 1), n))
-            grown[: store.shape[0]] = store
-            store = grown
-        w = matrix @ store[row]
-        a = float(store[row] @ w)
+        v = blocks[j // _BLOCK_ROWS][j % _BLOCK_ROWS]
+        w = matrix @ v
+        a = float(v @ w)
         alpha.append(a)
-        w = w - a * store[row]
+        np.multiply(v, a, out=tmp)
+        np.subtract(w, tmp, out=w)
         if j > 0:
-            w = w - beta[j - 1] * store[row - 1]
-        w, w_norm = _orthonormalize(w, store[: row + 1 if full else base])
+            np.multiply(prev, beta[j - 1], out=tmp)
+            np.subtract(w, tmp, out=w)
         m = j + 1
+        if full:
+            w_norm = _project_out(w, [locked, *_filled(blocks, m)])
+        elif base:
+            w_norm = _project_out(w, [locked])
+        else:
+            w_norm = float(np.linalg.norm(w))
 
-        scale = max(1.0, max(abs(v) for v in alpha), max((abs(v) for v in beta), default=0.0))
+        scale = max(scale, abs(a))
         exhausted = base + m >= n
         breakdown = w_norm <= 1e-13 * scale
 
         if breakdown or exhausted or m % _CHECK_EVERY == 0 or j == max_iter - 1:
             next_beta = 0.0 if (breakdown or exhausted) else w_norm
             result, worst = _ritz_bottom(
-                matrix, store[base : base + m], alpha, beta, next_beta, tol,
+                matrix, _filled(blocks, m), alpha, beta, next_beta, tol,
                 force=breakdown or exhausted,
             )
             best = min(best, worst)
@@ -210,12 +233,16 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
 
         if breakdown or exhausted:
             raise _NotConverged(best)
-        store[row + 1] = w / w_norm
+        if m % _BLOCK_ROWS == 0:
+            blocks.append(np.empty((min(_BLOCK_ROWS, max_iter + 1 - m), n)))
+        np.divide(w, w_norm, out=blocks[m // _BLOCK_ROWS][m % _BLOCK_ROWS])
         beta.append(w_norm)
+        scale = max(scale, w_norm)
+        prev = v
     raise _NotConverged(best)
 
 
-def _ritz_bottom(matrix, rows, alpha, beta, next_beta, tol, force=False):
+def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
     """Bottom Ritz pair of the current tridiagonal; (result or None, worst)."""
     m = len(alpha)
     if m == 1:
@@ -228,7 +255,9 @@ def _ritz_bottom(matrix, rows, alpha, beta, next_beta, tol, force=False):
     bound = abs(next_beta * y[-1, 0])
     if not force and bound > 0.25 * tol:
         return None, float(bound)
-    vec = rows.T @ y[:, 0]
+    vec = blocks[0].T @ y[: blocks[0].shape[0], 0]
+    for i, rows in enumerate(blocks[1:], 1):
+        vec += rows.T @ y[i * _BLOCK_ROWS : i * _BLOCK_ROWS + rows.shape[0], 0]
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(matrix @ vec - theta[0] * vec))
     if residual <= tol:
@@ -326,6 +355,7 @@ def low_spectrum(
     levels: int,
     *,
     tol: float = 1e-10,
+    tol_deg: float = 1e-8,
     workspace: SectorWorkspace | None = None,
 ) -> list[tuple[float, float]]:
     """Lowest ``levels`` states of the full Hamiltonian as (energy, sz) pairs.
@@ -335,9 +365,12 @@ def low_spectrum(
     lowest of the merge. Any state missing from a sector's contribution sits
     above ``levels`` states of that sector alone, so the returned prefix is
     complete; a degenerate manifold straddling the cutoff is still reported
-    truncated, as with any fixed-depth listing. Dense sectors use the
-    values-only ``eigvalsh``, whose last digits can differ from the ``eigh``
-    behind sector_lowest.
+    truncated, as with any fixed-depth listing. Energies split into clusters
+    at gaps wider than ``tol_deg``, and the members of a cluster are listed
+    by (|Sz|, Sz), then energy, so which members the cutoff keeps, and in
+    what order, does not hang on round-off; within a cluster the energies
+    need not ascend. Dense sectors use the values-only ``eigvalsh``, whose
+    last digits can differ from the ``eigh`` behind sector_lowest.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
@@ -354,13 +387,21 @@ def low_spectrum(
             if sz > 1e-12:
                 merged.append((e, -sz))
     merged.sort()
-    return merged[:levels]
+    listing: list[tuple[float, float]] = []
+    for size in degeneracy_count([e for e, _ in merged], tol_deg):
+        cluster = merged[len(listing) : len(listing) + size]
+        listing += sorted(cluster, key=lambda level: (abs(level[1]), level[1], level[0]))
+    return listing[:levels]
 
 
 def degeneracy_count(energies, tol_deg: float) -> list[int]:
-    """Cluster sizes of an ascending energy list, split at gaps > tol_deg."""
+    """Cluster sizes of an ascending energy list, split at gaps > tol_deg.
+
+    Members of one cluster may come in any order (low_spectrum lists them by
+    Sz), so only a drop wider than ``tol_deg`` counts as unsorted input.
+    """
     energies = list(energies)
-    if any(b < a for a, b in zip(energies, energies[1:])):
+    if any(b < a - tol_deg for a, b in zip(energies, energies[1:])):
         raise ValueError("energies must be sorted ascending")
     if not energies:
         return []

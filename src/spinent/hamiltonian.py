@@ -157,14 +157,18 @@ def assemble_parts(
                 sel = np.nonzero(pair == p_in)[0]
                 if sel.size == 0:
                     continue
-                targets = basis.with_pair_digits(
-                    states[sel], i, j, p_out // d, p_out % d
-                )
-                found = np.searchsorted(states, targets)
-                if not np.array_equal(states[found], targets):
-                    raise RuntimeError(
-                        "bond stencil produced a state outside the sector"
+                if p_out == p_in:
+                    # A diagonal entry leaves every state where it is.
+                    found = sel
+                else:
+                    targets = basis.with_pair_digits(
+                        states[sel], i, j, p_out // d, p_out % d
                     )
+                    found = np.searchsorted(states, targets)
+                    if not np.array_equal(states[found], targets):
+                        raise RuntimeError(
+                            "bond stencil produced a state outside the sector"
+                        )
                 rows.append(found)
                 cols.append(sel)
                 vals.append(np.full(sel.size, amp))

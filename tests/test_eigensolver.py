@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -50,20 +54,22 @@ def test_lanczos_matches_dense_on_a_ring():
         assert a.converged and a.residual_norm <= 1e-10
 
 
-def _clustered():
-    """n=60 in a random orthonormal basis: an exact triple at 0, levels at
-    1e-6, 2e-6 and 3e-6, then 1..54. Lanczos without reorthogonalization
+def _clustered(n=60):
+    """n levels in a random orthonormal basis: an exact triple at 0, levels
+    at 1e-6, 2e-6 and 3e-6, then 1..n-6. Lanczos without reorthogonalization
     against its Krylov basis converges on none of the bottom three."""
-    levels = np.concatenate([np.zeros(3), [1e-6, 2e-6, 3e-6], np.arange(1.0, 55.0)])
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((60, 60)))
+    levels = np.concatenate([np.zeros(3), [1e-6, 2e-6, 3e-6], np.arange(1.0, n - 5.0)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
     mat = q @ np.diag(levels) @ q.T
     return sparse.csr_matrix((mat + mat.T) / 2)
 
 
-@pytest.mark.parametrize("case", [0, 1, 2, "clustered"])
+@pytest.mark.parametrize("case", [0, 1, 2, "clustered", "clustered-150"])
 def test_lanczos_matches_dense_on_random_sparse(case):
     if case == "clustered":
         mat, k = _clustered(), 3
+    elif case == "clustered-150":
+        mat, k = _clustered(150), 3
     else:
         rng = np.random.default_rng(case)
         mat = sparse.random(120, 120, density=0.05, random_state=rng, format="csr")
@@ -96,6 +102,122 @@ def test_clustered_levels_need_the_restart_pass(monkeypatch):
     monkeypatch.setattr(eigensolver, "_lanczos_ground", lambda *args: real(*args[:-1], False))
     with pytest.raises(ConvergenceError):
         lanczos_lowest(_fake_ham(_clustered()), k=3)
+
+
+def _record_passes(monkeypatch):
+    """Record (full, Krylov blocks at the last Ritz step) for every pass."""
+    real_ground, real_ritz = eigensolver._lanczos_ground, eigensolver._ritz_bottom
+    passes = []
+
+    def ground(*args):
+        passes.append([args[-1], None])
+        return real_ground(*args)
+
+    def ritz(matrix, blocks, *args, **kwargs):
+        passes[-1][1] = [rows.copy() for rows in blocks]
+        return real_ritz(matrix, blocks, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "_lanczos_ground", ground)
+    monkeypatch.setattr(eigensolver, "_ritz_bottom", ritz)
+    return passes
+
+
+def test_first_pass_runs_across_block_boundaries(monkeypatch):
+    """A disordered tight-binding chain (n=3000) whose bottom two levels take
+    both first passes past 128 Krylov rows, so the store spans three or more
+    64-row blocks; energies still match ARPACK."""
+    n = 3000
+    rng = np.random.default_rng(1)
+    off = np.full(n - 1, -1.0)
+    mat = sparse.diags([off, 2.0 + rng.uniform(0.0, 0.5, n), off], [-1, 0, 1], format="csr")
+    passes = _record_passes(monkeypatch)
+    ours = lanczos_lowest(_fake_ham(mat), k=2)
+    assert [full for full, _ in passes] == [False, False]
+    for _, blocks in passes:
+        heights = [len(rows) for rows in blocks]
+        assert sum(heights) > 128
+        assert heights[:-1] == [64] * (len(heights) - 1)
+    v0 = np.random.default_rng(5).standard_normal(n)
+    theirs = np.sort(eigsh(mat, k=2, which="SA", tol=1e-14, v0=v0)[0])
+    np.testing.assert_allclose([r.energy for r in ours], theirs, rtol=0, atol=1e-10)
+
+
+def test_restart_pass_runs_across_block_boundaries(monkeypatch):
+    """The clustered spectrum at n=150 (checked against dense above): every
+    level needs the fully reorthogonalized restart, which then keeps more
+    than two blocks of Krylov rows orthonormal to one another."""
+    passes = _record_passes(monkeypatch)
+    lanczos_lowest(_fake_ham(_clustered(150)), k=3)
+    assert [full for full, _ in passes] == [False, True] * 3
+    for _, blocks in passes[1::2]:
+        heights = [len(rows) for rows in blocks]
+        assert sum(heights) > 128
+        assert heights[:-1] == [64] * (len(heights) - 1)
+        krylov = np.vstack(blocks)
+        np.testing.assert_allclose(krylov @ krylov.T, np.eye(len(krylov)), atol=1e-10)
+
+
+def test_step_matches_the_allocating_recurrence(monkeypatch):
+    """The in-place three-term step gives the same alpha and beta, bit for bit,
+    as the textbook recurrence on fresh arrays, across a block boundary
+    (xxz_half N=16 Sz=0 at delta = -0.95 takes about 100 steps)."""
+    ham = _sector_ham(ModelSpec("xxz_half", delta=-0.95), 16, 0.0)
+    seen = {}
+    real = eigensolver._ritz_bottom
+
+    def ritz(matrix, blocks, alpha, beta, *args, **kwargs):
+        seen["alpha"], seen["beta"] = list(alpha), list(beta)
+        return real(matrix, blocks, alpha, beta, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "_ritz_bottom", ritz)
+    lanczos_lowest(ham)
+    steps = len(seen["alpha"])
+    assert steps > 64
+
+    rng = np.random.default_rng([eigensolver._PRIMARY_SEED, 0])
+    v = rng.standard_normal(ham.dimension)
+    v = v / np.linalg.norm(v)
+    prev, alpha, beta = None, [], []
+    for j in range(steps):
+        w = ham.matrix @ v
+        alpha.append(float(v @ w))
+        w = w - alpha[-1] * v
+        if j > 0:
+            w = w - beta[-1] * prev
+        if j < steps - 1:
+            beta.append(float(np.linalg.norm(w)))
+            prev, v = v, w / beta[-1]
+    assert alpha == seen["alpha"]
+    assert beta == seen["beta"]
+
+
+class _CountingMatrix:
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.matvecs = matrix, matrix.shape, 0
+
+    def __matmul__(self, vector):
+        self.matvecs += 1
+        return self.matrix @ vector
+
+
+def test_krylov_store_peak_memory():
+    """One long solve (xxz_half N=16 Sz=0 at delta = -0.95, about 100 steps)
+    allocates its Krylov rows in 64-row blocks and copies none of them: the
+    traced peak stays within the blocks its steps need plus 16 vectors. A
+    store that grows by copying holds a 64-row and a 128-row array at once."""
+    from spinent.hamiltonian import SparseHamiltonian
+
+    ham = _sector_ham(ModelSpec("xxz_half", delta=-0.95), 16, 0.0)
+    counting = _CountingMatrix(ham.matrix)
+    tracemalloc.start()
+    try:
+        lanczos_lowest(SparseHamiltonian(counting))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = counting.matvecs  # Lanczos steps plus residual checks: a bound on the rows
+    assert 64 < steps <= 128
+    assert peak <= (math.ceil(steps / 64) * 64 + 16) * ham.dimension * 8
 
 
 def test_degenerate_ground_needs_injected_directions():
@@ -258,11 +380,50 @@ def test_low_spectrum_blbq_transition_multiplet():
     assert clusters[1] == 8
 
 
+def test_spectrum_listing_ignores_round_off(monkeypatch):
+    """At blbq L=8, theta = 3pi/2 the manifold at -19.7967 straddles a 20-level
+    cut. Nudging every sector energy by +-1e-13 must not change which members
+    are listed, their Sz labels or the cluster sizes."""
+    lattice = chain_lattice(8)
+    ws = SectorWorkspace("blbq", lattice)
+    model = ModelSpec("blbq", theta=1.5 * np.pi)
+
+    def listing():
+        levels = low_spectrum(model, lattice, 20, workspace=ws)
+        energies = [e for e, _ in levels]
+        return energies, [sz for _, sz in levels], degeneracy_count(energies, 1e-8)
+
+    energies, labels, clusters = listing()
+    assert clusters == [1, 1, 8, 10]
+    real_lanczos, real_eigvalsh = eigensolver.lanczos_lowest, np.linalg.eigvalsh
+    for signs in ([1.0], [-1.0], [1.0, -1.0], [-1.0, 1.0, 1.0]):
+        cycle = itertools.cycle(signs)
+
+        def nudged_lanczos(*args, **kwargs):
+            results = real_lanczos(*args, **kwargs)
+            for result in results:
+                result.energy += 1e-13 * next(cycle)
+            return results
+
+        def nudged_eigvalsh(matrix):
+            values = real_eigvalsh(matrix)
+            return values + 1e-13 * np.array([next(cycle) for _ in values])
+
+        monkeypatch.setattr(eigensolver, "lanczos_lowest", nudged_lanczos)
+        monkeypatch.setattr(np.linalg, "eigvalsh", nudged_eigvalsh)
+        got_energies, got_labels, got_clusters = listing()
+        assert got_labels == labels
+        assert got_clusters == clusters
+        np.testing.assert_allclose(got_energies, energies, rtol=0, atol=1e-12)
+
+
 def test_degeneracy_count_windows():
     assert degeneracy_count([-1.0, -1.0 + 1e-12, 0.0], 1e-9) == [2, 1]
     assert degeneracy_count([0.0], 1e-9) == [1]
     assert degeneracy_count([], 1e-9) == []
     assert degeneracy_count([0.0, 1e-7, 1.0], 1e-6) == [2, 1]
+    # members of one cluster may be listed out of energy order
+    assert degeneracy_count([-1.0 + 1e-12, -1.0, 0.0], 1e-9) == [2, 1]
     with pytest.raises(ValueError):
         degeneracy_count([1.0, 0.0], 1e-9)
 
