@@ -4,6 +4,11 @@ Configurations are packed into int64 words, one bit per site for spin-1/2
 and two bits per site for spin-1 with local values {0, 1, 2} standing for
 Sz = {-1, 0, +1}. Within a sector the packed states are kept sorted, so
 index lookup is a binary search.
+
+A sector splits further into blocks of one character under the lattice
+translations, each spanned by representative states (H. Q. Lin, PRB 42,
+6561 (1990); Sandvik, arXiv:1101.3281, sec. 4). The plain sector is the
+block of the trivial group.
 """
 
 from __future__ import annotations
@@ -131,3 +136,103 @@ def sector_values(spin: str, num_sites: int) -> list[float]:
 def nonnegative_sectors(spin: str, num_sites: int) -> list[float]:
     """Reachable Sz >= 0 values, ascending (spin-flip covers the rest)."""
     return [v for v in sector_values(spin, num_sites) if v > -1e-12]
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlock:
+    """One symmetry block of a sector, spanned by representative states.
+
+    Block state ``r`` is the normalized sum over the orbit of the
+    representative ``reps.states[r]``, each member weighted by the block's
+    character. For every state of the plain sector ``basis``, ``row`` is the
+    block state whose orbit holds it and ``coef`` its amplitude there; an
+    orbit the characters annihilate has row -1 and amplitude 0. ``orbit``
+    is the orbit size of each block state. In the plain block ``reps`` is
+    ``basis`` and every amplitude and orbit size is 1.
+    """
+
+    basis: SpinBasis
+    reps: SpinBasis
+    row: np.ndarray
+    coef: np.ndarray
+    orbit: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.reps.dimension
+
+    def expand(self, vector: np.ndarray) -> np.ndarray:
+        """A block vector written out over the plain sector."""
+        # Row -1 reads the last entry, which its zero amplitude then drops.
+        return self.coef * vector[self.row]
+
+
+def plain_block(basis: SpinBasis) -> SectorBlock:
+    """The whole sector as the block of the trivial group."""
+    dim = basis.dimension
+    ones = np.broadcast_to(1.0, (dim,))
+    return SectorBlock(basis, basis, np.arange(dim), ones, ones)
+
+
+def _translate(basis: SpinBasis, states: np.ndarray, step: int, period: int) -> np.ndarray:
+    """Packed states with every site moved ``step`` places along its run of
+    ``period`` sites, cyclically (see Lattice.translations)."""
+    b = basis.bits_per_site
+    stay, wrap = 0, 0
+    for site in range(basis.num_sites):
+        digit = ((1 << b) - 1) << (b * site)
+        if site % period < period - step:
+            stay |= digit
+        else:
+            wrap |= digit
+    return ((states & stay) << (b * step)) | ((states & wrap) >> (b * (period - step)))
+
+
+def _images(basis: SpinBasis, states: np.ndarray, generators):
+    """(image, character) of ``states`` under every element of the group the
+    ``((step, period), character)`` generators span, identity first."""
+    if not generators:
+        yield states, 1
+        return
+    (step, period), character = generators[0]
+    for power in range(period // step):
+        for image, rest in _images(basis, states, generators[1:]):
+            yield image, rest * character**power
+        states = _translate(basis, states, step, period)
+
+
+def translation_block(
+    basis: SpinBasis, translations: tuple[tuple[int, int], ...], characters: tuple[int, ...]
+) -> SectorBlock:
+    """The block of a sector on which each translation generator acts as its
+    character (+1 or -1).
+
+    The representative of a state is the smallest state of its orbit. An
+    orbit whose stabilizer holds an element of character -1 has no state in
+    the block.
+    """
+    states = basis.states
+    smallest = states.copy()
+    sign = np.ones(states.size)
+    fixed = np.zeros(states.size, dtype=np.int64)
+    annihilated = np.zeros(states.size, dtype=bool)
+    group = 0
+    for image, character in _images(basis, states, list(zip(translations, characters))):
+        group += 1
+        still = image == states
+        fixed += still
+        if character < 0:
+            annihilated |= still
+        lower = image < smallest
+        smallest[lower] = image[lower]
+        # The element that takes a state to its representative r gives the
+        # state the amplitude character * amp(r) in the block.
+        sign[lower] = character
+    kept = ~annihilated
+    is_rep = kept & (smallest == states)
+    block_row = np.cumsum(is_rep) - 1
+    row = np.where(kept, block_row[np.searchsorted(states, smallest)], -1)
+    orbit = group // fixed
+    coef = np.where(kept, sign / np.sqrt(orbit), 0.0)
+    reps = SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, states[is_rep])
+    return SectorBlock(basis, reps, row, coef, orbit[is_rep])

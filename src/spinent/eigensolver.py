@@ -16,6 +16,17 @@ is restarted once from a second hard-coded seed, with full
 reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
+
+ground_state_scan solves a sector above the dense cutoff in one translation
+block when one level is asked and the model passes the Perron-Frobenius test
+of ``hamiltonian.perron_frobenius`` on a bipartite ring or torus: xxz_half at
+every delta, xxz_one with beta >= 0, blbq at theta = 0 and in
+(3*pi/2, 2*pi). The sector's ground state is then unique, and the
+characters ``hamiltonian.ground_characters`` predicts under each lattice
+translation pick its block, about N times smaller than the sector. Odd rings,
+every other model point, dense sectors, scans asking for several levels per
+sector, low_spectrum and the check battery's Sz=0 solves use the whole
+sector.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .basis import SpinBasis, nonnegative_sectors
-from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian
+from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, ground_characters
 from .lattice import Lattice
 
 _PRIMARY_SEED = 1299709
@@ -61,17 +72,23 @@ class GroundStateReport:
 
     ``degeneracy`` counts states within ``tol_deg`` of the ground energy
     across all sectors, doubling Sz > 0 sectors for their spin-flipped
-    partners. Sectors diagonalized densely contribute their full spectrum,
-    but a sector solved by Lanczos contributes only the ``k_per_sector``
-    lowest levels (one during sweeps). A manifold with several members in
-    one large sector is therefore undercounted: at blbq theta = 5*pi/4,
-    L = 8, the scan reports 25 where ``low_spectrum(..., 60)`` finds 45
-    levels within 1e-8 of the ground (ROADMAP open item 3).
+    partners. Sectors diagonalized densely contribute their full spectrum.
+    A sector solved whole by Lanczos contributes at least ``k_per_sector``
+    levels, and more while its levels found so far all lie within
+    ``tol_deg`` of the ground, so a manifold with several members in one
+    large sector is counted in full (45 at blbq theta = 5*pi/4, L = 8). A
+    sector solved in its translation block contributes one level: there
+    Perron-Frobenius makes the sector's ground state unique, though not
+    always more than ``tol_deg`` below the sector's next level. The Neel
+    pair of xxz_half at N = 18, delta = 20 is split by less, and counts
+    once on this route where the whole sector would count it twice.
 
     For a degenerate ground state the representative is the lowest state of
     the largest-Sz sector attaining the ground energy, i.e. the polarized
     member of a ferromagnetic manifold. A polarized product state carries no
     entanglement, so downstream entropy columns read 0 there, deterministically.
+    ``representative`` is always a vector over the plain sector basis
+    ``representative_basis``.
     """
 
     per_sector_energies: dict[float, tuple[float, ...]]
@@ -318,18 +335,33 @@ def ground_state_scan(
     """Scan Sz >= 0 sectors for the global ground state and its degeneracy.
 
     Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
-    skipped but counted in the degeneracy. See GroundStateReport for the
+    skipped but counted in the degeneracy. A sector above the dense cutoff
+    is solved in its translation block alone when one level is asked and
+    ``ground_characters`` predicts the block; the block ground is expanded
+    into the plain sector only if it represents the point. Every other
+    sector is solved whole, and one solved by Lanczos whose levels all lie
+    within ``tol_deg`` of the ground is deflated further until a level
+    clears that window. See GroundStateReport for the
     degenerate-representative rule.
     """
     ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
     per_sector: dict[float, tuple[float, ...]] = {}
-    bottoms: dict[float, EigenResult] = {}
+    bottoms: dict[float, tuple[EigenResult, tuple[int, ...]]] = {}
     for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
-        energies, bottom = sector_lowest(ws.matrix(model, sz), k_per_sector, tol)
-        per_sector[sz] = tuple(energies)
-        bottoms[sz] = bottom
+        characters = ()
+        if k_per_sector == 1 and ws.basis(sz).dimension > _DENSE_CUTOFF:
+            characters = ground_characters(model, lattice, sz)
+        energies, bottom = sector_lowest(ws.matrix(model, sz, characters), k_per_sector, tol)
+        # Perron-Frobenius: the block holds the sector's ground, unique there.
+        per_sector[sz] = tuple(energies[:1] if characters else energies)
+        bottoms[sz] = (bottom, characters)
 
     ground = min(levels[0] for levels in per_sector.values())
+    for sz, levels in per_sector.items():
+        dim = ws.basis(sz).dimension
+        while not bottoms[sz][1] and len(levels) < dim and levels[-1] <= ground + tol_deg:
+            levels = tuple(sector_lowest(ws.matrix(model, sz), 2 * len(levels), tol)[0])
+        per_sector[sz] = levels
     attaining = [sz for sz, levels in per_sector.items() if levels[0] <= ground + tol_deg]
     rep_sz = max(attaining)
     degeneracy = 0
@@ -337,13 +369,22 @@ def ground_state_scan(
         hits = sum(1 for e in levels if e <= ground + tol_deg)
         degeneracy += hits * (2 if sz > 1e-12 else 1)
 
+    representative, characters = bottoms[rep_sz]
+    if characters:
+        block = ws.block(rep_sz, characters)[0]
+        representative = EigenResult(
+            representative.energy,
+            block.expand(representative.vector),
+            representative.residual_norm,
+            representative.converged,
+        )
     return GroundStateReport(
         per_sector_energies=per_sector,
         ground_energy=ground,
         ground_sz=rep_sz,
         degeneracy=degeneracy,
         degenerate_flag=degeneracy > 1,
-        representative=bottoms[rep_sz],
+        representative=representative,
         representative_basis=ws.basis(rep_sz),
         tol_deg=tol_deg,
     )

@@ -9,10 +9,11 @@ Supported families (transverse coupling fixed to 1, energies dimensionless):
   bond term cos(theta)*(S_i.S_j) + sin(theta)*(S_i.S_j)^2
 
 Every bond operator is expanded once as a dense stencil on the two-site
-product space (4x4 for spin-1/2, 9x9 for spin-1) and then scattered into
-the sector basis bond by bond. The biquadratic stencil is simply the
-matrix square of the exchange stencil, so the two spin-1 families share
-one code path and repeated operator algebra cannot drift.
+product space (4x4 for spin-1/2, 9x9 for spin-1) and then scattered bond
+by bond into a sector block: the plain sector or one translation block. The
+biquadratic stencil is simply the matrix square of the exchange stencil, so
+the two spin-1 families share one code path and repeated operator algebra
+cannot drift.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .basis import SPIN_VALUE, SpinBasis, build_basis
+from .basis import (
+    SPIN_VALUE,
+    SectorBlock,
+    SpinBasis,
+    build_basis,
+    plain_block,
+    translation_block,
+)
 from .lattice import Lattice
 
 FAMILY_SPIN = {"xxz_half": "half", "xxz_one": "one", "blbq": "one"}
@@ -124,14 +132,68 @@ def bond_stencils(family: str) -> dict[str, np.ndarray]:
     return parts
 
 
+def perron_frobenius(model: ModelSpec) -> bool:
+    """Whether the Marshall sign rule fixes the ground state of every sector.
+
+    The Marshall rotation, a pi rotation about z on one sublattice of a
+    bipartite lattice, multiplies each bond matrix element by -1 to the
+    change of one site's digit. The test passes when the rotated, combined
+    bond stencil has no positive off-diagonal element and a negative one for
+    every one-unit hop, which moves one unit of Sz across the bond. Those
+    hops connect every Sz sector of a connected lattice, so Perron-Frobenius
+    makes each sector's ground state unique, with positive rotated
+    amplitudes (Marshall, Proc. R. Soc. A 232, 48 (1955); Lieb & Mattis,
+    J. Math. Phys. 3, 749 (1962)).
+    """
+    parts = bond_stencils(model.family)
+    total = sum(coeff * parts[name] for name, coeff in model.part_coefficients().items())
+    d = math.isqrt(total.shape[0])
+    first, second = np.divmod(np.arange(d * d), d)
+    moved_first = first[:, None] - first[None, :]
+    moved_second = second[:, None] - second[None, :]
+    rotated = total * (-1.0) ** moved_second
+    off_diagonal = ~np.eye(d * d, dtype=bool)
+    hop = (np.abs(moved_first) == 1) & (moved_second == -moved_first)
+    return bool(
+        np.all(rotated[off_diagonal] <= _STENCIL_PRUNE)
+        and np.all(rotated[hop] < -_STENCIL_PRUNE)
+    )
+
+
+def ground_characters(model: ModelSpec, lattice: Lattice, sz: float) -> tuple[int, ...]:
+    """Translation characters of a sector's ground state where Perron-Frobenius
+    fixes them, one per generator of ``lattice.translations()``; elsewhere
+    (), the characters of the whole sector.
+
+    The ground state has positive Marshall-rotated amplitudes, so it takes
+    each translation to itself times the ratio of the Marshall signs of a
+    state and its image: +1 for a translation that keeps the sublattices,
+    and -1 to the sector's unit count (Sz + N*s) for one that swaps them.
+    """
+    colour = lattice.sublattice()
+    if colour is None or not perron_frobenius(model):
+        return ()
+    units = round(sz + lattice.num_sites * SPIN_VALUE[model.spin])
+    return tuple(
+        (-1) ** units if colour[step] != colour[0] else 1
+        for step, _ in lattice.translations()
+    )
+
+
 def assemble_parts(
-    family: str, lattice: Lattice, basis: SpinBasis
+    family: str, lattice: Lattice, block: SectorBlock
 ) -> dict[str, sparse.csr_matrix]:
-    """Assemble each stencil part of the family over the sector, coefficient 1.
+    """Assemble each stencil part of the family over a sector block, coefficient 1.
 
     Keeping the parts separate lets a parameter sweep reuse them: the full
-    matrix for any parameter value is a fixed linear combination.
+    matrix for any parameter value is a fixed linear combination. Each
+    column is a block state: the bond terms act on its representative, and
+    every state reached adds to the row of its own block state, weighted by
+    its amplitude there times the square root of the column's orbit size
+    (Sandvik, arXiv:1101.3281, sec. 4). Over the plain block every weight
+    is 1.
     """
+    basis, reps = block.basis, block.reps
     if FAMILY_SPIN[family] != basis.spin:
         raise ValueError(
             f"family {family!r} needs spin {FAMILY_SPIN[family]!r} sites, "
@@ -143,7 +205,8 @@ def assemble_parts(
         )
     d = basis.local_dim
     states = basis.states
-    dim = basis.dimension
+    dim = block.dimension
+    root_orbit = np.sqrt(block.orbit)
     out: dict[str, sparse.csr_matrix] = {}
     for name, stencil in bond_stencils(family).items():
         entries = [
@@ -152,26 +215,33 @@ def assemble_parts(
         ]
         rows, cols, vals = [], [], []
         for i, j in lattice.bonds:
-            pair = basis.site_digits(i) * d + basis.site_digits(j)
+            pair = reps.site_digits(i) * d + reps.site_digits(j)
             for p_out, p_in, amp in entries:
                 sel = np.nonzero(pair == p_in)[0]
                 if sel.size == 0:
                     continue
                 if p_out == p_in:
                     # A diagonal entry leaves every state where it is.
-                    found = sel
-                else:
-                    targets = basis.with_pair_digits(
-                        states[sel], i, j, p_out // d, p_out % d
+                    rows.append(sel)
+                    cols.append(sel)
+                    vals.append(np.full(sel.size, amp))
+                    continue
+                targets = reps.with_pair_digits(
+                    reps.states[sel], i, j, p_out // d, p_out % d
+                )
+                found = np.searchsorted(states, targets)
+                if not np.array_equal(states[found], targets):
+                    raise RuntimeError(
+                        "bond stencil produced a state outside the sector"
                     )
-                    found = np.searchsorted(states, targets)
-                    if not np.array_equal(states[found], targets):
-                        raise RuntimeError(
-                            "bond stencil produced a state outside the sector"
-                        )
-                rows.append(found)
+                target_rows = block.row[found]
+                weights = amp * block.coef[found] * root_orbit[sel]
+                inside = target_rows >= 0
+                if not inside.all():
+                    target_rows, sel, weights = target_rows[inside], sel[inside], weights[inside]
+                rows.append(target_rows)
                 cols.append(sel)
-                vals.append(np.full(sel.size, amp))
+                vals.append(weights)
         if rows:
             coo = sparse.coo_matrix(
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -202,14 +272,17 @@ def combine_parts(
 
 def assemble(model: ModelSpec, lattice: Lattice, basis: SpinBasis) -> SparseHamiltonian:
     """Matrix of <row|H|col> over the sector for one parameter point."""
-    parts = assemble_parts(model.family, lattice, basis)
+    parts = assemble_parts(model.family, lattice, plain_block(basis))
     return SparseHamiltonian(combine_parts(parts, model.part_coefficients()))
 
 
 class SectorWorkspace:
-    """Per-sector basis and stencil-part cache for one (family, lattice).
+    """Per-sector bases and stencil-part caches for one (family, lattice).
 
-    A sweep combines the cached parts with fresh coefficients at every
+    A sector's Hamiltonian is held as the stencil parts of one of its
+    blocks: the plain sector, or the translation block of given characters
+    (see ``ground_characters``). Each is assembled once, on first use, and a
+    sweep combines the cached parts with fresh coefficients at every
     parameter value instead of reassembling the matrix.
     """
 
@@ -219,24 +292,41 @@ class SectorWorkspace:
         self.family = family
         self.lattice = lattice
         self.spin = FAMILY_SPIN[family]
-        self._sectors: dict[float, tuple[SpinBasis, dict[str, sparse.csr_matrix]]] = {}
-
-    def sector(self, sz: float) -> tuple[SpinBasis, dict[str, sparse.csr_matrix]]:
-        if sz not in self._sectors:
-            sector_basis = build_basis(self.lattice.num_sites, self.spin, sz)
-            self._sectors[sz] = (
-                sector_basis,
-                assemble_parts(self.family, self.lattice, sector_basis),
-            )
-        return self._sectors[sz]
+        self._bases: dict[float, SpinBasis] = {}
+        self._blocks: dict[tuple, tuple[SectorBlock, dict[str, sparse.csr_matrix]]] = {}
 
     def basis(self, sz: float) -> SpinBasis:
-        return self.sector(sz)[0]
+        """The plain sector basis; nothing is assembled."""
+        if sz not in self._bases:
+            self._bases[sz] = build_basis(self.lattice.num_sites, self.spin, sz)
+        return self._bases[sz]
 
-    def matrix(self, model: ModelSpec, sz: float) -> SparseHamiltonian:
+    def block(
+        self, sz: float, characters: tuple[int, ...] = ()
+    ) -> tuple[SectorBlock, dict[str, sparse.csr_matrix]]:
+        """One block of the sector with its stencil parts; no characters
+        means the plain sector."""
+        key = (sz, characters)
+        if key not in self._blocks:
+            basis = self.basis(sz)
+            if characters:
+                block = translation_block(basis, self.lattice.translations(), characters)
+            else:
+                block = plain_block(basis)
+            self._blocks[key] = (block, assemble_parts(self.family, self.lattice, block))
+        return self._blocks[key]
+
+    def sector(self, sz: float) -> tuple[SpinBasis, dict[str, sparse.csr_matrix]]:
+        """The plain sector basis and its stencil parts."""
+        block, parts = self.block(sz)
+        return block.basis, parts
+
+    def matrix(
+        self, model: ModelSpec, sz: float, characters: tuple[int, ...] = ()
+    ) -> SparseHamiltonian:
         if model.family != self.family:
             raise ValueError(
                 f"workspace built for {self.family!r}, got model {model.family!r}"
             )
-        parts = self.sector(sz)[1]
+        parts = self.block(sz, characters)[1]
         return SparseHamiltonian(combine_parts(parts, model.part_coefficients()))

@@ -30,6 +30,32 @@ class Lattice:
         """Number of bonds touching ``site``."""
         return sum(1 for a, b in self.bonds if site == a or site == b)
 
+    def sublattice(self) -> tuple[int, ...] | None:
+        """Two-colouring of the sites by coordinate parity, or None.
+
+        A site's colour is the parity of its row plus its column (of its
+        index on a ring). None means some bond joins two sites of one
+        colour: an odd ring or an odd extent is not bipartite.
+        """
+        width = self.extent[0]
+        colour = tuple((site % width + site // width) % 2 for site in range(self.num_sites))
+        if any(colour[i] == colour[j] for i, j in self.bonds):
+            return None
+        return colour
+
+    def translations(self) -> tuple[tuple[int, int], ...]:
+        """Generators of the translation group, each as ``(step, period)``.
+
+        The sites fall into runs of ``period`` consecutive indices, and the
+        generator moves every site ``step`` places along its run, cyclically.
+        A ring has one generator; the periodic square has one along its rows
+        and one that moves every site a row down.
+        """
+        if self.geometry == "square":
+            width = self.extent[0]
+            return ((1, width), (width, self.num_sites))
+        return ((1, self.num_sites),)
+
 
 def chain_lattice(num_sites: int) -> Lattice:
     """Periodic chain (ring) of ``num_sites`` sites.

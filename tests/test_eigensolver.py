@@ -343,6 +343,27 @@ def test_scan_blbq_ferro_arc_is_flagged():
     assert report.degeneracy == 13  # S_total = 6 multiplet
 
 
+@pytest.mark.parametrize(
+    "model,size,expected",
+    [
+        (ModelSpec("blbq", theta=1.25 * np.pi), 8, 45),
+        (ModelSpec("xxz_half", delta=1.0), 13, 4),
+    ],
+    ids=["blbq-5pi/4", "odd-ring"],
+)
+def test_scan_counts_every_member_in_large_sectors(model, size, expected):
+    """Both points fail the Perron-Frobenius test. At blbq theta = 5pi/4 the
+    SU(3) ferromagnet's 45 ground states put five in the Lanczos-sized Sz=0
+    sector and four each in Sz = 1 and 2; the odd ring's two momenta put two
+    in Sz = 1/2. Each such sector is deflated until a level clears the
+    window, so the scan agrees with low_spectrum."""
+    lattice = chain_lattice(size)
+    report = ground_state_scan(model, lattice)
+    levels = low_spectrum(model, lattice, expected + 5)
+    assert degeneracy_count([e for e, _ in levels], 1e-8)[0] == expected
+    assert report.degeneracy == expected
+
+
 def test_scan_counts_only_requested_levels_in_large_sectors():
     report = ground_state_scan(
         ModelSpec("xxz_half", delta=1.0), chain_lattice(12), k_per_sector=2

@@ -62,3 +62,21 @@ def test_bonds_are_canonical():
         assert all(i < j for i, j in lat.bonds)
         assert len(set(lat.bonds)) == lat.num_bonds
         assert list(lat.bonds) == sorted(lat.bonds)
+
+
+def test_sublattice_colours_only_bipartite_lattices():
+    assert chain_lattice(6).sublattice() == (0, 1, 0, 1, 0, 1)
+    assert chain_lattice(7).sublattice() is None
+    assert square_lattice(4, 4).sublattice()[:8] == (0, 1, 0, 1, 1, 0, 1, 0)
+    assert square_lattice(3, 4).sublattice() is None
+
+
+@pytest.mark.parametrize("lat", [chain_lattice(8), square_lattice(4, 4), square_lattice(4, 6)])
+def test_translations_map_bonds_onto_bonds(lat):
+    bonds = set(lat.bonds)
+    for step, period in lat.translations():
+        def move(site):
+            start = site - site % period
+            return start + (site - start + step) % period
+
+        assert {tuple(sorted((move(i), move(j)))) for i, j in bonds} == bonds

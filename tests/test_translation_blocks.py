@@ -1,0 +1,176 @@
+"""The translation-block route of ground_state_scan against the plain route.
+
+Where the Marshall-rotated bond stencil passes the Perron-Frobenius test,
+a large sector is solved in the one translation block that holds its
+ground state; everywhere else the whole sector is solved. The plain route
+is forced here by making ground_characters name the whole sector.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinent import eigensolver, hamiltonian
+from spinent.analysis import shared_workspace
+from spinent.basis import build_basis, nonnegative_sectors, translation_block
+from spinent.eigensolver import _DENSE_CUTOFF, ground_state_scan
+from spinent.entanglement import bond_correlators, two_site_rdm, von_neumann_entropy
+from spinent.hamiltonian import ModelSpec, SectorWorkspace, perron_frobenius, model_for
+from spinent.lattice import chain_lattice, square_lattice
+
+
+def _observables(report):
+    state, basis = report.representative.vector, report.representative_basis
+    correlators = bond_correlators(state, basis, (0, 1))
+    entropy = von_neumann_entropy(two_site_rdm(state, basis, 0, 1))
+    return correlators.czz, correlators.cxx, entropy
+
+
+def _assert_routes_agree(model, workspace, monkeypatch):
+    lattice = workspace.lattice
+    block = ground_state_scan(model, lattice, workspace=workspace)
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolver, "ground_characters", lambda *args: ())
+        plain = ground_state_scan(model, lattice, workspace=workspace)
+    assert block.per_sector_energies.keys() == plain.per_sector_energies.keys()
+    for sz, levels in block.per_sector_energies.items():
+        assert abs(levels[0] - plain.per_sector_energies[sz][0]) <= 1e-10
+    assert abs(block.ground_energy - plain.ground_energy) <= 1e-10
+    assert block.degeneracy == plain.degeneracy
+    assert block.ground_sz == plain.ground_sz
+    np.testing.assert_allclose(_observables(block), _observables(plain), rtol=0, atol=1e-10)
+
+
+_CHAIN_GRIDS = {"criterion 5": (-1.5, -0.5, 21), "criterion 9": (1.5, 3.0, 31)}
+
+
+@pytest.mark.parametrize("grid", sorted(_CHAIN_GRIDS))
+@pytest.mark.parametrize("size", [12, 14, 16])
+def test_half_chain_block_route_matches_plain(size, grid, monkeypatch):
+    workspace = shared_workspace("xxz_half", "chain", size)
+    for delta in np.linspace(*_CHAIN_GRIDS[grid]):
+        _assert_routes_agree(model_for("xxz_half", delta), workspace, monkeypatch)
+
+
+def test_square_block_route_matches_plain(monkeypatch):
+    """The 4x4 torus on criterion 6's grid, two translation generators."""
+    workspace = shared_workspace("xxz_half", "square", 4)
+    for delta in np.linspace(0.5, 2.0, 31):
+        _assert_routes_agree(model_for("xxz_half", delta), workspace, monkeypatch)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+@pytest.mark.parametrize("size", [8, 10])
+def test_spin_one_block_route_matches_plain(size, beta, monkeypatch):
+    workspace = shared_workspace("xxz_one", "chain", size)
+    for delta in np.linspace(0.9, 2.1, 7):
+        _assert_routes_agree(model_for("xxz_one", delta, beta), workspace, monkeypatch)
+
+
+@pytest.mark.parametrize("turns", [1.6, 1.75, 1.95])
+def test_blbq_block_route_matches_plain(turns, monkeypatch):
+    workspace = shared_workspace("blbq", "chain", 8)
+    _assert_routes_agree(model_for("blbq", turns * math.pi), workspace, monkeypatch)
+
+
+def test_perron_frobenius_condition_table():
+    for delta in np.linspace(-5.0, 5.0, 41):
+        assert perron_frobenius(ModelSpec("xxz_half", delta=delta))
+    for delta in (-1.0, 0.0, 1.0, 2.5):
+        for beta in (0.0, 0.2, 1.0):
+            assert perron_frobenius(ModelSpec("xxz_one", delta=delta, beta=beta))
+        for beta in (-1e-3, -0.2, -1.0):
+            assert not perron_frobenius(ModelSpec("xxz_one", delta=delta, beta=beta))
+    for theta in np.linspace(0.0, 2 * math.pi, 401)[:-1]:
+        expected = theta == 0.0 or 1.5 * math.pi < theta < 2 * math.pi
+        assert perron_frobenius(ModelSpec("blbq", theta=theta)) == expected, theta
+    # At the pure biquadratic point the one-unit hop (-1, 0) -> (0, -1)
+    # vanishes, so the hops no longer connect every sector.
+    assert not perron_frobenius(ModelSpec("blbq", theta=1.5 * math.pi))
+    assert perron_frobenius(ModelSpec("blbq", theta=1.5 * math.pi + 1e-9))
+
+
+def _record(monkeypatch):
+    """Record (sector dimension, block dimension, plain?) for every block
+    assembled and the dimension of every matrix solved."""
+    assembled, solved = [], []
+    real_assemble, real_lowest = hamiltonian.assemble_parts, eigensolver.sector_lowest
+
+    def assemble(family, lattice, block):
+        assembled.append((block.basis.dimension, block.dimension, block.reps is block.basis))
+        return real_assemble(family, lattice, block)
+
+    def lowest(ham, *args, **kwargs):
+        solved.append(ham.dimension)
+        return real_lowest(ham, *args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "assemble_parts", assemble)
+    monkeypatch.setattr(eigensolver, "sector_lowest", lowest)
+    return assembled, solved
+
+
+@pytest.mark.parametrize(
+    "model,lattice",
+    [
+        (ModelSpec("xxz_one", delta=1.0, beta=-0.2), chain_lattice(10)),
+        (ModelSpec("blbq", theta=1.25 * math.pi), chain_lattice(8)),
+        (ModelSpec("xxz_half", delta=1.0), chain_lattice(13)),
+    ],
+    ids=["xxz_one-negative-beta", "blbq-5pi/4", "odd-ring"],
+)
+def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
+    assembled, solved = _record(monkeypatch)
+    workspace = SectorWorkspace(model.family, lattice)
+    ground_state_scan(model, lattice, workspace=workspace)
+    sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
+    dims = [workspace.basis(sz).dimension for sz in sectors]
+    assert max(dims) > _DENSE_CUTOFF
+    assert [(dim, dim, True) for dim in dims] == assembled
+    # every sector solved whole, some of them again for more levels
+    assert solved[: len(dims)] == dims
+    assert set(solved) <= set(dims)
+
+
+def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
+    assembled, solved = _record(monkeypatch)
+    lattice = chain_lattice(16)
+    workspace = SectorWorkspace("xxz_half", lattice)
+    ground_state_scan(ModelSpec("xxz_half", delta=0.5), lattice, workspace=workspace)
+    large = [dim for dim, _, _ in assembled if dim > _DENSE_CUTOFF]
+    assert len(large) == 6  # Sz = 0 .. 5
+    for dim, block_dim, plain in assembled:
+        assert plain == (dim <= _DENSE_CUTOFF)
+        if not plain:
+            assert block_dim < dim / 10
+    assert solved == [block_dim for _, block_dim, _ in assembled]
+
+
+@pytest.mark.parametrize(
+    "lattice,sz,characters",
+    [
+        (chain_lattice(10), 0.0, (1,)),
+        (chain_lattice(10), 1.0, (-1,)),
+        (chain_lattice(12), 0.0, (-1,)),
+        (square_lattice(4, 4), 1.0, (-1, 1)),
+    ],
+)
+def test_block_states_are_orthonormal_character_states(lattice, sz, characters):
+    """Expanded block states are orthonormal and each translation generator
+    maps every one of them to its character times itself."""
+    basis = build_basis(lattice.num_sites, "half", sz)
+    block = translation_block(basis, lattice.translations(), characters)
+    vectors = np.array([block.expand(unit) for unit in np.eye(block.dimension)])
+    np.testing.assert_allclose(vectors @ vectors.T, np.eye(block.dimension), atol=1e-12)
+    for (step, period), character in zip(lattice.translations(), characters):
+        moved = np.empty(lattice.num_sites, dtype=int)
+        for site in range(lattice.num_sites):
+            start = site - site % period
+            moved[site] = start + (site - start + step) % period
+        images = np.zeros_like(basis.states)
+        for site in range(lattice.num_sites):
+            images |= ((basis.states >> site) & 1) << moved[site]
+        where = np.searchsorted(basis.states, images)
+        translated = np.zeros_like(vectors)
+        translated[:, where] = vectors
+        np.testing.assert_allclose(translated, character * vectors, atol=1e-12)
