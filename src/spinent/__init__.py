@@ -20,7 +20,7 @@ from .analysis import (
     locate_extremum,
     sweep,
 )
-from .basis import SpinBasis, build_basis, nonnegative_sectors, sector_values, state_index
+from .basis import SpinBasis, build_basis, nonnegative_sectors, sector_values
 from .bethe import (
     BetheState,
     UnsupportedRegimeError,
@@ -56,7 +56,6 @@ from .hamiltonian import (
     ModelSpec,
     SectorWorkspace,
     SparseHamiltonian,
-    assemble,
     model_for,
 )
 from .lattice import Lattice, chain_lattice, square_lattice
@@ -80,7 +79,6 @@ __all__ = [
     "TwoSiteRDM",
     "UnsupportedRegimeError",
     "XFormElements",
-    "assemble",
     "bond_correlators",
     "build_basis",
     "chain_lattice",
@@ -101,7 +99,6 @@ __all__ = [
     "sector_values",
     "solve_ground",
     "square_lattice",
-    "state_index",
     "sweep",
     "two_site_rdm",
     "von_neumann_entropy",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import ground_state_scan
+from .eigensolver import check_tolerances, ground_state_scan
 from .entanglement import bond_correlators, concurrence, two_site_rdm, von_neumann_entropy
 from .hamiltonian import FAMILY_SPIN, SectorWorkspace, model_for
 from .lattice import Lattice, chain_lattice, square_lattice
@@ -162,6 +162,9 @@ def sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start, end, count = grid
+    if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(beta)):
+        raise ValueError(f"grid ends and beta must be finite, got {start}, {end}, {beta}")
+    check_tolerances(tol, tol_deg)
     if int(count) != count or count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if end <= start:

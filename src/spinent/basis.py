@@ -14,6 +14,7 @@ block of the trivial group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,6 +75,25 @@ def _check_spin(spin: str) -> None:
         raise ValueError(f"unknown spin tag {spin!r}, expected 'half' or 'one'")
 
 
+@lru_cache(maxsize=1)
+def _spin_one_configurations(num_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every packed spin-1 configuration, ascending, with its digit sum; kept
+    for the last site count, whose sectors a workspace builds one by one."""
+    remainder = np.arange(3**num_sites, dtype=np.int64)
+    packed = np.zeros_like(remainder)
+    digit_sum = np.zeros(remainder.size, dtype=np.int8)
+    for site in range(num_sites):
+        digit = remainder % 3
+        remainder //= 3
+        packed |= digit << (2 * site)
+        digit_sum += digit.astype(np.int8)
+    # digit-wise packing is monotone in the base-3 value, so every selection
+    # is already sorted
+    packed.flags.writeable = False
+    digit_sum.flags.writeable = False
+    return packed, digit_sum
+
+
 def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
     """Enumerate the complete sector with total Sz equal to ``sz_sector``.
 
@@ -101,28 +121,10 @@ def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
         codes = np.arange(1 << num_sites, dtype=np.int64)
         states = codes[np.bitwise_count(codes) == units]
     else:
-        values = np.arange(3**num_sites, dtype=np.int64)
-        remainder = values.copy()
-        packed = np.zeros_like(values)
-        digit_sum = np.zeros_like(values)
-        for site in range(num_sites):
-            digit = remainder % 3
-            remainder //= 3
-            packed |= digit << (2 * site)
-            digit_sum += digit
-        # digit-wise packing is monotone in the base-3 value, so the
-        # selection below is already sorted
+        packed, digit_sum = _spin_one_configurations(num_sites)
         states = packed[digit_sum == units]
 
     return SpinBasis(spin, num_sites, float(sz_sector), states)
-
-
-def state_index(basis: SpinBasis, packed_state: int) -> int | None:
-    """Position of a packed configuration in the sector, or None if absent."""
-    pos = int(np.searchsorted(basis.states, packed_state))
-    if pos < basis.dimension and int(basis.states[pos]) == int(packed_state):
-        return pos
-    return None
 
 
 def sector_values(spin: str, num_sites: int) -> list[float]:

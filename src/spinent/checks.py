@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .eigensolver import (
     dense_lowest,
     lanczos_lowest,
     low_spectrum,
-    sector_lowest,
+    solve_sector,
 )
 from .entanglement import (
     XFormElements,
@@ -71,13 +71,14 @@ class CheckContext:
     def sector_ground(
         self, family: str, size: int, param: float, geometry: str = "chain"
     ) -> tuple[EigenResult, SpinBasis]:
-        """Lowest eigenpair of the Sz=0 sector at one parameter value."""
+        """Lowest eigenpair of the Sz=0 sector at one parameter value, solved
+        as ground_state_scan solves it and written over the plain sector."""
         key = (family, geometry, size, param)
         hit = self._grounds.get(key)
         if hit is None:
             workspace = shared_workspace(family, geometry, size)
-            ham = workspace.matrix(model_for(family, param), 0.0)
-            hit = (sector_lowest(ham)[1], workspace.basis(0.0))
+            _, bottom, block = solve_sector(model_for(family, param), workspace, 0.0)
+            hit = (replace(bottom, vector=block.expand(bottom.vector)), block.basis)
             self._grounds[key] = hit
         return hit
 
@@ -103,11 +104,6 @@ def _at_least(value: float, bound: float, label: str):
 def _equals(value, target, label: str):
     ok = value == target
     return ok, f"{label}: {value} (expected {target})"
-
-
-def _pair_state(ctx: CheckContext, family: str, size: int, param: float):
-    result, basis = ctx.sector_ground(family, size, param)
-    return result.vector, basis
 
 
 def _bethe_pair(n: int, delta: float) -> tuple[float, float, XFormElements]:
@@ -150,14 +146,13 @@ def _criterion_1(ctx: CheckContext):
     sizes = (8, 12, 16, 20)
     entropies, upper_eig, lower_eig = [], [], []
     for n in sizes:
-        state, basis = _pair_state(ctx, "xxz_half", n, 0.0)
-        energy = ctx.sector_ground("xxz_half", n, 0.0)[0].energy
+        ground, basis = ctx.sector_ground("xxz_half", n, 0.0)
         oracle_energy, oracle_cxx, oracle_czz = xx_oracle(n)
-        checks.append(_close(energy, oracle_energy, 1e-8, f"N={n} ground energy vs free fermions"))
-        correlators = bond_correlators(state, basis, (0, 1))
+        checks.append(_close(ground.energy, oracle_energy, 1e-8, f"N={n} ground energy vs free fermions"))
+        correlators = bond_correlators(ground.vector, basis, (0, 1))
         checks.append(_close(correlators.cxx, oracle_cxx, 1e-8, f"N={n} cxx vs free fermions"))
         checks.append(_close(correlators.czz, oracle_czz, 1e-8, f"N={n} czz vs free fermions"))
-        rdm = two_site_rdm(state, basis, 0, 1)
+        rdm = two_site_rdm(ground.vector, basis, 0, 1)
         entropies.append((n, von_neumann_entropy(rdm)))
         _, _, lam_plus, lam_minus = xform_eigenvalues(xform_extract(rdm))
         upper_eig.append((n, lam_plus))
@@ -175,8 +170,8 @@ def _criterion_2(ctx: CheckContext):
     """Isotropic-point entropy, correlators, and concurrence."""
     checks = []
     for n in (8, 12, 16, 20):
-        state, basis = _pair_state(ctx, "xxz_half", n, 1.0)
-        correlators = bond_correlators(state, basis, (0, 1))
+        ground, basis = ctx.sector_ground("xxz_half", n, 1.0)
+        correlators = bond_correlators(ground.vector, basis, (0, 1))
         checks.append(
             _at_most(abs(correlators.cxx - correlators.czz), 1e-9, f"N={n} |cxx - czz|")
         )
@@ -228,8 +223,8 @@ def _criterion_4(ctx: CheckContext):
     checks = []
     n = 12
     for delta in (0.25, 0.75, 1.5):
-        state, basis = _pair_state(ctx, "xxz_half", n, delta)
-        direct = bond_correlators(state, basis, (0, 1)).czz
+        ground, basis = ctx.sector_ground("xxz_half", n, delta)
+        direct = bond_correlators(ground.vector, basis, (0, 1)).czz
 
         def energy_fn(x):
             return ctx.sector_ground("xxz_half", n, x)[0].energy
@@ -354,8 +349,8 @@ def _criterion_8(ctx: CheckContext):
         f"local entropy maximum at 3pi/2: {entropy[su3]:.8g} "
         f"(neighbours {entropy[su3 - 1]:.8g}, {entropy[su3 + 1]:.8g})",
     ))
-    state, basis = _pair_state(ctx, "blbq", 6, 3 * math.pi / 2)
-    spectrum = np.linalg.eigvalsh(two_site_rdm(state, basis, 0, 1).matrix)
+    ground, basis = ctx.sector_ground("blbq", 6, 3 * math.pi / 2)
+    spectrum = np.linalg.eigvalsh(two_site_rdm(ground.vector, basis, 0, 1).matrix)
     clusters = degeneracy_count(spectrum, 1e-10)
     checks.append(_equals(
         clusters, [8, 1], "pair RDM eigenvalue multiplicities at 3pi/2 (tol 1e-10)"
@@ -429,12 +424,12 @@ def _criterion_10(ctx: CheckContext):
     """Density-matrix and solver property battery."""
     checks = []
     for family, size, param in _RDM_ROSTER:
-        state, basis = _pair_state(ctx, family, size, param)
+        ground, basis = ctx.sector_ground(family, size, param)
         pairs = ((0, 1), (2, 5), (0, size // 2))
         trace_err = symm_err = eig_low = eig_high = 0.0
         xform_err = closed_err = 0.0
         for pair in pairs:
-            rdm = two_site_rdm(state, basis, *pair)
+            rdm = two_site_rdm(ground.vector, basis, *pair)
             rho = rdm.matrix
             trace_err = max(trace_err, abs(np.trace(rho) - 1.0))
             symm_err = max(symm_err, float(np.max(np.abs(rho - rho.T))))
@@ -443,7 +438,7 @@ def _criterion_10(ctx: CheckContext):
             eig_high = max(eig_high, float(eigenvalues.max()))
             if basis.spin == "half":
                 elements = xform_extract(rdm)
-                correlators = bond_correlators(state, basis, pair)
+                correlators = bond_correlators(ground.vector, basis, pair)
                 xform_err = max(
                     xform_err,
                     abs(elements.u_plus - (0.25 + correlators.czz)),

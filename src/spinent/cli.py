@@ -82,6 +82,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError(f"could not parse grid '{text}'") from None
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise _UsageError(f"grid ends must be finite, got '{text}'")
     if count < 2:
         raise _UsageError("grid needs at least 2 points")
     if end <= start:

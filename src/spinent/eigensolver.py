@@ -17,26 +17,27 @@ reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
-ground_state_scan solves a sector above the dense cutoff in one translation
-block when one level is asked and the model passes the Perron-Frobenius test
-of ``hamiltonian.perron_frobenius`` on a bipartite ring or torus: xxz_half at
+solve_sector makes the one block-or-whole decision for ground_state_scan
+and the check battery. A sector above the dense cutoff is solved in one
+translation block when the model passes the Perron-Frobenius test of
+``hamiltonian.perron_frobenius`` on a bipartite ring or torus: xxz_half at
 every delta, xxz_one with beta >= 0, blbq at theta = 0 and in
 (3*pi/2, 2*pi). The sector's ground state is then unique, and the
 characters ``hamiltonian.ground_characters`` predicts under each lattice
-translation pick its block, about N times smaller than the sector. Odd rings,
-every other model point, dense sectors, scans asking for several levels per
-sector, low_spectrum and the check battery's Sz=0 solves use the whole
-sector.
+translation pick its block, about N times smaller than the sector. Odd
+rings, every other model point, dense sectors and low_spectrum use the
+whole sector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .basis import SpinBasis, nonnegative_sectors
+from .basis import SectorBlock, SpinBasis, nonnegative_sectors
 from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, ground_characters
 from .lattice import Lattice
 
@@ -73,15 +74,15 @@ class GroundStateReport:
     ``degeneracy`` counts states within ``tol_deg`` of the ground energy
     across all sectors, doubling Sz > 0 sectors for their spin-flipped
     partners. Sectors diagonalized densely contribute their full spectrum.
-    A sector solved whole by Lanczos contributes at least ``k_per_sector``
-    levels, and more while its levels found so far all lie within
-    ``tol_deg`` of the ground, so a manifold with several members in one
-    large sector is counted in full (45 at blbq theta = 5*pi/4, L = 8). A
-    sector solved in its translation block contributes one level: there
-    Perron-Frobenius makes the sector's ground state unique, though not
-    always more than ``tol_deg`` below the sector's next level. The Neel
-    pair of xxz_half at N = 18, delta = 20 is split by less, and counts
-    once on this route where the whole sector would count it twice.
+    A sector solved whole by Lanczos contributes its lowest level, and more
+    while its levels found so far all lie within ``tol_deg`` of the ground,
+    so a manifold with several members in one large sector is counted in
+    full (45 at blbq theta = 5*pi/4, L = 8). A sector solved in its
+    translation block contributes one level: there Perron-Frobenius makes
+    the sector's ground state unique, though not always more than
+    ``tol_deg`` below the sector's next level. The Neel pair of xxz_half at
+    N = 18, delta = 20 is split by less, and counts once on this route where
+    the whole sector would count it twice.
 
     For a degenerate ground state the representative is the lowest state of
     the largest-Sz sector attaining the ground energy, i.e. the polarized
@@ -323,45 +324,52 @@ def sector_lowest(
     return [r.energy for r in results], results[0]
 
 
+def solve_sector(
+    model: ModelSpec, workspace: SectorWorkspace, sz: float, tol: float = 1e-10
+) -> tuple[list[float], EigenResult, SectorBlock]:
+    """Lowest energies of one sector, its bottom eigenpair and its block.
+
+    A sector above the dense cutoff is solved in the translation block
+    ``ground_characters`` predicts, where the sector's ground is unique and
+    is the one energy returned; any other sector whole, by sector_lowest.
+    ``block.expand`` writes the bottom vector out over the plain sector.
+    """
+    characters = ()
+    if workspace.basis(sz).dimension > _DENSE_CUTOFF:
+        characters = ground_characters(model, workspace.lattice, sz)
+    energies, bottom = sector_lowest(workspace.matrix(model, sz, characters), tol=tol)
+    block = workspace.block(sz, characters)[0]
+    return (energies[:1] if characters else energies), bottom, block
+
+
 def ground_state_scan(
     model: ModelSpec,
     lattice: Lattice,
     tol_deg: float = 1e-8,
     *,
     tol: float = 1e-10,
-    k_per_sector: int = 1,
     workspace: SectorWorkspace | None = None,
 ) -> GroundStateReport:
     """Scan Sz >= 0 sectors for the global ground state and its degeneracy.
 
     Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
-    skipped but counted in the degeneracy. A sector above the dense cutoff
-    is solved in its translation block alone when one level is asked and
-    ``ground_characters`` predicts the block; the block ground is expanded
-    into the plain sector only if it represents the point. Every other
-    sector is solved whole, and one solved by Lanczos whose levels all lie
-    within ``tol_deg`` of the ground is deflated further until a level
-    clears that window. See GroundStateReport for the
+    skipped but counted in the degeneracy. Each sector is solved by
+    solve_sector; the bottom vector is expanded into the plain sector only
+    if it represents the point. A sector solved whole by Lanczos whose
+    levels all lie within ``tol_deg`` of the ground is deflated further
+    until a level clears that window. See GroundStateReport for the
     degenerate-representative rule.
     """
     ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
+    sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
+    solved = {sz: solve_sector(model, ws, sz, tol) for sz in sectors}
+    ground = min(energies[0] for energies, _, _ in solved.values())
     per_sector: dict[float, tuple[float, ...]] = {}
-    bottoms: dict[float, tuple[EigenResult, tuple[int, ...]]] = {}
-    for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
-        characters = ()
-        if k_per_sector == 1 and ws.basis(sz).dimension > _DENSE_CUTOFF:
-            characters = ground_characters(model, lattice, sz)
-        energies, bottom = sector_lowest(ws.matrix(model, sz, characters), k_per_sector, tol)
-        # Perron-Frobenius: the block holds the sector's ground, unique there.
-        per_sector[sz] = tuple(energies[:1] if characters else energies)
-        bottoms[sz] = (bottom, characters)
-
-    ground = min(levels[0] for levels in per_sector.values())
-    for sz, levels in per_sector.items():
-        dim = ws.basis(sz).dimension
-        while not bottoms[sz][1] and len(levels) < dim and levels[-1] <= ground + tol_deg:
-            levels = tuple(sector_lowest(ws.matrix(model, sz), 2 * len(levels), tol)[0])
-        per_sector[sz] = levels
+    for sz, (levels, _, block) in solved.items():
+        whole = block.reps is block.basis
+        while whole and len(levels) < block.dimension and levels[-1] <= ground + tol_deg:
+            levels = sector_lowest(ws.matrix(model, sz), 2 * len(levels), tol)[0]
+        per_sector[sz] = tuple(levels)
     attaining = [sz for sz, levels in per_sector.items() if levels[0] <= ground + tol_deg]
     rep_sz = max(attaining)
     degeneracy = 0
@@ -369,23 +377,15 @@ def ground_state_scan(
         hits = sum(1 for e in levels if e <= ground + tol_deg)
         degeneracy += hits * (2 if sz > 1e-12 else 1)
 
-    representative, characters = bottoms[rep_sz]
-    if characters:
-        block = ws.block(rep_sz, characters)[0]
-        representative = EigenResult(
-            representative.energy,
-            block.expand(representative.vector),
-            representative.residual_norm,
-            representative.converged,
-        )
+    _, bottom, block = solved[rep_sz]
     return GroundStateReport(
         per_sector_energies=per_sector,
         ground_energy=ground,
         ground_sz=rep_sz,
         degeneracy=degeneracy,
         degenerate_flag=degeneracy > 1,
-        representative=representative,
-        representative_basis=ws.basis(rep_sz),
+        representative=replace(bottom, vector=block.expand(bottom.vector)),
+        representative_basis=block.basis,
         tol_deg=tol_deg,
     )
 
@@ -415,6 +415,7 @@ def low_spectrum(
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
+    check_tolerances(tol, tol_deg)
     ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
     merged: list[tuple[float, float]] = []
     for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
@@ -433,6 +434,12 @@ def low_spectrum(
         cluster = merged[len(listing) : len(listing) + size]
         listing += sorted(cluster, key=lambda level: (abs(level[1]), level[1], level[0]))
     return listing[:levels]
+
+
+def check_tolerances(tol: float, tol_deg: float) -> None:
+    """Reject a tolerance not finite and positive, or a window not finite and >= 0."""
+    if not (0 < tol < math.inf and 0 <= tol_deg < math.inf):
+        raise ValueError(f"need finite tol > 0 and tol_deg >= 0, got {tol} and {tol_deg}")
 
 
 def degeneracy_count(energies, tol_deg: float) -> list[int]:

@@ -58,6 +58,9 @@ class ModelSpec:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {sorted(FAMILY_SPIN)}"
             )
+        for name in ("delta", "beta", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def spin(self) -> str:
@@ -268,12 +271,6 @@ def combine_parts(
     total.eliminate_zeros()
     total.sort_indices()
     return total
-
-
-def assemble(model: ModelSpec, lattice: Lattice, basis: SpinBasis) -> SparseHamiltonian:
-    """Matrix of <row|H|col> over the sector for one parameter point."""
-    parts = assemble_parts(model.family, lattice, plain_block(basis))
-    return SparseHamiltonian(combine_parts(parts, model.part_coefficients()))
 
 
 class SectorWorkspace:

@@ -22,14 +22,6 @@ class Lattice:
     bonds: tuple[tuple[int, int], ...]
     extent: tuple[int, ...]
 
-    @property
-    def num_bonds(self) -> int:
-        return len(self.bonds)
-
-    def degree(self, site: int) -> int:
-        """Number of bonds touching ``site``."""
-        return sum(1 for a, b in self.bonds if site == a or site == b)
-
     def sublattice(self) -> tuple[int, ...] | None:
         """Two-colouring of the sites by coordinate parity, or None.
 

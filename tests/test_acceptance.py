@@ -16,11 +16,11 @@ at delta = 3) by values that dense diagonalization and scipy's eigensolver
 reproduce, and no corrected bound has been derived yet. The detail row
 carries the measured spread.
 
-The full set takes a few minutes; criterion 7 (spin-1 chains up to N=12)
-dominates.
+The battery runs serially: pool workers forked here inherit multi-threaded
+OpenBLAS, which made criterion 7 several times slower than a serial run.
+tests/test_analysis.py covers the pool. The full set takes about ten
+seconds, most of it criterion 7 (spin-1 chains up to L=12).
 """
-
-import os
 
 import pytest
 
@@ -29,7 +29,7 @@ from spinent import checks
 
 @pytest.fixture(scope="session")
 def context():
-    return checks.CheckContext(jobs=min(4, os.cpu_count() or 1))
+    return checks.CheckContext(jobs=1)
 
 
 @pytest.mark.parametrize("number", range(1, 11))

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -123,6 +124,11 @@ def test_sweep_input_validation():
         sweep("xxz_half", "chain", [4], (0.0, 1.0, 1))
     with pytest.raises(ValueError):
         sweep("xxz_half", "chain", [4], (1.0, 0.0, 3))
+    for grid in ((0.0, math.inf, 3), (math.nan, 1.0, 3), (-math.inf, 1.0, 3), (0.0, math.nan, 3)):
+        with pytest.raises(ValueError, match="finite"):
+            sweep("xxz_half", "chain", [4], grid)
+    with pytest.raises(ValueError, match="finite"):
+        sweep("xxz_one", "chain", [4], (0.0, 1.0, 3), beta=math.nan)
     # rejected before any process pool is started
     for jobs in (0, -5):
         with pytest.raises(ValueError, match="jobs"):

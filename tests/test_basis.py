@@ -11,7 +11,6 @@ from spinent.basis import (
     build_basis,
     nonnegative_sectors,
     sector_values,
-    state_index,
 )
 
 
@@ -31,19 +30,6 @@ def test_spin_one_sz0_dimension_against_brute_count(n, expected):
     count = int(np.sum(digits.sum(axis=0) == n))  # digit sum n <=> total Sz 0
     assert count == expected
     assert build_basis(n, "one", 0.0).dimension == expected
-
-
-def test_configuration_lookup():
-    basis = build_basis(2, "half", 0.0)
-    # packed states for up-down and down-up are 0b01 and 0b10
-    assert {state_index(basis, 1), state_index(basis, 2)} == {0, 1}
-    assert state_index(basis, 0b11) is None
-
-
-def test_round_trip_indices():
-    basis = build_basis(8, "half", 1.0)
-    for k in range(basis.dimension):
-        assert state_index(basis, int(basis.states[k])) == k
 
 
 @pytest.mark.parametrize("spin,n", [("half", 6), ("half", 9), ("one", 4), ("one", 5)])
@@ -132,8 +118,22 @@ def test_local_sz_values():
     assert SPIN_VALUE == {"half": 0.5, "one": 1.0}
 
 
+def _spin_one_sector_by_digit_loop(n, sz):
+    """A sector selected from a fresh base-3 enumeration of all 3^n states."""
+    remainder = np.arange(3**n, dtype=np.int64)
+    packed = np.zeros_like(remainder)
+    digit_sum = np.zeros_like(remainder)
+    for site in range(n):
+        digit = remainder % 3
+        remainder //= 3
+        packed |= digit << (2 * site)
+        digit_sum += digit
+    return packed[digit_sum == round(sz + n)]
+
+
 def test_all_product_states_enumerated_once():
-    """Sector bases partition the full product space without overlap."""
+    """Sector bases partition the full product space without overlap, and
+    every spin-1 sector up to L=12 equals its own fresh enumeration."""
     n = 4
     seen = list(
         itertools.chain.from_iterable(
@@ -143,3 +143,7 @@ def test_all_product_states_enumerated_once():
     )
     assert len(seen) == 3**n
     assert len(set(seen)) == 3**n
+    for n in range(1, 13):
+        for sz in sector_values("one", n):
+            expected = _spin_one_sector_by_digit_loop(n, sz)
+            assert np.array_equal(build_basis(n, "one", sz).states, expected)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full
-from spinent.basis import build_basis
 from spinent.bethe import UnsupportedRegimeError, hf_correlators, solve_ground, xx_oracle
 from spinent.entanglement import bond_correlators
-from spinent.hamiltonian import assemble, model_for
+from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 
 def _dense_ground(n, delta):
-    basis = build_basis(n, "half", 0.0)
-    ham = assemble(model_for("xxz_half", delta), chain_lattice(n), basis)
+    workspace = SectorWorkspace("xxz_half", chain_lattice(n))
+    basis = workspace.basis(0.0)
+    ham = workspace.matrix(model_for("xxz_half", delta), 0.0)
     vals, vecs = np.linalg.eigh(ham.matrix.toarray())
     return basis, float(vals[0]), vecs[:, 0]
 

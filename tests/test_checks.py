@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full, pair_rdm_full
-from spinent.basis import build_basis
 from spinent.bethe import hf_correlators, solve_ground
 from spinent.checks import _dicke_pair_entropy
 from spinent.eigensolver import degeneracy_count
@@ -24,7 +23,7 @@ from spinent.entanglement import (
     two_site_rdm,
     von_neumann_entropy,
 )
-from spinent.hamiltonian import assemble, model_for
+from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 
@@ -36,8 +35,9 @@ def _entropy_bits(rho):
 
 def _package_ground(family, n, param):
     model = model_for(family, param)
-    basis = build_basis(n, model.spin, 0.0)
-    ham = assemble(model, chain_lattice(n), basis)
+    workspace = SectorWorkspace(family, chain_lattice(n))
+    basis = workspace.basis(0.0)
+    ham = workspace.matrix(model, 0.0)
     _, vecs = np.linalg.eigh(ham.matrix.toarray())
     return vecs[:, 0], basis
 

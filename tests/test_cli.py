@@ -10,9 +10,8 @@ import pytest
 
 import spinent
 from spinent import __version__, analysis, cli
-from spinent.basis import build_basis
 from spinent.eigensolver import ground_state_scan
-from spinent.hamiltonian import assemble, model_for
+from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 CSV_HEADER = (
@@ -46,12 +45,35 @@ def _strip_elapsed(text: str) -> list[str]:
         ["scaling", "--model", "xxz-half", "--sizes", "4,6,8", "--param", "0:1:3",
          "--jobs", "-3", "--out", "x.json"],
         ["check", "--criteria", "4", "--jobs", "0"],
+        ["sweep", "--model", "xxz-half", "--sizes", "8", "--param", "0:inf:3", "--out", "x.csv"],
+        ["sweep", "--model", "xxz-half", "--sizes", "8", "--param", "nan:1:3", "--out", "x.csv"],
+        ["sweep", "--model", "xxz-half", "--sizes", "8", "--param", "-inf:1:3", "--out", "x.csv"],
+        ["sweep", "--model", "xxz-one", "--sizes", "4", "--param", "0:1:3", "--beta", "nan",
+         "--out", "x.csv"],
+        ["scaling", "--model", "xxz-half", "--sizes", "4,6,8", "--param", "0:inf:3",
+         "--out", "x.json"],
+        ["spectrum", "--model", "xxz-half", "--delta", "nan", "--size", "6", "--out", "x.json"],
+        ["spectrum", "--model", "blbq", "--theta", "inf", "--size", "6", "--out", "x.json"],
+        ["spectrum", "--model", "xxz-one", "--delta", "1", "--beta", "-inf", "--size", "4",
+         "--out", "x.json"],
+        *(
+            ["sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:3", flag, value,
+             "--out", "x.csv"]
+            for flag, value in (
+                ("--tol", "0"), ("--tol", "-1e-10"), ("--tol", "nan"), ("--tol", "inf"),
+                ("--tol", "tiny"), ("--tol-deg", "-1"), ("--tol-deg", "nan"),
+                ("--tol-deg", "inf"),
+            )
+        ),
+        ["spectrum", "--model", "xxz-half", "--delta", "0.5", "--size", "6", "--tol-deg", "nan",
+         "--out", "x.json"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
     argv = [piece.replace("x.", str(tmp_path / "x.")) for piece in argv]
     assert cli.run(argv) == 1
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -230,8 +252,7 @@ def test_bethe_energy_matches_diagonalization(tmp_path):
     out = tmp_path / "bethe.json"
     assert cli.run(["bethe", "--size", "12", "--delta", "0.5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    basis = build_basis(12, "half", 0.0)
-    ham = assemble(model_for("xxz_half", 0.5), chain_lattice(12), basis)
+    ham = SectorWorkspace("xxz_half", chain_lattice(12)).matrix(model_for("xxz_half", 0.5), 0.0)
     reference = float(np.linalg.eigvalsh(ham.matrix.toarray())[0])
     assert abs(payload["energy"] - reference) <= 1e-8
     assert payload["converged"] is True

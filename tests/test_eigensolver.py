@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from spinent import eigensolver
-from spinent.basis import build_basis, nonnegative_sectors
+from spinent.basis import nonnegative_sectors
 from spinent.eigensolver import (
     ConvergenceError,
     degeneracy_count,
@@ -16,11 +16,10 @@ from spinent.eigensolver import (
     ground_state_scan,
     lanczos_lowest,
     low_spectrum,
-    sector_lowest,
 )
 from spinent.analysis import shared_workspace
 from spinent.checks import CheckContext
-from spinent.hamiltonian import ModelSpec, SectorWorkspace, assemble, model_for
+from spinent.hamiltonian import ModelSpec, SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 
@@ -32,7 +31,7 @@ def _fake_ham(matrix):
 
 
 def _sector_ham(model, n, sz):
-    return assemble(model, chain_lattice(n), build_basis(n, model.spin, sz))
+    return SectorWorkspace(model.family, chain_lattice(n)).matrix(model, sz)
 
 
 def test_flip_matrix_pair():
@@ -294,19 +293,32 @@ def test_dense_oracle_guards():
         lanczos_lowest(_fake_ham(np.eye(2)), k=0)
 
 
-@pytest.mark.parametrize("n,dim,oracle", [(10, 252, dense_lowest), (12, 924, lanczos_lowest)])
-def test_scans_and_checks_share_one_dispatch(n, dim, oracle):
-    """sector_lowest picks dense for dim 252 and Lanczos for dim 924, and the
-    check battery's Sz=0 solves go through it with nothing changed."""
-    ham = shared_workspace("xxz_half", "chain", n).matrix(model_for("xxz_half", 0.5), 0.0)
-    assert ham.dimension == dim
-    expected = oracle(ham, 1)[0]
-    energies, bottom = sector_lowest(ham)
-    checked, _ = CheckContext().sector_ground("xxz_half", n, 0.5)
-    assert energies[0] == expected.energy
-    for got in (bottom, checked):
-        assert got.energy == expected.energy
-        assert np.array_equal(got.vector, expected.vector)
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_scans_and_checks_share_one_dispatch(n):
+    """The check battery's Sz=0 ground is the scan's own sector solve, bit
+    for bit: dense in full at N=10 (252 states), in the translation block at
+    N=12 and 16. Small sectors are diagonalized densely in full; a block
+    gives the sector's ground alone."""
+    workspace = shared_workspace("xxz_half", "chain", n)
+    model = model_for("xxz_half", 0.5)
+    report = ground_state_scan(model, workspace.lattice, workspace=workspace)
+    checked, basis = CheckContext().sector_ground("xxz_half", n, 0.5)
+    assert report.ground_sz == 0.0
+    assert basis is report.representative_basis
+    assert checked.energy == report.representative.energy
+    assert np.array_equal(checked.vector, report.representative.vector)
+    assert len(report.per_sector_energies[0.0]) == (252 if n == 10 else 1)
+    assert len(report.per_sector_energies[n / 2 - 1]) == n
+
+
+def test_checks_solve_the_whole_sector_where_perron_frobenius_fails():
+    theta = 1.25 * np.pi
+    ham = shared_workspace("blbq", "chain", 8).matrix(model_for("blbq", theta), 0.0)
+    expected = lanczos_lowest(ham)[0]
+    checked, basis = CheckContext().sector_ground("blbq", 8, theta)
+    assert basis.dimension == ham.dimension == 1107
+    assert checked.energy == expected.energy
+    assert np.array_equal(checked.vector, expected.vector)
 
 
 def test_scan_ferromagnet_is_doubly_degenerate():
@@ -362,15 +374,6 @@ def test_scan_counts_every_member_in_large_sectors(model, size, expected):
     levels = low_spectrum(model, lattice, expected + 5)
     assert degeneracy_count([e for e, _ in levels], 1e-8)[0] == expected
     assert report.degeneracy == expected
-
-
-def test_scan_counts_only_requested_levels_in_large_sectors():
-    report = ground_state_scan(
-        ModelSpec("xxz_half", delta=1.0), chain_lattice(12), k_per_sector=2
-    )
-    assert len(report.per_sector_energies[0.0]) == 2
-    # small sectors are solved densely in full
-    assert len(report.per_sector_energies[6.0]) == 1
 
 
 def test_low_spectrum_trims_and_sorts():

@@ -27,16 +27,17 @@ from spinent.entanglement import (
     xform_extract,
     xform_eigenvalues,
 )
-from spinent.hamiltonian import assemble, model_for
+from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def _sector_ground(family, n, sz, **params):
-    basis = build_basis(n, model_for(family, 0.0).spin, sz)
+    workspace = SectorWorkspace(family, chain_lattice(n))
+    basis = workspace.basis(sz)
     model = model_for(family, params.get("value", 0.0), params.get("beta", 0.0))
-    ham = assemble(model, chain_lattice(n), basis)
+    ham = workspace.matrix(model, sz)
     vals, vecs = np.linalg.eigh(ham.matrix.toarray())
     return basis, vals, vecs
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import embed_indices, full_hamiltonian
-from spinent.basis import build_basis, sector_values
+from spinent.basis import build_basis, plain_block, sector_values
 from spinent.hamiltonian import (
     FAMILY_SPIN,
     ModelSpec,
     SectorWorkspace,
-    assemble,
+    assemble_parts,
     bond_stencils,
+    combine_parts,
     model_for,
     spin_matrices,
 )
@@ -16,8 +17,7 @@ from spinent.lattice import chain_lattice
 
 
 def _sector_matrix(model, n, sz):
-    basis = build_basis(n, model.spin, sz)
-    return assemble(model, chain_lattice(n), basis).matrix.toarray()
+    return SectorWorkspace(model.family, chain_lattice(n)).matrix(model, sz).matrix.toarray()
 
 
 def test_two_spin_singlet_block():
@@ -78,14 +78,14 @@ def test_sector_blocks_match_kronecker_oracle(family, n, kwargs):
     lattice = chain_lattice(n)
     full = full_hamiltonian(family, n, lattice.bonds, **kwargs)
     model = ModelSpec(family, **kwargs)
-    spin = FAMILY_SPIN[family]
+    workspace = SectorWorkspace(family, lattice)
     all_rows = []
-    for sz in sector_values(spin, n):
-        basis = build_basis(n, spin, sz)
+    for sz in sector_values(FAMILY_SPIN[family], n):
+        basis = workspace.basis(sz)
         rows = embed_indices([basis.site_digits(s) for s in range(n)], basis.local_dim)
         all_rows.extend(rows.tolist())
         block = full[np.ix_(rows, rows)]
-        ours = assemble(model, lattice, basis).matrix.toarray()
+        ours = workspace.matrix(model, sz).matrix.toarray()
         np.testing.assert_allclose(ours, block, atol=1e-13)
     # sectors tile the full space, so the blocks cover every matrix element
     assert sorted(all_rows) == list(range(full.shape[0]))
@@ -101,11 +101,8 @@ def test_full_space_hamiltonian_is_block_diagonal():
 
 
 def test_matrix_symmetry_and_zero_action():
-    ham = assemble(
-        ModelSpec("xxz_one", delta=0.8, beta=0.2),
-        chain_lattice(5),
-        build_basis(5, "one", 1.0),
-    )
+    model = ModelSpec("xxz_one", delta=0.8, beta=0.2)
+    ham = SectorWorkspace(model.family, chain_lattice(5)).matrix(model, 1.0)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(ham.dimension)
     w = rng.standard_normal(ham.dimension)
@@ -114,9 +111,8 @@ def test_matrix_symmetry_and_zero_action():
 
 
 def test_csr_columns_match_matrix_action():
-    ham = assemble(
-        ModelSpec("xxz_half", delta=1.3), chain_lattice(6), build_basis(6, "half", 0.0)
-    )
+    model = ModelSpec("xxz_half", delta=1.3)
+    ham = SectorWorkspace(model.family, chain_lattice(6)).matrix(model, 0.0)
     csr = ham.matrix
     dense = np.zeros((ham.dimension, ham.dimension))
     for row in range(ham.dimension):
@@ -143,10 +139,9 @@ def test_workspace_caches_and_reuses_parts():
     ws = SectorWorkspace("xxz_half", chain_lattice(6))
     first = ws.matrix(ModelSpec("xxz_half", delta=0.5), 0.0)
     second = ws.matrix(ModelSpec("xxz_half", delta=2.0), 0.0)
-    direct = assemble(
-        ModelSpec("xxz_half", delta=2.0), chain_lattice(6), build_basis(6, "half", 0.0)
-    )
-    assert (second.matrix - direct.matrix).nnz == 0
+    parts = assemble_parts("xxz_half", chain_lattice(6), plain_block(build_basis(6, "half", 0.0)))
+    direct = combine_parts(parts, ModelSpec("xxz_half", delta=2.0).part_coefficients())
+    assert (second.matrix - direct).nnz == 0
     assert first.matrix.shape == second.matrix.shape
     assert ws.basis(0.0) is ws.basis(0.0)
 
@@ -171,6 +166,10 @@ def test_stencils_conserve_pair_sz():
 def test_model_spec_validation_and_coefficients():
     with pytest.raises(ValueError):
         ModelSpec("xyz_chain")
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("delta", "beta", "theta"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ModelSpec("xxz_one", **{name: bad})
     assert ModelSpec("xxz_half", delta=2.0).part_coefficients() == {"xy": 1.0, "zz": 2.0}
     coeffs = ModelSpec("blbq", theta=np.pi / 2).part_coefficients()
     assert abs(coeffs["bl"]) < 1e-15 and abs(coeffs["bq"] - 1.0) < 1e-15
@@ -187,11 +186,9 @@ def test_model_for_routes_the_swept_parameter():
 
 def test_assemble_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
-        assemble(ModelSpec("blbq"), chain_lattice(4), build_basis(4, "half", 0.0))
+        assemble_parts("blbq", chain_lattice(4), plain_block(build_basis(4, "half", 0.0)))
     with pytest.raises(ValueError):
-        assemble(
-            ModelSpec("xxz_half"), chain_lattice(6), build_basis(4, "half", 0.0)
-        )
+        assemble_parts("xxz_half", chain_lattice(6), plain_block(build_basis(4, "half", 0.0)))
     with pytest.raises(ValueError):
         SectorWorkspace("not_a_family", chain_lattice(4))
 

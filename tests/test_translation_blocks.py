@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spinent import eigensolver, hamiltonian
+from spinent import analysis, checks, eigensolver, hamiltonian
 from spinent.analysis import shared_workspace
 from spinent.basis import build_basis, nonnegative_sectors, translation_block
 from spinent.eigensolver import _DENSE_CUTOFF, ground_state_scan
@@ -144,6 +144,18 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
         if not plain:
             assert block_dim < dim / 10
     assert solved == [block_dim for _, block_dim, _ in assembled]
+
+
+def test_check_battery_never_assembles_large_plain_sectors(monkeypatch):
+    """Criteria 1-4 take their Sz=0 grounds from the scan's sector solve, so
+    every sector above the cutoff they touch is assembled as a block only."""
+    monkeypatch.setattr(analysis, "_WORKSPACES", {})
+    assembled, _ = _record(monkeypatch)
+    context = checks.CheckContext()
+    assert all(checks.run_criterion(number, context).passed for number in (1, 2, 3, 4))
+    assert max(dim for dim, _, _ in assembled) == 184756  # N=20 Sz=0
+    for dim, _, plain in assembled:
+        assert plain == (dim <= _DENSE_CUTOFF)
 
 
 @pytest.mark.parametrize(
