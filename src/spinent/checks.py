@@ -77,7 +77,8 @@ class CheckContext:
         hit = self._grounds.get(key)
         if hit is None:
             workspace = shared_workspace(family, geometry, size)
-            _, bottom, block = solve_sector(model_for(family, param), workspace, 0.0)
+            _, pair, block = solve_sector(model_for(family, param), workspace, 0.0)
+            bottom = pair()[1]
             hit = (replace(bottom, vector=block.expand(bottom.vector)), block.basis)
             self._grounds[key] = hit
         return hit

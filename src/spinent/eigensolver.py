@@ -17,6 +17,12 @@ reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
+sector_lowest is the one dense-versus-Lanczos switch. A sector of at most
+_DENSE_CUTOFF states is diagonalized densely from the array the workspace
+combines straight from its dense parts, values only; eigenvectors come from
+a second, ``eigh`` solve made on demand, which a scan makes for the one
+sector that represents the point.
+
 solve_sector makes the one block-or-whole decision for ground_state_scan
 and the check battery. A sector above the dense cutoff is solved in one
 translation block when the model passes the Perron-Frobenius test of
@@ -32,7 +38,9 @@ whole sector.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -47,8 +55,11 @@ _CHECK_EVERY = 5
 # Krylov vectors per storage block; see _lanczos_ground.
 _BLOCK_ROWS = 64
 _DENSE_LIMIT = 4000
-# Sector dimension up to which sector_lowest and low_spectrum diagonalize densely.
+# Sector dimension up to which sector_lowest diagonalizes densely.
 _DENSE_CUTOFF = 300
+# Levels a scan's degenerate Lanczos sector is topped up to by Lanczos; past
+# them it is read whole from a dense solve if it has <= _DENSE_LIMIT states.
+_LANCZOS_TOP_UP = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -73,11 +84,17 @@ class GroundStateReport:
 
     ``degeneracy`` counts states within ``tol_deg`` of the ground energy
     across all sectors, doubling Sz > 0 sectors for their spin-flipped
-    partners. Sectors diagonalized densely contribute their full spectrum.
-    A sector solved whole by Lanczos contributes its lowest level, and more
-    while its levels found so far all lie within ``tol_deg`` of the ground,
-    so a manifold with several members in one large sector is counted in
-    full (45 at blbq theta = 5*pi/4, L = 8). A sector solved in its
+    partners. Sectors diagonalized densely contribute their full spectrum,
+    values only, except the representative's sector, whose levels come from
+    the ``eigh`` that also gives its vector; the ground energy is the lowest
+    level after that swap. A sector solved whole by Lanczos contributes its
+    lowest level, and more while its levels found so far all lie within
+    ``tol_deg`` of the ground: Lanczos doubles the count up to
+    _LANCZOS_TOP_UP levels, and past that a sector of at most _DENSE_LIMIT
+    states contributes its full spectrum from a values-only dense solve, a
+    larger one more doublings. So a manifold with several members in one
+    large sector is counted in full (45 at blbq theta = 5*pi/4, L = 8, and
+    2,207 at theta = pi/2). A sector solved in its
     translation block contributes one level: there Perron-Frobenius makes
     the sector's ground state unique, though not always more than
     ``tol_deg`` below the sector's next level. The Neel pair of xxz_half at
@@ -285,8 +302,10 @@ def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
 
 def _dense_pair(dense: np.ndarray, vals: np.ndarray, vecs: np.ndarray, idx: int):
     vec = vecs[:, idx]
-    residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
-    return EigenResult(float(vals[idx]), vec, residual, True)
+    # A matrix of huge entries overflows the residual; the caller sees inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
+    return EigenResult(float(vals[idx]), vec, residual, math.isfinite(residual))
 
 
 def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult]:
@@ -307,39 +326,62 @@ def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult
     return [_dense_pair(dense, vals, vecs, idx) for idx in range(min(k, n))]
 
 
+def _dense_bottom(dense: np.ndarray) -> tuple[list[float], EigenResult]:
+    vals, vecs = np.linalg.eigh(dense)
+    return list(map(float, vals)), _dense_pair(dense, vals, vecs, 0)
+
+
 def sector_lowest(
     hamiltonian: SparseHamiltonian, count: int = 1, tol: float = 1e-10
-) -> tuple[list[float], EigenResult]:
-    """Lowest energies of one sector plus the bottom eigenpair.
+) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]]]:
+    """Lowest energies of one sector, and a call that gives its bottom eigenpair.
 
-    Sectors of dimension <= _DENSE_CUTOFF are diagonalized densely in full
-    (their complete spectrum feeds degeneracy counting for free); larger
-    ones get the ``count`` lowest levels from Lanczos.
+    Sectors of dimension <= _DENSE_CUTOFF are diagonalized densely in full,
+    values only (their complete spectrum feeds degeneracy counting for
+    free). Their eigenvectors cost an ``eigh`` of the same array, run only
+    when the call is made; it returns that solve's levels, whose last digits
+    can differ from the values-only ones, with the pair. Larger sectors get
+    the ``count`` lowest levels and the pair from Lanczos at once, and the
+    call hands both back.
     """
     if hamiltonian.dimension <= _DENSE_CUTOFF:
-        dense = hamiltonian.matrix.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        return list(map(float, vals)), _dense_pair(dense, vals, vecs, 0)
+        dense = hamiltonian.dense()
+        return list(map(float, np.linalg.eigvalsh(dense))), partial(_dense_bottom, dense)
     results = lanczos_lowest(hamiltonian, k=count, tol=tol)
-    return [r.energy for r in results], results[0]
+    levels = [r.energy for r in results]
+    return levels, lambda: (levels, results[0])
 
 
 def solve_sector(
     model: ModelSpec, workspace: SectorWorkspace, sz: float, tol: float = 1e-10
-) -> tuple[list[float], EigenResult, SectorBlock]:
-    """Lowest energies of one sector, its bottom eigenpair and its block.
+) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], SectorBlock]:
+    """Lowest energies of one sector, a call that gives them with the
+    sector's bottom eigenpair (see sector_lowest), and the sector's block.
 
     A sector above the dense cutoff is solved in the translation block
     ``ground_characters`` predicts, where the sector's ground is unique and
     is the one energy returned; any other sector whole, by sector_lowest.
-    ``block.expand`` writes the bottom vector out over the plain sector.
+    ``block.expand`` writes the bottom vector out over the plain sector. The
+    call raises ValueError, naming the model, if the pair's residual is not
+    finite: the matrix is then too large to check it.
     """
     characters = ()
     if workspace.basis(sz).dimension > _DENSE_CUTOFF:
         characters = ground_characters(model, workspace.lattice, sz)
-    energies, bottom = sector_lowest(workspace.matrix(model, sz, characters), tol=tol)
+    energies, pair = sector_lowest(workspace.matrix(model, sz, characters), tol=tol)
     block = workspace.block(sz, characters)[0]
-    return (energies[:1] if characters else energies), bottom, block
+    keep = 1 if characters else len(energies)
+
+    def bottom() -> tuple[list[float], EigenResult]:
+        levels, found = pair()
+        if not found.converged:
+            raise ValueError(
+                f"the ground of {model.label} in sector Sz={sz:g} has a residual of "
+                f"{found.residual_norm}: its matrix is too large to check it"
+            )
+        return levels[:keep], found
+
+    return energies[:keep], bottom, block
 
 
 def ground_state_scan(
@@ -354,38 +396,50 @@ def ground_state_scan(
 
     Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
     skipped but counted in the degeneracy. Each sector is solved by
-    solve_sector; the bottom vector is expanded into the plain sector only
-    if it represents the point. A sector solved whole by Lanczos whose
-    levels all lie within ``tol_deg`` of the ground is deflated further
-    until a level clears that window. See GroundStateReport for the
-    degenerate-representative rule.
+    solve_sector. The representative sector is picked from those levels;
+    only then is its bottom pair formed, its levels replaced by the ones
+    that solve gives, and the ground energy taken, so a dense point runs one
+    ``eigh``. A sector solved whole by Lanczos whose levels all lie within
+    ``tol_deg`` of the ground is topped up until a level clears that window,
+    after the ground energy and the representative are fixed.
+    GroundStateReport describes the top-up and the degenerate-representative
+    rule.
     """
     ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
     sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
     solved = {sz: solve_sector(model, ws, sz, tol) for sz in sectors}
-    ground = min(energies[0] for energies, _, _ in solved.values())
-    per_sector: dict[float, tuple[float, ...]] = {}
-    for sz, (levels, _, block) in solved.items():
-        whole = block.reps is block.basis
-        while whole and len(levels) < block.dimension and levels[-1] <= ground + tol_deg:
-            levels = sector_lowest(ws.matrix(model, sz), 2 * len(levels), tol)[0]
-        per_sector[sz] = tuple(levels)
-    attaining = [sz for sz, levels in per_sector.items() if levels[0] <= ground + tol_deg]
-    rep_sz = max(attaining)
+    per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
+    lowest = min(levels[0] for levels in per_sector.values())
+    rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
+    _, pair, rep_block = solved[rep_sz]
+    per_sector[rep_sz], bottom = pair()
+    ground = min(levels[0] for levels in per_sector.values())
+    for sz, levels in per_sector.items():
+        block = solved[sz][2]
+        while (
+            block.reps is block.basis
+            and len(levels) < block.dimension
+            and levels[-1] <= ground + tol_deg
+        ):
+            if len(levels) >= _LANCZOS_TOP_UP and block.dimension <= _DENSE_LIMIT:
+                matrix = ws.matrix(model, sz).matrix.toarray()
+                levels = list(map(float, np.linalg.eigvalsh(matrix)))
+            else:
+                levels = sector_lowest(ws.matrix(model, sz), 2 * len(levels), tol)[0]
+        per_sector[sz] = levels
     degeneracy = 0
     for sz, levels in per_sector.items():
         hits = sum(1 for e in levels if e <= ground + tol_deg)
         degeneracy += hits * (2 if sz > 1e-12 else 1)
 
-    _, bottom, block = solved[rep_sz]
     return GroundStateReport(
-        per_sector_energies=per_sector,
+        per_sector_energies={sz: tuple(levels) for sz, levels in per_sector.items()},
         ground_energy=ground,
         ground_sz=rep_sz,
         degeneracy=degeneracy,
         degenerate_flag=degeneracy > 1,
-        representative=replace(bottom, vector=block.expand(bottom.vector)),
-        representative_basis=block.basis,
+        representative=replace(bottom, vector=rep_block.expand(bottom.vector)),
+        representative_basis=rep_block.basis,
         tol_deg=tol_deg,
     )
 
@@ -410,8 +464,10 @@ def low_spectrum(
     at gaps wider than ``tol_deg``, and the members of a cluster are listed
     by (|Sz|, Sz), then energy, so which members the cutoff keeps, and in
     what order, does not hang on round-off; within a cluster the energies
-    need not ascend. Dense sectors use the values-only ``eigvalsh``, whose
-    last digits can differ from the ``eigh`` behind sector_lowest.
+    need not ascend. Each sector's levels come from sector_lowest, so dense
+    sectors give the values-only ``eigvalsh`` levels the scan reads for every
+    sector but the representative's, which it takes from ``eigh``; the last
+    digits of the two can differ.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
@@ -419,11 +475,7 @@ def low_spectrum(
     ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
     merged: list[tuple[float, float]] = []
     for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
-        ham = ws.matrix(model, sz)
-        if ham.dimension <= _DENSE_CUTOFF:
-            energies = list(map(float, np.linalg.eigvalsh(ham.matrix.toarray())))[:levels]
-        else:
-            energies = [r.energy for r in lanczos_lowest(ham, k=levels, tol=tol)]
+        energies = sector_lowest(ws.matrix(model, sz), levels, tol)[0][:levels]
         for e in energies:
             merged.append((e, sz))
             if sz > 1e-12:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -36,6 +36,7 @@ from .basis import (
 from .lattice import Lattice
 
 FAMILY_SPIN = {"xxz_half": "half", "xxz_one": "one", "blbq": "one"}
+_FAMILY_PARAMETERS = {"xxz_half": ("delta",), "xxz_one": ("delta", "beta"), "blbq": ("theta",)}
 
 _STENCIL_PRUNE = 1e-14
 
@@ -66,6 +67,12 @@ class ModelSpec:
     def spin(self) -> str:
         return FAMILY_SPIN[self.family]
 
+    @property
+    def label(self) -> str:
+        """The family and its meaningful parameters, e.g. ``xxz_one delta=1.0 beta=0.2``."""
+        names = _FAMILY_PARAMETERS[self.family]
+        return " ".join([self.family] + [f"{n}={float(getattr(self, n))!r}" for n in names])
+
     def part_coefficients(self) -> dict[str, float]:
         """Coefficients combining the family's stencil parts into H."""
         if self.family == "xxz_half":
@@ -93,6 +100,48 @@ class SparseHamiltonian:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a dense array."""
+        return self.matrix.toarray()
+
+
+class _CombinedHamiltonian(SparseHamiltonian):
+    """One workspace block at one model point, combined only in the form a
+    solver reads: ``matrix`` by combine_parts on first access, ``dense()``
+    from the block's dense parts by combine_dense, so a dense solve builds
+    no CSR. Either raises ValueError, naming the model, when the combination
+    is not finite."""
+
+    def __init__(self, model: ModelSpec, dimension: int, parts, dense_parts):
+        self._model = model
+        self._dimension = dimension
+        self._parts = parts
+        self._dense_parts = dense_parts
+
+    @property
+    def dimension(self) -> int:
+        return self._dimension
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = combine_parts(self._parts, self._model.part_coefficients())
+        _check_finite(total.data, self._model)
+        return total
+
+    def dense(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = combine_dense(self._dense_parts(), self._model.part_coefficients())
+        _check_finite(total, self._model)
+        return total
+
+
+def _check_finite(values: np.ndarray, model: ModelSpec) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"the Hamiltonian of {model.label} overflows: its sector matrix is not finite"
+        )
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,6 +322,30 @@ def combine_parts(
     return total
 
 
+def combine_dense(parts: dict[str, np.ndarray], coefficients: dict[str, float]) -> np.ndarray:
+    """combine_parts over dense parts: the same sums in the same order and
+    the same pruning, so the result is bitwise ``combine_parts(...).toarray()``.
+    Adding a part's zero to an entry leaves its value, and the pruning turns
+    every zero into the +0.0 of an entry the sparse sum leaves out; so a
+    diagonal part, kept as a vector, is added on the diagonal alone."""
+    dim = next(iter(parts.values())).shape[0]
+    total = np.zeros((dim, dim))
+    diagonal = np.arange(dim)
+    for name, coeff in coefficients.items():
+        if parts[name].ndim == 1:
+            total[diagonal, diagonal] += coeff * parts[name]
+        else:
+            total += coeff * parts[name]
+    total[np.abs(total) < _STENCIL_PRUNE] = 0.0
+    return total
+
+
+def _dense_part(part: sparse.csr_matrix) -> np.ndarray:
+    """A CSR part as a dense array, or as its diagonal if it has no other entries."""
+    rows = np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
+    return part.diagonal() if np.array_equal(part.indices, rows) else part.toarray()
+
+
 class SectorWorkspace:
     """Per-sector bases and stencil-part caches for one (family, lattice).
 
@@ -280,7 +353,10 @@ class SectorWorkspace:
     blocks: the plain sector, or the translation block of given characters
     (see ``ground_characters``). Each is assembled once, on first use, and a
     sweep combines the cached parts with fresh coefficients at every
-    parameter value instead of reassembling the matrix.
+    parameter value instead of reassembling the matrix. A block that is
+    solved densely also keeps its parts as dense arrays (a diagonal part as
+    its diagonal), converted once from the CSR parts the first time a dense
+    matrix of it is asked for.
     """
 
     def __init__(self, family: str, lattice: Lattice):
@@ -291,6 +367,7 @@ class SectorWorkspace:
         self.spin = FAMILY_SPIN[family]
         self._bases: dict[float, SpinBasis] = {}
         self._blocks: dict[tuple, tuple[SectorBlock, dict[str, sparse.csr_matrix]]] = {}
+        self._dense: dict[tuple, dict[str, np.ndarray]] = {}
 
     def basis(self, sz: float) -> SpinBasis:
         """The plain sector basis; nothing is assembled."""
@@ -321,9 +398,19 @@ class SectorWorkspace:
     def matrix(
         self, model: ModelSpec, sz: float, characters: tuple[int, ...] = ()
     ) -> SparseHamiltonian:
+        """The Hamiltonian of one block at one model point, combined on first
+        use in the form the caller reads (see _CombinedHamiltonian)."""
         if model.family != self.family:
             raise ValueError(
                 f"workspace built for {self.family!r}, got model {model.family!r}"
             )
-        parts = self.block(sz, characters)[1]
-        return SparseHamiltonian(combine_parts(parts, model.part_coefficients()))
+        block, parts = self.block(sz, characters)
+        return _CombinedHamiltonian(
+            model, block.dimension, parts, lambda: self._dense_parts((sz, characters))
+        )
+
+    def _dense_parts(self, key: tuple) -> dict[str, np.ndarray]:
+        if key not in self._dense:
+            parts = self._blocks[key][1]
+            self._dense[key] = {name: _dense_part(part) for name, part in parts.items()}
+        return self._dense[key]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,62 @@ def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
     assert "# row_error: param=0.5 size=4: MemoryError" in lines
     data = lines[lines.index(CSV_HEADER) + 1 :]
     assert [bool(line.split(",")[4]) for line in data] == [True, False, True]
+
+
+def test_sweep_rejects_overflowing_parameters_without_warnings(tmp_path, capsys):
+    """delta = 1e308 overflows the sum over bonds, and at 5e307 the matrix
+    is finite but the residual of its ground overflows. Both rows fail with
+    the model named, and no numpy warning is raised on the way."""
+    out = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run([
+            "sweep", "--model", "xxz-half", "--sizes", "8",
+            "--param", "0:1e308:3", "--out", str(out),
+        ])
+    assert code == 2
+    assert "Warning" not in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    errors = [line for line in lines if line.startswith("# row_error:")]
+    assert len(errors) == 2
+    assert "param=5e+307 size=8: the ground of xxz_half delta=5e+307" in errors[0]
+    assert "residual of inf" in errors[0]
+    assert "param=1e+308 size=8: the Hamiltonian of xxz_half delta=1e+308 overflows" in errors[1]
+    data = lines[lines.index(CSV_HEADER) + 1 :]
+    assert [bool(line.split(",")[4]) for line in data] == [True, False, False]
+
+
+_BENCHMARK_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "blbq_phase_map_seed0.csv"
+)
+_CONFIG = "# config: "
+
+
+def test_blbq_phase_map_matches_the_benchmark_reference(tmp_path):
+    """The benchmark's seed-0 byte check: the sweep on the grid of the stored
+    CSV's config line reproduces it line by line, apart from the timing and
+    the output path. The stored file is only read."""
+    reference = _BENCHMARK_REFERENCE.read_text().splitlines()
+    config = json.loads(next(line for line in reference if line.startswith(_CONFIG))[len(_CONFIG):])
+    start, end, count = config["grid"]
+    out = tmp_path / "blbq_phase_map.csv"
+    code = cli.run([
+        "sweep", "--model", config["model"], "--sizes", ",".join(map(str, config["sizes"])),
+        "--param", f"{start!r}:{end!r}:{count}", "--jobs", str(config["jobs"]),
+        "--out", str(out),
+    ])
+    assert code == 0
+    produced = _strip_elapsed(out.read_text())
+    expected = [line for line in reference if not line.startswith("# elapsed_seconds:")]
+    assert len(produced) == len(expected)
+    for ours, stored in zip(produced, expected):
+        if stored.startswith(_CONFIG):
+            ours_config = json.loads(ours[len(_CONFIG):])
+            assert ours_config.pop("out") == str(out)
+            config.pop("out")
+            assert ours_config == config
+        else:
+            assert ours == stored
 
 
 def test_module_entry_point_runs_the_cli():

@@ -321,6 +321,52 @@ def test_checks_solve_the_whole_sector_where_perron_frobenius_fails():
     assert np.array_equal(checked.vector, expected.vector)
 
 
+def _whole_spectrum_ground(model, workspace):
+    """Ground energy and vector by eigh on every sector, the lowest sector
+    winning; only for points whose ground sector is unique."""
+    lowest = []
+    for sz in nonnegative_sectors(workspace.spin, workspace.lattice.num_sites):
+        vals, vecs = np.linalg.eigh(workspace.matrix(model, sz).matrix.toarray())
+        lowest.append((vals[0], sz, vecs[:, 0]))
+    lowest.sort(key=lambda entry: entry[0])
+    assert lowest[1][0] - lowest[0][0] > 1e-6
+    return lowest[0]
+
+
+@pytest.mark.parametrize(
+    "family,size,params",
+    [
+        ("blbq", 6, np.linspace(-0.6, 1.2, 7)),
+        ("blbq", 6, np.linspace(4.0, 6.2, 5)),
+        ("xxz_half", 10, (-0.5, 0.0, 0.5, 1.0, 2.0)),
+        ("xxz_one", 6, (0.5, 1.0, 1.8)),
+    ],
+)
+def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatch):
+    """Every sector is dense, so every one is solved values-only; only the
+    representative's sector gets eigenvectors, and the ground energy and
+    vector equal those of eigh on every sector, bit for bit."""
+    workspace = SectorWorkspace(family, chain_lattice(size))
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return real_eigh(matrix, *args, **kwargs)
+
+    for param in params:
+        model = model_for(family, param)
+        energy, sz, vector = _whole_spectrum_ground(model, workspace)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", eigh)
+            report = ground_state_scan(model, workspace.lattice, workspace=workspace)
+        assert calls == [workspace.basis(sz).dimension]
+        assert report.ground_sz == sz
+        assert report.ground_energy == energy
+        assert np.array_equal(report.representative.vector, vector)
+
+
 def test_scan_ferromagnet_is_doubly_degenerate():
     """Deep in the ferromagnetic phase only the two polarized states are
     ground states; anisotropy splits the rest of the would-be multiplet."""
@@ -374,6 +420,32 @@ def test_scan_counts_every_member_in_large_sectors(model, size, expected):
     levels = low_spectrum(model, lattice, expected + 5)
     assert degeneracy_count([e for e, _ in levels], 1e-8)[0] == expected
     assert report.degeneracy == expected
+
+
+def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
+    """blbq theta = pi/2, L = 8: the SU(3) point where 512 levels of the
+    1,107-state Sz=0 sector sit within the window. Each Lanczos sector is
+    topped up by Lanczos to four levels, all in the window, and then read
+    whole from a values-only dense solve, which counts what eigvalsh of
+    every sector counts."""
+    model, lattice = ModelSpec("blbq", theta=np.pi / 2), chain_lattice(8)
+    workspace = SectorWorkspace("blbq", lattice)
+    calls = []
+    real_lanczos = eigensolver.lanczos_lowest
+
+    def lanczos(ham, k=1, **kwargs):
+        calls.append((ham.dimension, k))
+        return real_lanczos(ham, k, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "lanczos_lowest", lanczos)
+    report = ground_state_scan(model, lattice, workspace=workspace)
+    expected = 0
+    for sz in nonnegative_sectors("one", 8):
+        vals = np.linalg.eigvalsh(workspace.matrix(model, sz).matrix.toarray())
+        expected += int(np.sum(vals <= report.ground_energy + 1e-8)) * (2 if sz else 1)
+    assert report.degeneracy == expected == 2207
+    dims = [1107, 1016, 784, 504]
+    assert calls == [(dim, 1) for dim in dims] + [(dim, k) for dim in dims for k in (2, 4)]
 
 
 def test_low_spectrum_trims_and_sorts():

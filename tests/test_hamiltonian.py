@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from spinent.hamiltonian import (
     assemble_parts,
     bond_stencils,
     combine_parts,
+    ground_characters,
     model_for,
     spin_matrices,
 )
-from spinent.lattice import chain_lattice
+from spinent.lattice import chain_lattice, square_lattice
 
 
 def _sector_matrix(model, n, sz):
@@ -144,6 +147,60 @@ def test_workspace_caches_and_reuses_parts():
     assert (second.matrix - direct).nnz == 0
     assert first.matrix.shape == second.matrix.shape
     assert ws.basis(0.0) is ws.basis(0.0)
+
+
+def _assert_dense_combine_is_csr_combine(workspace, model, sz, characters=()):
+    ham = workspace.matrix(model, sz, characters)
+    parts = workspace.block(sz, characters)[1]
+    dense, csr = ham.dense(), combine_parts(parts, model.part_coefficients()).toarray()
+    assert np.array_equal(dense, csr)
+    assert np.array_equal(np.signbit(dense), np.signbit(csr))
+
+
+def test_dense_combine_is_bitwise_the_csr_combine():
+    """Same sums, same order, same pruning: equal arrays, sign bits
+    included. The blbq grid holds 3pi/4, where the two parts cancel, and
+    3pi/2, where the bilinear weight is round-off and pruned away; the XXZ
+    families add a diagonal part, which the dense route keeps as a vector."""
+    blbq = SectorWorkspace("blbq", chain_lattice(6))
+    for theta in [*np.linspace(0.0, 2 * math.pi, 41), 0.75 * math.pi, 1.5 * math.pi]:
+        for sz in sector_values("one", 6):
+            _assert_dense_combine_is_csr_combine(blbq, ModelSpec("blbq", theta=theta), sz)
+    half = SectorWorkspace("xxz_half", chain_lattice(10))
+    for delta in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        for sz in sector_values("half", 10):
+            _assert_dense_combine_is_csr_combine(half, ModelSpec("xxz_half", delta=delta), sz)
+    one = SectorWorkspace("xxz_one", chain_lattice(6))
+    for delta in (-1.0, 0.0, 1.0, 1.5):
+        for beta in (0.0, 0.2, -0.2):
+            model = ModelSpec("xxz_one", delta=delta, beta=beta)
+            for sz in sector_values("one", 6):
+                _assert_dense_combine_is_csr_combine(one, model, sz)
+
+
+def test_dense_combine_of_torus_translation_blocks():
+    """The 4x4 torus sectors Sz = 3, 4, 5 exceed the dense cutoff, while the
+    translation blocks the scan solves them in do not."""
+    torus = SectorWorkspace("xxz_half", square_lattice(4, 4))
+    for delta in (-0.5, 0.5, 1.0, 2.0):
+        model = ModelSpec("xxz_half", delta=delta)
+        for sz in (3.0, 4.0, 5.0):
+            characters = ground_characters(model, torus.lattice, sz)
+            assert torus.basis(sz).dimension > 300 >= torus.block(sz, characters)[0].dimension
+            _assert_dense_combine_is_csr_combine(torus, model, sz, characters)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_overflowing_matrix_names_the_parameter(form):
+    """A finite parameter can still overflow the sum over bonds; the
+    combination then raises instead of handing infinities to a solver."""
+    ham = SectorWorkspace("xxz_half", chain_lattice(8)).matrix(
+        ModelSpec("xxz_half", delta=1e308), 0.0
+    )
+    with pytest.raises(ValueError, match=r"xxz_half delta=1e\+308 overflows"):
+        ham.dense() if form == "dense" else ham.matrix
+    assert ModelSpec("xxz_one", delta=1.0, beta=-0.2).label == "xxz_one delta=1.0 beta=-0.2"
+    assert ModelSpec("blbq", theta=0.5, delta=3.0).label == "blbq theta=0.5"
 
 
 def test_spin_matrices_algebra():
