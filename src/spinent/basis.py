@@ -2,19 +2,28 @@
 
 Configurations are packed into int64 words, one bit per site for spin-1/2
 and two bits per site for spin-1 with local values {0, 1, 2} standing for
-Sz = {-1, 0, +1}. Within a sector the packed states are kept sorted, so
-index lookup is a binary search.
+Sz = {-1, 0, +1}. Within a sector the packed states are kept sorted.
+
+Enumeration and index lookup share H. Q. Lin's split register (PRB 42,
+6561 (1990); Sandvik, arXiv:1101.3281, sec. 4.1). A packed state splits
+into a high and a low half of the sites, each a short code; one table per
+spin and site count, built on first use, holds every code's count of
+raising units and, for a low code, its rank among the low codes of the same
+count. A sector lists, for each high code in ascending order, the low codes
+that complete its unit count, so it is built without scanning every
+configuration; and a state's row is the number of sector states under
+smaller high codes plus the rank of its low code.
 
 A sector splits further into blocks of one character under the lattice
-translations, each spanned by representative states (H. Q. Lin, PRB 42,
-6561 (1990); Sandvik, arXiv:1101.3281, sec. 4). The plain sector is the
-block of the trivial group.
+translations, each spanned by representative states (H. Q. Lin, op. cit.;
+Sandvik, op. cit., sec. 4). The plain sector is the block of the trivial
+group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +31,9 @@ SPIN_VALUE = {"half": 0.5, "one": 1.0}
 _BITS_PER_SITE = {"half": 1, "one": 2}
 _LOCAL_DIM = {"half": 2, "one": 3}
 _MAX_SITES = {"half": 24, "one": 14}
+# Unit count of a code holding the unused spin-1 digit 3: far enough below
+# zero that no sum of two codes' counts reaches a sector's.
+_INVALID = -(1 << 20)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,29 +81,105 @@ class SpinBasis:
         """Map packed digits to local Sz values."""
         return digits - SPIN_VALUE[self.spin]
 
+    @property
+    def _units(self) -> int:
+        """Raising units above the all-lowest configuration."""
+        return round(self.sz_sector + self.num_sites * SPIN_VALUE[self.spin])
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Sector states under each high code, then the sector's size last."""
+        counts = _low_counts(_split_register(self.spin, self.num_sites), self._units)
+        return np.concatenate(([0], np.cumsum(counts)))
+
+    def index(self, states: np.ndarray) -> np.ndarray:
+        """Row of each packed state: the offset of its high code plus the
+        rank of its low code.
+
+        Raises ValueError if a state lies outside the sector (another total
+        Sz, a spin-1 digit of 3, bits beyond the last site), or if this
+        basis is not a whole sector but, say, a block's representatives.
+        """
+        offsets = self._offsets
+        if offsets[-1] != self.dimension:
+            raise ValueError(
+                f"a basis of {self.dimension} of the {offsets[-1]} states of its "
+                "sector has no index lookup"
+            )
+        table = _split_register(self.spin, self.num_sites)
+        states = np.asarray(states)
+        if states.size and (
+            states.min() < 0 or states.max() >> (self.bits_per_site * self.num_sites)
+        ):
+            raise ValueError("packed state outside the register")
+        high = states >> table.shift
+        low = states & ((1 << table.shift) - 1)
+        if not (table.units[high] + table.units[low] == self._units).all():
+            raise ValueError(f"packed state outside the Sz={self.sz_sector:g} sector")
+        return offsets[high] + table.low_rank[low]
+
 
 def _check_spin(spin: str) -> None:
     if spin not in SPIN_VALUE:
         raise ValueError(f"unknown spin tag {spin!r}, expected 'half' or 'one'")
 
 
-@lru_cache(maxsize=1)
-def _spin_one_configurations(num_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every packed spin-1 configuration, ascending, with its digit sum; kept
-    for the last site count, whose sectors a workspace builds one by one."""
-    remainder = np.arange(3**num_sites, dtype=np.int64)
-    packed = np.zeros_like(remainder)
-    digit_sum = np.zeros(remainder.size, dtype=np.int8)
-    for site in range(num_sites):
-        digit = remainder % 3
-        remainder //= 3
-        packed |= digit << (2 * site)
-        digit_sum += digit.astype(np.int8)
-    # digit-wise packing is monotone in the base-3 value, so every selection
-    # is already sorted
-    packed.flags.writeable = False
-    digit_sum.flags.writeable = False
-    return packed, digit_sum
+@dataclass(frozen=True, eq=False)
+class _SplitRegister:
+    """Tables of the two halves of one register (see the module docstring).
+
+    The low half is the ``shift`` lowest bits; the high half, which holds as
+    many sites or one more, is the rest. ``units`` covers every code of the
+    high half's width, and so every low code too: a low code counts its
+    units as the high code of the same value. ``low_codes`` lists the low
+    codes by unit count, ascending within each count, and the codes of
+    count ``u`` start at ``low_start[u]``; ``low_rank`` is each low code's
+    place within its count.
+    """
+
+    shift: int
+    units: np.ndarray
+    low_rank: np.ndarray
+    low_codes: np.ndarray
+    low_start: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _split_register(spin: str, num_sites: int) -> _SplitRegister:
+    b = _BITS_PER_SITE[spin]
+    low_sites = num_sites // 2
+    high_sites = num_sites - low_sites
+    codes = np.arange(1 << (b * high_sites), dtype=np.int64)
+    if spin == "half":
+        units = np.bitwise_count(codes).astype(np.int64)
+    else:
+        units = np.zeros_like(codes)
+        unused = np.zeros(codes.size, dtype=bool)
+        for site in range(high_sites):
+            digit = (codes >> (2 * site)) & 3
+            units += digit
+            unused |= digit == 3
+        units[unused] = _INVALID
+    low = units[: 1 << (b * low_sites)]
+    valid = np.nonzero(low >= 0)[0]
+    # a stable sort keeps every count's codes ascending
+    low_codes = valid[np.argsort(low[valid], kind="stable")]
+    per_count = np.bincount(low[valid], minlength=2 * low_sites + 1)
+    low_start = np.concatenate(([0], np.cumsum(per_count)))
+    low_rank = np.zeros(low.size, dtype=np.int64)
+    low_rank[low_codes] = np.arange(low_codes.size) - low_start[low[low_codes]]
+    for array in (units, low_rank, low_codes, low_start):
+        array.flags.writeable = False
+    return _SplitRegister(b * low_sites, units, low_rank, low_codes, low_start)
+
+
+def _low_counts(table: _SplitRegister, units: int) -> np.ndarray:
+    """How many low codes complete each high code to ``units`` units."""
+    need = units - table.units
+    top = table.low_start.size - 2
+    inside = (need >= 0) & (need <= top)
+    need = np.where(inside, need, 0)
+    return np.where(inside, table.low_start[need + 1] - table.low_start[need], 0)
 
 
 def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
@@ -106,7 +194,7 @@ def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
     if num_sites > _MAX_SITES[spin]:
         raise ValueError(
             f"{num_sites} spin-{spin} sites exceed the supported size "
-            f"({_MAX_SITES[spin]}); the full enumeration would not fit in memory"
+            f"({_MAX_SITES[spin]}); the sector matrices would not fit in memory"
         )
     s = SPIN_VALUE[spin]
     #: number of raising units above the all-lowest configuration
@@ -117,13 +205,15 @@ def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
         )
     units = int(round(units))
 
-    if spin == "half":
-        codes = np.arange(1 << num_sites, dtype=np.int64)
-        states = codes[np.bitwise_count(codes) == units]
-    else:
-        packed, digit_sum = _spin_one_configurations(num_sites)
-        states = packed[digit_sum == units]
-
+    table = _split_register(spin, num_sites)
+    counts = _low_counts(table, units)
+    high = np.nonzero(counts)[0]
+    counts = counts[high]
+    # Each high code takes the run of low codes of the count it lacks.
+    first = table.low_start[units - table.units[high]]
+    skip = np.cumsum(counts) - counts
+    low = table.low_codes[np.arange(counts.sum()) + np.repeat(first - skip, counts)]
+    states = (np.repeat(high, counts) << table.shift) | low
     return SpinBasis(spin, num_sites, float(sz_sector), states)
 
 
@@ -233,7 +323,7 @@ def translation_block(
     kept = ~annihilated
     is_rep = kept & (smallest == states)
     block_row = np.cumsum(is_rep) - 1
-    row = np.where(kept, block_row[np.searchsorted(states, smallest)], -1)
+    row = np.where(kept, block_row[basis.index(smallest)], -1)
     orbit = group // fixed
     coef = np.where(kept, sign / np.sqrt(orbit), 0.0)
     reps = SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, states[is_rep])

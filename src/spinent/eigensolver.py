@@ -124,6 +124,10 @@ class _NotConverged(Exception):
         self.best_residual = best_residual
 
 
+class _NotFinite(Exception):
+    """A Lanczos coefficient overflowed."""
+
+
 def lanczos_lowest(
     hamiltonian: SparseHamiltonian,
     k: int = 1,
@@ -138,7 +142,9 @@ def lanczos_lowest(
     Krylov space can see. Residuals are verified as the true ||H v - E v||
     against the undeflated matrix before a pass is accepted. Raises
     ConvergenceError, carrying the best residual, if any pass runs out of
-    iterations on both seeds.
+    iterations on both seeds, and ValueError, naming the matrix, if a
+    Lanczos coefficient is not finite: its entries are then too large for
+    the recurrence.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -158,12 +164,18 @@ def lanczos_lowest(
         found = None
         for seed, full in ((_PRIMARY_SEED, False), (_RESTART_SEED, True)):
             try:
-                found = _lanczos_ground(
-                    matrix, n, tol, max_iter, seed, locked[:level], full
-                )
+                # An overflow is caught as a coefficient that is not finite.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    found = _lanczos_ground(
+                        matrix, n, tol, max_iter, seed, locked[:level], full
+                    )
                 break
             except _NotConverged as fail:
                 best = min(best, fail.best_residual)
+            except _NotFinite:
+                raise ValueError(
+                    f"{hamiltonian.name} overflows: its Lanczos recurrence is not finite"
+                ) from None
         if found is None:
             raise ConvergenceError(
                 f"Lanczos did not reach tol={tol} within {max_iter} iterations "
@@ -252,6 +264,8 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
         else:
             w_norm = float(np.linalg.norm(w))
 
+        if not (math.isfinite(a) and math.isfinite(w_norm)):
+            raise _NotFinite
         scale = max(scale, abs(a))
         exhausted = base + m >= n
         breakdown = w_norm <= 1e-13 * scale

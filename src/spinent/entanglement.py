@@ -154,9 +154,7 @@ def _hopping_expectation(
     targets = basis.with_pair_digits(
         basis.states[movable], src, dst, digits_src[movable] - 1, digits_dst[movable] + 1
     )
-    loc = np.searchsorted(basis.states, targets)
-    if not np.array_equal(basis.states[loc], targets):
-        raise RuntimeError("hopping left the Sz sector; basis is inconsistent")
+    loc = basis.index(targets)
     weight = amps[digits_src[movable] - 1] * amps[digits_dst[movable]]
     return float(np.sum(state[movable] * weight * state[loc]))
 

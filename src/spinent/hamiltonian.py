@@ -14,6 +14,10 @@ by bond into a sector block: the plain sector or one translation block. The
 biquadratic stencil is simply the matrix square of the exchange stencil, so
 the two spin-1 families share one code path and repeated operator algebra
 cannot drift.
+
+The parts of a family are assembled in one pass over the bonds that
+shares each bond's work between them, rows found by ``SpinBasis.index``,
+a table lookup (see assemble_parts).
 """
 
 from __future__ import annotations
@@ -105,6 +109,11 @@ class SparseHamiltonian:
         """The matrix as a dense array."""
         return self.matrix.toarray()
 
+    @property
+    def name(self) -> str:
+        """What an error about this matrix calls it."""
+        return "the sector matrix"
+
 
 class _CombinedHamiltonian(SparseHamiltonian):
     """One workspace block at one model point, combined only in the form a
@@ -123,25 +132,26 @@ class _CombinedHamiltonian(SparseHamiltonian):
     def dimension(self) -> int:
         return self._dimension
 
+    @property
+    def name(self) -> str:
+        return f"the Hamiltonian of {self._model.label}"
+
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_parts(self._parts, self._model.part_coefficients())
-        _check_finite(total.data, self._model)
+        self._check_finite(total.data)
         return total
 
     def dense(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_dense(self._dense_parts(), self._model.part_coefficients())
-        _check_finite(total, self._model)
+        self._check_finite(total)
         return total
 
-
-def _check_finite(values: np.ndarray, model: ModelSpec) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(
-            f"the Hamiltonian of {model.label} overflows: its sector matrix is not finite"
-        )
+    def _check_finite(self, values: np.ndarray) -> None:
+        if not np.isfinite(values).all():
+            raise ValueError(f"{self.name} overflows: its sector matrix is not finite")
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,6 +254,15 @@ def assemble_parts(
     its amplitude there times the square root of the column's orbit size
     (Sandvik, arXiv:1101.3281, sec. 4). Over the plain block every weight
     is 1.
+
+    All parts share one pass over the bonds. Per bond, the pair digits, the
+    states each input pair selects and the row of each distinct move are
+    found once, for every part that holds that stencil entry. A purely
+    diagonal part adds every state's entry of the bond into one vector,
+    exactly in any order (each is a small multiple of 1/4), and keeps an
+    entry, zero or not, for each state that had one; the other parts
+    scatter COO triplets that ``tocsr`` sums as duplicates, so every part
+    is the CSR matrix a part-by-part assembly gives, bit for bit.
     """
     basis, reps = block.basis, block.reps
     if FAMILY_SPIN[family] != basis.spin:
@@ -256,49 +275,73 @@ def assemble_parts(
             f"lattice has {lattice.num_sites} sites, basis has {basis.num_sites}"
         )
     d = basis.local_dim
-    states = basis.states
     dim = block.dimension
-    root_orbit = np.sqrt(block.orbit)
-    out: dict[str, sparse.csr_matrix] = {}
-    for name, stencil in bond_stencils(family).items():
-        entries = [
+    plain = reps is basis
+    root_orbit = None if plain else np.sqrt(block.orbit)
+    entries = {
+        name: [
             (int(p_out), int(p_in), stencil[p_out, p_in])
             for p_out, p_in in zip(*np.nonzero(np.abs(stencil) > _STENCIL_PRUNE))
         ]
-        rows, cols, vals = [], [], []
-        for i, j in lattice.bonds:
-            pair = reps.site_digits(i) * d + reps.site_digits(j)
-            for p_out, p_in, amp in entries:
-                sel = np.nonzero(pair == p_in)[0]
+        for name, stencil in bond_stencils(family).items()
+    }
+    # A diagonal part's entry and whether it has one, by input pair.
+    diagonals = {}
+    for name, part in entries.items():
+        if all(p_out == p_in for p_out, p_in, _ in part):
+            amps, has = np.zeros(d * d), np.zeros(d * d, dtype=bool)
+            for _, p_in, amp in part:
+                amps[p_in], has[p_in] = amp, True
+            diagonals[name] = (amps, has, np.zeros(dim), np.zeros(dim, dtype=bool))
+    triplets = {name: ([], [], []) for name in entries if name not in diagonals}
+    for i, j in lattice.bonds:
+        pair = reps.site_digits(i) * d + reps.site_digits(j)
+        for amps, has, total, stored in diagonals.values():
+            total += amps[pair]
+            stored |= has[pair]
+        selected: dict[int, np.ndarray] = {}
+        moved: dict[tuple[int, int], tuple] = {}
+        for name, (rows, cols, vals) in triplets.items():
+            for p_out, p_in, amp in entries[name]:
+                if p_in not in selected:
+                    selected[p_in] = np.nonzero(pair == p_in)[0]
+                sel = selected[p_in]
                 if sel.size == 0:
                     continue
                 if p_out == p_in:
                     # A diagonal entry leaves every state where it is.
                     rows.append(sel)
                     cols.append(sel)
-                    vals.append(np.full(sel.size, amp))
+                    vals.append(amp if plain else np.full(sel.size, amp))
                     continue
-                targets = reps.with_pair_digits(
-                    reps.states[sel], i, j, p_out // d, p_out % d
-                )
-                found = np.searchsorted(states, targets)
-                if not np.array_equal(states[found], targets):
-                    raise RuntimeError(
-                        "bond stencil produced a state outside the sector"
+                if (p_out, p_in) not in moved:
+                    targets = reps.with_pair_digits(
+                        reps.states[sel], i, j, p_out // d, p_out % d
                     )
-                target_rows = block.row[found]
-                weights = amp * block.coef[found] * root_orbit[sel]
-                inside = target_rows >= 0
-                if not inside.all():
-                    target_rows, sel, weights = target_rows[inside], sel[inside], weights[inside]
+                    moved[p_out, p_in] = _move(block, plain, root_orbit, sel, targets)
+                target_rows, columns, coef, root = moved[p_out, p_in]
                 rows.append(target_rows)
-                cols.append(sel)
-                vals.append(weights)
+                cols.append(columns)
+                vals.append(amp if plain else amp * coef * root)
+    out: dict[str, sparse.csr_matrix] = {}
+    for name in entries:
+        if name in diagonals:
+            _, _, total, stored = diagonals.pop(name)
+            where = np.nonzero(stored)[0]
+            indptr = np.concatenate(([0], np.cumsum(stored)))
+            out[name] = sparse.csr_matrix((total[where], where, indptr), shape=(dim, dim))
+            continue
+        rows, cols, vals = triplets.pop(name)
         if rows:
+            # On the plain block every weight is its entry, kept as a scalar.
+            if plain:
+                vals = np.repeat(vals, [columns.size for columns in cols])
+            else:
+                vals = np.concatenate(vals)
             coo = sparse.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, dim),
+                (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
             )
+            del rows, cols, vals
             mat = coo.tocsr()
         else:
             mat = sparse.csr_matrix((dim, dim))
@@ -306,6 +349,23 @@ def assemble_parts(
         mat.sort_indices()
         out[name] = mat
     return out
+
+
+def _move(block: SectorBlock, plain: bool, root_orbit, sel, targets):
+    """(rows, columns, amplitudes, root orbits) of one stencil move of the
+    block states ``sel`` onto the plain states ``targets``, keeping the
+    moves that land in the block; the last two are None on the plain block."""
+    found = block.basis.index(targets)
+    if plain:
+        return found, sel, None, None
+    target_rows = block.row[found]
+    coef, root = block.coef[found], root_orbit[sel]
+    inside = target_rows >= 0
+    if not inside.all():
+        target_rows, sel, coef, root = (
+            target_rows[inside], sel[inside], coef[inside], root[inside]
+        )
+    return target_rows, sel, coef, root
 
 
 def combine_parts(

@@ -99,3 +99,62 @@ def embed_indices(digit_rows, local_dim):
     for site in range(num_sites):
         indices = indices * local_dim + (local_dim - 1 - digit_rows[site])
     return indices
+
+
+def assemble_parts_reference(family, lattice, block):
+    """The bond-by-bond, part-by-part sector assembly that preceded the
+    shared per-bond pass, kept verbatim: each part scatters its own COO
+    triplets and finds every moved state by binary search. The package's
+    assemble_parts must reproduce its CSR arrays bit for bit."""
+    from scipy import sparse
+
+    from spinent.hamiltonian import _STENCIL_PRUNE, bond_stencils
+
+    basis, reps = block.basis, block.reps
+    d = basis.local_dim
+    states = basis.states
+    dim = block.dimension
+    root_orbit = np.sqrt(block.orbit)
+    out = {}
+    for name, stencil in bond_stencils(family).items():
+        entries = [
+            (int(p_out), int(p_in), stencil[p_out, p_in])
+            for p_out, p_in in zip(*np.nonzero(np.abs(stencil) > _STENCIL_PRUNE))
+        ]
+        rows, cols, vals = [], [], []
+        for i, j in lattice.bonds:
+            pair = reps.site_digits(i) * d + reps.site_digits(j)
+            for p_out, p_in, amp in entries:
+                sel = np.nonzero(pair == p_in)[0]
+                if sel.size == 0:
+                    continue
+                if p_out == p_in:
+                    rows.append(sel)
+                    cols.append(sel)
+                    vals.append(np.full(sel.size, amp))
+                    continue
+                targets = reps.with_pair_digits(
+                    reps.states[sel], i, j, p_out // d, p_out % d
+                )
+                found = np.searchsorted(states, targets)
+                assert np.array_equal(states[found], targets)
+                target_rows = block.row[found]
+                weights = amp * block.coef[found] * root_orbit[sel]
+                inside = target_rows >= 0
+                if not inside.all():
+                    target_rows, sel, weights = target_rows[inside], sel[inside], weights[inside]
+                rows.append(target_rows)
+                cols.append(sel)
+                vals.append(weights)
+        if rows:
+            coo = sparse.coo_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(dim, dim),
+            )
+            mat = coo.tocsr()
+        else:
+            mat = sparse.csr_matrix((dim, dim))
+        mat.sum_duplicates()
+        mat.sort_indices()
+        out[name] = mat
+    return out

@@ -11,6 +11,7 @@ from spinent.basis import (
     build_basis,
     nonnegative_sectors,
     sector_values,
+    translation_block,
 )
 
 
@@ -147,3 +148,60 @@ def test_all_product_states_enumerated_once():
         for sz in sector_values("one", n):
             expected = _spin_one_sector_by_digit_loop(n, sz)
             assert np.array_equal(build_basis(n, "one", sz).states, expected)
+
+
+def test_half_sectors_equal_the_popcount_filter():
+    """Every spin-1/2 sector up to N=20 is the ascending list of the N-bit
+    codes with Sz + N/2 bits set."""
+    for n in range(1, 21):
+        codes = np.arange(1 << n, dtype=np.int64)
+        ones = np.bitwise_count(codes)
+        for sz in sector_values("half", n):
+            states = build_basis(n, "half", sz).states
+            assert states.dtype == np.int64
+            assert np.array_equal(states, codes[ones == round(sz + n / 2)])
+
+
+@pytest.mark.parametrize(
+    "spin,n", [("half", 1), ("half", 7), ("half", 12), ("one", 1), ("one", 6), ("one", 9)]
+)
+def test_index_is_the_row_of_each_state(spin, n):
+    rng = np.random.default_rng(n)
+    for sz in sector_values(spin, n):
+        basis = build_basis(n, spin, sz)
+        assert np.array_equal(basis.index(basis.states), np.arange(basis.dimension))
+        rows = rng.integers(0, basis.dimension, size=50)
+        assert np.array_equal(basis.index(basis.states[rows]), rows)
+        assert basis.index(basis.states[:0]).size == 0
+
+
+def test_index_rejects_states_outside_the_sector():
+    half = build_basis(8, "half", 0.0)
+    with pytest.raises(ValueError, match="outside the Sz=0 sector"):
+        half.index(np.array([half.states[3], 0b1111_1110]))  # one bit too many
+    with pytest.raises(ValueError, match="outside the register"):
+        half.index(np.array([half.states[0] | (1 << 8)]))
+    with pytest.raises(ValueError, match="outside the register"):
+        half.index(np.array([-1]))
+
+    one = build_basis(6, "one", 1.0)
+    # Raising site 0 from digit 2 to the unused digit 3 adds one unit, and
+    # lowering site 1 by one takes it back: the total Sz is right, the digit not.
+    site0_top = one.states[(one.states & 3) == 2]
+    movable = site0_top[((site0_top >> 2) & 3) > 0]
+    bad = (movable | 3) - (1 << 2)
+    assert bad.size
+    with pytest.raises(ValueError, match="outside the Sz=1 sector"):
+        one.index(bad[:1])
+    # digit 3 on a site of the high half, sites 0 and 1 at digit 2: 7 units
+    for high_digit_three in (3 << 10, 3 << 6):
+        with pytest.raises(ValueError, match="outside the Sz=1 sector"):
+            one.index(np.array([high_digit_three | 0b10_10]))
+
+
+def test_index_needs_the_whole_sector():
+    basis = build_basis(8, "half", 0.0)
+    reps = translation_block(basis, ((1, 8),), (1,)).reps
+    assert reps.dimension < basis.dimension
+    with pytest.raises(ValueError, match="no index lookup"):
+        reps.index(reps.states)

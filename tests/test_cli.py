@@ -239,6 +239,30 @@ def test_sweep_rejects_overflowing_parameters_without_warnings(tmp_path, capsys)
     assert [bool(line.split(",")[4]) for line in data] == [True, False, False]
 
 
+def test_sweep_rejects_a_lanczos_overflow_without_warnings(tmp_path, capsys):
+    """At delta = 1e306 the 1,107-state Sz=0 sector of xxz_one L=8 (beta < 0,
+    so it is solved whole by Lanczos) is finite, but the norm of its first
+    Lanczos vector overflows. The row fails with the model named, and no
+    numpy warning is raised on the way."""
+    out = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run([
+            "sweep", "--model", "xxz-one", "--sizes", "8", "--beta", "-0.2",
+            "--param", "1:1e306:2", "--out", str(out),
+        ])
+    assert code == 2
+    assert "Warning" not in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    errors = [line for line in lines if line.startswith("# row_error:")]
+    assert errors == [
+        "# row_error: param=1e+306 size=8: the Hamiltonian of xxz_one delta=1e+306 "
+        "beta=-0.2 overflows: its Lanczos recurrence is not finite"
+    ]
+    data = lines[lines.index(CSV_HEADER) + 1 :]
+    assert [bool(line.split(",")[4]) for line in data] == [True, False]
+
+
 _BENCHMARK_REFERENCE = (
     Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "blbq_phase_map_seed0.csv"
 )

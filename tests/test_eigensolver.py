@@ -527,3 +527,13 @@ def test_degeneracy_count_windows():
 def test_low_spectrum_rejects_bad_level_count():
     with pytest.raises(ValueError):
         low_spectrum(ModelSpec("xxz_half"), chain_lattice(4), 0)
+
+
+def test_lanczos_overflow_is_a_value_error_naming_the_matrix():
+    """A finite matrix of entries 1e306 overflows the norm of the first
+    Lanczos vector. That is a ValueError naming the matrix, raised without
+    a numpy warning, not scipy's complaint about the tridiagonal."""
+    huge = sparse.diags([1e306, 1e306], [-1, 1], shape=(50, 50))
+    with pytest.raises(ValueError, match="the sector matrix overflows"):
+        lanczos_lowest(_fake_ham(huge))
+    assert lanczos_lowest(_fake_ham(huge * 1e-306))[0].converged
