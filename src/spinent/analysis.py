@@ -184,16 +184,12 @@ def sweep(
     return SweepTable(rows=rows)
 
 
-def finite_difference(
-    series: list[tuple[float, float]], order: int = 1
-) -> list[tuple[float, float]]:
+def finite_difference(series: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """First derivative of a uniformly gridded series, same x points.
 
     Central differences in the interior, second-order one-sided stencils
-    at the two ends. Only order 1 is provided.
+    at the two ends.
     """
-    if order != 1:
-        raise ValueError(f"only first derivatives are supported, got order={order}")
     if len(series) < 3:
         raise ValueError(f"need at least 3 points, got {len(series)}")
     x = np.array([p for p, _ in series], dtype=float)

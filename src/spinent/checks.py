@@ -2,9 +2,10 @@
 
 Each criterion is a self-contained reproduction of one headline result,
 phrased as a list of (ok, detail) sub-checks. A shared context caches
-sector workspaces and ground-state solves so the battery runs in minutes
-on one core. The test suite drives the same functions, one test per
-criterion, so `spinent check` and pytest cannot drift apart.
+Sz=0 ground solves, and ``analysis.shared_workspace`` the sector
+workspaces, so the whole battery runs in seconds on one core. The test
+suite drives the same functions, one test per criterion, so
+`spinent check` and pytest cannot drift apart.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class CriterionResult:
 
 
 class CheckContext:
-    """Caches shared between criteria: workspaces and Sz=0 ground solves."""
+    """The worker count and the Sz=0 ground solves shared between criteria;
+    the workspaces they use are held by ``analysis.shared_workspace``."""
 
     def __init__(self, jobs: int = 1):
         self.jobs = jobs

@@ -37,7 +37,7 @@ from .analysis import (
     size_label,
     sweep,
 )
-from .bethe import UnsupportedRegimeError, solve_ground
+from .bethe import solve_ground
 from .checks import CheckContext, run_all
 from .eigensolver import ConvergenceError, degeneracy_count, low_spectrum
 from .hamiltonian import FAMILY_SPIN, model_for
@@ -442,9 +442,6 @@ def run(argv=None) -> int:
     except (ConvergenceError, EdgeExtremumError) as fail:
         print(f"numerical failure: {fail}", file=sys.stderr)
         return 2
-    except UnsupportedRegimeError as fail:
-        print(f"error: {fail}", file=sys.stderr)
-        return 1
     except ValueError as fail:
         print(f"error: {fail}", file=sys.stderr)
         return 1

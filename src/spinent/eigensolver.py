@@ -18,8 +18,8 @@ before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
 sector_lowest is the one dense-versus-Lanczos switch. A sector of at most
-_DENSE_CUTOFF states is diagonalized densely from the array the workspace
-combines straight from its dense parts, values only; eigenvectors come from
+_DENSE_CUTOFF states is diagonalized densely, values only, from an array
+combined straight from the block's CSR parts; eigenvectors come from
 a second, ``eigh`` solve made on demand, which a scan makes for the one
 sector that represents the point.
 
@@ -419,7 +419,7 @@ def ground_state_scan(
     GroundStateReport describes the top-up and the degenerate-representative
     rule.
     """
-    ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
+    ws = _workspace(model, lattice, workspace)
     sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
     solved = {sz: solve_sector(model, ws, sz, tol) for sz in sectors}
     per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
@@ -458,6 +458,20 @@ def ground_state_scan(
     )
 
 
+def _workspace(
+    model: ModelSpec, lattice: Lattice, workspace: SectorWorkspace | None
+) -> SectorWorkspace:
+    """The given workspace, which must be built on ``lattice``, or a fresh one."""
+    if workspace is None:
+        return SectorWorkspace(model.family, lattice)
+    if workspace.lattice != lattice:
+        raise ValueError(
+            f"workspace built on a {workspace.lattice.geometry} of extent "
+            f"{workspace.lattice.extent}, got a {lattice.geometry} of extent {lattice.extent}"
+        )
+    return workspace
+
+
 def low_spectrum(
     model: ModelSpec,
     lattice: Lattice,
@@ -486,7 +500,7 @@ def low_spectrum(
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
     check_tolerances(tol, tol_deg)
-    ws = workspace if workspace is not None else SectorWorkspace(model.family, lattice)
+    ws = _workspace(model, lattice, workspace)
     merged: list[tuple[float, float]] = []
     for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
         energies = sector_lowest(ws.matrix(model, sz), levels, tol)[0][:levels]

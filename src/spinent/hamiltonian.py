@@ -116,21 +116,19 @@ class SparseHamiltonian:
 
 
 class _CombinedHamiltonian(SparseHamiltonian):
-    """One workspace block at one model point, combined only in the form a
-    solver reads: ``matrix`` by combine_parts on first access, ``dense()``
-    from the block's dense parts by combine_dense, so a dense solve builds
-    no CSR. Either raises ValueError, naming the model, when the combination
-    is not finite."""
+    """One workspace block at one model point, combined from the block's CSR
+    parts only in the form a solver reads: ``matrix`` by combine_parts on
+    first access, ``dense()`` by combine_dense, so a dense solve builds no
+    CSR total. Either raises ValueError, naming the model, when the
+    combination is not finite."""
 
-    def __init__(self, model: ModelSpec, dimension: int, parts, dense_parts):
+    def __init__(self, model: ModelSpec, parts: dict[str, sparse.csr_matrix]):
         self._model = model
-        self._dimension = dimension
         self._parts = parts
-        self._dense_parts = dense_parts
 
     @property
     def dimension(self) -> int:
-        return self._dimension
+        return next(iter(self._parts.values())).shape[0]
 
     @property
     def name(self) -> str:
@@ -145,7 +143,7 @@ class _CombinedHamiltonian(SparseHamiltonian):
 
     def dense(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = combine_dense(self._dense_parts(), self._model.part_coefficients())
+            total = combine_dense(self._parts, self._model.part_coefficients())
         self._check_finite(total)
         return total
 
@@ -382,28 +380,20 @@ def combine_parts(
     return total
 
 
-def combine_dense(parts: dict[str, np.ndarray], coefficients: dict[str, float]) -> np.ndarray:
-    """combine_parts over dense parts: the same sums in the same order and
-    the same pruning, so the result is bitwise ``combine_parts(...).toarray()``.
-    Adding a part's zero to an entry leaves its value, and the pruning turns
-    every zero into the +0.0 of an entry the sparse sum leaves out; so a
-    diagonal part, kept as a vector, is added on the diagonal alone."""
+def combine_dense(
+    parts: dict[str, sparse.csr_matrix], coefficients: dict[str, float]
+) -> np.ndarray:
+    """combine_parts straight into a dense array: the same sums in the same
+    order and the same pruning, so the result is bitwise
+    ``combine_parts(...).toarray()``. Adding a part's zero to an entry leaves
+    its value, and the pruning turns every zero into the +0.0 of an entry
+    the sparse sum leaves out."""
     dim = next(iter(parts.values())).shape[0]
     total = np.zeros((dim, dim))
-    diagonal = np.arange(dim)
     for name, coeff in coefficients.items():
-        if parts[name].ndim == 1:
-            total[diagonal, diagonal] += coeff * parts[name]
-        else:
-            total += coeff * parts[name]
+        total += coeff * parts[name].toarray()
     total[np.abs(total) < _STENCIL_PRUNE] = 0.0
     return total
-
-
-def _dense_part(part: sparse.csr_matrix) -> np.ndarray:
-    """A CSR part as a dense array, or as its diagonal if it has no other entries."""
-    rows = np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
-    return part.diagonal() if np.array_equal(part.indices, rows) else part.toarray()
 
 
 class SectorWorkspace:
@@ -413,10 +403,9 @@ class SectorWorkspace:
     blocks: the plain sector, or the translation block of given characters
     (see ``ground_characters``). Each is assembled once, on first use, and a
     sweep combines the cached parts with fresh coefficients at every
-    parameter value instead of reassembling the matrix. A block that is
-    solved densely also keeps its parts as dense arrays (a diagonal part as
-    its diagonal), converted once from the CSR parts the first time a dense
-    matrix of it is asked for.
+    parameter value instead of reassembling the matrix. The CSR parts are
+    the one stored form of a block: a dense solve combines its array from
+    them each time (see combine_dense) and keeps nothing.
     """
 
     def __init__(self, family: str, lattice: Lattice):
@@ -427,7 +416,6 @@ class SectorWorkspace:
         self.spin = FAMILY_SPIN[family]
         self._bases: dict[float, SpinBasis] = {}
         self._blocks: dict[tuple, tuple[SectorBlock, dict[str, sparse.csr_matrix]]] = {}
-        self._dense: dict[tuple, dict[str, np.ndarray]] = {}
 
     def basis(self, sz: float) -> SpinBasis:
         """The plain sector basis; nothing is assembled."""
@@ -464,13 +452,4 @@ class SectorWorkspace:
             raise ValueError(
                 f"workspace built for {self.family!r}, got model {model.family!r}"
             )
-        block, parts = self.block(sz, characters)
-        return _CombinedHamiltonian(
-            model, block.dimension, parts, lambda: self._dense_parts((sz, characters))
-        )
-
-    def _dense_parts(self, key: tuple) -> dict[str, np.ndarray]:
-        if key not in self._dense:
-            parts = self._blocks[key][1]
-            self._dense[key] = {name: _dense_part(part) for name, part in parts.items()}
-        return self._dense[key]
+        return _CombinedHamiltonian(model, self.block(sz, characters)[1])

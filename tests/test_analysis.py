@@ -194,8 +194,6 @@ def test_finite_difference_of_a_constant_vanishes():
 def test_finite_difference_input_validation():
     good = [(0.0, 0.0), (0.1, 1.0), (0.2, 2.0)]
     with pytest.raises(ValueError):
-        finite_difference(good, order=2)
-    with pytest.raises(ValueError):
         finite_difference(good[:2])
     with pytest.raises(ValueError):
         finite_difference([(0.0, 0.0), (0.1, 1.0), (0.35, 2.0)])

@@ -20,7 +20,7 @@ from spinent.eigensolver import (
 from spinent.analysis import shared_workspace
 from spinent.checks import CheckContext
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, model_for
-from spinent.lattice import chain_lattice
+from spinent.lattice import chain_lattice, square_lattice
 
 
 def _fake_ham(matrix):
@@ -527,6 +527,23 @@ def test_degeneracy_count_windows():
 def test_low_spectrum_rejects_bad_level_count():
     with pytest.raises(ValueError):
         low_spectrum(ModelSpec("xxz_half"), chain_lattice(4), 0)
+
+
+def test_scan_rejects_a_workspace_of_another_lattice():
+    """The sectors come from the lattice and the matrices from the
+    workspace: a 16-site ring solved on a 4x4 torus workspace gave the
+    torus energy."""
+    torus = SectorWorkspace("xxz_half", square_lattice(4, 4))
+    model = ModelSpec("xxz_half", delta=1.0)
+    with pytest.raises(ValueError, match="workspace built on a square"):
+        ground_state_scan(model, chain_lattice(16), workspace=torus)
+
+
+def test_low_spectrum_rejects_a_workspace_of_another_lattice():
+    torus = SectorWorkspace("xxz_half", square_lattice(4, 4))
+    model = ModelSpec("xxz_half", delta=1.0)
+    with pytest.raises(ValueError, match="workspace built on a square"):
+        low_spectrum(model, chain_lattice(16), 4, workspace=torus)
 
 
 def test_lanczos_overflow_is_a_value_error_naming_the_matrix():

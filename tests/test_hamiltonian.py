@@ -1,11 +1,20 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import assemble_parts_reference, embed_indices, full_hamiltonian
-from spinent.basis import build_basis, plain_block, sector_values, translation_block
+from spinent.basis import (
+    build_basis,
+    nonnegative_sectors,
+    plain_block,
+    sector_values,
+    translation_block,
+)
+from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import (
     FAMILY_SPIN,
     ModelSpec,
@@ -162,7 +171,7 @@ def test_dense_combine_is_bitwise_the_csr_combine():
     """Same sums, same order, same pruning: equal arrays, sign bits
     included. The blbq grid holds 3pi/4, where the two parts cancel, and
     3pi/2, where the bilinear weight is round-off and pruned away; the XXZ
-    families add a diagonal part, which the dense route keeps as a vector."""
+    families add a diagonal part (zz) that stores explicit zeros."""
     blbq = SectorWorkspace("blbq", chain_lattice(6))
     for theta in [*np.linspace(0.0, 2 * math.pi, 41), 0.75 * math.pi, 1.5 * math.pi]:
         for sz in sector_values("one", 6):
@@ -189,6 +198,33 @@ def test_dense_combine_of_torus_translation_blocks():
             characters = ground_characters(model, torus.lattice, sz)
             assert torus.basis(sz).dimension > 300 >= torus.block(sz, characters)[0].dimension
             _assert_dense_combine_is_csr_combine(torus, model, sz, characters)
+
+
+@pytest.mark.parametrize(
+    "model, lattice",
+    [
+        (ModelSpec("blbq", theta=0.3), chain_lattice(6)),
+        (ModelSpec("xxz_half", delta=0.5), chain_lattice(10)),
+    ],
+    ids=["blbq-6", "xxz_half-10"],
+)
+def test_a_scan_stores_nothing_in_an_assembled_workspace(model, lattice):
+    """A block is stored once, as its CSR parts: with every block of the
+    scan assembled beforehand, a scan over dense sectors leaves nothing
+    behind in the workspace."""
+    workspace = SectorWorkspace(model.family, lattice)
+    for sz in nonnegative_sectors(workspace.spin, lattice.num_sites):
+        assert workspace.block(sz)[0].dimension <= 300
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ground_state_scan(model, lattice, workspace=workspace)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096
 
 
 @pytest.mark.parametrize("form", ["dense", "csr"])
