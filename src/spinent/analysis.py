@@ -118,7 +118,7 @@ def _sweep_point(task) -> SweepRow:
             ev=entropy,
             concurrence=pair_concurrence,
             degeneracy=report.degeneracy,
-            degenerate_flag=report.degenerate_flag,
+            degenerate_flag=report.degeneracy > 1,
         )
     except (ValueError, RuntimeError, MemoryError) as fail:
         return SweepRow(

@@ -34,6 +34,8 @@ _RESIDUAL_TOL = 1e-10
 _MAX_NEWTON = 200
 _RATIONAL_GAMMA = 1e-8
 _CONTINUATION_STEP = 0.25
+# Step in delta of hf_correlators' finite differences.
+_HF_STEP = 1e-4
 
 
 class UnsupportedRegimeError(ValueError):
@@ -237,17 +239,17 @@ def hf_correlators(
     energy_fn: Callable[[float], float],
     num_sites: int,
     delta: float,
-    step: float = 1e-4,
 ) -> tuple[float, float]:
     """(czz, cxx) from an energy curve via the Hellmann-Feynman theorem.
 
-    czz is the central difference dE/d(delta) divided by the site count;
-    cxx follows from E/N = 2*cxx + delta*czz on the ring. When the
-    provider cannot evaluate one side of the stencil (a domain edge such
-    as delta = 1 for the Bethe solver), a second-order one-sided
-    difference pointing into the valid side is used instead; if neither
-    side works the provider's error propagates.
+    czz is the central difference dE/d(delta), of step _HF_STEP, divided
+    by the site count; cxx follows from E/N = 2*cxx + delta*czz on the
+    ring. When the provider cannot evaluate one side of the stencil (a
+    domain edge such as delta = 1 for the Bethe solver), a second-order
+    one-sided difference pointing into the valid side is used instead; if
+    neither side works the provider's error propagates.
     """
+    step = _HF_STEP
     center = energy_fn(delta)
     try:
         upper = energy_fn(delta + step)

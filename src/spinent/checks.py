@@ -119,7 +119,7 @@ def _bethe_pair(n: int, delta: float) -> tuple[float, float, XFormElements]:
     def energy_fn(x):
         return solve_ground(n, x).energy
 
-    czz, cxx = hf_correlators(energy_fn, n, delta, 1e-4)
+    czz, cxx = hf_correlators(energy_fn, n, delta)
     elements = XFormElements(
         u_plus=0.25 + czz, w1=0.25 - czz, w2=0.25 - czz, u_minus=0.25 + czz,
         z=2 * cxx,
@@ -232,7 +232,7 @@ def _criterion_4(ctx: CheckContext):
         def energy_fn(x):
             return ctx.sector_ground("xxz_half", n, x)[0].energy
 
-        derived_czz, _ = hf_correlators(energy_fn, n, delta, 1e-4)
+        derived_czz, _ = hf_correlators(energy_fn, n, delta)
         checks.append(_at_most(
             abs(n * direct - n * derived_czz), 1e-5,
             f"delta={delta} |N*czz - dE/d(delta)|",

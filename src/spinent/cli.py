@@ -268,6 +268,10 @@ def _cmd_scaling(ns) -> int:
     sizes = _parse_sizes(ns.sizes)
     if len(sizes) < 3:
         raise _UsageError("scaling needs at least 3 sizes")
+    if ns.observable == "concurrence" and FAMILY_SPIN[family] != "half":
+        raise _UsageError(
+            f"concurrence is defined for spin-1/2 models only, not {ns.model}"
+        )
     config = {
         "model": ns.model, "geometry": ns.geometry, "sizes": sizes,
         "grid": list(grid), "beta": ns.beta, "observable": ns.observable,

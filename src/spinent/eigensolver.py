@@ -17,11 +17,12 @@ reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
-sector_lowest is the one dense-versus-Lanczos switch. A sector of at most
-_DENSE_CUTOFF states is diagonalized densely, values only, from an array
-combined straight from the block's CSR parts; eigenvectors come from
-a second, ``eigh`` solve made on demand, which a scan makes for the one
-sector that represents the point.
+sector_lowest is the one dense-versus-Lanczos switch, for scans, spectra
+and the degenerate top-up alike. A sector of at most _DENSE_CUTOFF states,
+or one whose every level is asked for, is diagonalized densely, values
+only, from an array combined straight from the block's CSR parts;
+eigenvectors come from a second, ``eigh`` solve made on demand, which a
+scan makes for the one sector that represents the point.
 
 solve_sector makes the one block-or-whole decision for ground_state_scan
 and the check battery. A sector above the dense cutoff is solved in one
@@ -54,11 +55,13 @@ _RESTART_SEED = 15485863
 _CHECK_EVERY = 5
 # Krylov vectors per storage block; see _lanczos_ground.
 _BLOCK_ROWS = 64
+# Lanczos steps per pass before a seed is given up.
+_MAX_ITER = 400
 _DENSE_LIMIT = 4000
 # Sector dimension up to which sector_lowest diagonalizes densely.
 _DENSE_CUTOFF = 300
 # Levels a scan's degenerate Lanczos sector is topped up to by Lanczos; past
-# them it is read whole from a dense solve if it has <= _DENSE_LIMIT states.
+# them it asks sector_lowest for every level if it has <= _DENSE_LIMIT states.
 _LANCZOS_TOP_UP = 4
 
 
@@ -82,24 +85,24 @@ class EigenResult:
 class GroundStateReport:
     """Outcome of scanning all Sz sectors for the global ground state.
 
-    ``degeneracy`` counts states within ``tol_deg`` of the ground energy
-    across all sectors, doubling Sz > 0 sectors for their spin-flipped
-    partners. Sectors diagonalized densely contribute their full spectrum,
-    values only, except the representative's sector, whose levels come from
-    the ``eigh`` that also gives its vector; the ground energy is the lowest
-    level after that swap. A sector solved whole by Lanczos contributes its
-    lowest level, and more while its levels found so far all lie within
-    ``tol_deg`` of the ground: Lanczos doubles the count up to
-    _LANCZOS_TOP_UP levels, and past that a sector of at most _DENSE_LIMIT
-    states contributes its full spectrum from a values-only dense solve, a
-    larger one more doublings. So a manifold with several members in one
-    large sector is counted in full (45 at blbq theta = 5*pi/4, L = 8, and
-    2,207 at theta = pi/2). A sector solved in its
-    translation block contributes one level: there Perron-Frobenius makes
-    the sector's ground state unique, though not always more than
-    ``tol_deg`` below the sector's next level. The Neel pair of xxz_half at
-    N = 18, delta = 20 is split by less, and counts once on this route where
-    the whole sector would count it twice.
+    ``degeneracy`` counts states within the scan's ``tol_deg`` of the ground
+    energy across all sectors, doubling Sz > 0 sectors for their
+    spin-flipped partners. Sectors diagonalized densely contribute their
+    full spectrum, values only, except the representative's sector, whose
+    levels come from the ``eigh`` that also gives its vector; the ground
+    energy is the lowest level after that swap. A sector solved whole by
+    Lanczos contributes its lowest level, and more while its levels found so
+    far all lie within ``tol_deg`` of the ground: the scan asks sector_lowest
+    for twice as many levels, up to _LANCZOS_TOP_UP, and past that for all
+    of them if the sector has at most _DENSE_LIMIT states, which
+    sector_lowest answers with a values-only dense solve; a larger sector
+    goes on doubling. So a manifold with several members in one large sector
+    is counted in full (45 at blbq theta = 5*pi/4, L = 8, and 2,207 at
+    theta = pi/2). A sector solved in its translation block contributes one
+    level: there Perron-Frobenius makes the sector's ground state unique,
+    though not always more than ``tol_deg`` below the sector's next level.
+    The Neel pair of xxz_half at N = 18, delta = 20 is split by less, and
+    counts once on this route where the whole sector would count it twice.
 
     For a degenerate ground state the representative is the lowest state of
     the largest-Sz sector attaining the ground energy, i.e. the polarized
@@ -113,10 +116,8 @@ class GroundStateReport:
     ground_energy: float
     ground_sz: float
     degeneracy: int
-    degenerate_flag: bool
     representative: EigenResult
     representative_basis: SpinBasis
-    tol_deg: float
 
 
 class _NotConverged(Exception):
@@ -132,7 +133,6 @@ def lanczos_lowest(
     hamiltonian: SparseHamiltonian,
     k: int = 1,
     tol: float = 1e-10,
-    max_iter: int = 400,
 ) -> list[EigenResult]:
     """The k lowest eigenpairs of a sector matrix, energies nondecreasing.
 
@@ -142,9 +142,9 @@ def lanczos_lowest(
     Krylov space can see. Residuals are verified as the true ||H v - E v||
     against the undeflated matrix before a pass is accepted. Raises
     ConvergenceError, carrying the best residual, if any pass runs out of
-    iterations on both seeds, and ValueError, naming the matrix, if a
-    Lanczos coefficient is not finite: its entries are then too large for
-    the recurrence.
+    iterations (_MAX_ITER steps) on both seeds, and ValueError, naming the
+    matrix, if a Lanczos coefficient is not finite: its entries are then too
+    large for the recurrence.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -167,7 +167,7 @@ def lanczos_lowest(
                 # An overflow is caught as a coefficient that is not finite.
                 with np.errstate(over="ignore", invalid="ignore"):
                     found = _lanczos_ground(
-                        matrix, n, tol, max_iter, seed, locked[:level], full
+                        matrix, n, tol, _MAX_ITER, seed, locked[:level], full
                     )
                 break
             except _NotConverged as fail:
@@ -178,7 +178,7 @@ def lanczos_lowest(
                 ) from None
         if found is None:
             raise ConvergenceError(
-                f"Lanczos did not reach tol={tol} within {max_iter} iterations "
+                f"Lanczos did not reach tol={tol} within {_MAX_ITER} iterations "
                 f"for level {level} of a dimension-{n} sector, even after one restart",
                 best,
             )
@@ -350,15 +350,18 @@ def sector_lowest(
 ) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]]]:
     """Lowest energies of one sector, and a call that gives its bottom eigenpair.
 
-    Sectors of dimension <= _DENSE_CUTOFF are diagonalized densely in full,
-    values only (their complete spectrum feeds degeneracy counting for
-    free). Their eigenvectors cost an ``eigh`` of the same array, run only
-    when the call is made; it returns that solve's levels, whose last digits
-    can differ from the values-only ones, with the pair. Larger sectors get
-    the ``count`` lowest levels and the pair from Lanczos at once, and the
-    call hands both back.
+    This is the one place that picks a dense solve over Lanczos. Sectors of
+    dimension <= _DENSE_CUTOFF, and any sector asked for ``count`` >= its
+    dimension levels, are diagonalized densely in full, values only (their
+    complete spectrum feeds degeneracy counting for free). Their
+    eigenvectors cost an ``eigh`` of the same array, run only when the call
+    is made; it returns that solve's levels, whose last digits can differ
+    from the values-only ones, with the pair. Other sectors get the
+    ``count`` lowest levels and the pair from Lanczos at once, and the call
+    hands both back.
     """
-    if hamiltonian.dimension <= _DENSE_CUTOFF:
+    dim = hamiltonian.dimension
+    if dim <= _DENSE_CUTOFF or count >= dim:
         dense = hamiltonian.dense()
         return list(map(float, np.linalg.eigvalsh(dense))), partial(_dense_bottom, dense)
     results = lanczos_lowest(hamiltonian, k=count, tol=tol)
@@ -414,10 +417,11 @@ def ground_state_scan(
     only then is its bottom pair formed, its levels replaced by the ones
     that solve gives, and the ground energy taken, so a dense point runs one
     ``eigh``. A sector solved whole by Lanczos whose levels all lie within
-    ``tol_deg`` of the ground is topped up until a level clears that window,
-    after the ground energy and the representative are fixed.
-    GroundStateReport describes the top-up and the degenerate-representative
-    rule.
+    ``tol_deg`` of the ground is topped up, after the ground energy and the
+    representative are fixed, until a level clears that window: its
+    Hamiltonian is built once and sector_lowest asked for more of its
+    levels. GroundStateReport describes the top-up and the
+    degenerate-representative rule.
     """
     ws = _workspace(model, lattice, workspace)
     sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
@@ -430,16 +434,14 @@ def ground_state_scan(
     ground = min(levels[0] for levels in per_sector.values())
     for sz, levels in per_sector.items():
         block = solved[sz][2]
-        while (
-            block.reps is block.basis
-            and len(levels) < block.dimension
-            and levels[-1] <= ground + tol_deg
-        ):
+        if block.reps is not block.basis:
+            continue
+        hamiltonian = ws.matrix(model, sz)
+        while len(levels) < block.dimension and levels[-1] <= ground + tol_deg:
+            count = 2 * len(levels)
             if len(levels) >= _LANCZOS_TOP_UP and block.dimension <= _DENSE_LIMIT:
-                matrix = ws.matrix(model, sz).matrix.toarray()
-                levels = list(map(float, np.linalg.eigvalsh(matrix)))
-            else:
-                levels = sector_lowest(ws.matrix(model, sz), 2 * len(levels), tol)[0]
+                count = block.dimension
+            levels = sector_lowest(hamiltonian, count, tol)[0]
         per_sector[sz] = levels
     degeneracy = 0
     for sz, levels in per_sector.items():
@@ -451,10 +453,8 @@ def ground_state_scan(
         ground_energy=ground,
         ground_sz=rep_sz,
         degeneracy=degeneracy,
-        degenerate_flag=degeneracy > 1,
         representative=replace(bottom, vector=rep_block.expand(bottom.vector)),
         representative_basis=rep_block.basis,
-        tol_deg=tol_deg,
     )
 
 

@@ -37,7 +37,6 @@ class PatternViolationError(ValueError):
 class TwoSiteRDM:
     local_dim: int
     matrix: np.ndarray
-    site_pair: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,20 @@ def two_site_rdm(state: np.ndarray, basis: SpinBasis, i: int, j: int) -> TwoSite
     amp = np.zeros((group.max() + 1, d * d))
     amp[group, pair] = state
     rho = amp.T @ amp
-    return TwoSiteRDM(local_dim=d, matrix=rho, site_pair=(i, j))
+    return TwoSiteRDM(local_dim=d, matrix=rho)
 
 
 _XFORM_DIAGONAL = (0, 1, 2, 3)
-_XFORM_COHERENCE = (1, 2)
+# Largest entry outside the X pattern that xform_extract accepts.
+_TOL_PATTERN = 1e-8
 
 
-def xform_extract(rdm: TwoSiteRDM, tol_pattern: float = 1e-8) -> XFormElements:
+def xform_extract(rdm: TwoSiteRDM) -> XFormElements:
     """Read the five X-pattern entries of a spin-1/2 pair RDM.
 
     Positions (descending-Sz order): u_plus at (0,0) for both-up, w1 and w2
     on the central diagonal, u_minus at (3,3), z on the central off-diagonal.
-    Any other entry larger than tol_pattern raises PatternViolationError.
+    Any other entry larger than _TOL_PATTERN raises PatternViolationError.
     """
     if rdm.local_dim != 2:
         raise ValueError(f"X form needs local dimension 2, got {rdm.local_dim}")
@@ -116,12 +116,12 @@ def xform_extract(rdm: TwoSiteRDM, tol_pattern: float = 1e-8) -> XFormElements:
         for b in range(4):
             if (a, b) in allowed:
                 continue
-            if abs(rho[a, b]) > tol_pattern:
+            if abs(rho[a, b]) > _TOL_PATTERN:
                 raise PatternViolationError(
                     f"entry ({a}, {b}) = {rho[a, b]:.3e} breaks the X pattern "
-                    f"(tol {tol_pattern:g})"
+                    f"(tol {_TOL_PATTERN:g})"
                 )
-    if abs(rho[1, 2] - rho[2, 1]) > tol_pattern:
+    if abs(rho[1, 2] - rho[2, 1]) > _TOL_PATTERN:
         raise PatternViolationError(
             f"coherence entries differ: {rho[1, 2]:.3e} vs {rho[2, 1]:.3e}"
         )

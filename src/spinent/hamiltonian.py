@@ -95,32 +95,15 @@ def model_for(family: str, value: float, beta: float = 0.0) -> ModelSpec:
     return ModelSpec(family=family, delta=float(value))
 
 
-@dataclass(eq=False)
 class SparseHamiltonian:
-    """Real symmetric CSR matrix over one Sz sector."""
+    """The Hamiltonian of one sector block at one model point.
 
-    matrix: sparse.csr_matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """The matrix as a dense array."""
-        return self.matrix.toarray()
-
-    @property
-    def name(self) -> str:
-        """What an error about this matrix calls it."""
-        return "the sector matrix"
-
-
-class _CombinedHamiltonian(SparseHamiltonian):
-    """One workspace block at one model point, combined from the block's CSR
-    parts only in the form a solver reads: ``matrix`` by combine_parts on
-    first access, ``dense()`` by combine_dense, so a dense solve builds no
-    CSR total. Either raises ValueError, naming the model, when the
-    combination is not finite."""
+    It holds the block's CSR stencil parts and combines them only in the
+    form a solver reads: ``matrix`` by combine_parts on first access,
+    ``dense()`` by combine_dense, so a dense solve builds no CSR total.
+    Either raises ValueError, naming the model, when the combination is not
+    finite.
+    """
 
     def __init__(self, model: ModelSpec, parts: dict[str, sparse.csr_matrix]):
         self._model = model
@@ -132,6 +115,7 @@ class _CombinedHamiltonian(SparseHamiltonian):
 
     @property
     def name(self) -> str:
+        """What an error about this matrix calls it."""
         return f"the Hamiltonian of {self._model.label}"
 
     @cached_property
@@ -142,6 +126,7 @@ class _CombinedHamiltonian(SparseHamiltonian):
         return total
 
     def dense(self) -> np.ndarray:
+        """The matrix as a dense array, bitwise ``matrix.toarray()``."""
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_dense(self._parts, self._model.part_coefficients())
         self._check_finite(total)
@@ -446,10 +431,11 @@ class SectorWorkspace:
     def matrix(
         self, model: ModelSpec, sz: float, characters: tuple[int, ...] = ()
     ) -> SparseHamiltonian:
-        """The Hamiltonian of one block at one model point, combined on first
-        use in the form the caller reads (see _CombinedHamiltonian)."""
+        """The Hamiltonian of one block at one model point, over the block's
+        cached parts; each solve combines it in the form it reads (see
+        SparseHamiltonian)."""
         if model.family != self.family:
             raise ValueError(
                 f"workspace built for {self.family!r}, got model {model.family!r}"
             )
-        return _CombinedHamiltonian(model, self.block(sz, characters)[1])
+        return SparseHamiltonian(model, self.block(sz, characters)[1])

@@ -307,6 +307,12 @@ def test_module_entry_point_runs_the_cli():
     assert done.stdout.strip() == f"spinent {__version__}"
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in spinent.__all__ if not hasattr(spinent, name)]
+    assert not missing
+    assert len(set(spinent.__all__)) == len(spinent.__all__)
+
+
 def test_spectrum_reports_levels_and_clusters(tmp_path):
     out = tmp_path / "levels.json"
     code = cli.run([
@@ -372,6 +378,25 @@ def test_scaling_boundary_extremum_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["xxz-one", "blbq"])
+def test_scaling_concurrence_of_spin_one_is_a_usage_error(model, tmp_path, capsys, monkeypatch):
+    """Spin-1 rows carry no concurrence, so the request is refused before any
+    sweep runs; it used to exit 2 on a grid minimum of NaNs."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    out = tmp_path / "scaling.json"
+    code = cli.run([
+        "scaling", "--model", model, "--sizes", "4,6,8", "--param", "0.5:1.5:5",
+        "--observable", "concurrence", "--out", str(out),
+    ])
+    assert code == 1
+    assert "concurrence is defined for spin-1/2 models only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_subset_prints_summary_lines(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from spinent import eigensolver
+from spinent import eigensolver, hamiltonian
 from spinent.basis import nonnegative_sectors
 from spinent.eigensolver import (
     ConvergenceError,
@@ -23,11 +23,15 @@ from spinent.hamiltonian import ModelSpec, SectorWorkspace, model_for
 from spinent.lattice import chain_lattice, square_lattice
 
 
-def _fake_ham(matrix):
-    """Wrap a plain symmetric matrix; the solvers only look at .matrix."""
-    from spinent.hamiltonian import SparseHamiltonian
+class _FakeHamiltonian:
+    """A plain symmetric matrix with the face lanczos_lowest and dense_lowest
+    read: ``matrix``, ``dimension`` and ``name``."""
 
-    return SparseHamiltonian(sparse.csr_matrix(matrix))
+    name = "the sector matrix"
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.dimension = matrix.shape[0]
 
 
 def _sector_ham(model, n, sz):
@@ -35,7 +39,8 @@ def _sector_ham(model, n, sz):
 
 
 def test_flip_matrix_pair():
-    results = dense_lowest(_fake_ham([[0.0, 1.0], [1.0, 0.0]]), k=2)
+    flip = _FakeHamiltonian(sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    results = dense_lowest(flip, k=2)
     np.testing.assert_allclose([r.energy for r in results], [-1.0, 1.0], atol=1e-14)
 
 
@@ -73,7 +78,7 @@ def test_lanczos_matches_dense_on_random_sparse(case):
         rng = np.random.default_rng(case)
         mat = sparse.random(120, 120, density=0.05, random_state=rng, format="csr")
         mat, k = mat + mat.T, 2  # symmetrize
-    ham = _fake_ham(mat)
+    ham = _FakeHamiltonian(mat)
     iterative = lanczos_lowest(ham, k=k)
     direct = dense_lowest(ham, k=k)
     for a, b in zip(iterative, direct):
@@ -95,12 +100,12 @@ def test_clustered_levels_need_the_restart_pass(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(eigensolver, "_lanczos_ground", recording)
-    lanczos_lowest(_fake_ham(_clustered()), k=3)
+    lanczos_lowest(_FakeHamiltonian(_clustered()), k=3)
     assert passes == [False, True] * 3
 
     monkeypatch.setattr(eigensolver, "_lanczos_ground", lambda *args: real(*args[:-1], False))
     with pytest.raises(ConvergenceError):
-        lanczos_lowest(_fake_ham(_clustered()), k=3)
+        lanczos_lowest(_FakeHamiltonian(_clustered()), k=3)
 
 
 def _record_passes(monkeypatch):
@@ -130,7 +135,7 @@ def test_first_pass_runs_across_block_boundaries(monkeypatch):
     off = np.full(n - 1, -1.0)
     mat = sparse.diags([off, 2.0 + rng.uniform(0.0, 0.5, n), off], [-1, 0, 1], format="csr")
     passes = _record_passes(monkeypatch)
-    ours = lanczos_lowest(_fake_ham(mat), k=2)
+    ours = lanczos_lowest(_FakeHamiltonian(mat), k=2)
     assert [full for full, _ in passes] == [False, False]
     for _, blocks in passes:
         heights = [len(rows) for rows in blocks]
@@ -146,7 +151,7 @@ def test_restart_pass_runs_across_block_boundaries(monkeypatch):
     level needs the fully reorthogonalized restart, which then keeps more
     than two blocks of Krylov rows orthonormal to one another."""
     passes = _record_passes(monkeypatch)
-    lanczos_lowest(_fake_ham(_clustered(150)), k=3)
+    lanczos_lowest(_FakeHamiltonian(_clustered(150)), k=3)
     assert [full for full, _ in passes] == [False, True] * 3
     for _, blocks in passes[1::2]:
         heights = [len(rows) for rows in blocks]
@@ -204,13 +209,11 @@ def test_krylov_store_peak_memory():
     allocates its Krylov rows in 64-row blocks and copies none of them: the
     traced peak stays within the blocks its steps need plus 16 vectors. A
     store that grows by copying holds a 64-row and a 128-row array at once."""
-    from spinent.hamiltonian import SparseHamiltonian
-
     ham = _sector_ham(ModelSpec("xxz_half", delta=-0.95), 16, 0.0)
     counting = _CountingMatrix(ham.matrix)
     tracemalloc.start()
     try:
-        lanczos_lowest(SparseHamiltonian(counting))
+        lanczos_lowest(_FakeHamiltonian(counting))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,7 +227,7 @@ def test_degenerate_ground_needs_injected_directions():
     third copies of a triple-degenerate ground state come into reach only
     through deflation: one pass per copy, each orthogonal to those locked."""
     diag = np.concatenate([np.zeros(3), np.arange(1.0, 38.0)])
-    ham = _fake_ham(sparse.diags(diag))
+    ham = _FakeHamiltonian(sparse.diags(diag, format="csr"))
     results = lanczos_lowest(ham, k=3)
     np.testing.assert_allclose([r.energy for r in results], 0.0, atol=1e-10)
     vectors = np.array([r.vector for r in results])
@@ -266,12 +269,13 @@ def test_single_state_sector():
     assert abs(result.energy - 0.2) < 1e-14
 
 
-def test_unconverged_solve_raises_with_best_residual():
+def test_unconverged_solve_raises_with_best_residual(monkeypatch):
     rng = np.random.default_rng(11)
     mat = rng.standard_normal((60, 60))
-    ham = _fake_ham(sparse.csr_matrix(mat + mat.T))
+    ham = _FakeHamiltonian(sparse.csr_matrix(mat + mat.T))
+    monkeypatch.setattr(eigensolver, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as caught:
-        lanczos_lowest(ham, max_iter=3)
+        lanczos_lowest(ham)
     assert caught.value.best_residual > 0.0
     assert "restart" in str(caught.value)
 
@@ -286,11 +290,11 @@ def test_deterministic_restarts():
 
 def test_dense_oracle_guards():
     with pytest.raises(ValueError):
-        dense_lowest(_fake_ham(sparse.csr_matrix((4001, 4001))))
+        dense_lowest(_FakeHamiltonian(sparse.csr_matrix((4001, 4001))))
     with pytest.raises(ValueError):
-        dense_lowest(_fake_ham(np.eye(2)), k=0)
+        dense_lowest(_FakeHamiltonian(sparse.csr_matrix(np.eye(2))), k=0)
     with pytest.raises(ValueError):
-        lanczos_lowest(_fake_ham(np.eye(2)), k=0)
+        lanczos_lowest(_FakeHamiltonian(sparse.csr_matrix(np.eye(2))), k=0)
 
 
 @pytest.mark.parametrize("n", [10, 12, 16])
@@ -373,7 +377,6 @@ def test_scan_ferromagnet_is_doubly_degenerate():
     report = ground_state_scan(ModelSpec("xxz_half", delta=-2.0), chain_lattice(8))
     assert report.ground_sz == 4.0
     assert report.degeneracy == 2
-    assert report.degenerate_flag
     assert abs(report.ground_energy - (-4.0)) < 1e-12
     assert report.representative_basis.sz_sector == 4.0
     assert abs(np.linalg.norm(report.representative.vector) - 1.0) < 1e-12
@@ -391,13 +394,11 @@ def test_scan_gapless_point_is_unique():
     report = ground_state_scan(ModelSpec("xxz_half", delta=0.5), chain_lattice(8))
     assert report.ground_sz == 0.0
     assert report.degeneracy == 1
-    assert not report.degenerate_flag
     assert set(report.per_sector_energies) == set(nonnegative_sectors("half", 8))
 
 
 def test_scan_blbq_ferro_arc_is_flagged():
     report = ground_state_scan(ModelSpec("blbq", theta=np.pi), chain_lattice(6))
-    assert report.degenerate_flag
     assert report.degeneracy == 13  # S_total = 6 multiplet
 
 
@@ -446,6 +447,41 @@ def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
     assert report.degeneracy == expected == 2207
     dims = [1107, 1016, 784, 504]
     assert calls == [(dim, 1) for dim in dims] + [(dim, k) for dim in dims for k in (2, 4)]
+
+
+def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch):
+    """blbq theta = pi/2, L = 8: the small sectors' arrays are combined in
+    the first pass; each Lanczos sector's top-up then asks sector_lowest for
+    every level once four sit in the window, so its array also comes from
+    combine_dense, once per sector."""
+    calls = []
+    real = hamiltonian.combine_dense
+
+    def combine_dense(parts, coefficients):
+        total = real(parts, coefficients)
+        calls.append(total.shape[0])
+        return total
+
+    monkeypatch.setattr(hamiltonian, "combine_dense", combine_dense)
+    report = ground_state_scan(ModelSpec("blbq", theta=np.pi / 2), chain_lattice(8))
+    assert report.degeneracy == 2207
+    assert calls == [266, 112, 36, 8, 1, 1107, 1016, 784, 504]
+
+
+def test_asking_for_every_level_solves_densely(monkeypatch):
+    """sector_lowest is the one switch: asked for as many levels as a sector
+    above the dense cutoff holds (xxz_half N=12 Sz=2, 495 states), it gives
+    eigvalsh of the combined array, bit for bit, and runs no Lanczos."""
+    ham = _sector_ham(ModelSpec("xxz_half", delta=0.5), 12, 2.0)
+    assert ham.dimension == 495 > eigensolver._DENSE_CUTOFF
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("Lanczos ran")
+
+    monkeypatch.setattr(eigensolver, "lanczos_lowest", no_lanczos)
+    levels, pair = eigensolver.sector_lowest(ham, count=ham.dimension)
+    assert levels == list(np.linalg.eigvalsh(ham.dense()))
+    assert pair()[1].energy == np.linalg.eigh(ham.dense())[0][0]
 
 
 def test_low_spectrum_trims_and_sorts():
@@ -550,7 +586,7 @@ def test_lanczos_overflow_is_a_value_error_naming_the_matrix():
     """A finite matrix of entries 1e306 overflows the norm of the first
     Lanczos vector. That is a ValueError naming the matrix, raised without
     a numpy warning, not scipy's complaint about the tridiagonal."""
-    huge = sparse.diags([1e306, 1e306], [-1, 1], shape=(50, 50))
+    huge = sparse.diags([1e306, 1e306], [-1, 1], shape=(50, 50), format="csr")
     with pytest.raises(ValueError, match="the sector matrix overflows"):
-        lanczos_lowest(_fake_ham(huge))
-    assert lanczos_lowest(_fake_ham(huge * 1e-306))[0].converged
+        lanczos_lowest(_FakeHamiltonian(huge))
+    assert lanczos_lowest(_FakeHamiltonian(huge * 1e-306))[0].converged

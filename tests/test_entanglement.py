@@ -173,7 +173,7 @@ def test_isotropic_limit_elements_reproduce_known_measures():
 
 
 def test_maximally_mixed_pair():
-    rdm = TwoSiteRDM(local_dim=2, matrix=np.eye(4) / 4.0, site_pair=(0, 1))
+    rdm = TwoSiteRDM(local_dim=2, matrix=np.eye(4) / 4.0)
     np.testing.assert_allclose(von_neumann_entropy(rdm), 2.0, atol=1e-14)
     el = xform_extract(rdm)
     assert el.z == 0.0
@@ -186,7 +186,7 @@ def test_xform_rejects_entries_off_the_pattern():
     bad = np.eye(4) / 4.0
     bad[0, 1] = bad[1, 0] = 0.1
     with pytest.raises(PatternViolationError):
-        xform_extract(TwoSiteRDM(local_dim=2, matrix=bad, site_pair=(0, 1)))
+        xform_extract(TwoSiteRDM(local_dim=2, matrix=bad))
 
 
 def test_xform_rejects_asymmetric_coherence():
@@ -194,7 +194,7 @@ def test_xform_rejects_asymmetric_coherence():
     bad[1, 2] = 0.05
     bad[2, 1] = -0.05
     with pytest.raises(PatternViolationError):
-        xform_extract(TwoSiteRDM(local_dim=2, matrix=bad, site_pair=(0, 1)))
+        xform_extract(TwoSiteRDM(local_dim=2, matrix=bad))
 
 
 def test_qubit_only_measures_reject_spin_one():
@@ -260,13 +260,9 @@ def test_correlators_match_full_space_operators():
 
 
 def test_entropy_clamps_round_off_but_rejects_real_negativity():
-    near = TwoSiteRDM(
-        local_dim=2, matrix=np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0]), site_pair=(0, 1)
-    )
+    near = TwoSiteRDM(local_dim=2, matrix=np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0]))
     assert von_neumann_entropy(near) == 0.0
-    bad = TwoSiteRDM(
-        local_dim=2, matrix=np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]), site_pair=(0, 1)
-    )
+    bad = TwoSiteRDM(local_dim=2, matrix=np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]))
     with pytest.raises(ValueError):
         von_neumann_entropy(bad)
 
@@ -298,7 +294,7 @@ def test_closed_forms_match_matrix_routes_on_random_x_states(weights, fraction):
     z = fraction * math.sqrt(w1 * w2)
     matrix = np.diag([u_plus, w1, w2, u_minus])
     matrix[1, 2] = matrix[2, 1] = z
-    rdm = TwoSiteRDM(local_dim=2, matrix=matrix, site_pair=(0, 1))
+    rdm = TwoSiteRDM(local_dim=2, matrix=matrix)
     el = xform_extract(rdm)
     np.testing.assert_allclose(
         entropy_closed_form(el), von_neumann_entropy(rdm), atol=1e-10
