@@ -14,10 +14,12 @@ that complete its unit count, so it is built without scanning every
 configuration; and a state's row is the number of sector states under
 smaller high codes plus the rank of its low code.
 
-A sector splits further into blocks of one character under the lattice
-translations, each spanned by representative states (H. Q. Lin, op. cit.;
-Sandvik, op. cit., sec. 4). The plain sector is the block of the trivial
-group.
+A sector splits further into blocks of one character under a group of
+site and spin maps, each spanned by representative states (H. Q. Lin, op.
+cit.; Sandvik, op. cit., sec. 4): the lattice translations, or the
+reflection and, at Sz = 0, the global spin inversion. One builder,
+orbit_block, serves both groups. The plain sector is the block of the
+trivial group.
 """
 
 from __future__ import annotations
@@ -297,7 +299,44 @@ def translation_block(
     basis: SpinBasis, translations: tuple[tuple[int, int], ...], characters: tuple[int, ...]
 ) -> SectorBlock:
     """The block of a sector on which each translation generator acts as its
-    character (+1 or -1).
+    character (+1 or -1)."""
+    return orbit_block(basis, _images(basis, basis.states, list(zip(translations, characters))))
+
+
+def parity_blocks(basis: SpinBasis, reflection: tuple[int, ...]) -> list[SectorBlock]:
+    """The non-empty blocks of a sector under the site reflection R and, at
+    Sz = 0, the global spin inversion F, which maps every local Sz to its
+    negative. Each is real and of one character under R and F; they come in
+    the fixed order (R, F) = (+1, +1), (+1, -1), (-1, +1), (-1, -1), F
+    omitted away from Sz = 0, and together they span the sector (Sandvik,
+    arXiv:1101.3281, sec. 4.2-4.3).
+    """
+    states = basis.states
+    mirrored = np.zeros_like(states)
+    b = basis.bits_per_site
+    mask = (1 << b) - 1
+    for site, image in enumerate(reflection):
+        mirrored |= ((states >> (b * site)) & mask) << (b * image)
+    # F takes digit d to its highest value minus d at every site, so it
+    # subtracts the state from the all-highest one; only Sz = 0 maps to itself.
+    top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
+    flips = (1, -1) if basis.sz_sector == 0 else (None,)
+    blocks = []
+    for r in (1, -1):
+        for f in flips:
+            elements = [(states, 1), (mirrored, r)]
+            if f is not None:
+                elements += [(top - states, f), (top - mirrored, r * f)]
+            block = orbit_block(basis, elements)
+            if block.dimension:
+                blocks.append(block)
+    return blocks
+
+
+def orbit_block(basis: SpinBasis, elements) -> SectorBlock:
+    """The block of a sector under a group of characters +1 or -1, given as the
+    (image of every sector state, character) of each element, identity
+    first.
 
     The representative of a state is the smallest state of its orbit. An
     orbit whose stabilizer holds an element of character -1 has no state in
@@ -309,7 +348,7 @@ def translation_block(
     fixed = np.zeros(states.size, dtype=np.int64)
     annihilated = np.zeros(states.size, dtype=bool)
     group = 0
-    for image, character in _images(basis, states, list(zip(translations, characters))):
+    for image, character in elements:
         group += 1
         still = image == states
         fixed += still

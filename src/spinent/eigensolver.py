@@ -20,9 +20,13 @@ for small sectors.
 sector_lowest is the one dense-versus-Lanczos switch, for scans, spectra
 and the degenerate top-up alike. A sector of at most _DENSE_CUTOFF states,
 or one whose every level is asked for, is diagonalized densely, values
-only, from an array combined straight from the block's CSR parts;
-eigenvectors come from a second, ``eigh`` solve made on demand, which a
-scan makes for the one sector that represents the point.
+only, from arrays combined straight from CSR parts. The scan, the check
+battery and the top-up hand it the sector's parity blocks: the lattice
+reflection and, at Sz = 0, the global spin inversion split the sector into
+real blocks of one character each (Sandvik, arXiv:1101.3281, sec. 4.2-4.3),
+a quarter to a half of its size, and the sector's levels are the union of
+theirs. Eigenvectors come from a second, ``eigh`` solve made on demand,
+which a scan makes for the one block that represents the point.
 
 solve_sector makes the one block-or-whole decision for ground_state_scan
 and the check battery. A sector above the dense cutoff is solved in one
@@ -32,8 +36,9 @@ every delta, xxz_one with beta >= 0, blbq at theta = 0 and in
 (3*pi/2, 2*pi). The sector's ground state is then unique, and the
 characters ``hamiltonian.ground_characters`` predicts under each lattice
 translation pick its block, about N times smaller than the sector. Odd
-rings, every other model point, dense sectors and low_spectrum use the
-whole sector.
+rings and every other model point solve a large sector whole by Lanczos,
+and a dense one as its parity blocks; low_spectrum solves every sector
+whole.
 """
 
 from __future__ import annotations
@@ -88,15 +93,16 @@ class GroundStateReport:
     ``degeneracy`` counts states within the scan's ``tol_deg`` of the ground
     energy across all sectors, doubling Sz > 0 sectors for their
     spin-flipped partners. Sectors diagonalized densely contribute their
-    full spectrum, values only, except the representative's sector, whose
-    levels come from the ``eigh`` that also gives its vector; the ground
-    energy is the lowest level after that swap. A sector solved whole by
-    Lanczos contributes its lowest level, and more while its levels found so
-    far all lie within ``tol_deg`` of the ground: the scan asks sector_lowest
-    for twice as many levels, up to _LANCZOS_TOP_UP, and past that for all
-    of them if the sector has at most _DENSE_LIMIT states, which
-    sector_lowest answers with a values-only dense solve; a larger sector
-    goes on doubling. So a manifold with several members in one large sector
+    full spectrum, the union of their parity blocks' levels, values only,
+    except the representative's block, whose levels come from the ``eigh``
+    that also gives its vector; the ground energy is the lowest level after
+    that swap. A sector solved whole by Lanczos contributes its lowest
+    level, and more while its levels found so far all lie within ``tol_deg``
+    of the ground: the scan asks sector_lowest for twice as many levels, up
+    to _LANCZOS_TOP_UP, and past that for all of them if the sector has at
+    most _DENSE_LIMIT states, which sector_lowest answers with a values-only
+    dense solve of each of its parity blocks; a larger sector goes on
+    doubling. So a manifold with several members in one large sector
     is counted in full (45 at blbq theta = 5*pi/4, L = 8, and 2,207 at
     theta = pi/2). A sector solved in its translation block contributes one
     level: there Perron-Frobenius makes the sector's ground state unique,
@@ -108,6 +114,12 @@ class GroundStateReport:
     the largest-Sz sector attaining the ground energy, i.e. the polarized
     member of a ferromagnetic manifold. A polarized product state carries no
     entanglement, so downstream entropy columns read 0 there, deterministically.
+    A dense sector's lowest state is the bottom of one of its parity blocks:
+    the first, in the block order of ``basis.parity_blocks``, whose bottom
+    lies within ``tol`` of the sector's lowest level. So where that level is
+    degenerate, as for the momentum pair of an odd ring's Sz = 1/2 sector,
+    the vector is an eigenstate of the reflection, and at Sz = 0 of the spin
+    inversion, picked by a fixed rule rather than by LAPACK.
     ``representative`` is always a vector over the plain sector basis
     ``representative_basis``.
     """
@@ -340,33 +352,56 @@ def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult
     return [_dense_pair(dense, vals, vecs, idx) for idx in range(min(k, n))]
 
 
-def _dense_bottom(dense: np.ndarray) -> tuple[list[float], EigenResult]:
-    vals, vecs = np.linalg.eigh(dense)
-    return list(map(float, vals)), _dense_pair(dense, vals, vecs, 0)
-
-
 def sector_lowest(
-    hamiltonian: SparseHamiltonian, count: int = 1, tol: float = 1e-10
+    hamiltonian: SparseHamiltonian,
+    count: int = 1,
+    tol: float = 1e-10,
+    blocks: Callable[[], list[tuple[SectorBlock, SparseHamiltonian]]] | None = None,
 ) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]]]:
     """Lowest energies of one sector, and a call that gives its bottom eigenpair.
 
     This is the one place that picks a dense solve over Lanczos. Sectors of
     dimension <= _DENSE_CUTOFF, and any sector asked for ``count`` >= its
     dimension levels, are diagonalized densely in full, values only (their
-    complete spectrum feeds degeneracy counting for free). Their
-    eigenvectors cost an ``eigh`` of the same array, run only when the call
-    is made; it returns that solve's levels, whose last digits can differ
-    from the values-only ones, with the pair. Other sectors get the
+    complete spectrum feeds degeneracy counting for free). ``blocks``, if
+    given, lists the sector's parity blocks (see
+    SectorWorkspace.parity_matrices); a dense solve then diagonalizes each
+    of them instead of the whole array, and the sector's levels are the
+    union of theirs. Each array is dropped once its levels are found. The
+    eigenvectors cost an ``eigh`` of one array, combined again only when
+    the call is made: the first block, in block order, whose bottom lies
+    within ``tol`` of the sector's lowest level, or the whole array. The
+    call returns the levels with that solve's in place of the values-only
+    ones of its array, whose last digits can differ, and the pair, a parity
+    block's vector written out over the plain sector. Other sectors get the
     ``count`` lowest levels and the pair from Lanczos at once, and the call
     hands both back.
     """
     dim = hamiltonian.dimension
     if dim <= _DENSE_CUTOFF or count >= dim:
-        dense = hamiltonian.dense()
-        return list(map(float, np.linalg.eigvalsh(dense))), partial(_dense_bottom, dense)
+        return _dense_union(blocks() if blocks else [(None, hamiltonian)], tol)
     results = lanczos_lowest(hamiltonian, k=count, tol=tol)
     levels = [r.energy for r in results]
     return levels, lambda: (levels, results[0])
+
+
+def _dense_union(blocks, tol: float):
+    """sector_lowest's dense solve over (block or None, Hamiltonian) pieces."""
+    spectra = [np.linalg.eigvalsh(hamiltonian.dense()) for _, hamiltonian in blocks]
+    levels = np.sort(np.concatenate(spectra))
+    pick = next(i for i, values in enumerate(spectra) if values[0] <= levels[0] + tol)
+    block, hamiltonian = blocks[pick]
+    others = spectra[:pick] + spectra[pick + 1 :]
+
+    def bottom() -> tuple[list[float], EigenResult]:
+        dense = hamiltonian.dense()
+        vals, vecs = np.linalg.eigh(dense)
+        found = _dense_pair(dense, vals, vecs, 0)
+        if block is not None:
+            found = replace(found, vector=block.expand(found.vector))
+        return list(map(float, np.sort(np.concatenate([vals, *others])))), found
+
+    return list(map(float, levels)), bottom
 
 
 def solve_sector(
@@ -377,15 +412,17 @@ def solve_sector(
 
     A sector above the dense cutoff is solved in the translation block
     ``ground_characters`` predicts, where the sector's ground is unique and
-    is the one energy returned; any other sector whole, by sector_lowest.
-    ``block.expand`` writes the bottom vector out over the plain sector. The
-    call raises ValueError, naming the model, if the pair's residual is not
-    finite: the matrix is then too large to check it.
+    is the one energy returned; any other sector whole, by sector_lowest,
+    a dense one as its parity blocks. ``block.expand`` writes the bottom
+    vector out over the plain sector. The call raises ValueError, naming
+    the model, if the pair's residual is not finite: the matrix is then too
+    large to check it.
     """
     characters = ()
     if workspace.basis(sz).dimension > _DENSE_CUTOFF:
         characters = ground_characters(model, workspace.lattice, sz)
-    energies, pair = sector_lowest(workspace.matrix(model, sz, characters), tol=tol)
+    parity = None if characters else partial(workspace.parity_matrices, model, sz)
+    energies, pair = sector_lowest(workspace.matrix(model, sz, characters), tol=tol, blocks=parity)
     block = workspace.block(sz, characters)[0]
     keep = 1 if characters else len(energies)
 
@@ -416,11 +453,12 @@ def ground_state_scan(
     solve_sector. The representative sector is picked from those levels;
     only then is its bottom pair formed, its levels replaced by the ones
     that solve gives, and the ground energy taken, so a dense point runs one
-    ``eigh``. A sector solved whole by Lanczos whose levels all lie within
-    ``tol_deg`` of the ground is topped up, after the ground energy and the
-    representative are fixed, until a level clears that window: its
-    Hamiltonian is built once and sector_lowest asked for more of its
-    levels. GroundStateReport describes the top-up and the
+    ``eigh``, on one parity block. A sector solved whole by Lanczos whose
+    levels all lie within ``tol_deg`` of the ground is topped up, after the
+    ground energy and the representative are fixed, until a level clears
+    that window: its Hamiltonian is built once and sector_lowest asked for
+    more of its levels, all of them at last as the union of its parity
+    blocks'. GroundStateReport describes the top-up and the
     degenerate-representative rule.
     """
     ws = _workspace(model, lattice, workspace)
@@ -437,11 +475,12 @@ def ground_state_scan(
         if block.reps is not block.basis:
             continue
         hamiltonian = ws.matrix(model, sz)
+        parity = partial(ws.parity_matrices, model, sz)
         while len(levels) < block.dimension and levels[-1] <= ground + tol_deg:
             count = 2 * len(levels)
             if len(levels) >= _LANCZOS_TOP_UP and block.dimension <= _DENSE_LIMIT:
                 count = block.dimension
-            levels = sector_lowest(hamiltonian, count, tol)[0]
+            levels = sector_lowest(hamiltonian, count, tol, parity)[0]
         per_sector[sz] = levels
     degeneracy = 0
     for sz, levels in per_sector.items():
@@ -492,10 +531,10 @@ def low_spectrum(
     at gaps wider than ``tol_deg``, and the members of a cluster are listed
     by (|Sz|, Sz), then energy, so which members the cutoff keeps, and in
     what order, does not hang on round-off; within a cluster the energies
-    need not ascend. Each sector's levels come from sector_lowest, so dense
-    sectors give the values-only ``eigvalsh`` levels the scan reads for every
-    sector but the representative's, which it takes from ``eigh``; the last
-    digits of the two can differ.
+    need not ascend. Each sector's levels come from sector_lowest on the
+    whole sector, so a dense sector gives the values-only ``eigvalsh`` levels
+    of its whole array, where the scan reads those of its parity blocks and
+    the representative's block from ``eigh``; the last digits can differ.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")

@@ -10,10 +10,10 @@ Supported families (transverse coupling fixed to 1, energies dimensionless):
 
 Every bond operator is expanded once as a dense stencil on the two-site
 product space (4x4 for spin-1/2, 9x9 for spin-1) and then scattered bond
-by bond into a sector block: the plain sector or one translation block. The
-biquadratic stencil is simply the matrix square of the exchange stencil, so
-the two spin-1 families share one code path and repeated operator algebra
-cannot drift.
+by bond into a sector block: the plain sector, one translation block or
+one parity block. The biquadratic stencil is simply the matrix square of
+the exchange stencil, so the two spin-1 families share one code path and
+repeated operator algebra cannot drift.
 
 The parts of a family are assembled in one pass over the bonds that
 shares each bond's work between them, rows found by ``SpinBasis.index``,
@@ -34,6 +34,7 @@ from .basis import (
     SectorBlock,
     SpinBasis,
     build_basis,
+    parity_blocks,
     plain_block,
     translation_block,
 )
@@ -384,9 +385,10 @@ def combine_dense(
 class SectorWorkspace:
     """Per-sector bases and stencil-part caches for one (family, lattice).
 
-    A sector's Hamiltonian is held as the stencil parts of one of its
-    blocks: the plain sector, or the translation block of given characters
-    (see ``ground_characters``). Each is assembled once, on first use, and a
+    A sector's Hamiltonian is held as the stencil parts of its blocks: the
+    plain sector, the translation block of given characters (see
+    ``ground_characters``), or its parity blocks, which a dense solve
+    diagonalizes one by one. Each is assembled once, on first use, and a
     sweep combines the cached parts with fresh coefficients at every
     parameter value instead of reassembling the matrix. The CSR parts are
     the one stored form of a block: a dense solve combines its array from
@@ -401,6 +403,7 @@ class SectorWorkspace:
         self.spin = FAMILY_SPIN[family]
         self._bases: dict[float, SpinBasis] = {}
         self._blocks: dict[tuple, tuple[SectorBlock, dict[str, sparse.csr_matrix]]] = {}
+        self._parity: dict[float, list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]] = {}
 
     def basis(self, sz: float) -> SpinBasis:
         """The plain sector basis; nothing is assembled."""
@@ -434,8 +437,25 @@ class SectorWorkspace:
         """The Hamiltonian of one block at one model point, over the block's
         cached parts; each solve combines it in the form it reads (see
         SparseHamiltonian)."""
+        self._check_family(model)
+        return SparseHamiltonian(model, self.block(sz, characters)[1])
+
+    def parity_matrices(
+        self, model: ModelSpec, sz: float
+    ) -> list[tuple[SectorBlock, SparseHamiltonian]]:
+        """Each parity block of the sector (see basis.parity_blocks) with its
+        Hamiltonian at one model point, in block order. The blocks and their
+        parts are built on the first call for the sector."""
+        self._check_family(model)
+        if sz not in self._parity:
+            self._parity[sz] = [
+                (block, assemble_parts(self.family, self.lattice, block))
+                for block in parity_blocks(self.basis(sz), self.lattice.reflection())
+            ]
+        return [(block, SparseHamiltonian(model, parts)) for block, parts in self._parity[sz]]
+
+    def _check_family(self, model: ModelSpec) -> None:
         if model.family != self.family:
             raise ValueError(
                 f"workspace built for {self.family!r}, got model {model.family!r}"
             )
-        return SparseHamiltonian(model, self.block(sz, characters)[1])

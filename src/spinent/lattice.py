@@ -48,6 +48,15 @@ class Lattice:
             return ((1, width), (width, self.num_sites))
         return ((1, self.num_sites),)
 
+    def reflection(self) -> tuple[int, ...]:
+        """Image of every site under the mirror that maps the bonds onto
+        themselves: i -> -i mod N on a ring, and (row, col) -> (row, -col
+        mod width) on the periodic square."""
+        width = self.extent[0]
+        return tuple(
+            site - site % width + (-site) % width for site in range(self.num_sites)
+        )
+
 
 def chain_lattice(num_sites: int) -> Lattice:
     """Periodic chain (ring) of ``num_sites`` sites.

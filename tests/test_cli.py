@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -311,6 +312,32 @@ def test_every_exported_name_resolves():
     missing = [name for name in spinent.__all__ if not hasattr(spinent, name)]
     assert not missing
     assert len(set(spinent.__all__)) == len(spinent.__all__)
+
+
+def test_benchmark_tracer_wraps_names_that_resolve():
+    """The benchmark's tracer (perfbench/tracing.py, read here, never
+    changed) wraps spinent functions at the names the calling modules bind
+    them under; a name a refactor drops would break ``--trace 1``.
+    Installing must wrap each of them, uninstalling must put every original
+    back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer("names")
+    try:
+        tracer.install()
+        wrapped = list(tracer._originals)
+        assert all(getattr(module, attr) is not original for module, attr, original in wrapped)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is original for module, attr, original in wrapped)
+    names = {f"{module.__name__.rsplit('.', 1)[1]}.{attr}" for module, attr, _ in wrapped}
+    assert {
+        "hamiltonian.build_basis", "hamiltonian.assemble_parts", "hamiltonian.combine_parts",
+        "eigensolver.lanczos_lowest", "checks.dense_lowest", "checks.lanczos_lowest",
+        "analysis.two_site_rdm", "analysis.ground_state_scan", "cli.run",
+    } <= names
 
 
 def test_spectrum_reports_levels_and_clusters(tmp_path):

@@ -337,6 +337,20 @@ def _whole_spectrum_ground(model, workspace):
     return lowest[0]
 
 
+def _parity_block_ground(model, workspace):
+    """Ground energy, sector, block dimension and vector over the plain
+    sector by eigh on every parity block of every sector, the lowest block
+    winning; only for points whose ground is unique."""
+    lowest = []
+    for sz in nonnegative_sectors(workspace.spin, workspace.lattice.num_sites):
+        for block, ham in workspace.parity_matrices(model, sz):
+            vals, vecs = np.linalg.eigh(ham.matrix.toarray())
+            lowest.append((vals[0], sz, block.dimension, block.expand(vecs[:, 0])))
+    lowest.sort(key=lambda entry: entry[0])
+    assert lowest[1][0] - lowest[0][0] > 1e-6
+    return lowest[0]
+
+
 @pytest.mark.parametrize(
     "family,size,params",
     [
@@ -347,9 +361,10 @@ def _whole_spectrum_ground(model, workspace):
     ],
 )
 def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatch):
-    """Every sector is dense, so every one is solved values-only; only the
-    representative's sector gets eigenvectors, and the ground energy and
-    vector equal those of eigh on every sector, bit for bit."""
+    """Every sector is dense, so every parity block is solved values-only;
+    only the block that holds the ground gets eigenvectors, and the ground
+    energy and vector equal those of eigh on every block, bit for bit, and
+    those of eigh on every whole sector to round-off."""
     workspace = SectorWorkspace(family, chain_lattice(size))
     calls = []
     real_eigh = np.linalg.eigh
@@ -360,15 +375,36 @@ def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatc
 
     for param in params:
         model = model_for(family, param)
-        energy, sz, vector = _whole_spectrum_ground(model, workspace)
+        energy, sz, block_dim, vector = _parity_block_ground(model, workspace)
+        whole_energy, whole_sz, whole_vector = _whole_spectrum_ground(model, workspace)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
             report = ground_state_scan(model, workspace.lattice, workspace=workspace)
-        assert calls == [workspace.basis(sz).dimension]
-        assert report.ground_sz == sz
+        assert calls == [block_dim] and block_dim < workspace.basis(sz).dimension
+        assert report.ground_sz == sz == whole_sz
         assert report.ground_energy == energy
         assert np.array_equal(report.representative.vector, vector)
+        assert abs(energy - whole_energy) < 1e-12
+        assert abs(abs(vector @ whole_vector) - 1.0) < 1e-12
+
+
+def test_odd_ring_representative_is_a_reflection_eigenstate():
+    """N = 9, where the ground of the Sz = 1/2 sector is a momentum pair
+    that the reflection swaps: the representative is the bottom of one
+    parity block, so R v = +v or -v, and of the first block in the fixed
+    order, R = +1, since the two blocks' bottoms tie."""
+    lattice = chain_lattice(9)
+    for delta in (-0.5, 0.5, 1.0):
+        report = ground_state_scan(ModelSpec("xxz_half", delta=delta), lattice)
+        assert report.degeneracy == 4 and report.ground_sz == 0.5
+        basis, vector = report.representative_basis, report.representative.vector
+        mirrored = np.zeros_like(basis.states)
+        for site, image in enumerate(lattice.reflection()):
+            mirrored |= ((basis.states >> site) & 1) << image
+        reflected = np.zeros_like(vector)
+        reflected[np.searchsorted(basis.states, mirrored)] = vector
+        np.testing.assert_allclose(reflected, vector, rtol=0, atol=1e-12)
 
 
 def test_scan_ferromagnet_is_doubly_degenerate():
@@ -450,10 +486,12 @@ def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
 
 
 def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch):
-    """blbq theta = pi/2, L = 8: the small sectors' arrays are combined in
-    the first pass; each Lanczos sector's top-up then asks sector_lowest for
-    every level once four sit in the window, so its array also comes from
-    combine_dense, once per sector."""
+    """blbq theta = pi/2, L = 8: the small sectors' parity blocks are
+    combined in the first pass, and the representative's block (Sz = 8)
+    once more for its eigh; each Lanczos sector's top-up then asks
+    sector_lowest for every level once four sit in the window, so its parity
+    blocks' arrays also come from combine_dense, once per sector, and no
+    array of a whole Lanczos sector is formed."""
     calls = []
     real = hamiltonian.combine_dense
 
@@ -465,7 +503,9 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
     monkeypatch.setattr(hamiltonian, "combine_dense", combine_dense)
     report = ground_state_scan(ModelSpec("blbq", theta=np.pi / 2), chain_lattice(8))
     assert report.degeneracy == 2207
-    assert calls == [266, 112, 36, 8, 1, 1107, 1016, 784, 504]
+    small = [141, 125, 60, 52, 21, 15, 5, 3, 1]  # Sz = 4 .. 8: 266, 112, 36, 8, 1
+    topped_up = [292, 278, 262, 275, 521, 495, 406, 378, 261, 243]  # 1107, 1016, 784, 504
+    assert calls == small + [1] + topped_up
 
 
 def test_asking_for_every_level_solves_densely(monkeypatch):

@@ -210,11 +210,13 @@ def test_dense_combine_of_torus_translation_blocks():
 )
 def test_a_scan_stores_nothing_in_an_assembled_workspace(model, lattice):
     """A block is stored once, as its CSR parts: with every block of the
-    scan assembled beforehand, a scan over dense sectors leaves nothing
-    behind in the workspace."""
+    scan, plain and parity, assembled beforehand, a scan over dense sectors
+    leaves nothing behind in the workspace."""
     workspace = SectorWorkspace(model.family, lattice)
     for sz in nonnegative_sectors(workspace.spin, lattice.num_sites):
         assert workspace.block(sz)[0].dimension <= 300
+        blocks = workspace.parity_matrices(model, sz)
+        assert sum(block.dimension for block, _ in blocks) == workspace.basis(sz).dimension
     gc.collect()
     tracemalloc.start()
     try:

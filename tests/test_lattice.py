@@ -85,3 +85,22 @@ def test_translations_map_bonds_onto_bonds(lat):
             return start + (site - start + step) % period
 
         assert {tuple(sorted((move(i), move(j)))) for i, j in bonds} == bonds
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain_lattice(n) for n in range(2, 14)]
+    + [square_lattice(w, h) for w, h in ((3, 3), (4, 4), (4, 3), (3, 5))],
+    ids=lambda lat: f"{lat.geometry}-{'x'.join(map(str, lat.extent))}",
+)
+def test_reflection_maps_the_bonds_onto_themselves(lat):
+    """i -> -i mod N on a ring, (row, col) -> (row, -col mod width) on the
+    torus: an involution that keeps the bond set."""
+    images = lat.reflection()
+    width = lat.extent[0]
+    assert images == tuple(
+        (site // width) * width + (-(site % width)) % width for site in range(lat.num_sites)
+    )
+    assert all(images[images[site]] == site for site in range(lat.num_sites))
+    mirrored = {tuple(sorted((images[i], images[j]))) for i, j in lat.bonds}
+    assert mirrored == set(lat.bonds)

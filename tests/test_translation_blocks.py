@@ -92,22 +92,49 @@ def test_perron_frobenius_condition_table():
 
 
 def _record(monkeypatch):
-    """Record (sector dimension, block dimension, plain?) for every block
-    assembled and the dimension of every matrix solved."""
-    assembled, solved = [], []
+    """Record (sector dimension, block dimension, kind) for every block
+    assembled, the kind "plain", "translation" or "parity", and the
+    dimension of every matrix solved."""
+    assembled, solved, parity = [], [], set()
     real_assemble, real_lowest = hamiltonian.assemble_parts, eigensolver.sector_lowest
+    real_parity = hamiltonian.parity_blocks
+
+    def parity_blocks(*args):
+        blocks = real_parity(*args)
+        parity.update(id(block) for block in blocks)
+        return blocks
 
     def assemble(family, lattice, block):
-        assembled.append((block.basis.dimension, block.dimension, block.reps is block.basis))
+        kind = "translation"
+        if block.reps is block.basis:
+            kind = "plain"
+        elif id(block) in parity:
+            kind = "parity"
+        assembled.append((block.basis.dimension, block.dimension, kind))
         return real_assemble(family, lattice, block)
 
     def lowest(ham, *args, **kwargs):
         solved.append(ham.dimension)
         return real_lowest(ham, *args, **kwargs)
 
+    monkeypatch.setattr(hamiltonian, "parity_blocks", parity_blocks)
     monkeypatch.setattr(hamiltonian, "assemble_parts", assemble)
     monkeypatch.setattr(eigensolver, "sector_lowest", lowest)
     return assembled, solved
+
+
+def _parity_sectors(assembled):
+    """Dimension of each sector whose parity blocks were assembled, in
+    order; each sector's blocks must add up to it."""
+    sectors, total = [], 0
+    for dim, block_dim, kind in assembled:
+        if kind == "parity":
+            total += block_dim
+            if total == dim:
+                sectors.append(dim)
+                total = 0
+    assert total == 0
+    return sectors
 
 
 @pytest.mark.parametrize(
@@ -126,7 +153,14 @@ def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
     sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
     dims = [workspace.basis(sz).dimension for sz in sectors]
     assert max(dims) > _DENSE_CUTOFF
-    assert [(dim, dim, True) for dim in dims] == assembled
+    assert [(dim, dim, "plain") for dim in dims] == [
+        entry for entry in assembled if entry[2] != "parity"
+    ]
+    # every dense sector is split into its parity blocks, and so is every
+    # sector that a dense top-up reads whole
+    dense = [dim for dim in dims if dim <= _DENSE_CUTOFF]
+    split = _parity_sectors(assembled)
+    assert set(dense) <= set(split) <= set(dims)
     # every sector solved whole, some of them again for more levels
     assert solved[: len(dims)] == dims
     assert set(solved) <= set(dims)
@@ -139,23 +173,28 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
     ground_state_scan(ModelSpec("xxz_half", delta=0.5), lattice, workspace=workspace)
     large = [dim for dim, _, _ in assembled if dim > _DENSE_CUTOFF]
     assert len(large) == 6  # Sz = 0 .. 5
-    for dim, block_dim, plain in assembled:
-        assert plain == (dim <= _DENSE_CUTOFF)
-        if not plain:
+    for dim, block_dim, kind in assembled:
+        assert (kind == "translation") == (dim > _DENSE_CUTOFF)
+        if kind == "translation":
             assert block_dim < dim / 10
-    assert solved == [block_dim for _, block_dim, _ in assembled]
+    small = [dim for dim, _, kind in assembled if kind == "plain"]
+    assert _parity_sectors(assembled) == small
+    assert solved == [block_dim for _, block_dim, kind in assembled if kind != "parity"]
 
 
 def test_check_battery_never_assembles_large_plain_sectors(monkeypatch):
     """Criteria 1-4 take their Sz=0 grounds from the scan's sector solve, so
-    every sector above the cutoff they touch is assembled as a block only."""
+    every sector above the cutoff they touch is assembled as a translation
+    block only, and every other one whole and as its parity blocks."""
     monkeypatch.setattr(analysis, "_WORKSPACES", {})
     assembled, _ = _record(monkeypatch)
     context = checks.CheckContext()
     assert all(checks.run_criterion(number, context).passed for number in (1, 2, 3, 4))
     assert max(dim for dim, _, _ in assembled) == 184756  # N=20 Sz=0
-    for dim, _, plain in assembled:
-        assert plain == (dim <= _DENSE_CUTOFF)
+    for dim, _, kind in assembled:
+        assert (kind == "translation") == (dim > _DENSE_CUTOFF)
+    small = [dim for dim, _, kind in assembled if kind == "plain"]
+    assert sorted(_parity_sectors(assembled)) == sorted(small)
 
 
 @pytest.mark.parametrize(
