@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,8 @@ class CheckContext:
         hit = self._grounds.get(key)
         if hit is None:
             workspace = shared_workspace(family, geometry, size)
-            _, pair, block = solve_sector(model_for(family, param), workspace, 0.0)
-            bottom = pair()[1]
-            hit = (replace(bottom, vector=block.expand(bottom.vector)), block.basis)
+            _, pair, _ = solve_sector(model_for(family, param), workspace, 0.0)
+            hit = (pair()[1], workspace.basis(0.0))
             self._grounds[key] = hit
         return hit
 

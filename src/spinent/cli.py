@@ -5,8 +5,9 @@ low-lying levels with multiplicities, `bethe` solves one ring
 analytically, `scaling` chains sweep -> derivative -> extremum ->
 extrapolation, and `check` runs the acceptance battery.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (output is
-still written with failed rows annotated where that makes sense).
+Exit codes: 0 success, 1 usage error, 2 numerical failure or running out
+of memory (output is still written with failed rows annotated where that
+makes sense).
 
 Output files start with `#` metadata lines (tool version, resolved
 configuration, wall-clock seconds) so they stay self-describing while
@@ -268,6 +269,9 @@ def _cmd_scaling(ns) -> int:
     sizes = _parse_sizes(ns.sizes)
     if len(sizes) < 3:
         raise _UsageError("scaling needs at least 3 sizes")
+    repeated = [size for size in sizes if sizes.count(size) > 1]
+    if repeated:
+        raise _UsageError(f"scaling needs distinct sizes, got {repeated[0]} more than once")
     if ns.observable == "concurrence" and FAMILY_SPIN[family] != "half":
         raise _UsageError(
             f"concurrence is defined for spin-1/2 models only, not {ns.model}"
@@ -449,6 +453,10 @@ def run(argv=None) -> int:
     except ValueError as fail:
         print(f"error: {fail}", file=sys.stderr)
         return 1
+    except MemoryError as fail:
+        detail = f": {fail}" if str(fail) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

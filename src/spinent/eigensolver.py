@@ -17,16 +17,16 @@ reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
-sector_lowest is the one dense-versus-Lanczos switch, for scans, spectra
-and the degenerate top-up alike. A sector of at most _DENSE_CUTOFF states,
-or one whose every level is asked for, is diagonalized densely, values
-only, from arrays combined straight from CSR parts. The scan, the check
-battery and the top-up hand it the sector's parity blocks: the lattice
-reflection and, at Sz = 0, the global spin inversion split the sector into
-real blocks of one character each (Sandvik, arXiv:1101.3281, sec. 4.2-4.3),
-a quarter to a half of its size, and the sector's levels are the union of
-theirs. Eigenvectors come from a second, ``eigh`` solve made on demand,
-which a scan makes for the one block that represents the point.
+sector_lowest is the one sector solve and the one dense-versus-Lanczos
+switch, for scans, spectra and the degenerate top-up alike. A sector of at
+most _DENSE_CUTOFF states, or one whose every level is asked for, is
+diagonalized densely, values only, from arrays combined straight from CSR
+parts, and never assembled whole: the lattice reflection and, at Sz = 0,
+the global spin inversion split it into real parity blocks of one
+character each (Sandvik, arXiv:1101.3281, sec. 4.2-4.3), a quarter to a
+half of its size, and its levels are the union of theirs. Eigenvectors
+come from a second, ``eigh`` solve made on demand, which a scan makes for
+the one block that represents the point.
 
 solve_sector makes the one block-or-whole decision for ground_state_scan
 and the check battery. A sector above the dense cutoff is solved in one
@@ -38,7 +38,7 @@ characters ``hamiltonian.ground_characters`` predicts under each lattice
 translation pick its block, about N times smaller than the sector. Odd
 rings and every other model point solve a large sector whole by Lanczos,
 and a dense one as its parity blocks; low_spectrum solves every sector
-whole.
+whole, through the same sector_lowest.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .basis import SectorBlock, SpinBasis, nonnegative_sectors
+from .basis import SpinBasis, nonnegative_sectors, plain_block
 from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, ground_characters
 from .lattice import Lattice
 
@@ -121,7 +120,7 @@ class GroundStateReport:
     the vector is an eigenstate of the reflection, and at Sz = 0 of the spin
     inversion, picked by a fixed rule rather than by LAPACK.
     ``representative`` is always a vector over the plain sector basis
-    ``representative_basis``.
+    ``representative_basis``, the workspace's own ``basis(ground_sz)``.
     """
 
     per_sector_energies: dict[float, tuple[float, ...]]
@@ -353,40 +352,42 @@ def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult
 
 
 def sector_lowest(
-    hamiltonian: SparseHamiltonian,
+    workspace: SectorWorkspace,
+    model: ModelSpec,
+    sz: float,
     count: int = 1,
     tol: float = 1e-10,
-    blocks: Callable[[], list[tuple[SectorBlock, SparseHamiltonian]]] | None = None,
+    characters: tuple[int, ...] = (),
 ) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]]]:
-    """Lowest energies of one sector, and a call that gives its bottom eigenpair.
+    """Lowest energies of one sector, or of its translation block of the
+    given ``characters``, and a call that gives its bottom eigenpair.
 
-    This is the one place that picks a dense solve over Lanczos. Sectors of
-    dimension <= _DENSE_CUTOFF, and any sector asked for ``count`` >= its
-    dimension levels, are diagonalized densely in full, values only (their
-    complete spectrum feeds degeneracy counting for free). ``blocks``, if
-    given, lists the sector's parity blocks (see
-    SectorWorkspace.parity_matrices); a dense solve then diagonalizes each
-    of them instead of the whole array, and the sector's levels are the
-    union of theirs. Each array is dropped once its levels are found. The
-    eigenvectors cost an ``eigh`` of one array, combined again only when
-    the call is made: the first block, in block order, whose bottom lies
-    within ``tol`` of the sector's lowest level, or the whole array. The
-    call returns the levels with that solve's in place of the values-only
-    ones of its array, whose last digits can differ, and the pair, a parity
-    block's vector written out over the plain sector. Other sectors get the
-    ``count`` lowest levels and the pair from Lanczos at once, and the call
-    hands both back.
+    This is the one sector solve and the one place that picks a dense solve
+    over Lanczos. A piece of dimension <= _DENSE_CUTOFF, or one asked for
+    ``count`` >= its dimension levels, is diagonalized densely in full,
+    values only (its complete spectrum feeds degeneracy counting for free):
+    a sector as its parity blocks (see SectorWorkspace.parity_matrices),
+    whose levels' union is the sector's, a translation block as itself.
+    Each array is dropped once its levels are found. The eigenvectors cost
+    an ``eigh`` of one block, combined again only when the call is made:
+    the first, in block order, whose bottom lies within ``tol`` of the
+    lowest level. The call returns the levels with that solve's in place of
+    the values-only ones of its block. Any other piece gets the ``count``
+    lowest levels and the pair from Lanczos at once, the only route that
+    builds its CSR matrix. The pair's vector is over the plain sector.
     """
-    dim = hamiltonian.dimension
-    if dim <= _DENSE_CUTOFF or count >= dim:
-        return _dense_union(blocks() if blocks else [(None, hamiltonian)], tol)
-    results = lanczos_lowest(hamiltonian, k=count, tol=tol)
+    block = workspace.block(sz, characters)[0] if characters else plain_block(workspace.basis(sz))
+    if block.dimension <= _DENSE_CUTOFF or count >= block.dimension:
+        if characters:
+            return _dense_union([(block, workspace.matrix(model, sz, characters))], tol)
+        return _dense_union(workspace.parity_matrices(model, sz), tol)
+    results = lanczos_lowest(workspace.matrix(model, sz, characters), k=count, tol=tol)
     levels = [r.energy for r in results]
-    return levels, lambda: (levels, results[0])
+    return levels, lambda: (levels, replace(results[0], vector=block.expand(results[0].vector)))
 
 
 def _dense_union(blocks, tol: float):
-    """sector_lowest's dense solve over (block or None, Hamiltonian) pieces."""
+    """sector_lowest's dense solve over (block, Hamiltonian) pieces."""
     spectra = [np.linalg.eigvalsh(hamiltonian.dense()) for _, hamiltonian in blocks]
     levels = np.sort(np.concatenate(spectra))
     pick = next(i for i, values in enumerate(spectra) if values[0] <= levels[0] + tol)
@@ -397,8 +398,7 @@ def _dense_union(blocks, tol: float):
         dense = hamiltonian.dense()
         vals, vecs = np.linalg.eigh(dense)
         found = _dense_pair(dense, vals, vecs, 0)
-        if block is not None:
-            found = replace(found, vector=block.expand(found.vector))
+        found = replace(found, vector=block.expand(found.vector))
         return list(map(float, np.sort(np.concatenate([vals, *others])))), found
 
     return list(map(float, levels)), bottom
@@ -406,24 +406,22 @@ def _dense_union(blocks, tol: float):
 
 def solve_sector(
     model: ModelSpec, workspace: SectorWorkspace, sz: float, tol: float = 1e-10
-) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], SectorBlock]:
+) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], bool]:
     """Lowest energies of one sector, a call that gives them with the
-    sector's bottom eigenpair (see sector_lowest), and the sector's block.
+    sector's bottom eigenpair over the plain sector (see sector_lowest), and
+    whether the sector was solved whole.
 
     A sector above the dense cutoff is solved in the translation block
     ``ground_characters`` predicts, where the sector's ground is unique and
     is the one energy returned; any other sector whole, by sector_lowest,
-    a dense one as its parity blocks. ``block.expand`` writes the bottom
-    vector out over the plain sector. The call raises ValueError, naming
+    a dense one as its parity blocks. The call raises ValueError, naming
     the model, if the pair's residual is not finite: the matrix is then too
     large to check it.
     """
     characters = ()
     if workspace.basis(sz).dimension > _DENSE_CUTOFF:
         characters = ground_characters(model, workspace.lattice, sz)
-    parity = None if characters else partial(workspace.parity_matrices, model, sz)
-    energies, pair = sector_lowest(workspace.matrix(model, sz, characters), tol=tol, blocks=parity)
-    block = workspace.block(sz, characters)[0]
+    energies, pair = sector_lowest(workspace, model, sz, tol=tol, characters=characters)
     keep = 1 if characters else len(energies)
 
     def bottom() -> tuple[list[float], EigenResult]:
@@ -435,7 +433,7 @@ def solve_sector(
             )
         return levels[:keep], found
 
-    return energies[:keep], bottom, block
+    return energies[:keep], bottom, not characters
 
 
 def ground_state_scan(
@@ -456,10 +454,9 @@ def ground_state_scan(
     ``eigh``, on one parity block. A sector solved whole by Lanczos whose
     levels all lie within ``tol_deg`` of the ground is topped up, after the
     ground energy and the representative are fixed, until a level clears
-    that window: its Hamiltonian is built once and sector_lowest asked for
-    more of its levels, all of them at last as the union of its parity
-    blocks'. GroundStateReport describes the top-up and the
-    degenerate-representative rule.
+    that window: sector_lowest is asked for more of its levels, all of them
+    at last as the union of its parity blocks'. GroundStateReport describes
+    the top-up and the degenerate-representative rule.
     """
     ws = _workspace(model, lattice, workspace)
     sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
@@ -467,20 +464,17 @@ def ground_state_scan(
     per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
     lowest = min(levels[0] for levels in per_sector.values())
     rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
-    _, pair, rep_block = solved[rep_sz]
-    per_sector[rep_sz], bottom = pair()
+    per_sector[rep_sz], bottom = solved[rep_sz][1]()
     ground = min(levels[0] for levels in per_sector.values())
     for sz, levels in per_sector.items():
-        block = solved[sz][2]
-        if block.reps is not block.basis:
+        if not solved[sz][2]:
             continue
-        hamiltonian = ws.matrix(model, sz)
-        parity = partial(ws.parity_matrices, model, sz)
-        while len(levels) < block.dimension and levels[-1] <= ground + tol_deg:
+        dim = ws.basis(sz).dimension
+        while len(levels) < dim and levels[-1] <= ground + tol_deg:
             count = 2 * len(levels)
-            if len(levels) >= _LANCZOS_TOP_UP and block.dimension <= _DENSE_LIMIT:
-                count = block.dimension
-            levels = sector_lowest(hamiltonian, count, tol, parity)[0]
+            if len(levels) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
+                count = dim
+            levels = sector_lowest(ws, model, sz, count, tol)[0]
         per_sector[sz] = levels
     degeneracy = 0
     for sz, levels in per_sector.items():
@@ -492,8 +486,8 @@ def ground_state_scan(
         ground_energy=ground,
         ground_sz=rep_sz,
         degeneracy=degeneracy,
-        representative=replace(bottom, vector=rep_block.expand(bottom.vector)),
-        representative_basis=rep_block.basis,
+        representative=bottom,
+        representative_basis=ws.basis(rep_sz),
     )
 
 
@@ -532,17 +526,28 @@ def low_spectrum(
     by (|Sz|, Sz), then energy, so which members the cutoff keeps, and in
     what order, does not hang on round-off; within a cluster the energies
     need not ascend. Each sector's levels come from sector_lowest on the
-    whole sector, so a dense sector gives the values-only ``eigvalsh`` levels
-    of its whole array, where the scan reads those of its parity blocks and
-    the representative's block from ``eigh``; the last digits can differ.
+    whole sector, so a dense sector gives the values-only levels of its
+    parity blocks, bit for bit the levels a scan reports for every sector
+    but its representative. ``levels`` at least a sector's dimension asks
+    for all of its levels, which takes a dense solve; above _DENSE_LIMIT
+    states that raises ValueError, naming the sector, before anything is
+    assembled.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
     check_tolerances(tol, tol_deg)
     ws = _workspace(model, lattice, workspace)
+    sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
+    for sz in sectors:
+        dim = ws.basis(sz).dimension
+        if levels >= dim > _DENSE_LIMIT:
+            raise ValueError(
+                f"{levels} levels ask for every level of the {dim}-state sector "
+                f"Sz={sz:g}, a dense solve above the {_DENSE_LIMIT}-state limit"
+            )
     merged: list[tuple[float, float]] = []
-    for sz in nonnegative_sectors(ws.spin, lattice.num_sites):
-        energies = sector_lowest(ws.matrix(model, sz), levels, tol)[0][:levels]
+    for sz in sectors:
+        energies = sector_lowest(ws, model, sz, levels, tol)[0][:levels]
         for e in energies:
             merged.append((e, sz))
             if sz > 1e-12:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import spinent
-from spinent import __version__, analysis, cli
+from spinent import __version__, analysis, cli, eigensolver, hamiltonian
+from spinent.basis import nonnegative_sectors
 from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
@@ -340,6 +341,35 @@ def test_benchmark_tracer_wraps_names_that_resolve():
     } <= names
 
 
+def test_benchmark_workloads_build_their_workspaces(monkeypatch):
+    """The benchmark's set-up and references (perfbench/workloads.py, read
+    here, never changed) call SectorWorkspace directly: each family's
+    ``_build_workspace`` builds every Sz >= 0 sector of a ring, and
+    OneChainL12 reads ``workspace.matrix(model, 0.0).matrix``. A workspace
+    refactor that drops either would break the benchmark."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    modules = {}
+    for name in ("tracing", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, root / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        # workloads.py imports tracing by its bare name
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    workloads = modules["workloads"]
+    for family in ("xxz_half", "xxz_one", "blbq"):
+        seconds, workspace = workloads._build_workspace(family, 6, keep=False)
+        assert seconds >= 0.0
+        assert isinstance(workspace, SectorWorkspace) and workspace.family == family
+        for sz in nonnegative_sectors(workspace.spin, 6):
+            basis, parts = workspace.sector(sz)
+            assert all(part.shape == (basis.dimension,) * 2 for part in parts.values())
+        model = model_for(family, 1.3)
+        matrix = workspace.matrix(model, 0.0).matrix
+        assert matrix.shape == (workspace.basis(0.0).dimension,) * 2
+        assert abs(matrix - matrix.T).max() == 0.0
+    assert workloads.WORKLOADS["one_chain_l12"].family == "xxz_one"
+
+
 def test_spectrum_reports_levels_and_clusters(tmp_path):
     out = tmp_path / "levels.json"
     code = cli.run([
@@ -423,6 +453,63 @@ def test_scaling_concurrence_of_spin_one_is_a_usage_error(model, tmp_path, capsy
     ])
     assert code == 1
     assert "concurrence is defined for spin-1/2 models only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scaling_repeated_size_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A size listed twice is refused before any sweep runs; it used to run
+    the whole sweep and then exit 1 on a grid that is not ascending."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    out = tmp_path / "scaling.json"
+    code = cli.run([
+        "scaling", "--model", "xxz-half", "--sizes", "6,6,8", "--param", "0.5:1.5:5",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert "got 6 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_levels_past_the_dense_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """Asking for every level of a sector above the dense limit would need
+    a dense array of that size; it is refused, naming the sector, before
+    anything is assembled. Here the limit is lowered to 50 states, below
+    the N=8 ring's Sz=0 (70 states) and Sz=1 (56) sectors."""
+    monkeypatch.setattr(eigensolver, "_DENSE_LIMIT", 50)
+    monkeypatch.setattr(analysis, "_WORKSPACES", {})
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a block was assembled")
+
+    out = tmp_path / "levels.json"
+    argv = ["spectrum", "--model", "xxz-half", "--size", "8", "--delta", "0.5", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(hamiltonian, "assemble_parts", no_assembly)
+        assert cli.run(argv + ["--levels", "60"]) == 1
+    err = capsys.readouterr().err
+    assert "56-state sector Sz=1" in err and "50-state limit" in err
+    assert not out.exists()
+    assert cli.run(argv + ["--levels", "40"]) == 0
+    assert len(json.loads(out.read_text())["levels"]) == 40
+
+
+def test_spectrum_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 273. GiB for an array")
+
+    monkeypatch.setattr(cli, "low_spectrum", out_of_memory)
+    out = tmp_path / "levels.json"
+    code = cli.run([
+        "spectrum", "--model", "xxz-half", "--size", "8", "--delta", "0.5",
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: out of memory: Unable to allocate 273. GiB for an array\n"
     assert not out.exists()
 
 

@@ -511,17 +511,55 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
 def test_asking_for_every_level_solves_densely(monkeypatch):
     """sector_lowest is the one switch: asked for as many levels as a sector
     above the dense cutoff holds (xxz_half N=12 Sz=2, 495 states), it gives
-    eigvalsh of the combined array, bit for bit, and runs no Lanczos."""
-    ham = _sector_ham(ModelSpec("xxz_half", delta=0.5), 12, 2.0)
-    assert ham.dimension == 495 > eigensolver._DENSE_CUTOFF
+    the union of eigvalsh of its parity blocks' arrays, bit for bit, which is
+    eigvalsh of the whole array to round-off. It runs no Lanczos and
+    assembles no plain block, and its pair is eigh's bottom of the first
+    block that holds the lowest level, written out over the plain sector."""
+    model = ModelSpec("xxz_half", delta=0.5)
+    workspace = SectorWorkspace("xxz_half", chain_lattice(12))
+    dim = workspace.basis(2.0).dimension
+    assert dim == 495 > eigensolver._DENSE_CUTOFF
 
-    def no_lanczos(*args, **kwargs):
-        raise AssertionError("Lanczos ran")
+    def refuse(*args, **kwargs):
+        raise AssertionError("Lanczos ran or a plain block was built")
 
-    monkeypatch.setattr(eigensolver, "lanczos_lowest", no_lanczos)
-    levels, pair = eigensolver.sector_lowest(ham, count=ham.dimension)
-    assert levels == list(np.linalg.eigvalsh(ham.dense()))
-    assert pair()[1].energy == np.linalg.eigh(ham.dense())[0][0]
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolver, "lanczos_lowest", refuse)
+        patch.setattr(hamiltonian, "plain_block", refuse)
+        levels, pair = eigensolver.sector_lowest(workspace, model, 2.0, count=dim)
+        found_levels, found = pair()
+    blocks = workspace.parity_matrices(model, 2.0)
+    spectra = [np.linalg.eigvalsh(ham.dense()) for _, ham in blocks]
+    assert levels == list(np.sort(np.concatenate(spectra)))
+    whole = np.linalg.eigvalsh(workspace.matrix(model, 2.0).dense())
+    np.testing.assert_allclose(levels, whole, rtol=0, atol=1e-12)
+    first = next(i for i, values in enumerate(spectra) if values[0] <= levels[0] + 1e-10)
+    block, ham = blocks[first]
+    vals, vecs = np.linalg.eigh(ham.dense())
+    assert found.energy == vals[0] == found_levels[0]
+    assert np.array_equal(found.vector, block.expand(vecs[:, 0]))
+    assert found.vector.shape == (dim,)
+
+
+@pytest.mark.parametrize(
+    "family,size,param,sz",
+    [("xxz_half", 10, 0.5, 1.0), ("xxz_half", 9, 1.0, 1.5), ("blbq", 6, 0.3, 1.0)],
+)
+def test_low_spectrum_lists_the_scan_levels_of_a_dense_sector(family, size, param, sz):
+    """low_spectrum and the scan solve a dense sector alike, as its parity
+    blocks, values only, so a sector that does not represent the point
+    lists the levels the scan reports for it, bit for bit."""
+    lattice = chain_lattice(size)
+    workspace = SectorWorkspace(family, lattice)
+    model = model_for(family, param)
+    report = ground_state_scan(model, lattice, workspace=workspace)
+    assert report.ground_sz != sz
+    assert workspace.basis(sz).dimension <= eigensolver._DENSE_CUTOFF
+    states = workspace.basis(sz).local_dim ** size
+    levels = low_spectrum(model, lattice, states, workspace=workspace)
+    assert len(levels) == states
+    listed = sorted(energy for energy, label in levels if label == sz)
+    assert listed == list(report.per_sector_energies[sz])
 
 
 def test_low_spectrum_trims_and_sorts():

@@ -94,7 +94,8 @@ def test_perron_frobenius_condition_table():
 def _record(monkeypatch):
     """Record (sector dimension, block dimension, kind) for every block
     assembled, the kind "plain", "translation" or "parity", and the
-    dimension of every matrix solved."""
+    dimension of every piece sector_lowest solves: the translation block of
+    the characters it is given, or else the whole sector."""
     assembled, solved, parity = [], [], set()
     real_assemble, real_lowest = hamiltonian.assemble_parts, eigensolver.sector_lowest
     real_parity = hamiltonian.parity_blocks
@@ -113,9 +114,13 @@ def _record(monkeypatch):
         assembled.append((block.basis.dimension, block.dimension, kind))
         return real_assemble(family, lattice, block)
 
-    def lowest(ham, *args, **kwargs):
-        solved.append(ham.dimension)
-        return real_lowest(ham, *args, **kwargs)
+    def lowest(workspace, model, sz, count=1, tol=1e-10, characters=()):
+        found = real_lowest(workspace, model, sz, count, tol, characters)
+        if characters:
+            solved.append(workspace.block(sz, characters)[0].dimension)
+        else:
+            solved.append(workspace.basis(sz).dimension)
+        return found
 
     monkeypatch.setattr(hamiltonian, "parity_blocks", parity_blocks)
     monkeypatch.setattr(hamiltonian, "assemble_parts", assemble)
@@ -137,6 +142,12 @@ def _parity_sectors(assembled):
     return sectors
 
 
+def _assert_no_small_plain_block(assembled):
+    """No plain sector of at most _DENSE_CUTOFF states is assembled: a dense
+    solve reads only its parity blocks."""
+    assert not [dim for dim, _, kind in assembled if kind == "plain" and dim <= _DENSE_CUTOFF]
+
+
 @pytest.mark.parametrize(
     "model,lattice",
     [
@@ -153,9 +164,10 @@ def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
     sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
     dims = [workspace.basis(sz).dimension for sz in sectors]
     assert max(dims) > _DENSE_CUTOFF
-    assert [(dim, dim, "plain") for dim in dims] == [
+    assert [(dim, dim, "plain") for dim in dims if dim > _DENSE_CUTOFF] == [
         entry for entry in assembled if entry[2] != "parity"
     ]
+    _assert_no_small_plain_block(assembled)
     # every dense sector is split into its parity blocks, and so is every
     # sector that a dense top-up reads whole
     dense = [dim for dim in dims if dim <= _DENSE_CUTOFF]
@@ -177,15 +189,20 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
         assert (kind == "translation") == (dim > _DENSE_CUTOFF)
         if kind == "translation":
             assert block_dim < dim / 10
-    small = [dim for dim, _, kind in assembled if kind == "plain"]
+    _assert_no_small_plain_block(assembled)
+    dims = [workspace.basis(sz).dimension for sz in nonnegative_sectors("half", 16)]
+    small = [dim for dim in dims if dim <= _DENSE_CUTOFF]
+    assert small == [120, 16, 1]  # Sz = 6, 7, 8
     assert _parity_sectors(assembled) == small
-    assert solved == [block_dim for _, block_dim, kind in assembled if kind != "parity"]
+    blocks = [block_dim for _, block_dim, kind in assembled if kind == "translation"]
+    assert solved == blocks + small
 
 
 def test_check_battery_never_assembles_large_plain_sectors(monkeypatch):
     """Criteria 1-4 take their Sz=0 grounds from the scan's sector solve, so
     every sector above the cutoff they touch is assembled as a translation
-    block only, and every other one whole and as its parity blocks."""
+    block only, and every other one as its parity blocks only: the Sz=0
+    sectors of the rings N = 4, 6, 8 and 10."""
     monkeypatch.setattr(analysis, "_WORKSPACES", {})
     assembled, _ = _record(monkeypatch)
     context = checks.CheckContext()
@@ -193,8 +210,30 @@ def test_check_battery_never_assembles_large_plain_sectors(monkeypatch):
     assert max(dim for dim, _, _ in assembled) == 184756  # N=20 Sz=0
     for dim, _, kind in assembled:
         assert (kind == "translation") == (dim > _DENSE_CUTOFF)
-    small = [dim for dim, _, kind in assembled if kind == "plain"]
-    assert sorted(_parity_sectors(assembled)) == sorted(small)
+    _assert_no_small_plain_block(assembled)
+    assert sorted(_parity_sectors(assembled)) == [6, 20, 70, 252]
+
+
+@pytest.mark.parametrize(
+    "model,size",
+    [(ModelSpec("xxz_half", delta=0.5), 12), (ModelSpec("blbq", theta=1.5 * math.pi), 8)],
+    ids=["xxz_half", "blbq"],
+)
+def test_low_spectrum_assembles_no_small_plain_sector(model, size, monkeypatch):
+    """low_spectrum solves a dense sector as its parity blocks, like the
+    scan, and builds the plain sector only for a Lanczos solve."""
+    assembled, solved = _record(monkeypatch)
+    lattice = chain_lattice(size)
+    workspace = SectorWorkspace(model.family, lattice)
+    eigensolver.low_spectrum(model, lattice, 20, workspace=workspace)
+    sectors = nonnegative_sectors(workspace.spin, size)
+    dims = [workspace.basis(sz).dimension for sz in sectors]
+    assert [(dim, dim, "plain") for dim in dims if dim > _DENSE_CUTOFF] == [
+        entry for entry in assembled if entry[2] != "parity"
+    ]
+    _assert_no_small_plain_block(assembled)
+    assert _parity_sectors(assembled) == [dim for dim in dims if dim <= _DENSE_CUTOFF]
+    assert solved == dims
 
 
 @pytest.mark.parametrize(
