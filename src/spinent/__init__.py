@@ -16,6 +16,7 @@ from .analysis import (
     SweepRow,
     SweepTable,
     extrapolate,
+    extremum_scaling,
     finite_difference,
     locate_extremum,
     sweep,
@@ -88,6 +89,7 @@ __all__ = [
     "dense_lowest",
     "entropy_closed_form",
     "extrapolate",
+    "extremum_scaling",
     "finite_difference",
     "ground_state_scan",
     "hf_correlators",

@@ -4,7 +4,7 @@ A sweep walks one model family across a parameter grid for several system
 sizes, solving for the ground state at each point and recording energy,
 bond correlators, pair entropy, concurrence (spin-1/2 only) and degeneracy
 data. The downstream helpers differentiate those curves, refine extrema,
-and extrapolate finite-size trends.
+and extrapolate finite-size trends; extremum_scaling chains them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import check_tolerances, ground_state_scan
+from .eigensolver import ConvergenceError, check_tolerances, ground_state_scan
 from .entanglement import bond_correlators, concurrence, two_site_rdm, von_neumann_entropy
 from .hamiltonian import FAMILY_SPIN, SectorWorkspace, model_for
 from .lattice import Lattice, chain_lattice, square_lattice
@@ -28,19 +28,31 @@ class EdgeExtremumError(ValueError):
     """The grid extremum sits on the boundary, so refinement is meaningless."""
 
 
+#: SweepRow's value columns; the concurrence is defined for spin-1/2 pairs only.
+OBSERVABLES = ("energy", "czz", "cxx", "ev", "concurrence")
+
+
+def observables(family: str) -> tuple[str, ...]:
+    """The OBSERVABLES that a family's sweep rows fill."""
+    spin_half = FAMILY_SPIN.get(family) == "half"
+    return tuple(name for name in OBSERVABLES if spin_half or name != "concurrence")
+
+
 @dataclass(frozen=True)
 class SweepRow:
+    """One point of a sweep; a failed point fills only its error."""
+
     family: str
     geometry: str
     size: str
     param: float
-    energy: float | None
-    czz: float | None
-    cxx: float | None
-    ev: float | None
-    concurrence: float | None
-    degeneracy: int | None
-    degenerate_flag: bool | None
+    energy: float | None = None
+    czz: float | None = None
+    cxx: float | None = None
+    ev: float | None = None
+    concurrence: float | None = None
+    degeneracy: int | None = None
+    degenerate_flag: bool | None = None
     error: str | None = None
 
 
@@ -106,35 +118,15 @@ def _sweep_point(task) -> SweepRow:
         correlators = bond_correlators(state, basis, _MEASURED_PAIR)
         rdm = two_site_rdm(state, basis, *_MEASURED_PAIR)
         entropy = von_neumann_entropy(rdm)
-        pair_concurrence = concurrence(rdm) if FAMILY_SPIN[family] == "half" else None
+        pair_concurrence = concurrence(rdm) if "concurrence" in observables(family) else None
         return SweepRow(
-            family=family,
-            geometry=geometry,
-            size=label,
-            param=param,
-            energy=report.ground_energy,
-            czz=correlators.czz,
-            cxx=correlators.cxx,
-            ev=entropy,
-            concurrence=pair_concurrence,
-            degeneracy=report.degeneracy,
-            degenerate_flag=report.degeneracy > 1,
+            family, geometry, label, param,
+            energy=report.ground_energy, czz=correlators.czz, cxx=correlators.cxx,
+            ev=entropy, concurrence=pair_concurrence,
+            degeneracy=report.degeneracy, degenerate_flag=report.degeneracy > 1,
         )
     except (ValueError, RuntimeError, MemoryError) as fail:
-        return SweepRow(
-            family=family,
-            geometry=geometry,
-            size=label,
-            param=param,
-            energy=None,
-            czz=None,
-            cxx=None,
-            ev=None,
-            concurrence=None,
-            degeneracy=None,
-            degenerate_flag=None,
-            error=str(fail) or type(fail).__name__,
-        )
+        return SweepRow(family, geometry, label, param, error=str(fail) or type(fail).__name__)
 
 
 def sweep(
@@ -151,25 +143,28 @@ def sweep(
     """One SweepRow per (size, grid point), sizes outermost.
 
     grid is (start, end, count) with count >= 2 and both endpoints included.
-    A solver failure annotates its row with the error text instead of
+    Bad input raises ValueError before any point runs: a grid, family,
+    model parameter, tolerance, geometry or size that is out of range. A
+    solver failure annotates its row with the error text instead of
     aborting the sweep; so does running out of memory. jobs > 1 spreads
     grid points over a process pool of at most one worker per task and per
     core, and a pool of one runs serially instead; the table order is by
     (size, param) either way.
     """
-    if family not in FAMILY_SPIN:
-        raise ValueError(f"unknown model family '{family}'")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start, end, count = grid
-    if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(beta)):
-        raise ValueError(f"grid ends and beta must be finite, got {start}, {end}, {beta}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"grid ends must be finite, got {start}, {end}")
     check_tolerances(tol, tol_deg)
     if int(count) != count or count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if end <= start:
         raise ValueError(f"grid end {end} must exceed start {start}")
     params = np.linspace(start, end, int(count))
+    model_for(family, float(params[0]), beta)
+    for size in sizes:
+        shared_workspace(family, geometry, int(size))
     tasks = [
         (family, geometry, int(size), float(param), beta, tol_deg, tol)
         for size in sizes
@@ -257,3 +252,45 @@ def extrapolate(points: list[tuple[float, float]], form: str) -> ScalingFit:
         extrapolated_value=float(solution[0]),
         residual_norm=residual,
     )
+
+
+def extremum_scaling(
+    family: str, geometry: str, sizes: list[int], grid: tuple[float, float, int],
+    observable: str, *, derivative: bool = True, extremum: str = "min", **solve,
+) -> tuple[list[tuple[int, float, float]], list[ScalingFit]]:
+    """Each size's refined extremum of one observable, as (size, param, value),
+    and the fits of its location in every scaling form.
+
+    One sweep (``solve`` holds its keyword arguments); per size the series,
+    its first derivative if ``derivative``, and the ``extremum`` ("min" or
+    "max") refined by locate_extremum. Refused with ValueError before the
+    sweep: fewer than 3 sizes, a repeated size, an observable the family's
+    rows leave empty. A size that lost rows raises ConvergenceError.
+    """
+    if len(sizes) < 3:
+        raise ValueError("scaling needs at least 3 sizes")
+    repeated = [size for size in sizes if sizes.count(size) > 1]
+    if repeated:
+        raise ValueError(f"scaling needs distinct sizes, got {repeated[0]} more than once")
+    if observable not in observables(family):
+        raise ValueError(
+            f"{family} rows fill {observables(family)}, not {observable!r}; "
+            "the concurrence is defined for spin-1/2 models only"
+        )
+    table = sweep(family, geometry, sizes, grid, **solve)
+    extrema = []
+    for size in sizes:
+        label = size_label(geometry, size)
+        series = table.series(label, observable)
+        if len(series) < grid[2]:
+            first = next(row for row in table.rows if row.size == label and row.error)
+            raise ConvergenceError(
+                f"size {size} lost {grid[2] - len(series)} rows to solver failures, "
+                f"the first at {first.param:.12g}: {first.error}",
+                math.nan,
+            )
+        if derivative:
+            series = finite_difference(series)
+        extrema.append((size, *locate_extremum(series, extremum)))
+    locations = [(size, param) for size, param, _ in extrema]
+    return extrema, [extrapolate(locations, form) for form in _SCALING_FORMS]

@@ -184,12 +184,8 @@ def _low_counts(table: _SplitRegister, units: int) -> np.ndarray:
     return np.where(inside, table.low_start[need + 1] - table.low_start[need], 0)
 
 
-def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
-    """Enumerate the complete sector with total Sz equal to ``sz_sector``.
-
-    Raises ValueError if the sector is unreachable (|Sz| too large or with
-    the wrong integrality for the site count).
-    """
+def check_register(spin: str, num_sites: int) -> None:
+    """Refuse a spin tag, or a site count the packed register cannot hold."""
     _check_spin(spin)
     if num_sites < 1:
         raise ValueError(f"need at least one site, got {num_sites}")
@@ -198,6 +194,15 @@ def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
             f"{num_sites} spin-{spin} sites exceed the supported size "
             f"({_MAX_SITES[spin]}); the sector matrices would not fit in memory"
         )
+
+
+def build_basis(num_sites: int, spin: str, sz_sector: float) -> SpinBasis:
+    """Enumerate the complete sector with total Sz equal to ``sz_sector``.
+
+    Raises ValueError if the sector is unreachable (|Sz| too large or with
+    the wrong integrality for the site count).
+    """
+    check_register(spin, num_sites)
     s = SPIN_VALUE[spin]
     #: number of raising units above the all-lowest configuration
     units = sz_sector + num_sites * s

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import (
     extrapolate,
-    finite_difference,
+    extremum_scaling,
     locate_extremum,
     shared_workspace,
     sweep,
@@ -83,9 +83,6 @@ class CheckContext:
             hit = (pair()[1], workspace.basis(0.0))
             self._grounds[key] = hit
         return hit
-
-    def run_sweep(self, family, geometry, sizes, grid):
-        return sweep(family, geometry, sizes, grid, jobs=self.jobs)
 
 
 def _close(value: float, target: float, tol: float, label: str):
@@ -248,7 +245,7 @@ def _criterion_5(ctx: CheckContext):
     below (1.4273 at -0.95, 1.4481 at -0.999). The value at -0.95 must also
     match the Bethe route, which shares no code with the sweep.
     """
-    table = ctx.run_sweep("xxz_half", "chain", [12], (-1.5, -0.5, 21))
+    table = sweep("xxz_half", "chain", [12], (-1.5, -0.5, 21), jobs=ctx.jobs)
     rows = {round(row.param, 9): row for row in table.rows}
     checks = []
     below, at, above = rows[-1.05], rows[-1.0], rows[-0.95]
@@ -282,7 +279,7 @@ def _criterion_6(ctx: CheckContext):
     transverse correlator stronger below (czz - cxx > 0) and the Ising one
     above.
     """
-    table = ctx.run_sweep("xxz_half", "square", [4], (0.5, 2.0, 31))
+    table = sweep("xxz_half", "square", [4], (0.5, 2.0, 31), jobs=ctx.jobs)
     series = table.series("4x4", "ev")
     checks = []
     x_star, _ = locate_extremum(series, "max")
@@ -300,23 +297,19 @@ def _criterion_6(ctx: CheckContext):
 
 def _criterion_7(ctx: CheckContext):
     """Spin-1 derivative minima scale toward the crossover anisotropy."""
-    grid = (0.9, 2.1, 25)
-    minima = []
+    extrema, fits = extremum_scaling(
+        "xxz_one", "chain", [8, 10, 12], (0.9, 2.1, 25), "ev", jobs=ctx.jobs
+    )
     checks = []
-    for size in (8, 10, 12):
-        table = ctx.run_sweep("xxz_one", "chain", [size], grid)
-        derivative = finite_difference(table.series(str(size), "ev"))
-        x_star, _ = locate_extremum(derivative, "min")
-        minima.append((size, x_star))
-    for (small, x_small), (large, x_large) in zip(minima, minima[1:]):
+    for (small, x_small, _), (large, x_large, _) in zip(extrema, extrema[1:]):
         checks.append(_at_least(
             x_small - x_large, 0.0,
             f"minimum moves left from L={small} ({x_small:.4f}) to L={large} ({x_large:.4f})",
         ))
-    for form in ("inverse_L", "inverse_L_squared"):
-        value = extrapolate(minima, form).extrapolated_value
+    for fit in fits:
+        value = fit.extrapolated_value
         ok = 1.10 <= value <= 1.30
-        checks.append((ok, f"{form} extrapolation: {value:.4f} (window [1.10, 1.30])"))
+        checks.append((ok, f"{fit.form} extrapolation: {value:.4f} (window [1.10, 1.30])"))
     return "spin-1 derivative-minimum scaling", checks
 
 
@@ -331,7 +324,7 @@ def _is_local_min(values: np.ndarray, idx: int) -> bool:
 def _criterion_8(ctx: CheckContext):
     """Phase map of the spin-1 bilinear-biquadratic ring at L=6."""
     count = 201
-    table = ctx.run_sweep("blbq", "chain", [6], (0.0, 2 * math.pi, count))
+    table = sweep("blbq", "chain", [6], (0.0, 2 * math.pi, count), jobs=ctx.jobs)
     params = np.array([row.param for row in table.rows])
     entropy = np.array([row.ev for row in table.rows])
     checks = []
@@ -395,7 +388,7 @@ def _criterion_8(ctx: CheckContext):
 
 def _criterion_9(ctx: CheckContext):
     """Pair entropy stops scaling with size in the gapped window."""
-    table = ctx.run_sweep("xxz_half", "chain", [8, 12, 16], (1.5, 3.0, 31))
+    table = sweep("xxz_half", "chain", [8, 12, 16], (1.5, 3.0, 31), jobs=ctx.jobs)
     by_size = {
         size: dict(table.series(str(size), "ev")) for size in (8, 12, 16)
     }
@@ -483,7 +476,8 @@ def _criterion_10(ctx: CheckContext):
     return "density-matrix and solver property battery", checks
 
 
-_CRITERIA = {
+#: Every criterion by its number.
+CRITERIA = {
     1: _criterion_1,
     2: _criterion_2,
     3: _criterion_3,
@@ -498,17 +492,17 @@ _CRITERIA = {
 
 
 def run_criterion(number: int, context: CheckContext | None = None) -> CriterionResult:
-    if number not in _CRITERIA:
-        raise ValueError(f"no criterion {number}; valid numbers are 1..10")
+    if number not in CRITERIA:
+        raise ValueError(f"no criterion {number}; valid numbers are {sorted(CRITERIA)}")
     context = context if context is not None else CheckContext()
     started = time.perf_counter()
     try:
-        title, raw = _CRITERIA[number](context)
+        title, raw = CRITERIA[number](context)
     except Exception as fail:  # a crash is a failed criterion, not a dead battery
         elapsed = time.perf_counter() - started
         return CriterionResult(
             number=number,
-            title=_CRITERIA[number].__doc__.splitlines()[0].rstrip("."),
+            title=CRITERIA[number].__doc__.splitlines()[0].rstrip("."),
             passed=False,
             details=[f"FAIL crashed: {type(fail).__name__}: {fail}"],
             elapsed_seconds=elapsed,
@@ -527,8 +521,12 @@ def run_criterion(number: int, context: CheckContext | None = None) -> Criterion
 def run_all(
     numbers=None, context: CheckContext | None = None, progress=None
 ) -> list[CriterionResult]:
+    """The numbered criteria, or all, in order; ValueError first for an unknown number."""
+    selected = sorted(numbers) if numbers else sorted(CRITERIA)
+    unknown = [number for number in selected if number not in CRITERIA]
+    if unknown:
+        raise ValueError(f"criteria out of range: {unknown}")
     context = context if context is not None else CheckContext()
-    selected = sorted(numbers) if numbers else sorted(_CRITERIA)
     results = []
     for number in selected:
         if progress is not None:

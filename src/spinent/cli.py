@@ -5,9 +5,11 @@ low-lying levels with multiplicities, `bethe` solves one ring
 analytically, `scaling` chains sweep -> derivative -> extremum ->
 extrapolation, and `check` runs the acceptance battery.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure or running out
-of memory (output is still written with failed rows annotated where that
-makes sense).
+Exit codes: 0 success, 1 usage error (the CLI only parses text, so this
+is also the ValueError the library raises for a grid, size, geometry or
+criterion out of range, or `--beta` for a family without it), 2 numerical
+failure or running out of memory (output is still written with failed
+rows annotated where that makes sense).
 
 Output files start with `#` metadata lines (tool version, resolved
 configuration, wall-clock seconds) so they stay self-describing while
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,19 +30,17 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    OBSERVABLES,
     EdgeExtremumError,
     SweepRow,
-    extrapolate,
-    finite_difference,
-    locate_extremum,
+    extremum_scaling,
     shared_workspace,
-    size_label,
     sweep,
 )
 from .bethe import solve_ground
-from .checks import CheckContext, run_all
+from .checks import CRITERIA, CheckContext, run_all
 from .eigensolver import ConvergenceError, degeneracy_count, low_spectrum
-from .hamiltonian import FAMILY_SPIN, model_for
+from .hamiltonian import FAMILY_PARAMETERS, model_for
 
 _MODEL_NAMES = {"xxz-half": "xxz_half", "xxz-one": "xxz_one", "blbq": "blbq"}
 
@@ -80,16 +79,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise _UsageError(f"grid must be start:end:count, got '{text}'")
     try:
-        start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError(f"could not parse grid '{text}'") from None
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise _UsageError(f"grid ends must be finite, got '{text}'")
-    if count < 2:
-        raise _UsageError("grid needs at least 2 points")
-    if end <= start:
-        raise _UsageError("grid end must exceed its start")
-    return start, end, count
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -165,18 +157,14 @@ def _write_sweep_csv(path: str, meta: dict, rows) -> None:
 
 
 def _model_param(ns, family: str) -> float:
-    """The swept/model parameter from --delta or --theta, family-checked."""
-    if family == "blbq":
-        if ns.theta is None:
-            raise _UsageError("blbq needs --theta")
-        if ns.delta is not None:
-            raise _UsageError("blbq takes --theta, not --delta")
-        return ns.theta
-    if ns.delta is None:
-        raise _UsageError(f"{ns.model} needs --delta")
-    if ns.theta is not None:
-        raise _UsageError(f"{ns.model} takes --delta, not --theta")
-    return ns.delta
+    """The family's swept parameter, from --delta or --theta."""
+    swept = FAMILY_PARAMETERS[family][0]
+    if getattr(ns, swept) is None:
+        raise _UsageError(f"{ns.model} needs --{swept}")
+    for name in ("delta", "theta"):
+        if name != swept and getattr(ns, name) is not None:
+            raise _UsageError(f"{ns.model} takes --{swept}, not --{name}")
+    return getattr(ns, swept)
 
 
 def _cmd_sweep(ns) -> int:
@@ -264,18 +252,8 @@ def _cmd_bethe(ns) -> int:
 
 
 def _cmd_scaling(ns) -> int:
-    family = _MODEL_NAMES[ns.model]
     grid = _parse_grid(ns.param)
     sizes = _parse_sizes(ns.sizes)
-    if len(sizes) < 3:
-        raise _UsageError("scaling needs at least 3 sizes")
-    repeated = [size for size in sizes if sizes.count(size) > 1]
-    if repeated:
-        raise _UsageError(f"scaling needs distinct sizes, got {repeated[0]} more than once")
-    if ns.observable == "concurrence" and FAMILY_SPIN[family] != "half":
-        raise _UsageError(
-            f"concurrence is defined for spin-1/2 models only, not {ns.model}"
-        )
     config = {
         "model": ns.model, "geometry": ns.geometry, "sizes": sizes,
         "grid": list(grid), "beta": ns.beta, "observable": ns.observable,
@@ -283,37 +261,16 @@ def _cmd_scaling(ns) -> int:
         "tol": ns.tol, "tol_deg": ns.tol_deg, "jobs": ns.jobs, "out": ns.out,
     }
     started = time.perf_counter()
-    table = sweep(
-        family, ns.geometry, sizes, grid,
+    extrema, fits = extremum_scaling(
+        _MODEL_NAMES[ns.model], ns.geometry, sizes, grid, ns.observable,
+        derivative=ns.derivative, extremum=ns.extremum,
         beta=ns.beta, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
     )
-    extrema = []
-    for size in sizes:
-        series = table.series(size_label(ns.geometry, size), ns.observable)
-        if len(series) < grid[2]:
-            raise ConvergenceError(
-                f"size {size} lost {grid[2] - len(series)} rows to solver failures",
-                math.nan,
-            )
-        if ns.derivative:
-            series = finite_difference(series)
-        x_star, y_star = locate_extremum(series, ns.extremum)
-        extrema.append({"size": size, "param": x_star, "value": y_star})
-    points = [(entry["size"], entry["param"]) for entry in extrema]
-    fits = []
-    for form in ("inverse_L", "inverse_L_squared"):
-        fit = extrapolate(points, form)
-        fits.append({
-            "form": fit.form,
-            "coefficients": list(fit.coefficients),
-            "extrapolated_value": fit.extrapolated_value,
-            "residual_norm": fit.residual_norm,
-        })
     elapsed = time.perf_counter() - started
     payload = {
         "meta": _meta("scaling", config, elapsed),
-        "extrema": extrema,
-        "fits": fits,
+        "extrema": [dict(zip(("size", "param", "value"), entry)) for entry in extrema],
+        "fits": [asdict(fit) for fit in fits],
     }
     _write_json(ns.out, payload)
     return 0
@@ -326,10 +283,7 @@ def _cmd_check(ns) -> int:
             numbers = sorted({int(piece) for piece in ns.criteria.split(",") if piece})
         except ValueError:
             raise _UsageError(f"could not parse criteria list '{ns.criteria}'") from None
-        unknown = [n for n in numbers if not 1 <= n <= 10]
-        if unknown:
-            raise _UsageError(f"criteria out of range: {unknown}")
-    config = {"criteria": numbers or list(range(1, 11)), "jobs": ns.jobs, "out": ns.out}
+    config = {"criteria": numbers or list(CRITERIA), "jobs": ns.jobs, "out": ns.out}
     started = time.perf_counter()
     results = run_all(
         numbers,
@@ -411,8 +365,7 @@ def _build_parser() -> _Parser:
     scaling_parser.add_argument("--sizes", required=True)
     scaling_parser.add_argument("--param", required=True, help="grid start:end:count")
     scaling_parser.add_argument("--beta", type=float, default=0.0)
-    scaling_parser.add_argument("--observable", default="ev",
-                                choices=("energy", "czz", "cxx", "ev", "concurrence"))
+    scaling_parser.add_argument("--observable", default="ev", choices=OBSERVABLES)
     scaling_parser.add_argument("--derivative", action=argparse.BooleanOptionalAction,
                                 default=True,
                                 help="locate the extremum of the first derivative")

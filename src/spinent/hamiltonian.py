@@ -34,6 +34,7 @@ from .basis import (
     SectorBlock,
     SpinBasis,
     build_basis,
+    check_register,
     parity_blocks,
     plain_block,
     translation_block,
@@ -41,7 +42,8 @@ from .basis import (
 from .lattice import Lattice
 
 FAMILY_SPIN = {"xxz_half": "half", "xxz_one": "one", "blbq": "one"}
-_FAMILY_PARAMETERS = {"xxz_half": ("delta",), "xxz_one": ("delta", "beta"), "blbq": ("theta",)}
+#: The parameters each family takes, the swept one first.
+FAMILY_PARAMETERS = {"xxz_half": ("delta",), "xxz_one": ("delta", "beta"), "blbq": ("theta",)}
 
 _STENCIL_PRUNE = 1e-14
 
@@ -75,7 +77,7 @@ class ModelSpec:
     @property
     def label(self) -> str:
         """The family and its meaningful parameters, e.g. ``xxz_one delta=1.0 beta=0.2``."""
-        names = _FAMILY_PARAMETERS[self.family]
+        names = FAMILY_PARAMETERS[self.family]
         return " ".join([self.family] + [f"{n}={float(getattr(self, n))!r}" for n in names])
 
     def part_coefficients(self) -> dict[str, float]:
@@ -88,12 +90,12 @@ class ModelSpec:
 
 
 def model_for(family: str, value: float, beta: float = 0.0) -> ModelSpec:
-    """ModelSpec of a family at one value of its swept parameter."""
-    if family == "blbq":
-        return ModelSpec(family=family, theta=float(value))
-    if family == "xxz_one":
-        return ModelSpec(family=family, delta=float(value), beta=beta)
-    return ModelSpec(family=family, delta=float(value))
+    """ModelSpec of a family at one value of its swept parameter; a nonzero
+    ``beta`` is refused for a family that does not take it."""
+    names = FAMILY_PARAMETERS.get(family, ("delta",))  # ModelSpec refuses an unknown family
+    if beta != 0.0 and "beta" not in names:
+        raise ValueError(f"{family} takes no beta, got {beta}")
+    return ModelSpec(family=family, beta=beta, **{names[0]: float(value)})
 
 
 class SparseHamiltonian:
@@ -401,6 +403,7 @@ class SectorWorkspace:
         self.family = family
         self.lattice = lattice
         self.spin = FAMILY_SPIN[family]
+        check_register(self.spin, lattice.num_sites)
         self._bases: dict[float, SpinBasis] = {}
         self._blocks: dict[tuple, tuple[SectorBlock, dict[str, sparse.csr_matrix]]] = {}
         self._parity: dict[float, list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]] = {}

@@ -103,18 +103,33 @@ def test_sweep_clamps_workers_to_tasks_and_cores(
 
 
 def test_failed_points_annotate_rows_instead_of_aborting():
-    # 25 spin-1/2 sites exceed the packed-register budget
-    table = sweep("xxz_half", "chain", [25], (0.0, 1.0, 2))
+    """delta = 1e308 and 1.7e308 overflow the N=8 Hamiltonian: both rows
+    carry the error and no value, and the sweep returns instead of raising."""
+    table = sweep("xxz_half", "chain", [8], (1e308, 1.7e308, 2))
     assert len(table.rows) == 2
     for row in table.rows:
-        assert row.error is not None
-        assert row.energy is None
-    assert table.series("25", "energy") == []
+        assert "overflows" in row.error
+        assert row == SweepRow(row.family, row.geometry, row.size, row.param, error=row.error)
+    assert table.series("8", "energy") == []
 
 
-def test_unknown_geometry_annotates_rows():
-    table = sweep("xxz_half", "hexagonal", [4], (0.0, 1.0, 2))
-    assert all("hexagonal" in row.error for row in table.rows)
+@pytest.mark.parametrize(
+    "geometry,size,message",
+    [
+        ("hexagonal", 4, "unknown geometry 'hexagonal'"),
+        ("chain", 1, "chain needs at least 2 sites"),
+        ("square", 2, "square lattice needs extents >= 3"),
+        ("chain", 25, "25 spin-half sites exceed the supported size"),
+    ],
+    ids=["hexagonal", "chain-1", "square-2", "chain-25"],
+)
+def test_bad_size_or_geometry_is_refused_before_any_point(geometry, size, message, monkeypatch):
+    def no_point(task):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(analysis, "_sweep_point", no_point)
+    with pytest.raises(ValueError, match=message):
+        sweep("xxz_half", geometry, [4, size], (0.0, 1.0, 2))
 
 
 def test_sweep_input_validation():

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinent
-from spinent import __version__, analysis, cli, eigensolver, hamiltonian
+from spinent import __version__, analysis, checks, cli, eigensolver, hamiltonian
 from spinent.basis import nonnegative_sectors
 from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import SectorWorkspace, model_for
@@ -70,6 +71,24 @@ def _strip_elapsed(text: str) -> list[str]:
         ),
         ["spectrum", "--model", "xxz-half", "--delta", "0.5", "--size", "6", "--tol-deg", "nan",
          "--out", "x.json"],
+        # a size or geometry the lattice or the register cannot hold
+        ["sweep", "--model", "xxz-half", "--sizes", "1", "--param", "0:1:3", "--out", "x.csv"],
+        ["sweep", "--model", "xxz-half", "--geometry", "square", "--sizes", "2",
+         "--param", "0:1:3", "--out", "x.csv"],
+        ["sweep", "--model", "xxz-half", "--sizes", "8,25", "--param", "0:1:3", "--out", "x.csv"],
+        ["scaling", "--model", "xxz-half", "--sizes", "1,2,3", "--param", "0:1:3",
+         "--out", "x.json"],
+        # --beta for a family without it
+        ["sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:3", "--beta", "5",
+         "--out", "x.csv"],
+        ["sweep", "--model", "blbq", "--sizes", "4", "--param", "0:1:3", "--beta", "-0.5",
+         "--out", "x.json"],
+        ["spectrum", "--model", "xxz-half", "--delta", "0.5", "--beta", "5", "--size", "6",
+         "--out", "x.json"],
+        ["spectrum", "--model", "blbq", "--theta", "0.5", "--beta", "0.1", "--size", "6",
+         "--out", "x.json"],
+        ["scaling", "--model", "xxz-half", "--sizes", "4,6,8", "--param", "0:1:3",
+         "--beta", "5", "--out", "x.json"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -181,10 +200,11 @@ def test_sweep_json_by_extension(tmp_path):
 
 
 def test_sweep_annotates_failures_and_exits_two(tmp_path, capsys):
+    """Both points overflow the N=8 Hamiltonian, a real solver failure."""
     out = tmp_path / "table.csv"
     code = cli.run([
-        "sweep", "--model", "xxz-half", "--sizes", "25",
-        "--param", "0:1:2", "--out", str(out),
+        "sweep", "--model", "xxz-half", "--sizes", "8",
+        "--param", "1e308:1.7e308:2", "--out", str(out),
     ])
     assert code == 2
     assert "2 of 2 rows failed" in capsys.readouterr().err
@@ -445,7 +465,7 @@ def test_scaling_concurrence_of_spin_one_is_a_usage_error(model, tmp_path, capsy
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.setattr(analysis, "sweep", no_sweep)
     out = tmp_path / "scaling.json"
     code = cli.run([
         "scaling", "--model", model, "--sizes", "4,6,8", "--param", "0.5:1.5:5",
@@ -456,6 +476,79 @@ def test_scaling_concurrence_of_spin_one_is_a_usage_error(model, tmp_path, capsy
     assert not out.exists()
 
 
+def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monkeypatch):
+    """It used to report only a count and a residual of nan."""
+    real_scan = analysis.ground_state_scan
+
+    def scan(model, *args, **kwargs):
+        if model.delta == 0.5:
+            raise MemoryError("Unable to allocate 1. GiB for an array")
+        return real_scan(model, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ground_state_scan", scan)
+    out = tmp_path / "scaling.json"
+    code = cli.run([
+        "scaling", "--model", "xxz-half", "--sizes", "4,6,8", "--param", "0:1:5",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: size 4 lost 1 rows to solver failures, the first at 0.5: "
+        "Unable to allocate 1. GiB for an array (best residual nan)\n"
+    )
+    assert not out.exists()
+
+
+def test_scaling_and_criterion_7_run_one_pipeline(tmp_path, monkeypatch):
+    """`spinent scaling` with criterion 7's model, sizes and grid computes the
+    very minima and fits the criterion judges, and writes them rounded."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(analysis.extremum_scaling(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "extremum_scaling", recorded)
+    monkeypatch.setattr(checks, "extremum_scaling", recorded)
+    out = tmp_path / "scaling.json"
+    assert cli.run([
+        "scaling", "--model", "xxz-one", "--sizes", "8,10,12", "--param", "0.9:2.1:25",
+        "--out", str(out),
+    ]) == 0
+    assert checks.run_criterion(7).passed
+    (extrema, fits), criterion = results
+    assert (extrema, fits) == criterion
+    payload = json.loads(out.read_text())
+    assert payload["extrema"] == [
+        {"size": size, "param": cli._rounded(param), "value": cli._rounded(value)}
+        for size, param, value in extrema
+    ]
+    assert payload["fits"] == [cli._rounded(asdict(fit)) for fit in fits]
+
+
+def test_observable_names_have_one_source(tmp_path):
+    """The --observable choices, the CSV value columns and the JSON row keys
+    are all analysis.OBSERVABLES; spin-1 rows leave out what it says."""
+    subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+    choices = subcommands["scaling"]._option_string_actions["--observable"].choices
+    assert tuple(choices) == analysis.OBSERVABLES
+    argv = ["sweep", "--model", "xxz-one", "--sizes", "4", "--param", "0.5:1.5:2", "--out"]
+    assert cli.run(argv + [str(tmp_path / "t.csv")]) == 0
+    assert cli.run(argv + [str(tmp_path / "t.json")]) == 0
+    header = next(line for line in (tmp_path / "t.csv").read_text().splitlines()
+                  if line.startswith("family,"))
+    columns = header.split(",")
+    assert tuple(columns[columns.index("param") + 1 : columns.index("degeneracy")]) == (
+        analysis.OBSERVABLES
+    )
+    row = json.loads((tmp_path / "t.json").read_text())["rows"][0]
+    assert set(analysis.OBSERVABLES) <= set(row)
+    filled = analysis.observables("xxz_one")
+    assert [key for key in analysis.OBSERVABLES if row[key] is not None] == list(filled)
+    assert "concurrence" not in filled
+    assert analysis.observables("xxz_half") == analysis.OBSERVABLES
+
+
 def test_scaling_repeated_size_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """A size listed twice is refused before any sweep runs; it used to run
     the whole sweep and then exit 1 on a grid that is not ascending."""
@@ -463,7 +556,7 @@ def test_scaling_repeated_size_is_a_usage_error(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.setattr(analysis, "sweep", no_sweep)
     out = tmp_path / "scaling.json"
     code = cli.run([
         "scaling", "--model", "xxz-half", "--sizes", "6,6,8", "--param", "0.5:1.5:5",

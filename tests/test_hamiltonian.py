@@ -280,6 +280,16 @@ def test_model_for_routes_the_swept_parameter():
     assert model_for("xxz_one", 1.7, beta=one.beta) == ModelSpec("xxz_one", 1.7, 0.3)
 
 
+@pytest.mark.parametrize("family", ["xxz_half", "blbq"])
+def test_model_for_refuses_a_beta_the_family_does_not_take(family):
+    """It used to drop the beta silently."""
+    with pytest.raises(ValueError, match=f"{family} takes no beta, got 0.5"):
+        model_for(family, 1.0, beta=0.5)
+    assert model_for(family, 1.0, beta=0.0) == model_for(family, 1.0)
+    with pytest.raises(ValueError, match="unknown family"):
+        model_for("heisenberg_cubed", 1.0)
+
+
 def test_assemble_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
         assemble_parts("blbq", chain_lattice(4), plain_block(build_basis(4, "half", 0.0)))
