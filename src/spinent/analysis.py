@@ -19,7 +19,7 @@ import numpy as np
 from .eigensolver import ConvergenceError, check_tolerances, ground_state_scan
 from .entanglement import bond_correlators, concurrence, two_site_rdm, von_neumann_entropy
 from .hamiltonian import FAMILY_SPIN, SectorWorkspace, model_for
-from .lattice import Lattice, chain_lattice, square_lattice
+from .lattice import chain_lattice, square_lattice
 
 _MEASURED_PAIR = (0, 1)
 
@@ -78,12 +78,8 @@ class ScalingFit:
     residual_norm: float
 
 
-def _build_lattice(geometry: str, size: int) -> Lattice:
-    if geometry == "chain":
-        return chain_lattice(size)
-    if geometry == "square":
-        return square_lattice(size, size)
-    raise ValueError(f"unknown geometry '{geometry}' (chain or square)")
+#: Lattice builders by geometry name, each taking the linear size.
+GEOMETRIES = {"chain": chain_lattice, "square": lambda size: square_lattice(size, size)}
 
 
 def size_label(geometry: str, size: int) -> str:
@@ -99,7 +95,9 @@ def shared_workspace(family: str, geometry: str, size: int) -> SectorWorkspace:
     key = (family, geometry, size)
     workspace = _WORKSPACES.get(key)
     if workspace is None:
-        workspace = SectorWorkspace(family, _build_lattice(geometry, size))
+        if geometry not in GEOMETRIES:
+            raise ValueError(f"unknown geometry '{geometry}' ({' or '.join(GEOMETRIES)})")
+        workspace = SectorWorkspace(family, GEOMETRIES[geometry](size))
         _WORKSPACES[key] = workspace
     return workspace
 
@@ -110,11 +108,9 @@ def _sweep_point(task) -> SweepRow:
     try:
         workspace = shared_workspace(family, geometry, size)
         model = model_for(family, param, beta)
-        report = ground_state_scan(
-            model, workspace.lattice, tol_deg, tol=tol, workspace=workspace
-        )
+        report = ground_state_scan(workspace, model, tol=tol, tol_deg=tol_deg)
         state = report.representative.vector
-        basis = report.representative_basis
+        basis = workspace.basis(report.ground_sz)
         correlators = bond_correlators(state, basis, _MEASURED_PAIR)
         rdm = two_site_rdm(state, basis, *_MEASURED_PAIR)
         entropy = von_neumann_entropy(rdm)
@@ -127,6 +123,12 @@ def _sweep_point(task) -> SweepRow:
         )
     except (ValueError, RuntimeError, MemoryError) as fail:
         return SweepRow(family, geometry, label, param, error=str(fail) or type(fail).__name__)
+
+
+def check_jobs(jobs: int) -> None:
+    """Reject a worker count below 1, in the words the CLI shows for --jobs."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
 def sweep(
@@ -151,8 +153,7 @@ def sweep(
     core, and a pool of one runs serially instead; the table order is by
     (size, param) either way.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     start, end, count = grid
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ValueError(f"grid ends must be finite, got {start}, {end}")
@@ -200,6 +201,10 @@ def finite_difference(series: list[tuple[float, float]]) -> list[tuple[float, fl
     return list(zip(x.tolist(), d.tolist()))
 
 
+#: The extremum kinds locate_extremum refines.
+EXTREMA = ("min", "max")
+
+
 def locate_extremum(
     series: list[tuple[float, float]], kind: str
 ) -> tuple[float, float]:
@@ -208,8 +213,8 @@ def locate_extremum(
     The grid extremum must be interior; an extremum on the boundary raises
     EdgeExtremumError since one of its neighbors is missing.
     """
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got '{kind}'")
+    if kind not in EXTREMA:
+        raise ValueError(f"kind must be one of {EXTREMA}, got '{kind}'")
     if len(series) < 3:
         raise ValueError(f"need at least 3 points, got {len(series)}")
     y = np.array([v for _, v in series], dtype=float)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    check_jobs,
     extrapolate,
     extremum_scaling,
     locate_extremum,
@@ -67,6 +68,7 @@ class CheckContext:
     the workspaces they use are held by ``analysis.shared_workspace``."""
 
     def __init__(self, jobs: int = 1):
+        check_jobs(jobs)
         self.jobs = jobs
         self._grounds: dict[tuple, tuple[EigenResult, SpinBasis]] = {}
 
@@ -79,7 +81,7 @@ class CheckContext:
         hit = self._grounds.get(key)
         if hit is None:
             workspace = shared_workspace(family, geometry, size)
-            _, pair, _ = solve_sector(model_for(family, param), workspace, 0.0)
+            _, pair, _ = solve_sector(workspace, model_for(family, param), 0.0)
             hit = (pair()[1], workspace.basis(0.0))
             self._grounds[key] = hit
         return hit
@@ -372,9 +374,7 @@ def _criterion_8(ctx: CheckContext):
     workspace = shared_workspace("blbq", "chain", 6)
     side = 0.05
     for theta in (3 * math.pi / 2 - side, 3 * math.pi / 2, 3 * math.pi / 2 + side):
-        levels = low_spectrum(
-            model_for("blbq", theta), workspace.lattice, 12, workspace=workspace
-        )
+        levels = low_spectrum(workspace, model_for("blbq", theta), 12)
         clusters = degeneracy_count([e for e, _ in levels], 1e-6)
         multiplicities.append(clusters[1] if len(clusters) > 1 else 0)
     ok = sorted(multiplicities) == [3, 5, 8]

@@ -6,10 +6,12 @@ analytically, `scaling` chains sweep -> derivative -> extremum ->
 extrapolation, and `check` runs the acceptance battery.
 
 Exit codes: 0 success, 1 usage error (the CLI only parses text, so this
-is also the ValueError the library raises for a grid, size, geometry or
-criterion out of range, or `--beta` for a family without it), 2 numerical
-failure or running out of memory (output is still written with failed
-rows annotated where that makes sense).
+is also the ValueError the library raises for a grid, size, geometry,
+worker count or criterion out of range, or `--beta` for a family without
+it; an `--out` in a missing directory is refused before any work, and one
+that cannot be written exits 1 after it), 2 numerical failure or running
+out of memory (output is still written with failed rows annotated where
+that makes sense).
 
 Output files start with `#` metadata lines (tool version, resolved
 configuration, wall-clock seconds) so they stay self-describing while
@@ -30,6 +32,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    EXTREMA,
+    GEOMETRIES,
     OBSERVABLES,
     EdgeExtremumError,
     SweepRow,
@@ -40,9 +44,9 @@ from .analysis import (
 from .bethe import solve_ground
 from .checks import CRITERIA, CheckContext, run_all
 from .eigensolver import ConvergenceError, degeneracy_count, low_spectrum
-from .hamiltonian import FAMILY_PARAMETERS, model_for
+from .hamiltonian import FAMILY_PARAMETERS, FAMILY_SPIN, model_for
 
-_MODEL_NAMES = {"xxz-half": "xxz_half", "xxz-one": "xxz_one", "blbq": "blbq"}
+_MODEL_NAMES = {family.replace("_", "-"): family for family in FAMILY_SPIN}
 
 
 class _UsageError(Exception):
@@ -58,20 +62,18 @@ def _default_jobs() -> str:
     """SPINENT_JOBS, or "1" when it is unset or empty.
 
     argparse runs a string default through the option's type when the flag
-    is absent, so a bad value is rejected by _parse_jobs exactly like a bad
-    --jobs, and only by the subcommands that take --jobs.
+    is absent, so a bad value is rejected exactly like a bad --jobs (a
+    non-integer by _parse_jobs, one below 1 by analysis.check_jobs), and only
+    by the subcommands that take --jobs.
     """
     return os.environ.get("SPINENT_JOBS") or "1"
 
 
 def _parse_jobs(text: str) -> int:
     try:
-        jobs = int(text)
+        return int(text)
     except ValueError:
         raise _UsageError(f"could not parse --jobs '{text}'") from None
-    if jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {jobs}")
-    return jobs
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -132,8 +134,15 @@ def _meta(command: str, config: dict, elapsed: float, extra: dict | None = None)
     return meta
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as fail:
+        raise _UsageError(f"could not write --out {path}: {fail.strerror or fail}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_rounded(payload), sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(_rounded(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _write_sweep_csv(path: str, meta: dict, rows) -> None:
@@ -153,7 +162,7 @@ def _write_sweep_csv(path: str, meta: dict, rows) -> None:
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, name)) for name in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _model_param(ns, family: str) -> float:
@@ -209,10 +218,7 @@ def _cmd_spectrum(ns) -> int:
     model = model_for(family, value, ns.beta)
     workspace = shared_workspace(family, ns.geometry, ns.size)
     started = time.perf_counter()
-    merged = low_spectrum(
-        model, workspace.lattice, ns.levels, tol=ns.tol, tol_deg=ns.tol_deg,
-        workspace=workspace,
-    )
+    merged = low_spectrum(workspace, model, ns.levels, tol=ns.tol, tol_deg=ns.tol_deg)
     elapsed = time.perf_counter() - started
     cluster_sizes = degeneracy_count([energy for energy, _ in merged], ns.tol_deg)
     clusters = []
@@ -329,25 +335,26 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spinent", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"spinent {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    model = _Parser(add_help=False)
+    model.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
+    model.add_argument("--geometry", choices=tuple(GEOMETRIES), default="chain")
+    model.add_argument("--beta", type=float, default=0.0, help="biquadratic weight for xxz-one")
 
-    sweep_parser = commands.add_parser("sweep", help="observable table over a parameter grid")
-    sweep_parser.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
-    sweep_parser.add_argument("--geometry", choices=("chain", "square"), default="chain")
+    sweep_parser = commands.add_parser(
+        "sweep", parents=[model], help="observable table over a parameter grid"
+    )
     sweep_parser.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 12,16")
     sweep_parser.add_argument("--param", required=True, help="grid start:end:count")
-    sweep_parser.add_argument("--beta", type=float, default=0.0,
-                              help="biquadratic weight for xxz-one")
     sweep_parser.add_argument("--format", choices=("csv", "json"), default=None)
     sweep_parser.add_argument("--out", required=True)
     _add_common_solver_flags(sweep_parser)
 
-    spectrum_parser = commands.add_parser("spectrum", help="low-lying levels and multiplicities")
-    spectrum_parser.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
-    spectrum_parser.add_argument("--geometry", choices=("chain", "square"), default="chain")
+    spectrum_parser = commands.add_parser(
+        "spectrum", parents=[model], help="low-lying levels and multiplicities"
+    )
     spectrum_parser.add_argument("--size", type=int, required=True)
     spectrum_parser.add_argument("--delta", type=float, default=None)
     spectrum_parser.add_argument("--theta", type=float, default=None)
-    spectrum_parser.add_argument("--beta", type=float, default=0.0)
     spectrum_parser.add_argument("--levels", type=int, default=12)
     spectrum_parser.add_argument("--out", required=True)
     _add_common_solver_flags(spectrum_parser, with_jobs=False)
@@ -358,18 +365,15 @@ def _build_parser() -> _Parser:
     bethe_parser.add_argument("--out", required=True)
 
     scaling_parser = commands.add_parser(
-        "scaling", help="sweep, differentiate, refine extrema, extrapolate"
+        "scaling", parents=[model], help="sweep, differentiate, refine extrema, extrapolate"
     )
-    scaling_parser.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
-    scaling_parser.add_argument("--geometry", choices=("chain", "square"), default="chain")
     scaling_parser.add_argument("--sizes", required=True)
     scaling_parser.add_argument("--param", required=True, help="grid start:end:count")
-    scaling_parser.add_argument("--beta", type=float, default=0.0)
     scaling_parser.add_argument("--observable", default="ev", choices=OBSERVABLES)
     scaling_parser.add_argument("--derivative", action=argparse.BooleanOptionalAction,
                                 default=True,
                                 help="locate the extremum of the first derivative")
-    scaling_parser.add_argument("--extremum", choices=("min", "max"), default="min")
+    scaling_parser.add_argument("--extremum", choices=EXTREMA, default="min")
     scaling_parser.add_argument("--out", required=True)
     _add_common_solver_flags(scaling_parser)
 
@@ -394,6 +398,8 @@ _HANDLERS = {
 def run(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
+        if ns.out is not None and not Path(ns.out).parent.is_dir():
+            raise _UsageError(f"--out {ns.out}: no directory {Path(ns.out).parent}")
         if ns.command == "sweep" and ns.format is None:
             ns.format = "json" if ns.out.endswith(".json") else "csv"
         return _HANDLERS[ns.command](ns)

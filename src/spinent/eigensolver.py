@@ -39,6 +39,10 @@ translation pick its block, about N times smaller than the sector. Odd
 rings and every other model point solve a large sector whole by Lanczos,
 and a dense one as its parity blocks; low_spectrum solves every sector
 whole, through the same sector_lowest.
+
+Every solve takes a SectorWorkspace first and the model second: the
+workspace is the one handle on the lattice, and it keeps the bases and
+stencil parts that solves at other parameter values reuse.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .basis import SpinBasis, nonnegative_sectors, plain_block
+from .basis import nonnegative_sectors, plain_block
 from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, ground_characters
-from .lattice import Lattice
 
 _PRIMARY_SEED = 1299709
 _RESTART_SEED = 15485863
@@ -120,7 +123,7 @@ class GroundStateReport:
     the vector is an eigenstate of the reflection, and at Sz = 0 of the spin
     inversion, picked by a fixed rule rather than by LAPACK.
     ``representative`` is always a vector over the plain sector basis
-    ``representative_basis``, the workspace's own ``basis(ground_sz)``.
+    ``workspace.basis(ground_sz)`` of the scanned workspace.
     """
 
     per_sector_energies: dict[float, tuple[float, ...]]
@@ -128,7 +131,6 @@ class GroundStateReport:
     ground_sz: float
     degeneracy: int
     representative: EigenResult
-    representative_basis: SpinBasis
 
 
 class _NotConverged(Exception):
@@ -405,7 +407,7 @@ def _dense_union(blocks, tol: float):
 
 
 def solve_sector(
-    model: ModelSpec, workspace: SectorWorkspace, sz: float, tol: float = 1e-10
+    workspace: SectorWorkspace, model: ModelSpec, sz: float, tol: float = 1e-10
 ) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], bool]:
     """Lowest energies of one sector, a call that gives them with the
     sector's bottom eigenpair over the plain sector (see sector_lowest), and
@@ -437,14 +439,14 @@ def solve_sector(
 
 
 def ground_state_scan(
+    workspace: SectorWorkspace,
     model: ModelSpec,
-    lattice: Lattice,
-    tol_deg: float = 1e-8,
     *,
     tol: float = 1e-10,
-    workspace: SectorWorkspace | None = None,
+    tol_deg: float = 1e-8,
 ) -> GroundStateReport:
-    """Scan Sz >= 0 sectors for the global ground state and its degeneracy.
+    """Scan the workspace's Sz >= 0 sectors for the global ground state and
+    its degeneracy.
 
     Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
     skipped but counted in the degeneracy. Each sector is solved by
@@ -458,9 +460,8 @@ def ground_state_scan(
     at last as the union of its parity blocks'. GroundStateReport describes
     the top-up and the degenerate-representative rule.
     """
-    ws = _workspace(model, lattice, workspace)
-    sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
-    solved = {sz: solve_sector(model, ws, sz, tol) for sz in sectors}
+    sectors = nonnegative_sectors(workspace.spin, workspace.lattice.num_sites)
+    solved = {sz: solve_sector(workspace, model, sz, tol) for sz in sectors}
     per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
     lowest = min(levels[0] for levels in per_sector.values())
     rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
@@ -469,12 +470,12 @@ def ground_state_scan(
     for sz, levels in per_sector.items():
         if not solved[sz][2]:
             continue
-        dim = ws.basis(sz).dimension
+        dim = workspace.basis(sz).dimension
         while len(levels) < dim and levels[-1] <= ground + tol_deg:
             count = 2 * len(levels)
             if len(levels) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
                 count = dim
-            levels = sector_lowest(ws, model, sz, count, tol)[0]
+            levels = sector_lowest(workspace, model, sz, count, tol)[0]
         per_sector[sz] = levels
     degeneracy = 0
     for sz, levels in per_sector.items():
@@ -487,32 +488,16 @@ def ground_state_scan(
         ground_sz=rep_sz,
         degeneracy=degeneracy,
         representative=bottom,
-        representative_basis=ws.basis(rep_sz),
     )
 
 
-def _workspace(
-    model: ModelSpec, lattice: Lattice, workspace: SectorWorkspace | None
-) -> SectorWorkspace:
-    """The given workspace, which must be built on ``lattice``, or a fresh one."""
-    if workspace is None:
-        return SectorWorkspace(model.family, lattice)
-    if workspace.lattice != lattice:
-        raise ValueError(
-            f"workspace built on a {workspace.lattice.geometry} of extent "
-            f"{workspace.lattice.extent}, got a {lattice.geometry} of extent {lattice.extent}"
-        )
-    return workspace
-
-
 def low_spectrum(
+    workspace: SectorWorkspace,
     model: ModelSpec,
-    lattice: Lattice,
     levels: int,
     *,
     tol: float = 1e-10,
     tol_deg: float = 1e-8,
-    workspace: SectorWorkspace | None = None,
 ) -> list[tuple[float, float]]:
     """Lowest ``levels`` states of the full Hamiltonian as (energy, sz) pairs.
 
@@ -536,10 +521,9 @@ def low_spectrum(
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")
     check_tolerances(tol, tol_deg)
-    ws = _workspace(model, lattice, workspace)
-    sectors = nonnegative_sectors(ws.spin, lattice.num_sites)
+    sectors = nonnegative_sectors(workspace.spin, workspace.lattice.num_sites)
     for sz in sectors:
-        dim = ws.basis(sz).dimension
+        dim = workspace.basis(sz).dimension
         if levels >= dim > _DENSE_LIMIT:
             raise ValueError(
                 f"{levels} levels ask for every level of the {dim}-state sector "
@@ -547,7 +531,7 @@ def low_spectrum(
             )
     merged: list[tuple[float, float]] = []
     for sz in sectors:
-        energies = sector_lowest(ws, model, sz, levels, tol)[0][:levels]
+        energies = sector_lowest(workspace, model, sz, levels, tol)[0][:levels]
         for e in energies:
             merged.append((e, sz))
             if sz > 1e-12:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spinent import analysis
+from spinent import analysis, checks
 from spinent.analysis import (
     EdgeExtremumError,
     SweepRow,
@@ -16,7 +16,7 @@ from spinent.analysis import (
 )
 from spinent.basis import build_basis
 from spinent.eigensolver import ground_state_scan
-from spinent.hamiltonian import model_for
+from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 
@@ -36,7 +36,8 @@ def test_sweep_rows_carry_the_full_measurement_set():
         assert row.concurrence is not None
         assert isinstance(row.degeneracy, int)
         assert row.degenerate_flag == (row.degeneracy > 1)
-    report = ground_state_scan(model_for("xxz_half", 0.5), chain_lattice(4))
+    workspace = SectorWorkspace("xxz_half", chain_lattice(4))
+    report = ground_state_scan(workspace, model_for("xxz_half", 0.5))
     np.testing.assert_allclose(table.rows[1].energy, report.ground_energy, atol=1e-12)
 
 
@@ -274,3 +275,18 @@ def test_extrapolation_input_validation():
 def test_size_labels():
     assert size_label("square", 4) == "4x4"
     assert size_label("chain", 12) == "12"
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_a_worker_count_below_one_is_refused_by_sweep_and_the_battery(jobs, monkeypatch):
+    """One rule for both: the battery used to accept it and report the
+    sweeping criteria as crashed while the others passed."""
+    ran = []
+    monkeypatch.setattr(analysis, "_sweep_point", ran.append)
+    monkeypatch.setitem(checks.CRITERIA, 5, ran.append)
+    message = f"--jobs must be at least 1, got {jobs}"
+    with pytest.raises(ValueError, match=message):
+        sweep("xxz_half", "chain", [4], (0.0, 1.0, 3), jobs=jobs)
+    with pytest.raises(ValueError, match=message):
+        checks.run_all([5], checks.CheckContext(jobs=jobs))
+    assert ran == []

@@ -159,7 +159,8 @@ def test_sweep_writes_the_documented_csv(tmp_path):
     assert first[1] == "chain"
     assert first[2] == "4"
     assert first[3] == "0"
-    report = ground_state_scan(model_for("xxz_half", 0.0), chain_lattice(4))
+    workspace = SectorWorkspace("xxz_half", chain_lattice(4))
+    report = ground_state_scan(workspace, model_for("xxz_half", 0.0))
     assert first[4] == f"{report.ground_energy:.12g}"
     assert first[10] in ("0", "1")
     # config json is parseable and round-trips the request
@@ -219,10 +220,10 @@ def test_sweep_annotates_failures_and_exits_two(tmp_path, capsys):
 def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
     real_scan = analysis.ground_state_scan
 
-    def scan(model, *args, **kwargs):
+    def scan(workspace, model, **kwargs):
         if model.delta == 0.5:
             raise MemoryError()  # what a failed allocation in Python raises
-        return real_scan(model, *args, **kwargs)
+        return real_scan(workspace, model, **kwargs)
 
     monkeypatch.setattr(analysis, "ground_state_scan", scan)
     out = tmp_path / "table.csv"
@@ -480,10 +481,10 @@ def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monk
     """It used to report only a count and a residual of nan."""
     real_scan = analysis.ground_state_scan
 
-    def scan(model, *args, **kwargs):
+    def scan(workspace, model, **kwargs):
         if model.delta == 0.5:
             raise MemoryError("Unable to allocate 1. GiB for an array")
-        return real_scan(model, *args, **kwargs)
+        return real_scan(workspace, model, **kwargs)
 
     monkeypatch.setattr(analysis, "ground_state_scan", scan)
     out = tmp_path / "scaling.json"
@@ -617,3 +618,74 @@ def test_check_subset_prints_summary_lines(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["results"][0]["number"] == 4
     assert payload["results"][0]["passed"] is True
+
+
+# Each subcommand with a small run that succeeds, and the library entry it calls.
+_OUT_RUNS = {
+    "sweep": (["sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:3"], "sweep"),
+    "spectrum": (
+        ["spectrum", "--model", "xxz-half", "--size", "6", "--delta", "0.5"], "low_spectrum"
+    ),
+    "bethe": (["bethe", "--size", "6", "--delta", "0.5"], "solve_ground"),
+    "scaling": (
+        ["scaling", "--model", "xxz-half", "--sizes", "6,8,10", "--param", "0.8:1.2:5",
+         "--no-derivative", "--extremum", "max"],
+        "extremum_scaling",
+    ),
+    "check": (["check", "--criteria", "4"], "run_all"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_RUNS))
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+    command, tmp_path, capsys, monkeypatch
+):
+    """It used to compute everything and then die in a traceback."""
+    argv, entry = _OUT_RUNS[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{entry} ran")
+
+    monkeypatch.setattr(cli, entry, no_work)
+    out = tmp_path / "missing" / "x.json"
+    assert cli.run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_RUNS))
+def test_out_that_cannot_be_written_exits_one_in_one_line(command, tmp_path, capsys):
+    """An --out that names a directory passes the up-front check and fails
+    only at the write, after the work: one error line, exit 1, no file."""
+    argv, _ = _OUT_RUNS[command]
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert cli.run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("running criterion")] == [
+        f"error: could not write --out {out}: Is a directory"
+    ]
+    assert list(tmp_path.iterdir()) == [out] and not list(out.iterdir())
+
+
+def test_choice_lists_are_their_library_owners():
+    """--model, --geometry and --extremum offer exactly the names the
+    library defines, on every subcommand that takes them (--observable has
+    its own test above)."""
+    owners = {
+        "model": sorted(family.replace("_", "-") for family in hamiltonian.FAMILY_SPIN),
+        "geometry": list(analysis.GEOMETRIES),
+        "extremum": list(analysis.EXTREMA),
+    }
+    assert sorted(cli._MODEL_NAMES.values()) == sorted(hamiltonian.FAMILY_SPIN)
+    subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+    offered = {}
+    for name, parser in subcommands.items():
+        for action in parser._actions:
+            if action.dest in owners:
+                offered[name, action.dest] = list(action.choices)
+    assert offered == {
+        (name, dest): owners[dest]
+        for name in ("sweep", "spectrum", "scaling")
+        for dest in ("model", "geometry")
+    } | {("scaling", "extremum"): owners["extremum"]}

@@ -20,7 +20,7 @@ from spinent.eigensolver import (
 from spinent.analysis import shared_workspace
 from spinent.checks import CheckContext
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, model_for
-from spinent.lattice import chain_lattice, square_lattice
+from spinent.lattice import chain_lattice
 
 
 class _FakeHamiltonian:
@@ -305,10 +305,10 @@ def test_scans_and_checks_share_one_dispatch(n):
     gives the sector's ground alone."""
     workspace = shared_workspace("xxz_half", "chain", n)
     model = model_for("xxz_half", 0.5)
-    report = ground_state_scan(model, workspace.lattice, workspace=workspace)
+    report = ground_state_scan(workspace, model)
     checked, basis = CheckContext().sector_ground("xxz_half", n, 0.5)
     assert report.ground_sz == 0.0
-    assert basis is report.representative_basis
+    assert basis is workspace.basis(report.ground_sz)
     assert checked.energy == report.representative.energy
     assert np.array_equal(checked.vector, report.representative.vector)
     assert len(report.per_sector_energies[0.0]) == (252 if n == 10 else 1)
@@ -380,7 +380,7 @@ def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatc
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
-            report = ground_state_scan(model, workspace.lattice, workspace=workspace)
+            report = ground_state_scan(workspace, model)
         assert calls == [block_dim] and block_dim < workspace.basis(sz).dimension
         assert report.ground_sz == sz == whole_sz
         assert report.ground_energy == energy
@@ -395,10 +395,11 @@ def test_odd_ring_representative_is_a_reflection_eigenstate():
     parity block, so R v = +v or -v, and of the first block in the fixed
     order, R = +1, since the two blocks' bottoms tie."""
     lattice = chain_lattice(9)
+    workspace = SectorWorkspace("xxz_half", lattice)
     for delta in (-0.5, 0.5, 1.0):
-        report = ground_state_scan(ModelSpec("xxz_half", delta=delta), lattice)
+        report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=delta))
         assert report.degeneracy == 4 and report.ground_sz == 0.5
-        basis, vector = report.representative_basis, report.representative.vector
+        basis, vector = workspace.basis(report.ground_sz), report.representative.vector
         mirrored = np.zeros_like(basis.states)
         for site, image in enumerate(lattice.reflection()):
             mirrored |= ((basis.states >> site) & 1) << image
@@ -410,31 +411,35 @@ def test_odd_ring_representative_is_a_reflection_eigenstate():
 def test_scan_ferromagnet_is_doubly_degenerate():
     """Deep in the ferromagnetic phase only the two polarized states are
     ground states; anisotropy splits the rest of the would-be multiplet."""
-    report = ground_state_scan(ModelSpec("xxz_half", delta=-2.0), chain_lattice(8))
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=-2.0))
     assert report.ground_sz == 4.0
     assert report.degeneracy == 2
     assert abs(report.ground_energy - (-4.0)) < 1e-12
-    assert report.representative_basis.sz_sector == 4.0
+    assert workspace.basis(report.ground_sz).sz_sector == 4.0
     assert abs(np.linalg.norm(report.representative.vector) - 1.0) < 1e-12
 
 
 def test_scan_boundary_point_recovers_full_multiplet():
     # at delta = -1 the spectrum maps onto the isotropic point, so the
     # polarized states join an S_total = 4 multiplet: 2S+1 = 9 members
-    report = ground_state_scan(ModelSpec("xxz_half", delta=-1.0), chain_lattice(8))
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=-1.0))
     assert report.degeneracy == 9
     assert abs(report.ground_energy - (-2.0)) < 1e-12
 
 
 def test_scan_gapless_point_is_unique():
-    report = ground_state_scan(ModelSpec("xxz_half", delta=0.5), chain_lattice(8))
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5))
     assert report.ground_sz == 0.0
     assert report.degeneracy == 1
     assert set(report.per_sector_energies) == set(nonnegative_sectors("half", 8))
 
 
 def test_scan_blbq_ferro_arc_is_flagged():
-    report = ground_state_scan(ModelSpec("blbq", theta=np.pi), chain_lattice(6))
+    workspace = SectorWorkspace("blbq", chain_lattice(6))
+    report = ground_state_scan(workspace, ModelSpec("blbq", theta=np.pi))
     assert report.degeneracy == 13  # S_total = 6 multiplet
 
 
@@ -452,9 +457,9 @@ def test_scan_counts_every_member_in_large_sectors(model, size, expected):
     sector and four each in Sz = 1 and 2; the odd ring's two momenta put two
     in Sz = 1/2. Each such sector is deflated until a level clears the
     window, so the scan agrees with low_spectrum."""
-    lattice = chain_lattice(size)
-    report = ground_state_scan(model, lattice)
-    levels = low_spectrum(model, lattice, expected + 5)
+    workspace = SectorWorkspace(model.family, chain_lattice(size))
+    report = ground_state_scan(workspace, model)
+    levels = low_spectrum(workspace, model, expected + 5)
     assert degeneracy_count([e for e, _ in levels], 1e-8)[0] == expected
     assert report.degeneracy == expected
 
@@ -475,7 +480,7 @@ def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
         return real_lanczos(ham, k, **kwargs)
 
     monkeypatch.setattr(eigensolver, "lanczos_lowest", lanczos)
-    report = ground_state_scan(model, lattice, workspace=workspace)
+    report = ground_state_scan(workspace, model)
     expected = 0
     for sz in nonnegative_sectors("one", 8):
         vals = np.linalg.eigvalsh(workspace.matrix(model, sz).matrix.toarray())
@@ -501,7 +506,8 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
         return total
 
     monkeypatch.setattr(hamiltonian, "combine_dense", combine_dense)
-    report = ground_state_scan(ModelSpec("blbq", theta=np.pi / 2), chain_lattice(8))
+    workspace = SectorWorkspace("blbq", chain_lattice(8))
+    report = ground_state_scan(workspace, ModelSpec("blbq", theta=np.pi / 2))
     assert report.degeneracy == 2207
     small = [141, 125, 60, 52, 21, 15, 5, 3, 1]  # Sz = 4 .. 8: 266, 112, 36, 8, 1
     topped_up = [292, 278, 262, 275, 521, 495, 406, 378, 261, 243]  # 1107, 1016, 784, 504
@@ -549,28 +555,29 @@ def test_low_spectrum_lists_the_scan_levels_of_a_dense_sector(family, size, para
     """low_spectrum and the scan solve a dense sector alike, as its parity
     blocks, values only, so a sector that does not represent the point
     lists the levels the scan reports for it, bit for bit."""
-    lattice = chain_lattice(size)
-    workspace = SectorWorkspace(family, lattice)
+    workspace = SectorWorkspace(family, chain_lattice(size))
     model = model_for(family, param)
-    report = ground_state_scan(model, lattice, workspace=workspace)
+    report = ground_state_scan(workspace, model)
     assert report.ground_sz != sz
     assert workspace.basis(sz).dimension <= eigensolver._DENSE_CUTOFF
     states = workspace.basis(sz).local_dim ** size
-    levels = low_spectrum(model, lattice, states, workspace=workspace)
+    levels = low_spectrum(workspace, model, states)
     assert len(levels) == states
     listed = sorted(energy for energy, label in levels if label == sz)
     assert listed == list(report.per_sector_energies[sz])
 
 
 def test_low_spectrum_trims_and_sorts():
-    levels = low_spectrum(ModelSpec("xxz_half", delta=0.5), chain_lattice(4), 6)
+    workspace = SectorWorkspace("xxz_half", chain_lattice(4))
+    levels = low_spectrum(workspace, ModelSpec("xxz_half", delta=0.5), 6)
     assert len(levels) == 6
     energies = [e for e, _ in levels]
     assert energies == sorted(energies)
 
 
 def test_low_spectrum_mirrors_sectors():
-    levels = low_spectrum(ModelSpec("xxz_half", delta=0.5), chain_lattice(4), 16)
+    workspace = SectorWorkspace("xxz_half", chain_lattice(4))
+    levels = low_spectrum(workspace, ModelSpec("xxz_half", delta=0.5), 16)
     by_sz = {}
     for e, sz in levels:
         by_sz.setdefault(sz, []).append(round(e, 9))
@@ -580,11 +587,8 @@ def test_low_spectrum_mirrors_sectors():
 def test_low_spectrum_blbq_transition_multiplet():
     """First excited manifold at the pure negative-biquadratic point is
     exactly 8-fold."""
-    lattice = chain_lattice(6)
-    ws = SectorWorkspace("blbq", lattice)
-    levels = low_spectrum(
-        ModelSpec("blbq", theta=1.5 * np.pi), lattice, 12, workspace=ws
-    )
+    workspace = SectorWorkspace("blbq", chain_lattice(6))
+    levels = low_spectrum(workspace, ModelSpec("blbq", theta=1.5 * np.pi), 12)
     clusters = degeneracy_count([e for e, _ in levels], 1e-6)
     assert clusters[0] == 1
     assert clusters[1] == 8
@@ -594,12 +598,11 @@ def test_spectrum_listing_ignores_round_off(monkeypatch):
     """At blbq L=8, theta = 3pi/2 the manifold at -19.7967 straddles a 20-level
     cut. Nudging every sector energy by +-1e-13 must not change which members
     are listed, their Sz labels or the cluster sizes."""
-    lattice = chain_lattice(8)
-    ws = SectorWorkspace("blbq", lattice)
+    workspace = SectorWorkspace("blbq", chain_lattice(8))
     model = ModelSpec("blbq", theta=1.5 * np.pi)
 
     def listing():
-        levels = low_spectrum(model, lattice, 20, workspace=ws)
+        levels = low_spectrum(workspace, model, 20)
         energies = [e for e, _ in levels]
         return energies, [sz for _, sz in levels], degeneracy_count(energies, 1e-8)
 
@@ -640,24 +643,44 @@ def test_degeneracy_count_windows():
 
 def test_low_spectrum_rejects_bad_level_count():
     with pytest.raises(ValueError):
-        low_spectrum(ModelSpec("xxz_half"), chain_lattice(4), 0)
+        low_spectrum(SectorWorkspace("xxz_half", chain_lattice(4)), ModelSpec("xxz_half"), 0)
 
 
-def test_scan_rejects_a_workspace_of_another_lattice():
-    """The sectors come from the lattice and the matrices from the
-    workspace: a 16-site ring solved on a 4x4 torus workspace gave the
-    torus energy."""
-    torus = SectorWorkspace("xxz_half", square_lattice(4, 4))
-    model = ModelSpec("xxz_half", delta=1.0)
-    with pytest.raises(ValueError, match="workspace built on a square"):
-        ground_state_scan(model, chain_lattice(16), workspace=torus)
+@pytest.mark.parametrize(
+    "family,size,first,second",
+    [("xxz_half", 12, 0.5, 1.3), ("xxz_one", 8, 1.0, 0.4), ("blbq", 6, 0.3, 4.0)],
+)
+def test_one_workspace_assembles_each_sector_once(family, size, first, second, monkeypatch):
+    """The workspace is the one handle every solve takes: once a scan and a
+    low_spectrum have run on it, both run again at a new parameter without
+    assembling a single stencil part."""
+    workspace = SectorWorkspace(family, chain_lattice(size))
+    calls = []
+    real = hamiltonian.assemble_parts
+
+    def assemble_parts(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "assemble_parts", assemble_parts)
+    ground_state_scan(workspace, model_for(family, first))
+    low_spectrum(workspace, model_for(family, first), 8)
+    assert calls
+    calls.clear()
+    ground_state_scan(workspace, model_for(family, second))
+    low_spectrum(workspace, model_for(family, second), 8)
+    assert calls == []
 
 
-def test_low_spectrum_rejects_a_workspace_of_another_lattice():
-    torus = SectorWorkspace("xxz_half", square_lattice(4, 4))
-    model = ModelSpec("xxz_half", delta=1.0)
-    with pytest.raises(ValueError, match="workspace built on a square"):
-        low_spectrum(model, chain_lattice(16), 4, workspace=torus)
+def test_a_model_of_another_family_is_refused():
+    """blbq and xxz_one share the spin-1 bases, so only the workspace's
+    family check tells them apart."""
+    workspace = SectorWorkspace("blbq", chain_lattice(6))
+    model = model_for("xxz_one", 1.0)
+    with pytest.raises(ValueError, match="workspace built for 'blbq', got model 'xxz_one'"):
+        ground_state_scan(workspace, model)
+    with pytest.raises(ValueError, match="workspace built for 'blbq', got model 'xxz_one'"):
+        low_spectrum(workspace, model, 4)
 
 
 def test_lanczos_overflow_is_a_value_error_naming_the_matrix():

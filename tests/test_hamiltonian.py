@@ -221,7 +221,7 @@ def test_a_scan_stores_nothing_in_an_assembled_workspace(model, lattice):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ground_state_scan(model, lattice, workspace=workspace)
+        ground_state_scan(workspace, model)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -20,26 +20,27 @@ from spinent.hamiltonian import ModelSpec, SectorWorkspace, perron_frobenius, mo
 from spinent.lattice import chain_lattice, square_lattice
 
 
-def _observables(report):
-    state, basis = report.representative.vector, report.representative_basis
+def _observables(report, workspace):
+    state, basis = report.representative.vector, workspace.basis(report.ground_sz)
     correlators = bond_correlators(state, basis, (0, 1))
     entropy = von_neumann_entropy(two_site_rdm(state, basis, 0, 1))
     return correlators.czz, correlators.cxx, entropy
 
 
 def _assert_routes_agree(model, workspace, monkeypatch):
-    lattice = workspace.lattice
-    block = ground_state_scan(model, lattice, workspace=workspace)
+    block = ground_state_scan(workspace, model)
     with monkeypatch.context() as patch:
         patch.setattr(eigensolver, "ground_characters", lambda *args: ())
-        plain = ground_state_scan(model, lattice, workspace=workspace)
+        plain = ground_state_scan(workspace, model)
     assert block.per_sector_energies.keys() == plain.per_sector_energies.keys()
     for sz, levels in block.per_sector_energies.items():
         assert abs(levels[0] - plain.per_sector_energies[sz][0]) <= 1e-10
     assert abs(block.ground_energy - plain.ground_energy) <= 1e-10
     assert block.degeneracy == plain.degeneracy
     assert block.ground_sz == plain.ground_sz
-    np.testing.assert_allclose(_observables(block), _observables(plain), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        _observables(block, workspace), _observables(plain, workspace), rtol=0, atol=1e-10
+    )
 
 
 _CHAIN_GRIDS = {"criterion 5": (-1.5, -0.5, 21), "criterion 9": (1.5, 3.0, 31)}
@@ -160,7 +161,7 @@ def _assert_no_small_plain_block(assembled):
 def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
     assembled, solved = _record(monkeypatch)
     workspace = SectorWorkspace(model.family, lattice)
-    ground_state_scan(model, lattice, workspace=workspace)
+    ground_state_scan(workspace, model)
     sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
     dims = [workspace.basis(sz).dimension for sz in sectors]
     assert max(dims) > _DENSE_CUTOFF
@@ -182,7 +183,7 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
     assembled, solved = _record(monkeypatch)
     lattice = chain_lattice(16)
     workspace = SectorWorkspace("xxz_half", lattice)
-    ground_state_scan(ModelSpec("xxz_half", delta=0.5), lattice, workspace=workspace)
+    ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5))
     large = [dim for dim, _, _ in assembled if dim > _DENSE_CUTOFF]
     assert len(large) == 6  # Sz = 0 .. 5
     for dim, block_dim, kind in assembled:
@@ -223,9 +224,8 @@ def test_low_spectrum_assembles_no_small_plain_sector(model, size, monkeypatch):
     """low_spectrum solves a dense sector as its parity blocks, like the
     scan, and builds the plain sector only for a Lanczos solve."""
     assembled, solved = _record(monkeypatch)
-    lattice = chain_lattice(size)
-    workspace = SectorWorkspace(model.family, lattice)
-    eigensolver.low_spectrum(model, lattice, 20, workspace=workspace)
+    workspace = SectorWorkspace(model.family, chain_lattice(size))
+    eigensolver.low_spectrum(workspace, model, 20)
     sectors = nonnegative_sectors(workspace.spin, size)
     dims = [workspace.basis(sz).dimension for sz in sectors]
     assert [(dim, dim, "plain") for dim in dims if dim > _DENSE_CUTOFF] == [
