@@ -164,7 +164,7 @@ def _criterion_1(ctx: CheckContext):
     fit_down = extrapolate(lower_eig, "inverse_L_squared")
     checks.append(_close(fit_up.extrapolated_value, 0.669, 0.002, "extrapolated central eigenvalue (upper)"))
     checks.append(_close(fit_down.extrapolated_value, 0.033, 0.002, "extrapolated central eigenvalue (lower)"))
-    return "free-fermion oracle equality at the XX point", checks
+    return checks
 
 
 def _criterion_2(ctx: CheckContext):
@@ -200,7 +200,7 @@ def _criterion_2(ctx: CheckContext):
         extrapolate(concurrence_pts, "inverse_L_squared").extrapolated_value,
         2 * math.log(2) - 1, 0.01, "extrapolated concurrence",
     ))
-    return "isotropic-point values from the analytic route", checks
+    return checks
 
 
 def _criterion_3(ctx: CheckContext):
@@ -216,7 +216,7 @@ def _criterion_3(ctx: CheckContext):
             )
             worst = max(worst, gap)
         checks.append(_at_most(worst, 1e-8, f"N={n} worst |E_bethe - E_ed| over 6 anisotropies"))
-    return "Bethe ansatz equals exact diagonalization", checks
+    return checks
 
 
 def _criterion_4(ctx: CheckContext):
@@ -235,7 +235,7 @@ def _criterion_4(ctx: CheckContext):
             abs(n * direct - n * derived_czz), 1e-5,
             f"delta={delta} |N*czz - dE/d(delta)|",
         ))
-    return "Hellmann-Feynman consistency on the ring", checks
+    return checks
 
 
 def _criterion_5(ctx: CheckContext):
@@ -268,7 +268,7 @@ def _criterion_5(ctx: CheckContext):
         f"pair entropy just above the boundary: {above.ev:.8g} "
         f"(needs <= Dicke-state limit {cap:.8g})",
     ))
-    return "ferromagnetic boundary degeneracy switch", checks
+    return checks
 
 
 def _criterion_6(ctx: CheckContext):
@@ -294,7 +294,7 @@ def _criterion_6(ctx: CheckContext):
         f"czz - cxx across delta=1: {gap[0.95]:+.4g} at 0.95, "
         f"{gap[1.05]:+.4g} at 1.05 (needs + then -)",
     ))
-    return "square-lattice entropy peak and SU(2) crossing", checks
+    return checks
 
 
 def _criterion_7(ctx: CheckContext):
@@ -312,7 +312,7 @@ def _criterion_7(ctx: CheckContext):
         value = fit.extrapolated_value
         ok = 1.10 <= value <= 1.30
         checks.append((ok, f"{fit.form} extrapolation: {value:.4f} (window [1.10, 1.30])"))
-    return "spin-1 derivative-minimum scaling", checks
+    return checks
 
 
 def _is_local_min(values: np.ndarray, idx: int) -> bool:
@@ -383,7 +383,7 @@ def _criterion_8(ctx: CheckContext):
         "first-excited multiplicities around 3pi/2: "
         f"{multiplicities} (expected {{3, 8, 5}} as a set)",
     ))
-    return "bilinear-biquadratic phase map", checks
+    return checks
 
 
 def _criterion_9(ctx: CheckContext):
@@ -397,7 +397,7 @@ def _criterion_9(ctx: CheckContext):
         values = [by_size[size][param] for size in (8, 12, 16)]
         worst = max(worst, max(values) - min(values))
     checks = [_at_most(worst, 0.01, "max size-to-size entropy spread on [1.5, 3]")]
-    return "entropy saturation in the gapped window", checks
+    return checks
 
 
 _RDM_ROSTER = (
@@ -473,21 +473,22 @@ def _criterion_10(ctx: CheckContext):
             worst, 1e-10,
             f"{family} N={size}: worst Lanczos-vs-dense gap (sectors up to {largest})",
         ))
-    return "density-matrix and solver property battery", checks
+    return checks
 
 
-#: Every criterion by its number.
+#: Every criterion by its number: its title and the call that gives its
+#: (ok, detail) sub-checks.
 CRITERIA = {
-    1: _criterion_1,
-    2: _criterion_2,
-    3: _criterion_3,
-    4: _criterion_4,
-    5: _criterion_5,
-    6: _criterion_6,
-    7: _criterion_7,
-    8: _criterion_8,
-    9: _criterion_9,
-    10: _criterion_10,
+    1: ("free-fermion oracle equality at the XX point", _criterion_1),
+    2: ("isotropic-point values from the analytic route", _criterion_2),
+    3: ("Bethe ansatz equals exact diagonalization", _criterion_3),
+    4: ("Hellmann-Feynman consistency on the ring", _criterion_4),
+    5: ("ferromagnetic boundary degeneracy switch", _criterion_5),
+    6: ("square-lattice entropy peak and SU(2) crossing", _criterion_6),
+    7: ("spin-1 derivative-minimum scaling", _criterion_7),
+    8: ("bilinear-biquadratic phase map", _criterion_8),
+    9: ("entropy saturation in the gapped window", _criterion_9),
+    10: ("density-matrix and solver property battery", _criterion_10),
 }
 
 
@@ -495,18 +496,12 @@ def run_criterion(number: int, context: CheckContext | None = None) -> Criterion
     if number not in CRITERIA:
         raise ValueError(f"no criterion {number}; valid numbers are {sorted(CRITERIA)}")
     context = context if context is not None else CheckContext()
+    title, criterion = CRITERIA[number]
     started = time.perf_counter()
     try:
-        title, raw = CRITERIA[number](context)
+        raw = criterion(context)
     except Exception as fail:  # a crash is a failed criterion, not a dead battery
-        elapsed = time.perf_counter() - started
-        return CriterionResult(
-            number=number,
-            title=CRITERIA[number].__doc__.splitlines()[0].rstrip("."),
-            passed=False,
-            details=[f"FAIL crashed: {type(fail).__name__}: {fail}"],
-            elapsed_seconds=elapsed,
-        )
+        raw = [(False, f"crashed: {type(fail).__name__}: {fail}")]
     elapsed = time.perf_counter() - started
     details = [("ok   " if ok else "FAIL ") + text for ok, text in raw]
     return CriterionResult(

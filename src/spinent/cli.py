@@ -8,14 +8,16 @@ extrapolation, and `check` runs the acceptance battery.
 Exit codes: 0 success, 1 usage error (the CLI only parses text, so this
 is also the ValueError the library raises for a grid, size, geometry,
 worker count or criterion out of range, or `--beta` for a family without
-it; an `--out` in a missing directory is refused before any work, and one
-that cannot be written exits 1 after it), 2 numerical failure or running
-out of memory (output is still written with failed rows annotated where
-that makes sense).
+it; an `--out` in a missing directory or naming a directory is refused
+before any work, and one that cannot be written exits 1 after it), 2
+numerical failure or running out of memory (output is still written with
+failed rows annotated where that makes sense).
 
 Output files start with `#` metadata lines (tool version, resolved
 configuration, wall-clock seconds) so they stay self-describing while
-loading directly into pandas or gnuplot. Floats are printed with 12
+loading directly into pandas or gnuplot. The configuration is the parsed
+command line, every option included, and each payload is the library's
+result object, so neither restates a field. Floats are printed with 12
 significant digits; apart from the elapsed-seconds line, identical
 configurations produce identical bytes.
 """
@@ -28,7 +30,10 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields
+from itertools import accumulate
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -96,6 +101,13 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _parse_criteria(text: str) -> list[int]:
+    try:
+        return sorted({int(piece) for piece in text.split(",") if piece})
+    except ValueError:
+        raise _UsageError(f"could not parse criteria list '{text}'") from None
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -112,6 +124,8 @@ def _rounded(value):
     """Round floats to 12 significant digits recursively for JSON output."""
     if isinstance(value, bool) or value is None:
         return value
+    if isinstance(value, np.ndarray):
+        return _rounded(value.tolist())
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
@@ -121,17 +135,18 @@ def _rounded(value):
     return value
 
 
-def _meta(command: str, config: dict, elapsed: float, extra: dict | None = None) -> dict:
-    meta = {
+def _meta(ns, elapsed: float, **extra) -> dict:
+    """The metadata block: ``config`` is the parsed command line, every
+    option as its handler resolved it."""
+    config = {key: value for key, value in vars(ns).items() if key != "command"}
+    return {
         "tool": "spinent",
         "version": __version__,
-        "command": command,
+        "command": ns.command,
         "config": config,
         "elapsed_seconds": round(elapsed, 3),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _write(path: str, text: str) -> None:
@@ -166,34 +181,29 @@ def _write_sweep_csv(path: str, meta: dict, rows) -> None:
 
 
 def _model_param(ns, family: str) -> float:
-    """The family's swept parameter, from --delta or --theta."""
+    """The family's swept parameter, from --delta or --theta. Both leave the
+    namespace and the value stays as ``ns.param``, so the config records it
+    once."""
     swept = FAMILY_PARAMETERS[family][0]
-    if getattr(ns, swept) is None:
+    given = {name: vars(ns).pop(name) for name in ("delta", "theta")}
+    if given[swept] is None:
         raise _UsageError(f"{ns.model} needs --{swept}")
-    for name in ("delta", "theta"):
-        if name != swept and getattr(ns, name) is not None:
+    for name, value in given.items():
+        if name != swept and value is not None:
             raise _UsageError(f"{ns.model} takes --{swept}, not --{name}")
-    return getattr(ns, swept)
+    ns.param = given[swept]
+    return ns.param
 
 
 def _cmd_sweep(ns) -> int:
-    family = _MODEL_NAMES[ns.model]
-    grid = _parse_grid(ns.param)
-    sizes = _parse_sizes(ns.sizes)
-    config = {
-        "model": ns.model, "geometry": ns.geometry, "sizes": sizes,
-        "grid": list(grid), "beta": ns.beta, "tol": ns.tol,
-        "tol_deg": ns.tol_deg, "jobs": ns.jobs, "format": ns.format,
-        "out": ns.out,
-    }
     started = time.perf_counter()
     table = sweep(
-        family, ns.geometry, sizes, grid,
+        _MODEL_NAMES[ns.model], ns.geometry, ns.sizes, ns.grid,
         beta=ns.beta, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
     )
     elapsed = time.perf_counter() - started
     failed = [row for row in table.rows if row.error is not None]
-    meta = _meta("sweep", config, elapsed, {"failed_rows": len(failed)})
+    meta = _meta(ns, elapsed, failed_rows=len(failed))
     if ns.format == "json":
         _write_json(ns.out, {"meta": meta, "rows": [asdict(r) for r in table.rows]})
     else:
@@ -209,72 +219,42 @@ def _cmd_sweep(ns) -> int:
 
 def _cmd_spectrum(ns) -> int:
     family = _MODEL_NAMES[ns.model]
-    value = _model_param(ns, family)
-    config = {
-        "model": ns.model, "geometry": ns.geometry, "size": ns.size,
-        "param": value, "beta": ns.beta, "levels": ns.levels,
-        "tol": ns.tol, "tol_deg": ns.tol_deg, "out": ns.out,
-    }
-    model = model_for(family, value, ns.beta)
+    model = model_for(family, _model_param(ns, family), ns.beta)
     workspace = shared_workspace(family, ns.geometry, ns.size)
     started = time.perf_counter()
     merged = low_spectrum(workspace, model, ns.levels, tol=ns.tol, tol_deg=ns.tol_deg)
     elapsed = time.perf_counter() - started
     cluster_sizes = degeneracy_count([energy for energy, _ in merged], ns.tol_deg)
-    clusters = []
-    cursor = 0
-    for size in cluster_sizes:
-        clusters.append({"energy": merged[cursor][0], "multiplicity": size})
-        cursor += size
     payload = {
-        "meta": _meta("spectrum", config, elapsed,
-                      {"collection_depth_per_sector": ns.levels}),
+        "meta": _meta(ns, elapsed, collection_depth_per_sector=ns.levels),
         "levels": [{"energy": energy, "sz": sz} for energy, sz in merged],
-        "clusters": clusters,
+        "clusters": [
+            {"energy": merged[start][0], "multiplicity": size}
+            for start, size in zip(accumulate([0, *cluster_sizes]), cluster_sizes)
+        ],
     }
     _write_json(ns.out, payload)
     return 0
 
 
 def _cmd_bethe(ns) -> int:
-    config = {"size": ns.size, "delta": ns.delta, "out": ns.out}
     started = time.perf_counter()
     state = solve_ground(ns.size, ns.delta)
     elapsed = time.perf_counter() - started
-    payload = {
-        "meta": _meta("bethe", config, elapsed),
-        "num_sites": state.num_sites,
-        "num_down": state.num_down,
-        "delta": state.delta,
-        "gamma": state.gamma,
-        "energy": state.energy,
-        "converged": state.converged,
-        "max_equation_residual": state.max_equation_residual,
-        "rapidities": state.rapidities.tolist(),
-        "quantum_numbers": state.quantum_numbers.tolist(),
-    }
-    _write_json(ns.out, payload)
+    _write_json(ns.out, {"meta": _meta(ns, elapsed), **asdict(state)})
     return 0
 
 
 def _cmd_scaling(ns) -> int:
-    grid = _parse_grid(ns.param)
-    sizes = _parse_sizes(ns.sizes)
-    config = {
-        "model": ns.model, "geometry": ns.geometry, "sizes": sizes,
-        "grid": list(grid), "beta": ns.beta, "observable": ns.observable,
-        "derivative": ns.derivative, "extremum": ns.extremum,
-        "tol": ns.tol, "tol_deg": ns.tol_deg, "jobs": ns.jobs, "out": ns.out,
-    }
     started = time.perf_counter()
     extrema, fits = extremum_scaling(
-        _MODEL_NAMES[ns.model], ns.geometry, sizes, grid, ns.observable,
+        _MODEL_NAMES[ns.model], ns.geometry, ns.sizes, ns.grid, ns.observable,
         derivative=ns.derivative, extremum=ns.extremum,
         beta=ns.beta, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
     )
     elapsed = time.perf_counter() - started
     payload = {
-        "meta": _meta("scaling", config, elapsed),
+        "meta": _meta(ns, elapsed),
         "extrema": [dict(zip(("size", "param", "value"), entry)) for entry in extrema],
         "fits": [asdict(fit) for fit in fits],
     }
@@ -283,16 +263,10 @@ def _cmd_scaling(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
-    numbers = None
-    if ns.criteria:
-        try:
-            numbers = sorted({int(piece) for piece in ns.criteria.split(",") if piece})
-        except ValueError:
-            raise _UsageError(f"could not parse criteria list '{ns.criteria}'") from None
-    config = {"criteria": numbers or list(CRITERIA), "jobs": ns.jobs, "out": ns.out}
+    ns.criteria = ns.criteria or list(CRITERIA)
     started = time.perf_counter()
     results = run_all(
-        numbers,
+        ns.criteria,
         CheckContext(jobs=ns.jobs),
         progress=lambda text: print(text, file=sys.stderr),
     )
@@ -305,15 +279,9 @@ def _cmd_check(ns) -> int:
     print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
     if ns.out:
         payload = {
-            "meta": _meta("check", config, elapsed),
+            "meta": _meta(ns, elapsed),
             "results": [
-                {
-                    "number": r.number,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "details": r.details,
-                    "elapsed_seconds": round(r.elapsed_seconds, 3),
-                }
+                {**asdict(r), "elapsed_seconds": round(r.elapsed_seconds, 3)}
                 for r in results
             ],
         }
@@ -343,8 +311,10 @@ def _build_parser() -> _Parser:
     sweep_parser = commands.add_parser(
         "sweep", parents=[model], help="observable table over a parameter grid"
     )
-    sweep_parser.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 12,16")
-    sweep_parser.add_argument("--param", required=True, help="grid start:end:count")
+    sweep_parser.add_argument("--sizes", type=_parse_sizes, required=True,
+                              help="comma-separated sizes, e.g. 12,16")
+    sweep_parser.add_argument("--param", type=_parse_grid, required=True, dest="grid",
+                              metavar="PARAM", help="grid start:end:count")
     sweep_parser.add_argument("--format", choices=("csv", "json"), default=None)
     sweep_parser.add_argument("--out", required=True)
     _add_common_solver_flags(sweep_parser)
@@ -367,8 +337,9 @@ def _build_parser() -> _Parser:
     scaling_parser = commands.add_parser(
         "scaling", parents=[model], help="sweep, differentiate, refine extrema, extrapolate"
     )
-    scaling_parser.add_argument("--sizes", required=True)
-    scaling_parser.add_argument("--param", required=True, help="grid start:end:count")
+    scaling_parser.add_argument("--sizes", type=_parse_sizes, required=True)
+    scaling_parser.add_argument("--param", type=_parse_grid, required=True, dest="grid",
+                                metavar="PARAM", help="grid start:end:count")
     scaling_parser.add_argument("--observable", default="ev", choices=OBSERVABLES)
     scaling_parser.add_argument("--derivative", action=argparse.BooleanOptionalAction,
                                 default=True,
@@ -378,7 +349,7 @@ def _build_parser() -> _Parser:
     _add_common_solver_flags(scaling_parser)
 
     check_parser = commands.add_parser("check", help="run the acceptance battery")
-    check_parser.add_argument("--criteria", default=None,
+    check_parser.add_argument("--criteria", type=_parse_criteria, default=None,
                               help="comma-separated subset, e.g. 1,3,10")
     check_parser.add_argument("--jobs", type=_parse_jobs, default=_default_jobs())
     check_parser.add_argument("--out", default=None, help="optional JSON report path")
@@ -400,6 +371,8 @@ def run(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
         if ns.out is not None and not Path(ns.out).parent.is_dir():
             raise _UsageError(f"--out {ns.out}: no directory {Path(ns.out).parent}")
+        if ns.out is not None and Path(ns.out).is_dir():
+            raise _UsageError(f"--out {ns.out}: is a directory")
         if ns.command == "sweep" and ns.format is None:
             ns.format = "json" if ns.out.endswith(".json") else "csv"
         return _HANDLERS[ns.command](ns)

@@ -458,8 +458,10 @@ def ground_state_scan(
     ground energy and the representative are fixed, until a level clears
     that window: sector_lowest is asked for more of its levels, all of them
     at last as the union of its parity blocks'. GroundStateReport describes
-    the top-up and the degenerate-representative rule.
+    the top-up and the degenerate-representative rule. A tolerance that
+    check_tolerances refuses raises its ValueError first.
     """
+    check_tolerances(tol, tol_deg)
     sectors = nonnegative_sectors(workspace.spin, workspace.lattice.num_sites)
     solved = {sz: solve_sector(workspace, model, sz, tol) for sz in sectors}
     per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}

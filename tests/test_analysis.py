@@ -283,7 +283,7 @@ def test_a_worker_count_below_one_is_refused_by_sweep_and_the_battery(jobs, monk
     sweeping criteria as crashed while the others passed."""
     ran = []
     monkeypatch.setattr(analysis, "_sweep_point", ran.append)
-    monkeypatch.setitem(checks.CRITERIA, 5, ran.append)
+    monkeypatch.setitem(checks.CRITERIA, 5, ("probe", ran.append))
     message = f"--jobs must be at least 1, got {jobs}"
     with pytest.raises(ValueError, match=message):
         sweep("xxz_half", "chain", [4], (0.0, 1.0, 3), jobs=jobs)

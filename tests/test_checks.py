@@ -5,7 +5,8 @@ Bethe route and caps it by the Dicke-state value. Criterion 8 expects a
 local entropy maximum with an SU(3) 1 + 8 pair spectrum at theta = 3pi/2.
 These tests pin those facts outside the battery, against routes that share
 no code with the package's exact diagonalization: the Bethe ansatz and the
-dense Kronecker oracle.
+dense Kronecker oracle. The last test pins the battery's titles, which a
+criterion keeps when it crashes.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full, pair_rdm_full
+from spinent import checks
 from spinent.bethe import hf_correlators, solve_ground
 from spinent.checks import _dicke_pair_entropy
 from spinent.eigensolver import degeneracy_count
@@ -94,3 +96,28 @@ def test_su3_point_is_an_entropy_maximum_with_a_singlet_plus_octet_spectrum():
     assert clusters[1] == [8, 1]
     # away from the SU(3) point the octet splits into SU(2) multiplets
     assert clusters[0] != [8, 1] and clusters[2] != [8, 1]
+
+
+def test_a_crashed_criterion_reports_its_run_title(monkeypatch):
+    """A crash used to take the title from the docstring, which differs from
+    the run title for all ten, so the JSON report's title hung on the crash."""
+    def crash(*args, **kwargs):
+        raise RuntimeError("probe")
+
+    monkeypatch.setattr(checks.CheckContext, "sector_ground", crash)
+    for name in ("sweep", "extremum_scaling", "solve_ground"):
+        monkeypatch.setattr(checks, name, crash)
+    results = checks.run_all(None, checks.CheckContext())
+    assert [result.details for result in results] == [["FAIL crashed: RuntimeError: probe"]] * 10
+    assert {result.number: result.title for result in results} == {
+        1: "free-fermion oracle equality at the XX point",
+        2: "isotropic-point values from the analytic route",
+        3: "Bethe ansatz equals exact diagonalization",
+        4: "Hellmann-Feynman consistency on the ring",
+        5: "ferromagnetic boundary degeneracy switch",
+        6: "square-lattice entropy peak and SU(2) crossing",
+        7: "spin-1 derivative-minimum scaling",
+        8: "bilinear-biquadratic phase map",
+        9: "entropy saturation in the gapped window",
+        10: "density-matrix and solver property battery",
+    }

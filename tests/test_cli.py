@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import math
@@ -5,7 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import spinent
 from spinent import __version__, analysis, checks, cli, eigensolver, hamiltonian
 from spinent.basis import nonnegative_sectors
+from spinent.bethe import BetheState
 from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
@@ -636,36 +638,90 @@ _OUT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_OUT_RUNS))
-def test_out_in_a_missing_directory_is_refused_before_any_work(
-    command, tmp_path, capsys, monkeypatch
-):
-    """It used to compute everything and then die in a traceback."""
+def _run_without_work(command, out, monkeypatch):
+    """The command's small run with ``--out out`` and its library entry
+    patched to fail if called."""
     argv, entry = _OUT_RUNS[command]
 
     def no_work(*args, **kwargs):
         raise AssertionError(f"{entry} ran")
 
     monkeypatch.setattr(cli, entry, no_work)
+    return cli.run(argv + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_RUNS))
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+    command, tmp_path, capsys, monkeypatch
+):
+    """It used to compute everything and then die in a traceback."""
     out = tmp_path / "missing" / "x.json"
-    assert cli.run(argv + ["--out", str(out)]) == 1
+    assert _run_without_work(command, out, monkeypatch) == 1
     assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
     assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", sorted(_OUT_RUNS))
-def test_out_that_cannot_be_written_exits_one_in_one_line(command, tmp_path, capsys):
-    """An --out that names a directory passes the up-front check and fails
-    only at the write, after the work: one error line, exit 1, no file."""
-    argv, _ = _OUT_RUNS[command]
+def test_out_that_names_a_directory_is_refused_before_any_work(
+    command, tmp_path, capsys, monkeypatch
+):
+    """It used to pass the up-front check and fail only at the write, after
+    all the work (`check --criteria 4 --out <dir>` ran criterion 4 first)."""
     out = tmp_path / "taken"
     out.mkdir()
+    assert _run_without_work(command, out, monkeypatch) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
+    assert list(tmp_path.iterdir()) == [out] and not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_RUNS))
+def test_out_that_cannot_be_written_exits_one_in_one_line(
+    command, tmp_path, capsys, monkeypatch
+):
+    """A write that fails after the work (here a full disk) is one error
+    line and exit 1, not a traceback."""
+    argv, _ = _OUT_RUNS[command]
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "x.json"
     assert cli.run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if not line.startswith("running criterion")] == [
-        f"error: could not write --out {out}: Is a directory"
+        f"error: could not write --out {out}: {os.strerror(errno.ENOSPC)}"
     ]
-    assert list(tmp_path.iterdir()) == [out] and not list(out.iterdir())
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_RUNS))
+def test_an_option_added_to_the_parser_lands_in_the_config(command, tmp_path, monkeypatch):
+    """config is the parsed command line: a new option needs no other edit
+    to be recorded."""
+    build = cli._build_parser
+
+    def with_probe():
+        parser = build()
+        for subcommand in parser._subparsers._group_actions[0].choices.values():
+            subcommand.add_argument("--probe", default="probe default")
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", with_probe)
+    argv, _ = _OUT_RUNS[command]
+    out = tmp_path / "x.json"
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["config"]["probe"] == "probe default"
+
+
+def test_bethe_and_check_payloads_are_their_result_objects(tmp_path):
+    out = tmp_path / "bethe.json"
+    assert cli.run(_OUT_RUNS["bethe"][0] + ["--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())) == {f.name for f in fields(BetheState)} | {"meta"}
+    out = tmp_path / "check.json"
+    assert cli.run(_OUT_RUNS["check"][0] + ["--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert set(result) == {f.name for f in fields(checks.CriterionResult)}
 
 
 def test_choice_lists_are_their_library_owners():

@@ -437,6 +437,21 @@ def test_scan_gapless_point_is_unique():
     assert set(report.per_sector_energies) == set(nonnegative_sectors("half", 8))
 
 
+@pytest.mark.parametrize(
+    "tol,tol_deg",
+    [(math.nan, 1e-8), (-1.0, 1e-8), (1e-10, -1.0), (1e-10, math.inf)],
+    ids=["tol-nan", "tol-negative", "tol_deg-negative", "tol_deg-inf"],
+)
+def test_scan_refuses_tolerances_that_check_tolerances_refuses(tol, tol_deg):
+    """A bad tol used to escape as a bare StopIteration, a negative window
+    as "max() arg is an empty sequence", and an infinite one reported every
+    state of the ring as ground."""
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    message = r"need finite tol > 0 and tol_deg >= 0, got "
+    with pytest.raises(ValueError, match=message):
+        ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5), tol=tol, tol_deg=tol_deg)
+
+
 def test_scan_blbq_ferro_arc_is_flagged():
     workspace = SectorWorkspace("blbq", chain_lattice(6))
     report = ground_state_scan(workspace, ModelSpec("blbq", theta=np.pi))
