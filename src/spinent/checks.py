@@ -31,7 +31,7 @@ from .eigensolver import (
     dense_lowest,  # unused here, but perfbench/tracing.py wraps this binding
     lanczos_lowest,
     low_spectrum,
-    solve_sector,
+    sector_lowest,
 )
 from .entanglement import (
     XFormElements,
@@ -81,7 +81,7 @@ class CheckContext:
         hit = self._grounds.get(key)
         if hit is None:
             workspace = shared_workspace(family, geometry, size)
-            _, pair, _ = solve_sector(workspace, model_for(family, param), 0.0)
+            _, pair, _ = sector_lowest(workspace, model_for(family, param), 0.0)
             hit = (pair()[1], workspace.basis(0.0))
             self._grounds[key] = hit
         return hit

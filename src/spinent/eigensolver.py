@@ -17,28 +17,27 @@ reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
-sector_lowest is the one sector solve and the one dense-versus-Lanczos
-switch, for scans, spectra and the degenerate top-up alike. A sector of at
-most _DENSE_CUTOFF states, or one whose every level is asked for, is
-diagonalized densely, values only, from arrays combined straight from CSR
-parts, and never assembled whole: the lattice reflection and, at Sz = 0,
-the global spin inversion split it into real parity blocks of one
-character each (Sandvik, arXiv:1101.3281, sec. 4.2-4.3), a quarter to a
-half of its size, and its levels are the union of theirs. Eigenvectors
-come from a second, ``eigh`` solve made on demand, which a scan makes for
-the one block that represents the point.
-
-solve_sector makes the one block-or-whole decision for ground_state_scan
-and the check battery. A sector above the dense cutoff is solved in one
-translation block when the model passes the Perron-Frobenius test of
-``hamiltonian.perron_frobenius`` on a bipartite ring or torus: xxz_half at
-every delta, xxz_one with beta >= 0, blbq at theta = 0 and in
-(3*pi/2, 2*pi). The sector's ground state is then unique, and the
-characters ``hamiltonian.ground_characters`` predicts under each lattice
-translation pick its block, about N times smaller than the sector. Odd
-rings and every other model point solve a large sector whole by Lanczos,
-and a dense one as its parity blocks; low_spectrum solves every sector
-whole, through the same sector_lowest.
+sector_lowest is the one sector solve, for scans, spectra, the degenerate
+top-up and the check battery alike. It picks the pieces a sector is
+solved as, solves each by one dense-versus-Lanczos rule, and reads the
+sector's levels as the union of theirs. Asked for one level of a sector
+above _DENSE_CUTOFF states, it solves one translation block when the model
+passes the Perron-Frobenius test of ``hamiltonian.perron_frobenius`` on a
+bipartite ring or torus: xxz_half at every delta, xxz_one with beta >= 0,
+blbq at theta = 0 and in (3*pi/2, 2*pi). The sector's ground state is then
+unique, and the characters ``hamiltonian.ground_characters`` predicts
+under each lattice translation pick its block, about N times smaller than
+the sector. Every other sector is solved whole: a sector of at most
+_DENSE_CUTOFF states, or one whose every level is asked for, as its real
+parity blocks of one character each under the lattice reflection and, at
+Sz = 0, the global spin inversion (Sandvik, arXiv:1101.3281, sec.
+4.2-4.3), a quarter to a half of its size; any other as the plain sector.
+A piece of at most _DENSE_CUTOFF states, or one whose every level is asked
+for, is diagonalized densely, values only, from an array combined straight
+from CSR parts, so a dense sector is never assembled whole; any other
+piece goes to Lanczos. Eigenvectors of a dense piece come from a second,
+``eigh`` solve made on demand, which a scan makes for the one piece that
+represents the point.
 
 Every solve takes a SectorWorkspace first and the model second: the
 workspace is the one handle on the lattice, and it keeps the bases and
@@ -54,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .basis import nonnegative_sectors, plain_block
+from .basis import nonnegative_sectors
 from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, ground_characters
 
 _PRIMARY_SEED = 1299709
@@ -65,7 +64,8 @@ _BLOCK_ROWS = 64
 # Lanczos steps per pass before a seed is given up.
 _MAX_ITER = 400
 _DENSE_LIMIT = 4000
-# Sector dimension up to which sector_lowest diagonalizes densely.
+# Dimension up to which sector_lowest solves a sector whole, as its parity
+# blocks, and diagonalizes a piece densely.
 _DENSE_CUTOFF = 300
 # Levels a scan's degenerate Lanczos sector is topped up to by Lanczos; past
 # them it asks sector_lowest for every level if it has <= _DENSE_LIMIT states.
@@ -94,23 +94,24 @@ class GroundStateReport:
 
     ``degeneracy`` counts states within the scan's ``tol_deg`` of the ground
     energy across all sectors, doubling Sz > 0 sectors for their
-    spin-flipped partners. Sectors diagonalized densely contribute their
-    full spectrum, the union of their parity blocks' levels, values only,
-    except the representative's block, whose levels come from the ``eigh``
-    that also gives its vector; the ground energy is the lowest level after
-    that swap. A sector solved whole by Lanczos contributes its lowest
-    level, and more while its levels found so far all lie within ``tol_deg``
-    of the ground: the scan asks sector_lowest for twice as many levels, up
-    to _LANCZOS_TOP_UP, and past that for all of them if the sector has at
-    most _DENSE_LIMIT states, which sector_lowest answers with a values-only
-    dense solve of each of its parity blocks; a larger sector goes on
-    doubling. So a manifold with several members in one large sector
-    is counted in full (45 at blbq theta = 5*pi/4, L = 8, and 2,207 at
-    theta = pi/2). A sector solved in its translation block contributes one
-    level: there Perron-Frobenius makes the sector's ground state unique,
-    though not always more than ``tol_deg`` below the sector's next level.
-    The Neel pair of xxz_half at N = 18, delta = 20 is split by less, and
-    counts once on this route where the whole sector would count it twice.
+    spin-flipped partners. Each sector contributes the levels sector_lowest
+    gives for one level. A dense sector gives its full spectrum, the union
+    of its parity blocks' levels, values only, except the representative's
+    piece, whose levels come from the ``eigh`` that also gives its vector;
+    the ground energy is the lowest level after that swap. A sector solved
+    whole by Lanczos contributes its lowest level, and more while its
+    levels found so far all lie within ``tol_deg`` of the ground: the scan
+    asks sector_lowest for twice as many levels, up to _LANCZOS_TOP_UP, and
+    past that for all of them if the sector has at most _DENSE_LIMIT
+    states, which sector_lowest answers with a values-only dense solve of
+    each of its parity blocks; a larger sector goes on doubling. So a
+    manifold with several members in one large sector is counted in full
+    (45 at blbq theta = 5*pi/4, L = 8, and 2,207 at theta = pi/2). A
+    sector solved in its translation block contributes one level: there
+    Perron-Frobenius makes the sector's ground state unique, though not
+    always more than ``tol_deg`` below the sector's next level. The Neel
+    pair of xxz_half at N = 18, delta = 20 is split by less, and counts once
+    on this route where the whole sector would count it twice.
 
     For a degenerate ground state the representative is the lowest state of
     the largest-Sz sector attaining the ground energy, i.e. the polarized
@@ -359,83 +360,62 @@ def sector_lowest(
     sz: float,
     count: int = 1,
     tol: float = 1e-10,
-    characters: tuple[int, ...] = (),
-) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]]]:
-    """Lowest energies of one sector, or of its translation block of the
-    given ``characters``, and a call that gives its bottom eigenpair.
-
-    This is the one sector solve and the one place that picks a dense solve
-    over Lanczos. A piece of dimension <= _DENSE_CUTOFF, or one asked for
-    ``count`` >= its dimension levels, is diagonalized densely in full,
-    values only (its complete spectrum feeds degeneracy counting for free):
-    a sector as its parity blocks (see SectorWorkspace.parity_matrices),
-    whose levels' union is the sector's, a translation block as itself.
-    Each array is dropped once its levels are found. The eigenvectors cost
-    an ``eigh`` of one block, combined again only when the call is made:
-    the first, in block order, whose bottom lies within ``tol`` of the
-    lowest level. The call returns the levels with that solve's in place of
-    the values-only ones of its block. Any other piece gets the ``count``
-    lowest levels and the pair from Lanczos at once, the only route that
-    builds its CSR matrix. The pair's vector is over the plain sector.
-    """
-    block = workspace.block(sz, characters)[0] if characters else plain_block(workspace.basis(sz))
-    if block.dimension <= _DENSE_CUTOFF or count >= block.dimension:
-        if characters:
-            return _dense_union([(block, workspace.matrix(model, sz, characters))], tol)
-        return _dense_union(workspace.parity_matrices(model, sz), tol)
-    results = lanczos_lowest(workspace.matrix(model, sz, characters), k=count, tol=tol)
-    levels = [r.energy for r in results]
-    return levels, lambda: (levels, replace(results[0], vector=block.expand(results[0].vector)))
-
-
-def _dense_union(blocks, tol: float):
-    """sector_lowest's dense solve over (block, Hamiltonian) pieces."""
-    spectra = [np.linalg.eigvalsh(hamiltonian.dense()) for _, hamiltonian in blocks]
-    levels = np.sort(np.concatenate(spectra))
-    pick = next(i for i, values in enumerate(spectra) if values[0] <= levels[0] + tol)
-    block, hamiltonian = blocks[pick]
-    others = spectra[:pick] + spectra[pick + 1 :]
-
-    def bottom() -> tuple[list[float], EigenResult]:
-        dense = hamiltonian.dense()
-        vals, vecs = np.linalg.eigh(dense)
-        found = _dense_pair(dense, vals, vecs, 0)
-        found = replace(found, vector=block.expand(found.vector))
-        return list(map(float, np.sort(np.concatenate([vals, *others])))), found
-
-    return list(map(float, levels)), bottom
-
-
-def solve_sector(
-    workspace: SectorWorkspace, model: ModelSpec, sz: float, tol: float = 1e-10
 ) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], bool]:
-    """Lowest energies of one sector, a call that gives them with the
-    sector's bottom eigenpair over the plain sector (see sector_lowest), and
-    whether the sector was solved whole.
+    """The ``count`` lowest energies of one sector, a call that gives them
+    with the sector's bottom eigenpair over the plain sector, and whether
+    the sector was solved whole.
 
-    A sector above the dense cutoff is solved in the translation block
-    ``ground_characters`` predicts, where the sector's ground is unique and
-    is the one energy returned; any other sector whole, by sector_lowest,
-    a dense one as its parity blocks. The call raises ValueError, naming
-    the model, if the pair's residual is not finite: the matrix is then too
-    large to check it.
+    The pieces and the dense-versus-Lanczos rule are the module
+    docstring's. The levels are the sorted union of the pieces', cut to the
+    one ground of a translation block, and a dense piece's array is dropped
+    once its values are found. The call gives the pair of the first piece,
+    in block order, whose bottom lies within ``tol`` of the lowest level.
+    For a dense piece it runs an ``eigh`` of that piece's array, combined
+    again, and returns the levels with that solve's in place of the
+    values-only ones of its piece. It raises ValueError, naming the model,
+    if the pair's residual is not finite: the matrix is then too large to
+    check it. A ``tol`` that check_tolerances refuses, or a ``count`` below
+    1, raises ValueError first.
     """
+    check_tolerances(tol, 0.0)
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    dim = workspace.basis(sz).dimension
     characters = ()
-    if workspace.basis(sz).dimension > _DENSE_CUTOFF:
-        characters = ground_characters(model, workspace.lattice, sz)
-    energies, pair = sector_lowest(workspace, model, sz, tol=tol, characters=characters)
-    keep = 1 if characters else len(energies)
+    if dim <= _DENSE_CUTOFF or count >= dim:
+        pieces = workspace.parity_matrices(model, sz)
+    else:
+        if count == 1:
+            characters = ground_characters(model, workspace.lattice, sz)
+        hamiltonian = workspace.matrix(model, sz, characters)
+        pieces = [(workspace.block(sz, characters)[0], hamiltonian)]
+    solved = []
+    for block, hamiltonian in pieces:
+        if block.dimension <= _DENSE_CUTOFF or count >= block.dimension:
+            solved.append((np.linalg.eigvalsh(hamiltonian.dense()), None))
+        else:
+            results = lanczos_lowest(hamiltonian, k=count, tol=tol)
+            solved.append((np.array([r.energy for r in results]), results[0]))
+    keep = 1 if characters else None
+    levels = np.sort(np.concatenate([values for values, _ in solved]))
+    pick = next(i for i, (values, _) in enumerate(solved) if values[0] <= levels[0] + tol)
 
     def bottom() -> tuple[list[float], EigenResult]:
-        levels, found = pair()
+        (block, hamiltonian), (values, found) = pieces[pick], solved[pick]
+        if found is None:
+            dense = hamiltonian.dense()
+            values, vecs = np.linalg.eigh(dense)
+            found = _dense_pair(dense, values, vecs, 0)
         if not found.converged:
             raise ValueError(
                 f"the ground of {model.label} in sector Sz={sz:g} has a residual of "
                 f"{found.residual_norm}: its matrix is too large to check it"
             )
-        return levels[:keep], found
+        others = [other for i, (other, _) in enumerate(solved) if i != pick]
+        union = np.sort(np.concatenate([values, *others]))
+        return list(map(float, union[:keep])), replace(found, vector=block.expand(found.vector))
 
-    return energies[:keep], bottom, not characters
+    return list(map(float, levels[:keep])), bottom, not characters
 
 
 def ground_state_scan(
@@ -450,7 +430,7 @@ def ground_state_scan(
 
     Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
     skipped but counted in the degeneracy. Each sector is solved by
-    solve_sector. The representative sector is picked from those levels;
+    sector_lowest. The representative sector is picked from those levels;
     only then is its bottom pair formed, its levels replaced by the ones
     that solve gives, and the ground energy taken, so a dense point runs one
     ``eigh``, on one parity block. A sector solved whole by Lanczos whose
@@ -463,7 +443,7 @@ def ground_state_scan(
     """
     check_tolerances(tol, tol_deg)
     sectors = nonnegative_sectors(workspace.spin, workspace.lattice.num_sites)
-    solved = {sz: solve_sector(workspace, model, sz, tol) for sz in sectors}
+    solved = {sz: sector_lowest(workspace, model, sz, tol=tol) for sz in sectors}
     per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
     lowest = min(levels[0] for levels in per_sector.values())
     rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
@@ -512,13 +492,14 @@ def low_spectrum(
     at gaps wider than ``tol_deg``, and the members of a cluster are listed
     by (|Sz|, Sz), then energy, so which members the cutoff keeps, and in
     what order, does not hang on round-off; within a cluster the energies
-    need not ascend. Each sector's levels come from sector_lowest on the
-    whole sector, so a dense sector gives the values-only levels of its
-    parity blocks, bit for bit the levels a scan reports for every sector
-    but its representative. ``levels`` at least a sector's dimension asks
-    for all of its levels, which takes a dense solve; above _DENSE_LIMIT
-    states that raises ValueError, naming the sector, before anything is
-    assembled.
+    need not ascend. Each sector's levels come from sector_lowest, so a
+    dense sector gives the values-only levels of its parity blocks, bit for
+    bit the levels a scan reports for every sector but its representative,
+    and for one level a large sector that passes the Perron-Frobenius test
+    gives the ground of its translation block, the sector's lowest level by
+    that test. ``levels`` at least a sector's dimension asks for all of its
+    levels, which takes a dense solve; above _DENSE_LIMIT states that
+    raises ValueError, naming the sector, before anything is assembled.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1, got {levels}")

@@ -570,6 +570,26 @@ def test_scaling_repeated_size_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_scaling_with_fewer_than_three_grid_points_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    """A two-point grid is refused before any sweep runs; it used to run the
+    whole sweep and then exit 1 in finite_difference."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(analysis, "sweep", no_sweep)
+    out = tmp_path / "scaling.json"
+    code = cli.run([
+        "scaling", "--model", "xxz-one", "--sizes", "6,8,10", "--param", "0.9:2.1:2",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need at least 3 points, got 2\n"
+    assert not out.exists()
+
+
 def test_spectrum_levels_past_the_dense_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """Asking for every level of a sector above the dense limit would need
     a dense array of that size; it is refused, naming the sector, before

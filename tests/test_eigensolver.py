@@ -452,6 +452,49 @@ def test_scan_refuses_tolerances_that_check_tolerances_refuses(tol, tol_deg):
         ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5), tol=tol, tol_deg=tol_deg)
 
 
+@pytest.mark.parametrize(
+    "size,count,tol,message",
+    [
+        (8, 1, math.nan, "need finite tol > 0"),
+        (8, 1, -1.0, "need finite tol > 0"),
+        (8, 0, 1e-10, "need count >= 1, got 0"),
+        (12, 2, math.nan, "need finite tol > 0"),
+        (12, 2, -1.0, "need finite tol > 0"),
+        (12, 0, 1e-10, "need count >= 1, got 0"),
+    ],
+    ids=["dense-tol-nan", "dense-tol-negative", "dense-count-0",
+         "lanczos-tol-nan", "lanczos-tol-negative", "lanczos-count-0"],
+)
+def test_sector_solve_refuses_bad_input_before_assembly(size, count, tol, message, monkeypatch):
+    """On the Sz=0 sector of the N=8 ring (70 states, dense) and of the N=12
+    ring (924 states, Lanczos for two levels), a bad tol used to escape as a
+    bare StopIteration and count 0 returned all 70 levels or raised from
+    lanczos_lowest; both are now refused before anything is assembled."""
+    workspace = SectorWorkspace("xxz_half", chain_lattice(size))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was assembled")
+
+    monkeypatch.setattr(hamiltonian, "assemble_parts", refuse)
+    with pytest.raises(ValueError, match=message):
+        eigensolver.sector_lowest(workspace, ModelSpec("xxz_half", delta=0.5), 0.0, count, tol)
+
+
+@pytest.mark.parametrize(
+    "family,size,param",
+    [("xxz_half", 12, 0.5), ("xxz_half", 16, 1.0), ("xxz_one", 8, 1.0), ("blbq", 8, 6.0)],
+)
+def test_low_spectrum_of_one_level_is_the_first_of_two(family, size, param):
+    """One level reads each large sector's translation block, where
+    Perron-Frobenius puts the sector's ground; two read the whole sector."""
+    workspace = SectorWorkspace(family, chain_lattice(size))
+    model = model_for(family, param)
+    (one,) = low_spectrum(workspace, model, 1)
+    two = low_spectrum(workspace, model, 2)
+    assert one[1] == two[0][1]
+    assert abs(one[0] - two[0][0]) <= 1e-12
+
+
 def test_scan_blbq_ferro_arc_is_flagged():
     workspace = SectorWorkspace("blbq", chain_lattice(6))
     report = ground_state_scan(workspace, ModelSpec("blbq", theta=np.pi))
@@ -547,7 +590,7 @@ def test_asking_for_every_level_solves_densely(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(eigensolver, "lanczos_lowest", refuse)
         patch.setattr(hamiltonian, "plain_block", refuse)
-        levels, pair = eigensolver.sector_lowest(workspace, model, 2.0, count=dim)
+        levels, pair, _ = eigensolver.sector_lowest(workspace, model, 2.0, count=dim)
         found_levels, found = pair()
     blocks = workspace.parity_matrices(model, 2.0)
     spectra = [np.linalg.eigvalsh(ham.dense()) for _, ham in blocks]

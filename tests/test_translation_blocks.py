@@ -95,8 +95,9 @@ def test_perron_frobenius_condition_table():
 def _record(monkeypatch):
     """Record (sector dimension, block dimension, kind) for every block
     assembled, the kind "plain", "translation" or "parity", and the
-    dimension of every piece sector_lowest solves: the translation block of
-    the characters it is given, or else the whole sector."""
+    dimension of every piece sector_lowest solves: the translation block
+    ground_characters predicts for a sector not solved whole, or else the
+    whole sector."""
     assembled, solved, parity = [], [], set()
     real_assemble, real_lowest = hamiltonian.assemble_parts, eigensolver.sector_lowest
     real_parity = hamiltonian.parity_blocks
@@ -115,12 +116,13 @@ def _record(monkeypatch):
         assembled.append((block.basis.dimension, block.dimension, kind))
         return real_assemble(family, lattice, block)
 
-    def lowest(workspace, model, sz, count=1, tol=1e-10, characters=()):
-        found = real_lowest(workspace, model, sz, count, tol, characters)
-        if characters:
-            solved.append(workspace.block(sz, characters)[0].dimension)
-        else:
+    def lowest(workspace, model, sz, count=1, tol=1e-10):
+        found = real_lowest(workspace, model, sz, count, tol)
+        if found[2]:
             solved.append(workspace.basis(sz).dimension)
+        else:
+            characters = hamiltonian.ground_characters(model, workspace.lattice, sz)
+            solved.append(workspace.block(sz, characters)[0].dimension)
         return found
 
     monkeypatch.setattr(hamiltonian, "parity_blocks", parity_blocks)
@@ -197,6 +199,23 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
     assert _parity_sectors(assembled) == small
     blocks = [block_dim for _, block_dim, kind in assembled if kind == "translation"]
     assert solved == blocks + small
+
+
+def test_one_level_of_a_large_sector_reads_only_its_translation_block(monkeypatch):
+    """xxz_half N=16 Sz=0 (12,870 states): one level is solved in the
+    translation block alone and the sector is not solved whole; two levels
+    solve the plain sector."""
+    assembled, solved = _record(monkeypatch)
+    workspace = SectorWorkspace("xxz_half", chain_lattice(16))
+    model = ModelSpec("xxz_half", delta=0.5)
+    one, _, whole = eigensolver.sector_lowest(workspace, model, 0.0)
+    assert not whole and len(one) == 1
+    ((dim, block_dim, kind),) = assembled
+    assert (dim, kind) == (12870, "translation") and solved == [block_dim]
+    two, _, whole = eigensolver.sector_lowest(workspace, model, 0.0, count=2)
+    assert whole and len(two) == 2
+    assert assembled[1:] == [(12870, 12870, "plain")] and solved[1:] == [12870]
+    assert abs(one[0] - two[0]) <= 1e-10
 
 
 def test_check_battery_never_assembles_large_plain_sectors(monkeypatch):
