@@ -269,14 +269,16 @@ def extremum_scaling(
     One sweep (``solve`` holds its keyword arguments); per size the series,
     its first derivative if ``derivative``, and the ``extremum`` ("min" or
     "max") refined by locate_extremum. Refused with ValueError before the
-    sweep: fewer than 3 sizes or grid points, a repeated size, an observable
-    the family's rows leave empty. A size that lost rows raises
-    ConvergenceError.
+    sweep: fewer than 3 sizes or grid points, another extremum kind, a
+    repeated size, an observable the family's rows leave empty. A size that
+    lost rows raises ConvergenceError.
     """
     if len(sizes) < 3:
         raise ValueError("scaling needs at least 3 sizes")
     if grid[2] < 3:
         raise ValueError(f"need at least 3 points, got {grid[2]}")
+    if extremum not in EXTREMA:
+        raise ValueError(f"kind must be one of {EXTREMA}, got '{extremum}'")
     repeated = [size for size in sizes if sizes.count(size) > 1]
     if repeated:
         raise ValueError(f"scaling needs distinct sizes, got {repeated[0]} more than once")

@@ -17,9 +17,10 @@ smaller high codes plus the rank of its low code.
 A sector splits further into blocks of one character under a group of
 site and spin maps, each spanned by representative states (H. Q. Lin, op.
 cit.; Sandvik, op. cit., sec. 4): the lattice translations, or the
-reflection and, at Sz = 0, the global spin inversion. One builder,
-orbit_block, serves both groups. The plain sector is the block of the
-trivial group.
+reflection and, at Sz = 0, the global spin inversion. A lattice map is the
+image of every site, and one routine, _permute, moves packed states by it;
+one builder, orbit_block, serves both groups. The plain sector is the block
+of the trivial group.
 """
 
 from __future__ import annotations
@@ -273,39 +274,34 @@ def plain_block(basis: SpinBasis) -> SectorBlock:
     return SectorBlock(basis, basis, np.arange(dim), ones, ones)
 
 
-def _translate(basis: SpinBasis, states: np.ndarray, step: int, period: int) -> np.ndarray:
-    """Packed states with every site moved ``step`` places along its run of
-    ``period`` sites, cyclically (see Lattice.translations)."""
+def _permute(basis: SpinBasis, states: np.ndarray, image: tuple[int, ...]) -> np.ndarray:
+    """Packed states with the digit of every site ``s`` moved to site
+    ``image[s]``: one masked shift per distinct displacement."""
     b = basis.bits_per_site
-    stay, wrap = 0, 0
-    for site in range(basis.num_sites):
-        digit = ((1 << b) - 1) << (b * site)
-        if site % period < period - step:
-            stay |= digit
+    masks: dict[int, int] = {}
+    for site, target in enumerate(image):
+        masks[target - site] = masks.get(target - site, 0) | ((1 << b) - 1) << (b * site)
+    moved = None
+    for displacement, mask in masks.items():
+        part = states & mask
+        if displacement < 0:
+            part >>= -b * displacement
         else:
-            wrap |= digit
-    return ((states & stay) << (b * step)) | ((states & wrap) >> (b * (period - step)))
-
-
-def _images(basis: SpinBasis, states: np.ndarray, generators):
-    """(image, character) of ``states`` under every element of the group the
-    ``((step, period), character)`` generators span, identity first."""
-    if not generators:
-        yield states, 1
-        return
-    (step, period), character = generators[0]
-    for power in range(period // step):
-        for image, rest in _images(basis, states, generators[1:]):
-            yield image, rest * character**power
-        states = _translate(basis, states, step, period)
+            part <<= b * displacement
+        moved = part if moved is None else np.bitwise_or(moved, part, out=moved)
+    return moved
 
 
 def translation_block(
-    basis: SpinBasis, translations: tuple[tuple[int, int], ...], characters: tuple[int, ...]
+    basis: SpinBasis, translations: tuple[tuple[int, ...], ...], characters: tuple[int, ...]
 ) -> SectorBlock:
-    """The block of a sector on which each translation generator acts as its
-    character (+1 or -1)."""
-    return orbit_block(basis, _images(basis, basis.states, list(zip(translations, characters))))
+    """The block of a sector on which every translation acts as its character
+    (+1 or -1): one character per site image of ``Lattice.translations()``,
+    identity first."""
+    if len(characters) != len(translations):
+        raise ValueError(f"need {len(translations)} characters, got {len(characters)}")
+    images = (_permute(basis, basis.states, image) for image in translations)
+    return orbit_block(basis, zip(images, characters))
 
 
 def parity_blocks(basis: SpinBasis, reflection: tuple[int, ...]) -> list[SectorBlock]:
@@ -317,11 +313,8 @@ def parity_blocks(basis: SpinBasis, reflection: tuple[int, ...]) -> list[SectorB
     arXiv:1101.3281, sec. 4.2-4.3).
     """
     states = basis.states
-    mirrored = np.zeros_like(states)
+    mirrored = _permute(basis, states, reflection)
     b = basis.bits_per_site
-    mask = (1 << b) - 1
-    for site, image in enumerate(reflection):
-        mirrored |= ((states >> (b * site)) & mask) << (b * image)
     # F takes digit d to its highest value minus d at every site, so it
     # subtracts the state from the all-highest one; only Sz = 0 maps to itself.
     top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))

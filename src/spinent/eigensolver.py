@@ -529,8 +529,10 @@ def low_spectrum(
 
 def check_tolerances(tol: float, tol_deg: float) -> None:
     """Reject a tolerance not finite and positive, or a window not finite and >= 0."""
-    if not (0 < tol < math.inf and 0 <= tol_deg < math.inf):
-        raise ValueError(f"need finite tol > 0 and tol_deg >= 0, got {tol} and {tol_deg}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"need finite tol > 0, got {tol}")
+    if not 0 <= tol_deg < math.inf:
+        raise ValueError(f"need finite tol_deg >= 0, got {tol_deg}")
 
 
 def degeneracy_count(energies, tol_deg: float) -> list[int]:

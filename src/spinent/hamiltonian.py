@@ -210,7 +210,7 @@ def perron_frobenius(model: ModelSpec) -> bool:
 
 def ground_characters(model: ModelSpec, lattice: Lattice, sz: float) -> tuple[int, ...]:
     """Translation characters of a sector's ground state where Perron-Frobenius
-    fixes them, one per generator of ``lattice.translations()``; elsewhere
+    fixes them, one per translation of ``lattice.translations()``; elsewhere
     (), the characters of the whole sector.
 
     The ground state has positive Marshall-rotated amplitudes, so it takes
@@ -223,8 +223,8 @@ def ground_characters(model: ModelSpec, lattice: Lattice, sz: float) -> tuple[in
         return ()
     units = round(sz + lattice.num_sites * SPIN_VALUE[model.spin])
     return tuple(
-        (-1) ** units if colour[step] != colour[0] else 1
-        for step, _ in lattice.translations()
+        (-1) ** units if colour[image[0]] != colour[0] else 1
+        for image in lattice.translations()
     )
 
 

@@ -35,18 +35,17 @@ class Lattice:
             return None
         return colour
 
-    def translations(self) -> tuple[tuple[int, int], ...]:
-        """Generators of the translation group, each as ``(step, period)``.
-
-        The sites fall into runs of ``period`` consecutive indices, and the
-        generator moves every site ``step`` places along its run, cyclically.
-        A ring has one generator; the periodic square has one along its rows
-        and one that moves every site a row down.
-        """
-        if self.geometry == "square":
-            width = self.extent[0]
-            return ((1, width), (width, self.num_sites))
-        return ((1, self.num_sites),)
+    def translations(self) -> tuple[tuple[int, ...], ...]:
+        """Image of every site under each translation, identity first: the
+        move by ``down`` rows and ``right`` columns for every ``(down, right)``
+        in row-major order, a ring being a torus of one row."""
+        width = self.extent[0]
+        rows = self.num_sites // width
+        return tuple(
+            tuple((s // width + down) % rows * width + (s + right) % width
+                  for s in range(self.num_sites))
+            for down in range(rows) for right in range(width)
+        )
 
     def reflection(self) -> tuple[int, ...]:
         """Image of every site under the mirror that maps the bonds onto

@@ -101,6 +101,18 @@ def embed_indices(digit_rows, local_dim):
     return indices
 
 
+def momentum_characters(lattice, signs):
+    """One character per translation of ``lattice.translations()``, read off
+    where it takes site 0: ``signs[0]`` to the number of columns it moves,
+    times ``signs[-1]`` to the number of rows (a ring has one row, so one
+    sign)."""
+    width = lattice.extent[0]
+    return tuple(
+        signs[0] ** (image[0] % width) * signs[-1] ** (image[0] // width)
+        for image in lattice.translations()
+    )
+
+
 def assemble_parts_reference(family, lattice, block):
     """The bond-by-bond, part-by-part sector assembly that preceded the
     shared per-bond pass, kept verbatim: each part scatters its own COO

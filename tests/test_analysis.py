@@ -242,6 +242,20 @@ def test_locate_extremum_input_validation():
         locate_extremum(series[:2], "min")
 
 
+def test_extremum_scaling_refuses_an_unknown_kind_before_the_sweep(monkeypatch):
+    """It used to sweep (0.6 s here) and only then raise from locate_extremum."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(analysis, "sweep", no_sweep)
+    message = r"^kind must be one of \('min', 'max'\), got 'median'$"
+    with pytest.raises(ValueError, match=message):
+        analysis.extremum_scaling(
+            "xxz_half", "chain", [6, 8, 10], (0.5, 1.5, 5), "ev", extremum="median"
+        )
+
+
 def test_extrapolation_recovers_exact_scaling_laws():
     sizes = [8, 12, 16, 20]
     linear = [(s, -0.4 + 2.0 / s) for s in sizes]

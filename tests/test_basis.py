@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import momentum_characters
 from spinent.basis import (
     SPIN_VALUE,
+    _permute,
     build_basis,
     nonnegative_sectors,
     sector_values,
     translation_block,
 )
+from spinent.lattice import chain_lattice, square_lattice
 
 
 def test_two_site_sz0_dimension():
@@ -201,7 +204,40 @@ def test_index_rejects_states_outside_the_sector():
 
 def test_index_needs_the_whole_sector():
     basis = build_basis(8, "half", 0.0)
-    reps = translation_block(basis, ((1, 8),), (1,)).reps
+    ring = chain_lattice(8)
+    reps = translation_block(basis, ring.translations(), momentum_characters(ring, (1,))).reps
     assert reps.dimension < basis.dimension
     with pytest.raises(ValueError, match="no index lookup"):
         reps.index(reps.states)
+
+
+@pytest.mark.parametrize("count", [1, 2, 17])
+def test_translation_block_needs_one_character_per_translation(count):
+    """A characters tuple of another length is refused; zip used to cut the
+    group short and build the block of only the translations it reached."""
+    torus = square_lattice(4, 4)
+    basis = build_basis(16, "half", 0.0)
+    with pytest.raises(ValueError, match=f"need 16 characters, got {count}"):
+        translation_block(basis, torus.translations(), (1,) * count)
+
+
+@given(
+    spin=st.sampled_from(["half", "one"]),
+    image=st.integers(min_value=1, max_value=8).flatmap(lambda n: st.permutations(range(n))),
+    pick=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_permute_moves_every_digit_to_its_image(spin, image, pick):
+    """_permute equals moving the digits one site at a time, and leaves its
+    input alone."""
+    n = len(image)
+    sectors = sector_values(spin, n)
+    basis = build_basis(n, spin, sectors[pick % len(sectors)])
+    b = basis.bits_per_site
+    before = basis.states.copy()
+    expected = [
+        sum(((int(state) >> (b * site)) & ((1 << b) - 1)) << (b * image[site]) for site in range(n))
+        for state in basis.states
+    ]
+    assert _permute(basis, basis.states, image).tolist() == expected
+    assert np.array_equal(basis.states, before)

@@ -438,16 +438,21 @@ def test_scan_gapless_point_is_unique():
 
 
 @pytest.mark.parametrize(
-    "tol,tol_deg",
-    [(math.nan, 1e-8), (-1.0, 1e-8), (1e-10, -1.0), (1e-10, math.inf)],
+    "tol,tol_deg,message",
+    [
+        (math.nan, 1e-8, r"need finite tol > 0, got nan$"),
+        (-1.0, 1e-8, r"need finite tol > 0, got -1.0$"),
+        (1e-10, -1.0, r"need finite tol_deg >= 0, got -1.0$"),
+        (1e-10, math.inf, r"need finite tol_deg >= 0, got inf$"),
+    ],
     ids=["tol-nan", "tol-negative", "tol_deg-negative", "tol_deg-inf"],
 )
-def test_scan_refuses_tolerances_that_check_tolerances_refuses(tol, tol_deg):
+def test_scan_refuses_tolerances_that_check_tolerances_refuses(tol, tol_deg, message):
     """A bad tol used to escape as a bare StopIteration, a negative window
     as "max() arg is an empty sequence", and an infinite one reported every
-    state of the ring as ground."""
+    state of the ring as ground. Each message names only the argument at
+    fault."""
     workspace = SectorWorkspace("xxz_half", chain_lattice(8))
-    message = r"need finite tol > 0 and tol_deg >= 0, got "
     with pytest.raises(ValueError, match=message):
         ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5), tol=tol, tol_deg=tol_deg)
 

@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import assemble_parts_reference, embed_indices, full_hamiltonian
+from oracles import (
+    assemble_parts_reference,
+    embed_indices,
+    full_hamiltonian,
+    momentum_characters,
+)
 from spinent.basis import (
     build_basis,
     nonnegative_sectors,
@@ -302,12 +307,12 @@ def test_assemble_rejects_mismatched_inputs():
 
 def _every_block(lattice, spin):
     """The plain block and every translation block of every sector."""
-    generators = lattice.translations()
+    translations = lattice.translations()
     for sz in sector_values(spin, lattice.num_sites):
         basis = build_basis(lattice.num_sites, spin, sz)
         yield plain_block(basis)
-        for characters in itertools.product((1, -1), repeat=len(generators)):
-            yield translation_block(basis, generators, characters)
+        for signs in itertools.product((1, -1), repeat=len(lattice.extent)):
+            yield translation_block(basis, translations, momentum_characters(lattice, signs))
 
 
 # Spin-1 chains stop at L=10: one L=12 family takes several seconds here.

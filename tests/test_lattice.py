@@ -78,13 +78,20 @@ def test_sublattice_colours_only_bipartite_lattices():
 
 @pytest.mark.parametrize("lat", [chain_lattice(8), square_lattice(4, 4), square_lattice(4, 6)])
 def test_translations_map_bonds_onto_bonds(lat):
+    """The identity comes first, the N images are distinct permutations that
+    keep the bond set, every other one moves every site, and they are closed
+    under composition."""
+    translations = lat.translations()
+    sites = tuple(range(lat.num_sites))
+    assert translations[0] == sites
+    assert len(set(translations)) == len(translations) == lat.num_sites
     bonds = set(lat.bonds)
-    for step, period in lat.translations():
-        def move(site):
-            start = site - site % period
-            return start + (site - start + step) % period
-
-        assert {tuple(sorted((move(i), move(j)))) for i, j in bonds} == bonds
+    for image in translations:
+        assert sorted(image) == list(sites)
+        assert {tuple(sorted((image[i], image[j]))) for i, j in bonds} == bonds
+    assert all(image[s] != s for image in translations[1:] for s in sites)
+    group = set(translations)
+    assert all(tuple(f[g[s]] for s in sites) in group for f in group for g in group)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import momentum_characters
 from spinent import analysis, checks, eigensolver, hamiltonian
 from spinent.analysis import shared_workspace
 from spinent.basis import build_basis, nonnegative_sectors, translation_block
@@ -55,7 +56,7 @@ def test_half_chain_block_route_matches_plain(size, grid, monkeypatch):
 
 
 def test_square_block_route_matches_plain(monkeypatch):
-    """The 4x4 torus on criterion 6's grid, two translation generators."""
+    """The 4x4 torus on criterion 6's grid, sixteen translations."""
     workspace = shared_workspace("xxz_half", "square", 4)
     for delta in np.linspace(0.5, 2.0, 31):
         _assert_routes_agree(model_for("xxz_half", delta), workspace, monkeypatch)
@@ -265,17 +266,15 @@ def test_low_spectrum_assembles_no_small_plain_sector(model, size, monkeypatch):
     ],
 )
 def test_block_states_are_orthonormal_character_states(lattice, sz, characters):
-    """Expanded block states are orthonormal and each translation generator
-    maps every one of them to its character times itself."""
+    """Expanded block states are orthonormal and each translation maps every
+    one of them to its character times itself; ``characters`` are those of
+    the unit translations."""
     basis = build_basis(lattice.num_sites, "half", sz)
+    characters = momentum_characters(lattice, characters)
     block = translation_block(basis, lattice.translations(), characters)
     vectors = np.array([block.expand(unit) for unit in np.eye(block.dimension)])
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(block.dimension), atol=1e-12)
-    for (step, period), character in zip(lattice.translations(), characters):
-        moved = np.empty(lattice.num_sites, dtype=int)
-        for site in range(lattice.num_sites):
-            start = site - site % period
-            moved[site] = start + (site - start + step) % period
+    for moved, character in zip(lattice.translations(), characters):
         images = np.zeros_like(basis.states)
         for site in range(lattice.num_sites):
             images |= ((basis.states >> site) & 1) << moved[site]
