@@ -19,14 +19,16 @@ site and spin maps, each spanned by representative states (H. Q. Lin, op.
 cit.; Sandvik, op. cit., sec. 4): the lattice translations, or the
 reflection and, at Sz = 0, the global spin inversion. A lattice map is the
 image of every site, and one routine, _permute, moves packed states by it;
-one builder, orbit_block, serves both groups. The plain sector is the block
-of the trivial group.
+one builder, orbit_blocks, serves both groups. It finds the
+representatives first, the states no group element maps lower, and then
+writes each orbit once from its representative, so only the
+representatives are ever moved by the whole group. The plain sector is the block of the trivial group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -243,11 +245,13 @@ class SectorBlock:
     """One symmetry block of a sector, spanned by representative states.
 
     Block state ``r`` is the normalized sum over the orbit of the
-    representative ``reps.states[r]``, each member weighted by the block's
-    character. For every state of the plain sector ``basis``, ``row`` is the
-    block state whose orbit holds it and ``coef`` its amplitude there; an
-    orbit the characters annihilate has row -1 and amplitude 0. ``orbit``
-    is the orbit size of each block state. In the plain block ``reps`` is
+    representative ``reps.states[r]``, the smallest state of its orbit, each
+    member weighted by the character of an element that maps the
+    representative to it. For every state of the plain sector ``basis``,
+    ``row`` (int64) is the block state whose orbit holds it and ``coef``
+    its amplitude there, character / sqrt(orbit size); an orbit the
+    characters annihilate has row -1 and amplitude 0. ``orbit`` (int64) is
+    the orbit size of each block state. In the plain block ``reps`` is
     ``basis`` and every amplitude and orbit size is 1.
     """
 
@@ -295,13 +299,31 @@ def _permute(basis: SpinBasis, states: np.ndarray, image: tuple[int, ...]) -> np
 def translation_block(
     basis: SpinBasis, translations: tuple[tuple[int, ...], ...], characters: tuple[int, ...]
 ) -> SectorBlock:
-    """The block of a sector on which every translation acts as its character
-    (+1 or -1): one character per site image of ``Lattice.translations()``,
-    identity first."""
+    """The block of a sector on which every translation acts as its character:
+    one character per site image of ``Lattice.translations()``, identity
+    first. orbit_blocks builds it with each translation's _permute as its map.
+
+    Raises ValueError, before any work, unless the characters are a
+    representation of the translations: each +1 or -1, and that of a
+    product of two translations the product of theirs (so the identity's
+    is +1). Momentum pi along an odd extent is not one.
+    """
     if len(characters) != len(translations):
         raise ValueError(f"need {len(translations)} characters, got {len(characters)}")
-    images = (_permute(basis, basis.states, image) for image in translations)
-    return orbit_block(basis, zip(images, characters))
+    if any(character not in (1, -1) for character in characters):
+        raise ValueError(f"characters must be +1 or -1, got {characters}")
+    images = np.array(translations)
+    position = {image.tobytes(): k for k, image in enumerate(images)}
+    # row (g, h) is g after h: the digit at site s lands on g[h[s]]
+    products = images[:, images].reshape(len(images) ** 2, -1)
+    for product, character in zip(products, np.outer(characters, characters).ravel()):
+        k = position.get(product.tobytes())
+        if k is not None and characters[k] != character:
+            raise ValueError(
+                f"characters {characters} are not a representation of the translations"
+            )
+    moves = [partial(_permute, basis, image=image) for image in translations]
+    return orbit_blocks(basis, moves, [characters])[0]
 
 
 def parity_blocks(basis: SpinBasis, reflection: tuple[int, ...]) -> list[SectorBlock]:
@@ -310,58 +332,63 @@ def parity_blocks(basis: SpinBasis, reflection: tuple[int, ...]) -> list[SectorB
     negative. Each is real and of one character under R and F; they come in
     the fixed order (R, F) = (+1, +1), (+1, -1), (-1, +1), (-1, -1), F
     omitted away from Sz = 0, and together they span the sector (Sandvik,
-    arXiv:1101.3281, sec. 4.2-4.3).
+    arXiv:1101.3281, sec. 4.2-4.3). orbit_blocks builds them together from
+    the maps R, F and RF, or R alone.
     """
-    states = basis.states
-    mirrored = _permute(basis, states, reflection)
-    b = basis.bits_per_site
-    # F takes digit d to its highest value minus d at every site, so it
-    # subtracts the state from the all-highest one; only Sz = 0 maps to itself.
-    top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
-    flips = (1, -1) if basis.sz_sector == 0 else (None,)
-    blocks = []
-    for r in (1, -1):
-        for f in flips:
-            elements = [(states, 1), (mirrored, r)]
-            if f is not None:
-                elements += [(top - states, f), (top - mirrored, r * f)]
-            block = orbit_block(basis, elements)
-            if block.dimension:
-                blocks.append(block)
-    return blocks
+    mirror = partial(_permute, basis, image=reflection)
+    moves = [lambda states: states, mirror]
+    representations = [(1, 1), (1, -1)]
+    if basis.sz_sector == 0:
+        b = basis.bits_per_site
+        # F takes digit d to its highest value minus d at every site, so it
+        # subtracts the state from the all-highest one; only Sz = 0 maps to itself.
+        top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
+        moves += [lambda states: top - states, lambda states: top - mirror(states)]
+        representations = [(1, r, f, r * f) for r in (1, -1) for f in (1, -1)]
+    return [block for block in orbit_blocks(basis, moves, representations) if block.dimension]
 
 
-def orbit_block(basis: SpinBasis, elements) -> SectorBlock:
-    """The block of a sector under a group of characters +1 or -1, given as the
-    (image of every sector state, character) of each element, identity
-    first.
+def orbit_blocks(
+    basis: SpinBasis, moves: list, representations: list[tuple[int, ...]]
+) -> list[SectorBlock]:
+    """The blocks of a sector under a group, one per representation of it by
+    +1 and -1. ``moves`` maps packed states by each group element, identity
+    first, and a representation lists the elements' characters in that
+    order.
 
-    The representative of a state is the smallest state of its orbit. An
-    orbit whose stabilizer holds an element of character -1 has no state in
-    the block.
+    The representative of an orbit is its smallest state. They are found
+    first, once for every block: a state is one if no element maps it
+    lower, so each element in turn drops the states it lowers from a
+    shrinking list. An orbit's size is the group order over its
+    stabilizer's; the orbit is in a block if the characters summed over the
+    stabilizer are nonzero, that is, if every element that fixes the
+    representative has character +1. Each kept orbit is then written once
+    from its representative: the element that takes it to a state gives
+    that state the amplitude character / sqrt(orbit size).
     """
-    states = basis.states
-    smallest = states.copy()
-    sign = np.ones(states.size)
-    fixed = np.zeros(states.size, dtype=np.int64)
-    annihilated = np.zeros(states.size, dtype=bool)
-    group = 0
-    for image, character in elements:
-        group += 1
-        still = image == states
+    reps = basis.states
+    for move in moves[1:]:
+        reps = reps[move(reps) >= reps]
+    fixed = np.zeros(reps.size, dtype=np.int64)
+    weight = np.zeros((len(representations), reps.size), dtype=np.int64)
+    for move, characters in zip(moves, zip(*representations)):
+        still = move(reps) == reps
         fixed += still
-        if character < 0:
-            annihilated |= still
-        lower = image < smallest
-        smallest[lower] = image[lower]
-        # The element that takes a state to its representative r gives the
-        # state the amplitude character * amp(r) in the block.
-        sign[lower] = character
-    kept = ~annihilated
-    is_rep = kept & (smallest == states)
-    block_row = np.cumsum(is_rep) - 1
-    row = np.where(kept, block_row[basis.index(smallest)], -1)
-    orbit = group // fixed
-    coef = np.where(kept, sign / np.sqrt(orbit), 0.0)
-    reps = SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, states[is_rep])
-    return SectorBlock(basis, reps, row, coef, orbit[is_rep])
+        weight += np.outer(characters, still)
+    orbit = len(moves) // fixed
+    kept = weight != 0
+    rows = [np.full(basis.dimension, -1, dtype=np.int64) for _ in representations]
+    coefs = [np.zeros(basis.dimension) for _ in representations]
+    for move, characters in zip(moves, zip(*representations)):
+        where = basis.index(move(reps))
+        for keep, character, row, coef in zip(kept, characters, rows, coefs):
+            at = where[keep]
+            row[at] = np.arange(at.size)
+            coef[at] = character / np.sqrt(orbit[keep])
+    return [
+        SectorBlock(
+            basis, SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, reps[keep]),
+            row, coef, orbit[keep],
+        )
+        for keep, row, coef in zip(kept, rows, coefs)
+    ]

@@ -6,6 +6,14 @@ sharing the same rest-of-system configuration are collected, their
 amplitudes arranged into a (rest, pair) rectangle A, and rho = A^T A.
 Ground states here are real, so every RDM is real symmetric.
 
+What a pair's RDM and correlators read off the basis alone is kept per
+(basis, pair), so a sweep derives it once rather than at every point: each
+state's rest group (int32) and pair code (uint8), and, for each direction
+of the spin flip, the rows it moves (int32), their two digits (uint8) and
+the rows they reach (int32), about 10 bytes per sector state for spin-1/2
+and 15 for spin-1. The tables are held weakly by the basis and die with
+it.
+
 Index convention inside the RDM: site i is the slow tensor factor, site j
 the fast one, and each site's local states are ordered by descending Sz
 (up before down; +1, 0, -1 for spin-1).
@@ -14,6 +22,7 @@ the fast one, and each site's local states are ordered by descending Sz
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +31,8 @@ from .basis import SpinBasis
 from .hamiltonian import spin_matrices
 
 _ENTROPY_CLAMP = -1e-8
+# Per basis, the tables of each pair (see the module docstring).
+_PAIR_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class PatternViolationError(ValueError):
@@ -77,18 +88,34 @@ def _check_state(state: np.ndarray, basis: SpinBasis) -> np.ndarray:
     return state
 
 
+def _pair_table(build, basis: SpinBasis, *sites: int) -> tuple:
+    """``build(basis, *sites)``, built on the first call for this basis and
+    these sites and kept until the basis is released."""
+    tables = _PAIR_TABLES.setdefault(basis, {})
+    key = (build, sites)
+    if key not in tables:
+        tables[key] = build(basis, *sites)
+    return tables[key]
+
+
+def _rest_groups(basis: SpinBasis, i: int, j: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(number of rest configurations, each state's rest group, each state's
+    pair code) for the partial trace onto sites (i, j)."""
+    d = basis.local_dim
+    # Packed digits count up from the lowest Sz; the RDM wants descending.
+    pair = (d - 1 - basis.site_digits(i)) * d + (d - 1 - basis.site_digits(j))
+    rest = basis.with_pair_digits(basis.states, i, j, 0, 0)
+    _, group = np.unique(rest, return_inverse=True)
+    return int(group.max()) + 1, group.astype(np.int32), pair.astype(np.uint8)
+
+
 def two_site_rdm(state: np.ndarray, basis: SpinBasis, i: int, j: int) -> TwoSiteRDM:
     """Partial trace onto sites (i, j), exact up to round-off."""
     _check_pair(basis, i, j)
     state = _check_state(state, basis)
     d = basis.local_dim
-    digits_i = basis.site_digits(i)
-    digits_j = basis.site_digits(j)
-    # Packed digits count up from the lowest Sz; the RDM wants descending.
-    pair = (d - 1 - digits_i) * d + (d - 1 - digits_j)
-    rest = basis.with_pair_digits(basis.states, i, j, 0, 0)
-    _, group = np.unique(rest, return_inverse=True)
-    amp = np.zeros((group.max() + 1, d * d))
+    groups, group, pair = _pair_table(_rest_groups, basis, i, j)
+    amp = np.zeros((groups, d * d))
     amp[group, pair] = state
     rho = amp.T @ amp
     return TwoSiteRDM(local_dim=d, matrix=rho)
@@ -140,23 +167,32 @@ def _lowering_amplitudes(spin: str) -> np.ndarray:
     return np.array([sp[a + 1, a] for a in range(sp.shape[0] - 1)])
 
 
+def _hops(basis: SpinBasis, src: int, dst: int) -> tuple[np.ndarray, ...]:
+    """(row, digit at src minus one, digit at dst, row reached) of every
+    state that S+_dst S-_src keeps in the sector."""
+    d = basis.local_dim
+    digits_src = basis.site_digits(src)
+    digits_dst = basis.site_digits(dst)
+    movable = (digits_src > 0) & (digits_dst < d - 1)
+    lowered = digits_src[movable] - 1
+    raised = digits_dst[movable]
+    targets = basis.with_pair_digits(basis.states[movable], src, dst, lowered, raised + 1)
+    return (
+        np.nonzero(movable)[0].astype(np.int32),
+        lowered.astype(np.uint8),
+        raised.astype(np.uint8),
+        basis.index(targets).astype(np.int32),
+    )
+
+
 def _hopping_expectation(
     state: np.ndarray, basis: SpinBasis, src: int, dst: int
 ) -> float:
     """<S+_dst S-_src> by in-sector operator application."""
-    d = basis.local_dim
     amps = _lowering_amplitudes(basis.spin)
-    digits_src = basis.site_digits(src)
-    digits_dst = basis.site_digits(dst)
-    movable = (digits_src > 0) & (digits_dst < d - 1)
-    if not movable.any():
-        return 0.0
-    targets = basis.with_pair_digits(
-        basis.states[movable], src, dst, digits_src[movable] - 1, digits_dst[movable] + 1
-    )
-    loc = basis.index(targets)
-    weight = amps[digits_src[movable] - 1] * amps[digits_dst[movable]]
-    return float(np.sum(state[movable] * weight * state[loc]))
+    rows, lowered, raised, targets = _pair_table(_hops, basis, src, dst)
+    weight = amps[lowered] * amps[raised]
+    return float(np.sum(state[rows] * weight * state[targets]))
 
 
 def bond_correlators(

@@ -7,6 +7,7 @@ nothing more than a site count and a deduplicated list of site pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,9 @@ class Lattice:
     def translations(self) -> tuple[tuple[int, ...], ...]:
         """Image of every site under each translation, identity first: the
         move by ``down`` rows and ``right`` columns for every ``(down, right)``
-        in row-major order, a ring being a torus of one row."""
-        width = self.extent[0]
-        rows = self.num_sites // width
-        return tuple(
-            tuple((s // width + down) % rows * width + (s + right) % width
-                  for s in range(self.num_sites))
-            for down in range(rows) for right in range(width)
-        )
+        in row-major order, a ring being a torus of one row. Built once per
+        shape."""
+        return _translations(self.num_sites, self.extent[0])
 
     def reflection(self) -> tuple[int, ...]:
         """Image of every site under the mirror that maps the bonds onto
@@ -55,6 +51,16 @@ class Lattice:
         return tuple(
             site - site % width + (-site) % width for site in range(self.num_sites)
         )
+
+
+@lru_cache(maxsize=None)
+def _translations(num_sites: int, width: int) -> tuple[tuple[int, ...], ...]:
+    rows = num_sites // width
+    return tuple(
+        tuple((s // width + down) % rows * width + (s + right) % width
+              for s in range(num_sites))
+        for down in range(rows) for right in range(width)
+    )
 
 
 def chain_lattice(num_sites: int) -> Lattice:

@@ -6,7 +6,13 @@ package. Sites enter the Kronecker product left to right, so site 0 is the
 slowest index, and the local basis is ordered by descending Sz (index 0 is
 the highest local Sz). Agreement with the package is therefore an
 independent cross-check, not a tautology.
+
+The ``*_reference`` functions are different: each is an earlier, slower
+package routine kept verbatim, which its replacement must match bit for
+bit.
 """
+
+import itertools
 
 import numpy as np
 
@@ -113,6 +119,15 @@ def momentum_characters(lattice, signs):
     )
 
 
+def momentum_sets(lattice):
+    """The signs for ``momentum_characters`` of every momentum 0 or pi along
+    each extent, pi only along an even one: along an odd extent it is no
+    character of the translations."""
+    for signs in itertools.product((1, -1), repeat=len(lattice.extent)):
+        if all(sign == 1 or extent % 2 == 0 for sign, extent in zip(signs, lattice.extent)):
+            yield signs
+
+
 def assemble_parts_reference(family, lattice, block):
     """The bond-by-bond, part-by-part sector assembly that preceded the
     shared per-bond pass, kept verbatim: each part scatters its own COO
@@ -170,3 +185,84 @@ def assemble_parts_reference(family, lattice, block):
         mat.sort_indices()
         out[name] = mat
     return out
+
+
+def orbit_block_reference(basis, elements):
+    """The state-by-state block builder that preceded building each orbit
+    from its representative, kept verbatim: ``elements`` gives the image of
+    every sector state and the character of each group element, identity
+    first, and every state takes the smallest of its images as its
+    representative. The package's translation and parity blocks must
+    reproduce its arrays bit for bit."""
+    from spinent.basis import SectorBlock, SpinBasis
+
+    states = basis.states
+    smallest = states.copy()
+    sign = np.ones(states.size)
+    fixed = np.zeros(states.size, dtype=np.int64)
+    annihilated = np.zeros(states.size, dtype=bool)
+    group = 0
+    for image, character in elements:
+        group += 1
+        still = image == states
+        fixed += still
+        if character < 0:
+            annihilated |= still
+        lower = image < smallest
+        smallest[lower] = image[lower]
+        # The element that takes a state to its representative r gives the
+        # state the amplitude character * amp(r) in the block.
+        sign[lower] = character
+    kept = ~annihilated
+    is_rep = kept & (smallest == states)
+    block_row = np.cumsum(is_rep) - 1
+    row = np.where(kept, block_row[basis.index(smallest)], -1)
+    orbit = group // fixed
+    coef = np.where(kept, sign / np.sqrt(orbit), 0.0)
+    reps = SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, states[is_rep])
+    return SectorBlock(basis, reps, row, coef, orbit[is_rep])
+
+
+def permuted_states(basis, image):
+    """Packed states with the digit of every site ``s`` moved to ``image[s]``,
+    one site at a time."""
+    b, mask = basis.bits_per_site, (1 << basis.bits_per_site) - 1
+    moved = np.zeros_like(basis.states)
+    for site, target in enumerate(image):
+        moved |= ((basis.states >> (b * site)) & mask) << (b * target)
+    return moved
+
+
+def two_site_rdm_reference(state, basis, i, j):
+    """The pair RDM as computed before its tables were kept per basis, kept
+    verbatim: every call groups the whole sector by its rest configuration.
+    The package's two_site_rdm must reproduce it bit for bit."""
+    d = basis.local_dim
+    digits_i = basis.site_digits(i)
+    digits_j = basis.site_digits(j)
+    pair = (d - 1 - digits_i) * d + (d - 1 - digits_j)
+    rest = basis.with_pair_digits(basis.states, i, j, 0, 0)
+    _, group = np.unique(rest, return_inverse=True)
+    amp = np.zeros((group.max() + 1, d * d))
+    amp[group, pair] = state
+    return amp.T @ amp
+
+
+def hopping_reference(state, basis, src, dst):
+    """<S+_dst S-_src> as computed before its tables were kept per basis,
+    kept verbatim: every call looks up the row each movable state reaches."""
+    from spinent.entanglement import _lowering_amplitudes
+
+    d = basis.local_dim
+    amps = _lowering_amplitudes(basis.spin)
+    digits_src = basis.site_digits(src)
+    digits_dst = basis.site_digits(dst)
+    movable = (digits_src > 0) & (digits_dst < d - 1)
+    if not movable.any():
+        return 0.0
+    targets = basis.with_pair_digits(
+        basis.states[movable], src, dst, digits_src[movable] - 1, digits_dst[movable] + 1
+    )
+    loc = basis.index(targets)
+    weight = amps[digits_src[movable] - 1] * amps[digits_dst[movable]]
+    return float(np.sum(state[movable] * weight * state[loc]))

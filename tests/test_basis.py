@@ -1,17 +1,20 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import momentum_characters
+from oracles import momentum_characters, momentum_sets, orbit_block_reference, permuted_states
+from spinent import basis as basis_module
 from spinent.basis import (
     SPIN_VALUE,
     _permute,
     build_basis,
     nonnegative_sectors,
+    parity_blocks,
     sector_values,
     translation_block,
 )
@@ -90,6 +93,32 @@ def test_nonnegative_sectors():
     assert nonnegative_sectors("half", 4) == [0.0, 1.0, 2.0]
     assert nonnegative_sectors("half", 5) == [0.5, 1.5, 2.5]
     assert nonnegative_sectors("one", 3) == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "characters,message",
+    [
+        ((2,) * 8, r"must be \+1 or -1"),
+        ((0,) * 8, r"must be \+1 or -1"),
+        ((-1,) + (1,) * 7, "not a representation"),
+        ((1, -1, 1, -1, 1, -1, 1, 1), "not a representation"),
+    ],
+    ids=["twos", "zeros", "identity-minus-one", "no-homomorphism"],
+)
+def test_translation_block_needs_a_representation(characters, message, monkeypatch):
+    """Characters that are not +1 or -1, or not a representation of the
+    translations, are refused before any orbit is built. They used to give
+    block states of norm 1.904 (all 2) or 0.354 (all 0), an empty block (an
+    identity of -1), or states that are no translation eigenstates."""
+    ring = chain_lattice(8)
+    basis = build_basis(8, "half", 0.0)
+
+    def refuse(*args):
+        raise AssertionError("orbit_blocks reached")
+
+    monkeypatch.setattr(basis_module, "orbit_blocks", refuse)
+    with pytest.raises(ValueError, match=message):
+        translation_block(basis, ring.translations(), characters)
 
 
 @given(
@@ -241,3 +270,91 @@ def test_permute_moves_every_digit_to_its_image(spin, image, pick):
     ]
     assert _permute(basis, basis.states, image).tolist() == expected
     assert np.array_equal(basis.states, before)
+
+
+def _assert_blocks_equal(block, reference):
+    for name in ("row", "coef", "orbit"):
+        mine, theirs = getattr(block, name), getattr(reference, name)
+        assert mine.dtype == theirs.dtype, name
+        assert mine.tobytes() == theirs.tobytes(), name
+    assert block.reps.states.dtype == reference.reps.states.dtype
+    assert block.reps.states.tobytes() == reference.reps.states.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lattice,spin",
+    [pytest.param(chain_lattice(n), "half", id=f"ring{n}-half") for n in range(4, 17)]
+    + [pytest.param(chain_lattice(n), "one", id=f"ring{n}-one") for n in range(4, 11)]
+    + [pytest.param(square_lattice(4, 4), "half", id="torus4x4-half")]
+    + [pytest.param(square_lattice(3, 3), "one", id="torus3x3-one")],
+)
+def test_translation_blocks_are_bitwise_the_state_by_state_builder(lattice, spin):
+    """Blocks written orbit by orbit from their representatives equal, array
+    for array, those of the builder that minimized every state over every
+    image, in every sector of Sz >= 0 and at every momentum 0 or pi."""
+    translations = lattice.translations()
+    for sz in nonnegative_sectors(spin, lattice.num_sites):
+        basis = build_basis(lattice.num_sites, spin, sz)
+        images = [permuted_states(basis, image) for image in translations]
+        for signs in momentum_sets(lattice):
+            characters = momentum_characters(lattice, signs)
+            _assert_blocks_equal(
+                translation_block(basis, translations, characters),
+                orbit_block_reference(basis, list(zip(images, characters))),
+            )
+
+
+def test_translation_block_peak_memory():
+    """The N=20 Sz=0 ground block traces at most four words per sector state:
+    the kept row and coef, and no more than two sector-length words of work
+    space. The state-by-state builder held about ten (13.6 MiB)."""
+    ring = chain_lattice(20)
+    basis = build_basis(20, "half", 0.0)
+    characters = momentum_characters(ring, (1,))
+    tracemalloc.start()
+    try:
+        translation_block(basis, ring.translations(), characters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * basis.dimension
+
+
+def _reference_parity_blocks(basis, reflection):
+    """parity_blocks through the state-by-state builder, from images found
+    one site at a time."""
+    states = basis.states
+    mirrored = permuted_states(basis, reflection)
+    b = basis.bits_per_site
+    top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
+    flips = (1, -1) if basis.sz_sector == 0 else (None,)
+    blocks = []
+    for r in (1, -1):
+        for f in flips:
+            elements = [(states, 1), (mirrored, r)]
+            if f is not None:
+                elements += [(top - states, f), (top - mirrored, r * f)]
+            block = orbit_block_reference(basis, elements)
+            if block.dimension:
+                blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "lattice,spin",
+    [pytest.param(chain_lattice(n), "half", id=f"ring{n}-half") for n in range(4, 17)]
+    + [pytest.param(chain_lattice(n), "one", id=f"ring{n}-one") for n in range(4, 11)]
+    + [pytest.param(square_lattice(4, 4), "half", id="torus4x4-half")]
+    + [pytest.param(square_lattice(3, 3), "one", id="torus3x3-one")],
+)
+def test_parity_blocks_are_bitwise_the_state_by_state_builder(lattice, spin):
+    """Every parity block of every Sz >= 0 sector equals, array for array,
+    that of the builder that minimized every state over every image."""
+    reflection = lattice.reflection()
+    for sz in nonnegative_sectors(spin, lattice.num_sites):
+        basis = build_basis(lattice.num_sites, spin, sz)
+        blocks = parity_blocks(basis, reflection)
+        references = _reference_parity_blocks(basis, reflection)
+        assert len(blocks) == len(references)
+        for block, reference in zip(blocks, references):
+            _assert_blocks_equal(block, reference)

@@ -1,4 +1,8 @@
+import collections
+import gc
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +13,14 @@ from oracles import (
     embed_indices,
     full_hamiltonian,
     ground_full,
+    hopping_reference,
     pair_rdm_full,
     site_operator,
     spin_ops,
+    two_site_rdm_reference,
 )
-from spinent.basis import build_basis
+from spinent import analysis, entanglement
+from spinent.basis import SpinBasis, build_basis
 from spinent.entanglement import (
     PatternViolationError,
     TwoSiteRDM,
@@ -27,6 +34,7 @@ from spinent.entanglement import (
     xform_extract,
     xform_eigenvalues,
 )
+from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
@@ -302,3 +310,73 @@ def test_closed_forms_match_matrix_routes_on_random_x_states(weights, fraction):
     np.testing.assert_allclose(
         concurrence_closed_form(el), concurrence(rdm), atol=1e-7
     )
+
+
+def test_a_sweep_builds_each_pair_table_once(monkeypatch):
+    """A 4-point sweep in one sector groups it by rest configuration once and
+    looks up the hopping targets once per direction, and every point's
+    values equal those computed afresh from the point's ground state."""
+    calls = collections.Counter()
+    real_unique, real_index = np.unique, SpinBasis.index
+
+    def count(name):
+        if sys._getframe(2).f_globals.get("__name__") == "spinent.entanglement":
+            calls[name] += 1
+
+    def unique(*args, **kwargs):
+        count("unique")
+        return real_unique(*args, **kwargs)
+
+    def index(self, states):
+        count("index")
+        return real_index(self, states)
+
+    monkeypatch.setattr(analysis, "_WORKSPACES", {})
+    monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.setattr(SpinBasis, "index", index)
+    grid = (-0.5, 0.7, 4)
+    rows = analysis.sweep("xxz_half", "chain", [10], grid).rows
+    assert calls == {"unique": 1, "index": 2}
+    workspace = analysis.shared_workspace("xxz_half", "chain", 10)
+    for row, delta in zip(rows, np.linspace(*grid)):
+        report = ground_state_scan(workspace, model_for("xxz_half", delta, 0.0))
+        assert report.ground_sz == 0.0
+        state, basis = report.representative.vector, workspace.basis(0.0)
+        rdm = two_site_rdm_reference(state, basis, 0, 1)
+        assert np.array_equal(two_site_rdm(state, basis, 0, 1).matrix, rdm)
+        assert row.ev == von_neumann_entropy(TwoSiteRDM(2, rdm))
+        assert row.concurrence == concurrence(TwoSiteRDM(2, rdm))
+        hops = hopping_reference(state, basis, 1, 0) + hopping_reference(state, basis, 0, 1)
+        assert row.cxx == 0.25 * hops
+    assert calls == {"unique": 1, "index": 2}
+
+
+def _uniform_state(basis):
+    return np.full(basis.dimension, basis.dimension**-0.5)
+
+
+def _table_arrays(basis):
+    tables = entanglement._PAIR_TABLES[basis].values()
+    return [array for table in tables for array in table if isinstance(array, np.ndarray)]
+
+
+def test_pair_tables_are_released_with_their_basis():
+    basis = build_basis(10, "half", 0.0)
+    state = _uniform_state(basis)
+    two_site_rdm(state, basis, 0, 1)
+    bond_correlators(state, basis, (0, 1))
+    assert len(entanglement._PAIR_TABLES[basis]) == 3
+    watched = [weakref.ref(basis)] + [weakref.ref(array) for array in _table_arrays(basis)]
+    del basis
+    gc.collect()
+    assert all(ref() is None for ref in watched)
+
+
+@pytest.mark.parametrize("spin,size", [("half", 12), ("one", 8)])
+def test_pair_tables_take_at_most_16_bytes_per_state(spin, size):
+    """The grouping, and both directions' hops, of one pair."""
+    basis = build_basis(size, spin, 0.0)
+    state = _uniform_state(basis)
+    two_site_rdm(state, basis, 2, 3)
+    bond_correlators(state, basis, (2, 3))
+    assert sum(array.nbytes for array in _table_arrays(basis)) <= 16 * basis.dimension

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import tracemalloc
 
@@ -11,6 +10,7 @@ from oracles import (
     embed_indices,
     full_hamiltonian,
     momentum_characters,
+    momentum_sets,
 )
 from spinent.basis import (
     build_basis,
@@ -311,7 +311,7 @@ def _every_block(lattice, spin):
     for sz in sector_values(spin, lattice.num_sites):
         basis = build_basis(lattice.num_sites, spin, sz)
         yield plain_block(basis)
-        for signs in itertools.product((1, -1), repeat=len(lattice.extent)):
+        for signs in momentum_sets(lattice):
             yield translation_block(basis, translations, momentum_characters(lattice, signs))
 
 

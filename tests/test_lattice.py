@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from spinent.lattice import chain_lattice, square_lattice
@@ -80,8 +82,9 @@ def test_sublattice_colours_only_bipartite_lattices():
 def test_translations_map_bonds_onto_bonds(lat):
     """The identity comes first, the N images are distinct permutations that
     keep the bond set, every other one moves every site, and they are closed
-    under composition."""
+    under composition. They are built once per lattice shape."""
     translations = lat.translations()
+    assert dataclasses.replace(lat).translations() is translations
     sites = tuple(range(lat.num_sites))
     assert translations[0] == sites
     assert len(set(translations)) == len(translations) == lat.num_sites
