@@ -9,12 +9,12 @@ between the routes is evidence, not tautology.
 
 Parametrization: delta = cos(2*gamma) with gamma in (0, pi/2), and
 rapidities scaled so the XXX limit gamma -> 0 stays finite. In these
-variables the bare-momentum and scattering kernels are
+variables the kernel family of Yang & Yang (Phys. Rev. 150, 321 (1966)) is
 
-    t1(x) = 2*atan(cot(gamma) * tanh(gamma*x))
-    t2(x) = 2*atan(cot(2*gamma) * tanh(gamma*x))
+    t_n(x) = 2*atan(cot(n*gamma) * tanh(gamma*x)),
 
-and the ground state solves N*t1(x_j) = 2*pi*I_j + sum_l t2(x_j - x_l)
+with t_1 the bare momentum and t_2 the scattering phase, and the ground
+state solves N*t_1(x_j) = 2*pi*I_j + sum_l t_2(x_j - x_l)
 with quantum numbers I_j = -(M-1)/2 .. (M-1)/2. The energy convention
 was pinned against dense diagonalization at N = 4, 6, 8 (see the test
 suite); everything else trusts that calibration.
@@ -56,12 +56,13 @@ class BetheState:
 
 
 class _Kernels:
-    """t1, t2, their derivatives, and the energy density at one anisotropy.
+    """The kernel family t_n of Yang & Yang, its slope, and the energy
+    density at one anisotropy.
 
-    Denominators of the cosh - cos form are evaluated as
-    2*(sinh(g*x)^2 + sin(a)^2), which stays positive and cancellation-free
-    arbitrarily close to the XXX point; at gamma below 1e-8 the exact
-    rational (XXX) limit takes over.
+    t_1 is the bare momentum and t_2 the scattering phase. Denominators of
+    the cosh - cos form are evaluated as 2*(sinh(g*x)^2 + sin(n*g)^2), which
+    stays positive and cancellation-free arbitrarily close to the XXX point;
+    at gamma below 1e-8 the exact rational (XXX) limit takes over.
     """
 
     def __init__(self, delta: float):
@@ -69,29 +70,19 @@ class _Kernels:
         self.gamma = math.acos(delta) / 2.0
         self.rational = self.gamma < _RATIONAL_GAMMA
 
-    def t1(self, x):
+    def phase(self, n: int, x):
+        """t_n(x)."""
         if self.rational:
-            return 2.0 * np.arctan(x)
+            return 2.0 * np.arctan(x / n)
         g = self.gamma
-        return 2.0 * np.arctan(np.tanh(g * x) / math.tan(g))
+        return 2.0 * np.arctan(np.tanh(g * x) / math.tan(n * g))
 
-    def t2(self, x):
+    def slope(self, n: int, x):
+        """dt_n/dx."""
         if self.rational:
-            return 2.0 * np.arctan(0.5 * x)
+            return 2.0 * n / (n * n + x * x)
         g = self.gamma
-        return 2.0 * np.arctan(np.tanh(g * x) / math.tan(2.0 * g))
-
-    def dt1(self, x):
-        if self.rational:
-            return 2.0 / (1.0 + x * x)
-        g = self.gamma
-        return g * math.sin(2 * g) / (np.sinh(g * x) ** 2 + math.sin(g) ** 2)
-
-    def dt2(self, x):
-        if self.rational:
-            return 4.0 / (4.0 + x * x)
-        g = self.gamma
-        return g * math.sin(4 * g) / (np.sinh(g * x) ** 2 + math.sin(2 * g) ** 2)
+        return g * math.sin(2 * n * g) / (np.sinh(g * x) ** 2 + math.sin(n * g) ** 2)
 
     def energy_density(self, x):
         if self.rational:
@@ -102,17 +93,17 @@ class _Kernels:
 
 def _bethe_residual(kernels: _Kernels, lam: np.ndarray, n: int, numbers: np.ndarray):
     diff = lam[:, None] - lam[None, :]
-    t2 = kernels.t2(diff)
+    t2 = kernels.phase(2, diff)
     np.fill_diagonal(t2, 0.0)
-    return n * kernels.t1(lam) - 2.0 * math.pi * numbers - t2.sum(axis=1)
+    return n * kernels.phase(1, lam) - 2.0 * math.pi * numbers - t2.sum(axis=1)
 
 
 def _bethe_jacobian(kernels: _Kernels, lam: np.ndarray, n: int):
     diff = lam[:, None] - lam[None, :]
-    dt2 = kernels.dt2(diff)
+    dt2 = kernels.slope(2, diff)
     np.fill_diagonal(dt2, 0.0)
     jac = dt2.copy()
-    np.fill_diagonal(jac, n * kernels.dt1(lam) - dt2.sum(axis=1))
+    np.fill_diagonal(jac, n * kernels.slope(1, lam) - dt2.sum(axis=1))
     return jac
 
 

@@ -1,11 +1,13 @@
 """Numbered end-to-end checks behind the `check` subcommand.
 
 Each criterion is a self-contained reproduction of one headline result,
-phrased as a list of (ok, detail) sub-checks. A shared context caches
-Sz=0 ground solves, and ``analysis.shared_workspace`` the sector
-workspaces, so the whole battery runs in seconds on one core. The test
-suite drives the same functions, one test per criterion, so
-`spinent check` and pytest cannot drift apart.
+phrased as a list of (ok, detail) sub-checks and given the worker count of
+its sweeps. Criteria share the sector workspaces of
+``analysis.shared_workspace`` but no solves: the few points solved twice
+are Sz=0 sectors of rings of at most 12 sites, cheaper to solve again than
+to keep, and the whole battery runs in seconds on one core. The test suite
+drives the same functions, one test per criterion, so `spinent check` and
+pytest cannot drift apart.
 """
 
 from __future__ import annotations
@@ -63,28 +65,12 @@ class CriterionResult:
         )
 
 
-class CheckContext:
-    """The worker count and the Sz=0 ground solves shared between criteria;
-    the workspaces they use are held by ``analysis.shared_workspace``."""
-
-    def __init__(self, jobs: int = 1):
-        check_jobs(jobs)
-        self.jobs = jobs
-        self._grounds: dict[tuple, tuple[EigenResult, SpinBasis]] = {}
-
-    def sector_ground(
-        self, family: str, size: int, param: float, geometry: str = "chain"
-    ) -> tuple[EigenResult, SpinBasis]:
-        """Lowest eigenpair of the Sz=0 sector at one parameter value, solved
-        as ground_state_scan solves it and written over the plain sector."""
-        key = (family, geometry, size, param)
-        hit = self._grounds.get(key)
-        if hit is None:
-            workspace = shared_workspace(family, geometry, size)
-            _, pair, _ = sector_lowest(workspace, model_for(family, param), 0.0)
-            hit = (pair()[1], workspace.basis(0.0))
-            self._grounds[key] = hit
-        return hit
+def sector_ground(family: str, size: int, param: float) -> tuple[EigenResult, SpinBasis]:
+    """Lowest eigenpair of a ring's Sz=0 sector at one parameter value, solved
+    as ground_state_scan solves it and written over the plain sector."""
+    workspace = shared_workspace(family, "chain", size)
+    _, pair, _ = sector_lowest(workspace, model_for(family, param), 0.0)
+    return pair()[1], workspace.basis(0.0)
 
 
 def _close(value: float, target: float, tol: float, label: str):
@@ -141,13 +127,13 @@ def _dicke_pair_entropy(n: int) -> float:
     return -(2 * p * math.log2(p) + 2 * q * math.log2(2 * q))
 
 
-def _criterion_1(ctx: CheckContext):
+def _criterion_1(jobs: int):
     """Free-fermion oracle equality and the XX-point entropy limit."""
     checks = []
     sizes = (8, 12, 16, 20)
     entropies, upper_eig, lower_eig = [], [], []
     for n in sizes:
-        ground, basis = ctx.sector_ground("xxz_half", n, 0.0)
+        ground, basis = sector_ground("xxz_half", n, 0.0)
         oracle_energy, oracle_cxx, oracle_czz = xx_oracle(n)
         checks.append(_close(ground.energy, oracle_energy, 1e-8, f"N={n} ground energy vs free fermions"))
         correlators = bond_correlators(ground.vector, basis, (0, 1))
@@ -167,11 +153,11 @@ def _criterion_1(ctx: CheckContext):
     return checks
 
 
-def _criterion_2(ctx: CheckContext):
+def _criterion_2(jobs: int):
     """Isotropic-point entropy, correlators, and concurrence."""
     checks = []
     for n in (8, 12, 16, 20):
-        ground, basis = ctx.sector_ground("xxz_half", n, 1.0)
+        ground, basis = sector_ground("xxz_half", n, 1.0)
         correlators = bond_correlators(ground.vector, basis, (0, 1))
         checks.append(
             _at_most(abs(correlators.cxx - correlators.czz), 1e-9, f"N={n} |cxx - czz|")
@@ -203,7 +189,7 @@ def _criterion_2(ctx: CheckContext):
     return checks
 
 
-def _criterion_3(ctx: CheckContext):
+def _criterion_3(jobs: int):
     """Bethe energies against exact diagonalization."""
     checks = []
     anisotropies = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.0)
@@ -212,23 +198,23 @@ def _criterion_3(ctx: CheckContext):
         for delta in anisotropies:
             gap = abs(
                 solve_ground(n, delta).energy
-                - ctx.sector_ground("xxz_half", n, delta)[0].energy
+                - sector_ground("xxz_half", n, delta)[0].energy
             )
             worst = max(worst, gap)
         checks.append(_at_most(worst, 1e-8, f"N={n} worst |E_bethe - E_ed| over 6 anisotropies"))
     return checks
 
 
-def _criterion_4(ctx: CheckContext):
+def _criterion_4(jobs: int):
     """Energy-derivative route to czz agrees with the direct expectation."""
     checks = []
     n = 12
     for delta in (0.25, 0.75, 1.5):
-        ground, basis = ctx.sector_ground("xxz_half", n, delta)
+        ground, basis = sector_ground("xxz_half", n, delta)
         direct = bond_correlators(ground.vector, basis, (0, 1)).czz
 
         def energy_fn(x):
-            return ctx.sector_ground("xxz_half", n, x)[0].energy
+            return sector_ground("xxz_half", n, x)[0].energy
 
         derived_czz, _ = hf_correlators(energy_fn, n, delta)
         checks.append(_at_most(
@@ -238,7 +224,7 @@ def _criterion_4(ctx: CheckContext):
     return checks
 
 
-def _criterion_5(ctx: CheckContext):
+def _criterion_5(jobs: int):
     """Degeneracy switch and entropy collapse at the ferromagnetic boundary.
 
     Just above delta = -1 the Sz=0 ground state tends to the Dicke state, so
@@ -247,7 +233,7 @@ def _criterion_5(ctx: CheckContext):
     below (1.4273 at -0.95, 1.4481 at -0.999). The value at -0.95 must also
     match the Bethe route, which shares no code with the sweep.
     """
-    table = sweep("xxz_half", "chain", [12], (-1.5, -0.5, 21), jobs=ctx.jobs)
+    table = sweep("xxz_half", "chain", [12], (-1.5, -0.5, 21), jobs=jobs)
     rows = {round(row.param, 9): row for row in table.rows}
     checks = []
     below, at, above = rows[-1.05], rows[-1.0], rows[-0.95]
@@ -271,7 +257,7 @@ def _criterion_5(ctx: CheckContext):
     return checks
 
 
-def _criterion_6(ctx: CheckContext):
+def _criterion_6(jobs: int):
     """Square-lattice entropy peak at the isotropic point, with the SU(2) crossing.
 
     The 4x4 ground state is unique and gapped near delta = 1, so its pair
@@ -281,7 +267,7 @@ def _criterion_6(ctx: CheckContext):
     transverse correlator stronger below (czz - cxx > 0) and the Ising one
     above.
     """
-    table = sweep("xxz_half", "square", [4], (0.5, 2.0, 31), jobs=ctx.jobs)
+    table = sweep("xxz_half", "square", [4], (0.5, 2.0, 31), jobs=jobs)
     series = table.series("4x4", "ev")
     checks = []
     x_star, _ = locate_extremum(series, "max")
@@ -297,10 +283,10 @@ def _criterion_6(ctx: CheckContext):
     return checks
 
 
-def _criterion_7(ctx: CheckContext):
+def _criterion_7(jobs: int):
     """Spin-1 derivative minima scale toward the crossover anisotropy."""
     extrema, fits = extremum_scaling(
-        "xxz_one", "chain", [8, 10, 12], (0.9, 2.1, 25), "ev", jobs=ctx.jobs
+        "xxz_one", "chain", [8, 10, 12], (0.9, 2.1, 25), "ev", jobs=jobs
     )
     checks = []
     for (small, x_small, _), (large, x_large, _) in zip(extrema, extrema[1:]):
@@ -323,10 +309,10 @@ def _is_local_min(values: np.ndarray, idx: int) -> bool:
     )
 
 
-def _criterion_8(ctx: CheckContext):
+def _criterion_8(jobs: int):
     """Phase map of the spin-1 bilinear-biquadratic ring at L=6."""
     count = 201
-    table = sweep("blbq", "chain", [6], (0.0, 2 * math.pi, count), jobs=ctx.jobs)
+    table = sweep("blbq", "chain", [6], (0.0, 2 * math.pi, count), jobs=jobs)
     params = np.array([row.param for row in table.rows])
     entropy = np.array([row.ev for row in table.rows])
     checks = []
@@ -346,7 +332,7 @@ def _criterion_8(ctx: CheckContext):
         f"local entropy maximum at 3pi/2: {entropy[su3]:.8g} "
         f"(neighbours {entropy[su3 - 1]:.8g}, {entropy[su3 + 1]:.8g})",
     ))
-    ground, basis = ctx.sector_ground("blbq", 6, 3 * math.pi / 2)
+    ground, basis = sector_ground("blbq", 6, 3 * math.pi / 2)
     spectrum = np.linalg.eigvalsh(two_site_rdm(ground.vector, basis, 0, 1).matrix)
     clusters = degeneracy_count(spectrum, 1e-10)
     checks.append(_equals(
@@ -386,9 +372,9 @@ def _criterion_8(ctx: CheckContext):
     return checks
 
 
-def _criterion_9(ctx: CheckContext):
+def _criterion_9(jobs: int):
     """Pair entropy stops scaling with size in the gapped window."""
-    table = sweep("xxz_half", "chain", [8, 12, 16], (1.5, 3.0, 31), jobs=ctx.jobs)
+    table = sweep("xxz_half", "chain", [8, 12, 16], (1.5, 3.0, 31), jobs=jobs)
     by_size = {
         size: dict(table.series(str(size), "ev")) for size in (8, 12, 16)
     }
@@ -415,11 +401,11 @@ _SOLVER_ROSTER = (
 )
 
 
-def _criterion_10(ctx: CheckContext):
+def _criterion_10(jobs: int):
     """Density-matrix and solver property battery."""
     checks = []
     for family, size, param in _RDM_ROSTER:
-        ground, basis = ctx.sector_ground(family, size, param)
+        ground, basis = sector_ground(family, size, param)
         pairs = ((0, 1), (2, 5), (0, size // 2))
         trace_err = symm_err = eig_low = eig_high = 0.0
         xform_err = closed_err = 0.0
@@ -492,14 +478,16 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, context: CheckContext | None = None) -> CriterionResult:
+def run_criterion(number: int, jobs: int = 1) -> CriterionResult:
+    """One criterion, with ``jobs`` sweep workers; ValueError first for a
+    worker count below 1, then for an unknown number."""
+    check_jobs(jobs)
     if number not in CRITERIA:
         raise ValueError(f"no criterion {number}; valid numbers are {sorted(CRITERIA)}")
-    context = context if context is not None else CheckContext()
     title, criterion = CRITERIA[number]
     started = time.perf_counter()
     try:
-        raw = criterion(context)
+        raw = criterion(jobs)
     except Exception as fail:  # a crash is a failed criterion, not a dead battery
         raw = [(False, f"crashed: {type(fail).__name__}: {fail}")]
     elapsed = time.perf_counter() - started
@@ -513,18 +501,17 @@ def run_criterion(number: int, context: CheckContext | None = None) -> Criterion
     )
 
 
-def run_all(
-    numbers=None, context: CheckContext | None = None, progress=None
-) -> list[CriterionResult]:
-    """The numbered criteria, or all, in order; ValueError first for an unknown number."""
+def run_all(numbers=None, jobs: int = 1, progress=None) -> list[CriterionResult]:
+    """The numbered criteria, or all, in order; ValueError first for a worker
+    count below 1, then for an unknown number."""
+    check_jobs(jobs)
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
     unknown = [number for number in selected if number not in CRITERIA]
     if unknown:
         raise ValueError(f"criteria out of range: {unknown}")
-    context = context if context is not None else CheckContext()
     results = []
     for number in selected:
         if progress is not None:
             progress(f"running criterion {number} ...")
-        results.append(run_criterion(number, context))
+        results.append(run_criterion(number, jobs))
     return results

@@ -47,7 +47,7 @@ from .analysis import (
     sweep,
 )
 from .bethe import solve_ground
-from .checks import CRITERIA, CheckContext, run_all
+from .checks import CRITERIA, run_all
 from .eigensolver import ConvergenceError, degeneracy_count, low_spectrum
 from .hamiltonian import FAMILY_PARAMETERS, FAMILY_SPIN, model_for
 
@@ -267,7 +267,7 @@ def _cmd_check(ns) -> int:
     started = time.perf_counter()
     results = run_all(
         ns.criteria,
-        CheckContext(jobs=ns.jobs),
+        jobs=ns.jobs,
         progress=lambda text: print(text, file=sys.stderr),
     )
     elapsed = time.perf_counter() - started

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,10 +162,14 @@ def xform_extract(rdm: TwoSiteRDM) -> XFormElements:
     )
 
 
+@lru_cache(maxsize=None)
 def _lowering_amplitudes(spin: str) -> np.ndarray:
-    """amps[a] = <a | S- | a+1> over ascending digits, i.e. S+ weights."""
+    """amps[a] = <a | S- | a+1> over ascending digits, i.e. S+ weights;
+    built once per spin, read-only because every caller shares it."""
     _, sp, _ = spin_matrices(spin)
-    return np.array([sp[a + 1, a] for a in range(sp.shape[0] - 1)])
+    amps = np.array([sp[a + 1, a] for a in range(sp.shape[0] - 1)])
+    amps.flags.writeable = False
+    return amps
 
 
 def _hops(basis: SpinBasis, src: int, dst: int) -> tuple[np.ndarray, ...]:

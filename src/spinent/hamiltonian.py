@@ -357,11 +357,16 @@ def _move(block: SectorBlock, plain: bool, root_orbit, sel, targets):
 def combine_parts(
     parts: dict[str, sparse.csr_matrix], coefficients: dict[str, float]
 ) -> sparse.csr_matrix:
-    """Linear combination of assembled parts, with tiny entries dropped."""
+    """Linear combination of assembled parts, with tiny entries dropped.
+
+    A part whose coefficient is zero is skipped, and need not be in
+    ``parts``: adding its signed zeros could only turn a -0.0 entry into
+    +0.0, and the pruning drops every zero entry either way."""
     dim = next(iter(parts.values())).shape[0]
     total = sparse.csr_matrix((dim, dim))
     for name, coeff in coefficients.items():
-        total = total + coeff * parts[name]
+        if coeff:
+            total = total + coeff * parts[name]
     total.data[np.abs(total.data) < _STENCIL_PRUNE] = 0.0
     total.eliminate_zeros()
     total.sort_indices()
@@ -379,7 +384,8 @@ def combine_dense(
     dim = next(iter(parts.values())).shape[0]
     total = np.zeros((dim, dim))
     for name, coeff in coefficients.items():
-        total += coeff * parts[name].toarray()
+        if coeff:
+            total += coeff * parts[name].toarray()
     total[np.abs(total) < _STENCIL_PRUNE] = 0.0
     return total
 

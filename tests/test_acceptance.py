@@ -16,10 +16,11 @@ at delta = 3) by values that dense diagonalization and scipy's eigensolver
 reproduce, and no corrected bound has been derived yet. The detail row
 carries the measured spread.
 
-The battery runs serially: pool workers forked here inherit multi-threaded
-OpenBLAS, which made criterion 7 several times slower than a serial run.
-tests/test_analysis.py covers the pool. The full set takes about ten
-seconds, most of it criterion 7 (spin-1 chains up to L=12).
+Each criterion runs serially, with jobs=1: pool workers forked here inherit
+multi-threaded OpenBLAS, which made criterion 7 several times slower than a
+serial run. tests/test_analysis.py covers the pool. The full set takes about
+five seconds on one core with OPENBLAS_NUM_THREADS=1, almost half of it
+criterion 7 (spin-1 chains up to L=12).
 """
 
 import pytest
@@ -27,14 +28,9 @@ import pytest
 from spinent import checks
 
 
-@pytest.fixture(scope="session")
-def context():
-    return checks.CheckContext(jobs=1)
-
-
 @pytest.mark.parametrize("number", range(1, 11))
-def test_criterion(number, context):
-    result = checks.run_criterion(number, context)
+def test_criterion(number):
+    result = checks.run_criterion(number, jobs=1)
     print(result.summary_line())
     for line in result.details:
         print("   " + line)

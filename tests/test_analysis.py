@@ -302,5 +302,5 @@ def test_a_worker_count_below_one_is_refused_by_sweep_and_the_battery(jobs, monk
     with pytest.raises(ValueError, match=message):
         sweep("xxz_half", "chain", [4], (0.0, 1.0, 3), jobs=jobs)
     with pytest.raises(ValueError, match=message):
-        checks.run_all([5], checks.CheckContext(jobs=jobs))
+        checks.run_all([5], jobs=jobs)
     assert ran == []

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full
-from spinent.bethe import UnsupportedRegimeError, hf_correlators, solve_ground, xx_oracle
+from spinent.bethe import (
+    UnsupportedRegimeError,
+    _Kernels,
+    hf_correlators,
+    solve_ground,
+    xx_oracle,
+)
 from spinent.entanglement import bond_correlators
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
@@ -75,6 +81,21 @@ def test_energy_curve_is_smooth_in_anisotropy():
     steps = np.diff(grid)
     for gap, h in zip(np.diff(energies), steps):
         assert abs(gap) <= n * h / 4.0 + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "delta", [-0.7, 0.3, 0.999, 1.0], ids=["planar-0.7", "planar0.3", "planar0.999", "rational"]
+)
+def test_kernel_slope_is_the_derivative_of_its_phase(n, delta):
+    """slope(n, x) against a central difference of phase(n, x); delta = 1
+    runs the rational branch, the others the planar one."""
+    kernels = _Kernels(delta)
+    assert kernels.rational == (delta == 1.0)
+    x = np.linspace(-6.0, 6.0, 49)
+    step = 1e-5
+    difference = (kernels.phase(n, x + step) - kernels.phase(n, x - step)) / (2 * step)
+    np.testing.assert_allclose(kernels.slope(n, x), difference, rtol=0, atol=1e-8)
 
 
 def test_energy_density_approaches_infinite_chain_value():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full, pair_rdm_full
-from spinent import checks
+from spinent import checks, cli
 from spinent.bethe import hf_correlators, solve_ground
 from spinent.checks import _dicke_pair_entropy
 from spinent.eigensolver import degeneracy_count
@@ -98,16 +98,34 @@ def test_su3_point_is_an_entropy_maximum_with_a_singlet_plus_octet_spectrum():
     assert clusters[0] != [8, 1] and clusters[2] != [8, 1]
 
 
+def test_a_bad_worker_count_is_refused_before_any_criterion(monkeypatch, capsys):
+    """The worker count is checked first: before the criterion numbers and
+    before any criterion runs, in the library and in `spinent check`."""
+    ran = []
+    for number in checks.CRITERIA:
+        monkeypatch.setitem(checks.CRITERIA, number, ("probe", ran.append))
+    message = "--jobs must be at least 1, got 0"
+    for numbers in (None, [5], [99]):
+        with pytest.raises(ValueError, match=message):
+            checks.run_all(numbers, jobs=0)
+    for number in (5, 99):
+        with pytest.raises(ValueError, match=message):
+            checks.run_criterion(number, jobs=0)
+    assert ran == []
+    assert cli.run(["check", "--jobs", "0", "--criteria", "99"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert ran == []
+
+
 def test_a_crashed_criterion_reports_its_run_title(monkeypatch):
     """A crash used to take the title from the docstring, which differs from
     the run title for all ten, so the JSON report's title hung on the crash."""
     def crash(*args, **kwargs):
         raise RuntimeError("probe")
 
-    monkeypatch.setattr(checks.CheckContext, "sector_ground", crash)
-    for name in ("sweep", "extremum_scaling", "solve_ground"):
+    for name in ("sector_ground", "sweep", "extremum_scaling", "solve_ground"):
         monkeypatch.setattr(checks, name, crash)
-    results = checks.run_all(None, checks.CheckContext())
+    results = checks.run_all(None)
     assert [result.details for result in results] == [["FAIL crashed: RuntimeError: probe"]] * 10
     assert {result.number: result.title for result in results} == {
         1: "free-fermion oracle equality at the XX point",

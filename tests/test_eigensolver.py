@@ -18,7 +18,7 @@ from spinent.eigensolver import (
     low_spectrum,
 )
 from spinent.analysis import shared_workspace
-from spinent.checks import CheckContext
+from spinent.checks import sector_ground
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
@@ -306,7 +306,7 @@ def test_scans_and_checks_share_one_dispatch(n):
     workspace = shared_workspace("xxz_half", "chain", n)
     model = model_for("xxz_half", 0.5)
     report = ground_state_scan(workspace, model)
-    checked, basis = CheckContext().sector_ground("xxz_half", n, 0.5)
+    checked, basis = sector_ground("xxz_half", n, 0.5)
     assert report.ground_sz == 0.0
     assert basis is workspace.basis(report.ground_sz)
     assert checked.energy == report.representative.energy
@@ -319,7 +319,7 @@ def test_checks_solve_the_whole_sector_where_perron_frobenius_fails():
     theta = 1.25 * np.pi
     ham = shared_workspace("blbq", "chain", 8).matrix(model_for("blbq", theta), 0.0)
     expected = lanczos_lowest(ham)[0]
-    checked, basis = CheckContext().sector_ground("blbq", 8, theta)
+    checked, basis = sector_ground("blbq", 8, theta)
     assert basis.dimension == ham.dimension == 1107
     assert checked.energy == expected.energy
     assert np.array_equal(checked.vector, expected.vector)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from oracles import (
     assemble_parts_reference,
@@ -26,6 +27,8 @@ from spinent.hamiltonian import (
     SectorWorkspace,
     assemble_parts,
     bond_stencils,
+    _STENCIL_PRUNE,
+    combine_dense,
     combine_parts,
     ground_characters,
     model_for,
@@ -203,6 +206,52 @@ def test_dense_combine_of_torus_translation_blocks():
             characters = ground_characters(model, torus.lattice, sz)
             assert torus.basis(sz).dimension > 300 >= torus.block(sz, characters)[0].dimension
             _assert_dense_combine_is_csr_combine(torus, model, sz, characters)
+
+
+def _sum_of_every_part(parts, coefficients):
+    """Every part times its coefficient, zeros included, pruned as
+    combine_parts prunes."""
+    dim = next(iter(parts.values())).shape[0]
+    total = sparse.csr_matrix((dim, dim))
+    for name, coeff in coefficients.items():
+        total = total + coeff * parts[name]
+    total.data[np.abs(total.data) < _STENCIL_PRUNE] = 0.0
+    total.eliminate_zeros()
+    total.sort_indices()
+    return total
+
+
+@pytest.mark.parametrize(
+    "model, size",
+    [
+        (ModelSpec("xxz_one", delta=1.0, beta=0.0), 6),
+        (ModelSpec("xxz_one", delta=1.0, beta=0.0), 8),
+        (ModelSpec("blbq", theta=0.0), 6),
+        (ModelSpec("xxz_half", delta=0.0), 10),
+    ],
+    ids=["xxz_one-6-beta0", "xxz_one-8-beta0", "blbq-6-theta0", "xxz_half-10-delta0"],
+)
+def test_a_zero_coefficient_part_is_skipped(model, size):
+    """Both combinations leave out a part whose coefficient is zero (the bq
+    part of xxz_one at beta = 0 comes with -0.0), so it need not be given,
+    and what they return is bitwise the sum over every part, sign bits
+    included."""
+    workspace = SectorWorkspace(model.family, chain_lattice(size))
+    coefficients = model.part_coefficients()
+    zero = [name for name, coeff in coefficients.items() if coeff == 0.0]
+    assert len(zero) == 1
+    for sz in sector_values(workspace.spin, size):
+        parts = workspace.block(sz)[1]
+        kept = {name: part for name, part in parts.items() if name not in zero}
+        expected = _sum_of_every_part(parts, coefficients)
+        csr = combine_parts(kept, coefficients)
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(csr, field), getattr(expected, field))
+        assert np.array_equal(np.signbit(csr.data), np.signbit(expected.data))
+        if expected.shape[0] <= 1500:
+            dense, reference = combine_dense(kept, coefficients), expected.toarray()
+            assert np.array_equal(dense, reference)
+            assert np.array_equal(np.signbit(dense), np.signbit(reference))
 
 
 @pytest.mark.parametrize(

@@ -226,8 +226,7 @@ def test_check_battery_never_assembles_large_plain_sectors(monkeypatch):
     sectors of the rings N = 4, 6, 8 and 10."""
     monkeypatch.setattr(analysis, "_WORKSPACES", {})
     assembled, _ = _record(monkeypatch)
-    context = checks.CheckContext()
-    assert all(checks.run_criterion(number, context).passed for number in (1, 2, 3, 4))
+    assert all(checks.run_criterion(number).passed for number in (1, 2, 3, 4))
     assert max(dim for dim, _, _ in assembled) == 184756  # N=20 Sz=0
     for dim, _, kind in assembled:
         assert (kind == "translation") == (dim > _DENSE_CUTOFF)
