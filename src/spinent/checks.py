@@ -448,8 +448,6 @@ def _criterion_10(jobs: int):
         largest = 0
         for sz in nonnegative_sectors(workspace.spin, size):
             ham = workspace.matrix(model, sz)
-            if ham.dimension > 2000:
-                continue
             largest = max(largest, ham.dimension)
             # The oracle's energy only: eigvalsh, no eigenvectors.
             oracle = float(np.linalg.eigvalsh(ham.matrix.toarray())[0])

@@ -18,24 +18,26 @@ before failing. A dense eigendecomposition doubles as an independent oracle
 for small sectors.
 
 sector_lowest is the one sector solve, for scans, spectra, the degenerate
-top-up and the check battery alike. It picks the pieces a sector is
-solved as, solves each by one dense-versus-Lanczos rule, and reads the
-sector's levels as the union of theirs. Asked for one level of a sector
-above _DENSE_CUTOFF states, it solves one translation block when the model
-passes the Perron-Frobenius test of ``hamiltonian.perron_frobenius`` on a
-bipartite ring or torus: xxz_half at every delta, xxz_one with beta >= 0,
-blbq at theta = 0 and in (3*pi/2, 2*pi). The sector's ground state is then
-unique, and the characters ``hamiltonian.ground_characters`` predicts
-under each lattice translation pick its block, about N times smaller than
-the sector. Every other sector is solved whole: a sector of at most
-_DENSE_CUTOFF states, or one whose every level is asked for, as its real
-parity blocks of one character each under the lattice reflection and, at
-Sz = 0, the global spin inversion (Sandvik, arXiv:1101.3281, sec.
-4.2-4.3), a quarter to a half of its size; any other as the plain sector.
-A piece of at most _DENSE_CUTOFF states, or one whose every level is asked
-for, is diagonalized densely, values only, from an array combined straight
-from CSR parts, so a dense sector is never assembled whole; any other
-piece goes to Lanczos. Eigenvectors of a dense piece come from a second,
+top-up and the check battery alike. It picks the kind of pieces a sector
+is solved as, asks ``SectorWorkspace.pieces`` for them, each a
+SparseHamiltonian that carries its block, solves each by one
+dense-versus-Lanczos rule, and reads the sector's levels as the union of
+theirs. Asked for one level of a sector above _DENSE_CUTOFF states, it
+solves one translation block when the model passes the Perron-Frobenius
+test of ``hamiltonian.perron_frobenius`` on a bipartite ring or torus:
+xxz_half at every delta, xxz_one with beta >= 0, blbq at theta = 0 and in
+(3*pi/2, 2*pi). The sector's ground state is then unique, and the
+characters ``hamiltonian.ground_characters`` predicts under each lattice
+translation pick its block, about N times smaller than the sector. Every
+other sector is solved whole: a sector of at most _DENSE_CUTOFF states, or
+one whose every level is asked for, as its real parity blocks of one
+character each under the lattice reflection and, at Sz = 0, the global
+spin inversion (Sandvik, arXiv:1101.3281, sec. 4.2-4.3), a quarter to a
+half of its size; any other as the plain sector. A piece of at most
+_DENSE_CUTOFF states, or one whose every level is asked for, is
+diagonalized densely, values only, from an array combined straight from
+CSR parts, so a dense sector is never assembled whole; any other piece
+goes to Lanczos. Eigenvectors of a dense piece come from a second,
 ``eigh`` solve made on demand, which a scan makes for the one piece that
 represents the point.
 
@@ -167,10 +169,6 @@ def lanczos_lowest(
         raise ValueError("empty sector")
     k_eff = min(k, n)
     matrix = hamiltonian.matrix
-    if n == 1:
-        energy = float(matrix[0, 0])
-        return [EigenResult(energy, np.ones(1), 0.0, True)]
-
     locked = np.zeros((k_eff, n))
     results: list[EigenResult] = []
     for level in range(k_eff):
@@ -366,42 +364,41 @@ def sector_lowest(
     the sector was solved whole.
 
     The pieces and the dense-versus-Lanczos rule are the module
-    docstring's. The levels are the sorted union of the pieces', cut to the
-    one ground of a translation block, and a dense piece's array is dropped
-    once its values are found. The call gives the pair of the first piece,
-    in block order, whose bottom lies within ``tol`` of the lowest level.
-    For a dense piece it runs an ``eigh`` of that piece's array, combined
-    again, and returns the levels with that solve's in place of the
-    values-only ones of its piece. It raises ValueError, naming the model,
-    if the pair's residual is not finite: the matrix is then too large to
-    check it. A ``tol`` that check_tolerances refuses, or a ``count`` below
-    1, raises ValueError first.
+    docstring's: the kind is picked once and every piece of it is solved
+    from one list. The levels are the sorted union of the pieces', cut to
+    the one ground of a translation block, and a dense piece's array is
+    dropped once its values are found. The call gives the pair of the
+    first piece, in block order, whose bottom lies within ``tol`` of the
+    lowest level, written out over the plain sector by that piece's
+    ``block.expand``. For a dense piece it runs an ``eigh`` of that piece's
+    array, combined again, and returns the levels with that solve's in
+    place of the values-only ones of its piece. It raises ValueError,
+    naming the model, if the pair's residual is not finite: the matrix is
+    then too large to check it. A ``tol`` that check_tolerances refuses, or
+    a ``count`` below 1, raises ValueError first.
     """
     check_tolerances(tol, 0.0)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     dim = workspace.basis(sz).dimension
-    characters = ()
     if dim <= _DENSE_CUTOFF or count >= dim:
-        pieces = workspace.parity_matrices(model, sz)
+        kind = "parity"
     else:
-        if count == 1:
-            characters = ground_characters(model, workspace.lattice, sz)
-        hamiltonian = workspace.matrix(model, sz, characters)
-        pieces = [(workspace.block(sz, characters)[0], hamiltonian)]
+        kind = ground_characters(model, workspace.lattice, sz) if count == 1 else ()
+    whole = kind in ("parity", ())
+    pieces = workspace.pieces(model, sz, kind)
     solved = []
-    for block, hamiltonian in pieces:
-        if block.dimension <= _DENSE_CUTOFF or count >= block.dimension:
+    for hamiltonian in pieces:
+        if hamiltonian.dimension <= _DENSE_CUTOFF or count >= hamiltonian.dimension:
             solved.append((np.linalg.eigvalsh(hamiltonian.dense()), None))
         else:
             results = lanczos_lowest(hamiltonian, k=count, tol=tol)
             solved.append((np.array([r.energy for r in results]), results[0]))
-    keep = 1 if characters else None
     levels = np.sort(np.concatenate([values for values, _ in solved]))
     pick = next(i for i, (values, _) in enumerate(solved) if values[0] <= levels[0] + tol)
 
     def bottom() -> tuple[list[float], EigenResult]:
-        (block, hamiltonian), (values, found) = pieces[pick], solved[pick]
+        hamiltonian, (values, found) = pieces[pick], solved[pick]
         if found is None:
             dense = hamiltonian.dense()
             values, vecs = np.linalg.eigh(dense)
@@ -413,9 +410,10 @@ def sector_lowest(
             )
         others = [other for i, (other, _) in enumerate(solved) if i != pick]
         union = np.sort(np.concatenate([values, *others]))
-        return list(map(float, union[:keep])), replace(found, vector=block.expand(found.vector))
+        vector = hamiltonian.block.expand(found.vector)
+        return list(map(float, union[: None if whole else 1])), replace(found, vector=vector)
 
-    return list(map(float, levels[:keep])), bottom, not characters
+    return list(map(float, levels[: None if whole else 1])), bottom, whole
 
 
 def ground_state_scan(

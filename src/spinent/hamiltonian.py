@@ -15,6 +15,10 @@ one parity block. The biquadratic stencil is simply the matrix square of
 the exchange stencil, so the two spin-1 families share one code path and
 repeated operator algebra cannot drift.
 
+A sector is solved as pieces, one SparseHamiltonian per block, which
+carries its block and the block's parts; ``SectorWorkspace.pieces`` is the
+one way to a sector's blocks.
+
 The parts of a family are assembled in one pass over the bonds that
 shares each bond's work between them, rows found by ``SpinBasis.index``,
 a table lookup (see assemble_parts).
@@ -99,22 +103,25 @@ def model_for(family: str, value: float, beta: float = 0.0) -> ModelSpec:
 
 
 class SparseHamiltonian:
-    """The Hamiltonian of one sector block at one model point.
+    """One piece of a sector at one model point: a sector block, kept as
+    ``block``, and the Hamiltonian over it.
 
     It holds the block's CSR stencil parts and combines them only in the
     form a solver reads: ``matrix`` by combine_parts on first access,
     ``dense()`` by combine_dense, so a dense solve builds no CSR total.
     Either raises ValueError, naming the model, when the combination is not
-    finite.
+    finite. ``block.expand`` writes a vector of the piece out over the
+    plain sector.
     """
 
-    def __init__(self, model: ModelSpec, parts: dict[str, sparse.csr_matrix]):
+    def __init__(self, model: ModelSpec, block: SectorBlock, parts: dict[str, sparse.csr_matrix]):
         self._model = model
+        self.block = block
         self._parts = parts
 
     @property
     def dimension(self) -> int:
-        return next(iter(self._parts.values())).shape[0]
+        return self.block.dimension
 
     @property
     def name(self) -> str:
@@ -393,14 +400,15 @@ def combine_dense(
 class SectorWorkspace:
     """Per-sector bases and stencil-part caches for one (family, lattice).
 
-    A sector's Hamiltonian is held as the stencil parts of its blocks: the
-    plain sector, the translation block of given characters (see
-    ``ground_characters``), or its parity blocks, which a dense solve
-    diagonalizes one by one. Each is assembled once, on first use, and a
-    sweep combines the cached parts with fresh coefficients at every
-    parameter value instead of reassembling the matrix. The CSR parts are
-    the one stored form of a block: a dense solve combines its array from
-    them each time (see combine_dense) and keeps nothing.
+    A sector is solved as a list of pieces, each one SparseHamiltonian over
+    one block (see ``pieces``): the plain sector, the translation block of
+    given characters (see ``ground_characters``), or its parity blocks,
+    which a dense solve diagonalizes one by one. One cache keeps the blocks
+    of each (sz, kind) with their stencil parts, assembled once, on first
+    use, and a sweep combines the cached parts with fresh coefficients at
+    every parameter value instead of reassembling the matrix. The CSR parts
+    are the one stored form of a block: a dense solve combines its array
+    from them each time (see combine_dense) and keeps nothing.
     """
 
     def __init__(self, family: str, lattice: Lattice):
@@ -411,8 +419,7 @@ class SectorWorkspace:
         self.spin = FAMILY_SPIN[family]
         check_register(self.spin, lattice.num_sites)
         self._bases: dict[float, SpinBasis] = {}
-        self._blocks: dict[tuple, tuple[SectorBlock, dict[str, sparse.csr_matrix]]] = {}
-        self._parity: dict[float, list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]] = {}
+        self._pieces: dict[tuple, list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]] = {}
 
     def basis(self, sz: float) -> SpinBasis:
         """The plain sector basis; nothing is assembled."""
@@ -420,51 +427,39 @@ class SectorWorkspace:
             self._bases[sz] = build_basis(self.lattice.num_sites, self.spin, sz)
         return self._bases[sz]
 
-    def block(
-        self, sz: float, characters: tuple[int, ...] = ()
-    ) -> tuple[SectorBlock, dict[str, sparse.csr_matrix]]:
-        """One block of the sector with its stencil parts; no characters
-        means the plain sector."""
-        key = (sz, characters)
-        if key not in self._blocks:
-            basis = self.basis(sz)
-            if characters:
-                block = translation_block(basis, self.lattice.translations(), characters)
-            else:
-                block = plain_block(basis)
-            self._blocks[key] = (block, assemble_parts(self.family, self.lattice, block))
-        return self._blocks[key]
+    def pieces(
+        self, model: ModelSpec, sz: float, kind: str | tuple[int, ...]
+    ) -> list[SparseHamiltonian]:
+        """The Hamiltonians of the sector's blocks of one kind at one model
+        point, in block order: kind ``"parity"`` gives its parity blocks
+        (see basis.parity_blocks), ``()`` the plain sector, and a tuple of
+        translation characters that translation block. The blocks and their
+        parts are built on the first call for the (sz, kind); each call
+        wraps them in fresh SparseHamiltonians."""
+        if model.family != self.family:
+            raise ValueError(f"workspace built for {self.family!r}, got model {model.family!r}")
+        return [SparseHamiltonian(model, block, parts) for block, parts in self._blocks(sz, kind)]
 
     def sector(self, sz: float) -> tuple[SpinBasis, dict[str, sparse.csr_matrix]]:
         """The plain sector basis and its stencil parts."""
-        block, parts = self.block(sz)
+        [(block, parts)] = self._blocks(sz, ())
         return block.basis, parts
 
-    def matrix(
-        self, model: ModelSpec, sz: float, characters: tuple[int, ...] = ()
-    ) -> SparseHamiltonian:
-        """The Hamiltonian of one block at one model point, over the block's
-        cached parts; each solve combines it in the form it reads (see
-        SparseHamiltonian)."""
-        self._check_family(model)
-        return SparseHamiltonian(model, self.block(sz, characters)[1])
+    def matrix(self, model: ModelSpec, sz: float) -> SparseHamiltonian:
+        """The plain piece of the sector at one model point."""
+        return self.pieces(model, sz, ())[0]
 
-    def parity_matrices(
-        self, model: ModelSpec, sz: float
-    ) -> list[tuple[SectorBlock, SparseHamiltonian]]:
-        """Each parity block of the sector (see basis.parity_blocks) with its
-        Hamiltonian at one model point, in block order. The blocks and their
-        parts are built on the first call for the sector."""
-        self._check_family(model)
-        if sz not in self._parity:
-            self._parity[sz] = [
-                (block, assemble_parts(self.family, self.lattice, block))
-                for block in parity_blocks(self.basis(sz), self.lattice.reflection())
+    def _blocks(self, sz: float, kind) -> list[tuple[SectorBlock, dict]]:
+        key = (sz, kind)
+        if key not in self._pieces:
+            basis = self.basis(sz)
+            if kind == "parity":
+                blocks = parity_blocks(basis, self.lattice.reflection())
+            elif kind:
+                blocks = [translation_block(basis, self.lattice.translations(), kind)]
+            else:
+                blocks = [plain_block(basis)]
+            self._pieces[key] = [
+                (block, assemble_parts(self.family, self.lattice, block)) for block in blocks
             ]
-        return [(block, SparseHamiltonian(model, parts)) for block, parts in self._parity[sz]]
-
-    def _check_family(self, model: ModelSpec) -> None:
-        if model.family != self.family:
-            raise ValueError(
-                f"workspace built for {self.family!r}, got model {model.family!r}"
-            )
+        return self._pieces[key]

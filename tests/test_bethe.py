@@ -6,6 +6,7 @@ import pytest
 from oracles import full_hamiltonian, ground_full
 from spinent.bethe import (
     UnsupportedRegimeError,
+    _HF_STEP,
     _Kernels,
     hf_correlators,
     solve_ground,
@@ -164,6 +165,22 @@ def test_differentiation_falls_back_to_one_sided_at_the_domain_edge():
     corr = bond_correlators(ground, basis, (0, 1))
     assert abs(czz - corr.czz) <= 1e-5
     assert abs(cxx - corr.cxx) <= 1e-5
+
+
+def test_differentiation_falls_back_to_one_sided_at_a_lower_edge():
+    """A curve that raises below its edge takes the forward stencil there,
+    whose error is h**2 / 3 times the third derivative: 4e-9 in czz here."""
+    edge, size = 0.2, 8
+
+    def energy(d):
+        if d < edge:
+            raise ValueError("below the edge")
+        return size * math.exp(d)
+
+    czz, cxx = hf_correlators(energy, size, edge)
+    bound = _HF_STEP**2 * math.exp(edge) / 2.0
+    assert abs(czz - math.exp(edge)) <= bound
+    assert abs(cxx - (1.0 - edge) * math.exp(edge) / 2.0) <= bound
 
 
 def test_differentiated_free_fermion_point_matches_oracle():

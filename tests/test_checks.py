@@ -100,7 +100,8 @@ def test_su3_point_is_an_entropy_maximum_with_a_singlet_plus_octet_spectrum():
 
 def test_a_bad_worker_count_is_refused_before_any_criterion(monkeypatch, capsys):
     """The worker count is checked first: before the criterion numbers and
-    before any criterion runs, in the library and in `spinent check`."""
+    before any criterion runs, in the library and in `spinent check`. With
+    a good count an unknown number is refused next, naming the valid ones."""
     ran = []
     for number in checks.CRITERIA:
         monkeypatch.setitem(checks.CRITERIA, number, ("probe", ran.append))
@@ -111,6 +112,8 @@ def test_a_bad_worker_count_is_refused_before_any_criterion(monkeypatch, capsys)
     for number in (5, 99):
         with pytest.raises(ValueError, match=message):
             checks.run_criterion(number, jobs=0)
+    with pytest.raises(ValueError, match=r"no criterion 99; valid numbers are \[1, 2, .*, 10\]"):
+        checks.run_criterion(99)
     assert ran == []
     assert cli.run(["check", "--jobs", "0", "--criteria", "99"]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")

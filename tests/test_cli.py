@@ -101,6 +101,26 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--model", "blbq", "--size", "6", "--theta", "1", "--delta", "0.3",
+          "--out", "x.json"], "blbq takes --theta, not --delta"),
+        (["sweep", "--model", "xxz-half", "--sizes", "4", "--param", "0:1:x", "--out", "x.csv"],
+         "could not parse grid '0:1:x'"),
+        (["sweep", "--model", "xxz-half", "--sizes", "8,a", "--param", "0:1:3", "--out", "x.csv"],
+         "could not parse sizes '8,a'"),
+    ],
+    ids=["second-parameter", "grid", "sizes"],
+)
+def test_unparsable_input_exits_one_naming_it(argv, message, capsys, tmp_path):
+    """The usage errors above, checked for their message."""
+    argv = [piece.replace("x.", str(tmp_path / "x.")) for piece in argv]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "value,message",
     [
         ("abc", "could not parse --jobs 'abc'"),

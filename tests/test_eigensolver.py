@@ -343,9 +343,9 @@ def _parity_block_ground(model, workspace):
     winning; only for points whose ground is unique."""
     lowest = []
     for sz in nonnegative_sectors(workspace.spin, workspace.lattice.num_sites):
-        for block, ham in workspace.parity_matrices(model, sz):
+        for ham in workspace.pieces(model, sz, "parity"):
             vals, vecs = np.linalg.eigh(ham.matrix.toarray())
-            lowest.append((vals[0], sz, block.dimension, block.expand(vecs[:, 0])))
+            lowest.append((vals[0], sz, ham.dimension, ham.block.expand(vecs[:, 0])))
     lowest.sort(key=lambda entry: entry[0])
     assert lowest[1][0] - lowest[0][0] > 1e-6
     return lowest[0]
@@ -597,16 +597,16 @@ def test_asking_for_every_level_solves_densely(monkeypatch):
         patch.setattr(hamiltonian, "plain_block", refuse)
         levels, pair, _ = eigensolver.sector_lowest(workspace, model, 2.0, count=dim)
         found_levels, found = pair()
-    blocks = workspace.parity_matrices(model, 2.0)
-    spectra = [np.linalg.eigvalsh(ham.dense()) for _, ham in blocks]
+    pieces = workspace.pieces(model, 2.0, "parity")
+    spectra = [np.linalg.eigvalsh(ham.dense()) for ham in pieces]
     assert levels == list(np.sort(np.concatenate(spectra)))
     whole = np.linalg.eigvalsh(workspace.matrix(model, 2.0).dense())
     np.testing.assert_allclose(levels, whole, rtol=0, atol=1e-12)
     first = next(i for i, values in enumerate(spectra) if values[0] <= levels[0] + 1e-10)
-    block, ham = blocks[first]
+    ham = pieces[first]
     vals, vecs = np.linalg.eigh(ham.dense())
     assert found.energy == vals[0] == found_levels[0]
-    assert np.array_equal(found.vector, block.expand(vecs[:, 0]))
+    assert np.array_equal(found.vector, ham.block.expand(vecs[:, 0]))
     assert found.vector.shape == (dim,)
 
 

@@ -13,6 +13,7 @@ from oracles import (
     momentum_characters,
     momentum_sets,
 )
+from spinent import hamiltonian
 from spinent.basis import (
     build_basis,
     nonnegative_sectors,
@@ -25,6 +26,7 @@ from spinent.hamiltonian import (
     FAMILY_SPIN,
     ModelSpec,
     SectorWorkspace,
+    SparseHamiltonian,
     assemble_parts,
     bond_stencils,
     _STENCIL_PRUNE,
@@ -167,12 +169,11 @@ def test_workspace_caches_and_reuses_parts():
     assert ws.basis(0.0) is ws.basis(0.0)
 
 
-def _assert_dense_combine_is_csr_combine(workspace, model, sz, characters=()):
-    ham = workspace.matrix(model, sz, characters)
-    parts = workspace.block(sz, characters)[1]
-    dense, csr = ham.dense(), combine_parts(parts, model.part_coefficients()).toarray()
-    assert np.array_equal(dense, csr)
-    assert np.array_equal(np.signbit(dense), np.signbit(csr))
+def _assert_dense_combine_is_csr_combine(workspace, model, sz, kind=()):
+    for ham in workspace.pieces(model, sz, kind):
+        dense, csr = ham.dense(), ham.matrix.toarray()
+        assert np.array_equal(dense, csr)
+        assert np.array_equal(np.signbit(dense), np.signbit(csr))
 
 
 def test_dense_combine_is_bitwise_the_csr_combine():
@@ -204,8 +205,45 @@ def test_dense_combine_of_torus_translation_blocks():
         model = ModelSpec("xxz_half", delta=delta)
         for sz in (3.0, 4.0, 5.0):
             characters = ground_characters(model, torus.lattice, sz)
-            assert torus.basis(sz).dimension > 300 >= torus.block(sz, characters)[0].dimension
+            [piece] = torus.pieces(model, sz, characters)
+            assert torus.basis(sz).dimension > 300 >= piece.dimension
             _assert_dense_combine_is_csr_combine(torus, model, sz, characters)
+
+
+@pytest.mark.parametrize(
+    "model, size",
+    [(ModelSpec("xxz_half", delta=0.5), 12), (ModelSpec("blbq", theta=5.5), 6)],
+    ids=["xxz_half-12", "blbq-6"],
+)
+def test_pieces_carry_their_blocks_and_are_assembled_once(model, size, monkeypatch):
+    """Each kind of piece, the plain sector, the ground_characters
+    translation block and the parity blocks, is a SparseHamiltonian over
+    its own block; the parity blocks partition the sector, and asking for a
+    kind again assembles nothing and gives the same blocks."""
+    workspace = SectorWorkspace(model.family, chain_lattice(size))
+    blocks = {}
+    for sz in nonnegative_sectors(workspace.spin, size):
+        characters = ground_characters(model, workspace.lattice, sz)
+        assert characters
+        for kind in ((), characters, "parity"):
+            pieces = workspace.pieces(model, sz, kind)
+            assert len(pieces) == 1 or kind == "parity"
+            for piece in pieces:
+                assert isinstance(piece, SparseHamiltonian)
+                assert piece.dimension == piece.block.dimension
+                assert piece.block.basis is workspace.basis(sz)
+            _assert_dense_combine_is_csr_combine(workspace, model, sz, kind)
+            blocks[sz, kind] = [piece.block for piece in pieces]
+        dimensions = [block.dimension for block in blocks[sz, "parity"]]
+        assert sum(dimensions) == workspace.basis(sz).dimension
+
+    def refuse(*args):
+        raise AssertionError("a cached block was assembled again")
+
+    monkeypatch.setattr(hamiltonian, "assemble_parts", refuse)
+    for (sz, kind), first in blocks.items():
+        again = [piece.block for piece in workspace.pieces(model, sz, kind)]
+        assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
 
 
 def _sum_of_every_part(parts, coefficients):
@@ -241,7 +279,7 @@ def test_a_zero_coefficient_part_is_skipped(model, size):
     zero = [name for name, coeff in coefficients.items() if coeff == 0.0]
     assert len(zero) == 1
     for sz in sector_values(workspace.spin, size):
-        parts = workspace.block(sz)[1]
+        parts = workspace.sector(sz)[1]
         kept = {name: part for name, part in parts.items() if name not in zero}
         expected = _sum_of_every_part(parts, coefficients)
         csr = combine_parts(kept, coefficients)
@@ -268,9 +306,9 @@ def test_a_scan_stores_nothing_in_an_assembled_workspace(model, lattice):
     leaves nothing behind in the workspace."""
     workspace = SectorWorkspace(model.family, lattice)
     for sz in nonnegative_sectors(workspace.spin, lattice.num_sites):
-        assert workspace.block(sz)[0].dimension <= 300
-        blocks = workspace.parity_matrices(model, sz)
-        assert sum(block.dimension for block, _ in blocks) == workspace.basis(sz).dimension
+        assert workspace.matrix(model, sz).dimension <= 300
+        pieces = workspace.pieces(model, sz, "parity")
+        assert sum(piece.dimension for piece in pieces) == workspace.basis(sz).dimension
     gc.collect()
     tracemalloc.start()
     try:

@@ -84,8 +84,8 @@ def test_blocks_partition_the_sector_into_character_states(lattice, spin):
 def _assert_union_is_the_spectrum(workspace, model, sectors):
     for sz in sectors:
         whole = np.linalg.eigvalsh(workspace.matrix(model, sz).dense())
-        blocks = workspace.parity_matrices(model, sz)
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(ham.dense()) for _, ham in blocks]))
+        pieces = workspace.pieces(model, sz, "parity")
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(ham.dense()) for ham in pieces]))
         np.testing.assert_allclose(union, whole, rtol=0, atol=1e-12)
 
 

@@ -123,7 +123,7 @@ def _record(monkeypatch):
             solved.append(workspace.basis(sz).dimension)
         else:
             characters = hamiltonian.ground_characters(model, workspace.lattice, sz)
-            solved.append(workspace.block(sz, characters)[0].dimension)
+            solved.append(workspace.pieces(model, sz, characters)[0].dimension)
         return found
 
     monkeypatch.setattr(hamiltonian, "parity_blocks", parity_blocks)
