@@ -426,7 +426,7 @@ def _criterion_10(jobs: int):
                     abs(elements.u_minus - (0.25 + correlators.czz)),
                     abs(elements.w1 - (0.25 - correlators.czz)),
                     abs(elements.w2 - (0.25 - correlators.czz)),
-                    abs(elements.z - (correlators.cxx + correlators.cyy)),
+                    abs(elements.z - 2 * correlators.cxx),
                 )
                 closed_err = max(
                     closed_err,

@@ -178,9 +178,7 @@ def lanczos_lowest(
             try:
                 # An overflow is caught as a coefficient that is not finite.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    found = _lanczos_ground(
-                        matrix, n, tol, _MAX_ITER, seed, locked[:level], full
-                    )
+                    found = _lanczos_ground(matrix, tol, seed, locked[:level], full)
                 break
             except _NotConverged as fail:
                 best = min(best, fail.best_residual)
@@ -221,7 +219,7 @@ def _filled(blocks: list[np.ndarray], m: int) -> list[np.ndarray]:
     return [block[: m - i * _BLOCK_ROWS] for i, block in enumerate(blocks)]
 
 
-def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult:
+def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
     """Lowest eigenpair of ``matrix`` on the complement of the locked rows.
 
     The Krylov vectors live in a list of ``_BLOCK_ROWS``-row blocks, each
@@ -241,12 +239,12 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
     eigendirection apart from a measure-zero accident, and the second seed
     covers the paranoid case.
     """
-    base = locked.shape[0]
+    base, n = locked.shape
     # Seed per pass: reusing one draw across passes leaves the start with
     # zero weight on a degenerate copy whose partner was already locked
     # (its share of the draw is exactly what got locked in).
     rng = np.random.default_rng([seed, base])
-    blocks = [np.empty((min(_BLOCK_ROWS, max_iter + 1), n))]
+    blocks = [np.empty((min(_BLOCK_ROWS, _MAX_ITER + 1), n))]
     start = rng.standard_normal(n, out=blocks[0][0])
     start_norm = _project_out(start, [locked])
     if start_norm <= 1e-13:
@@ -258,7 +256,7 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
     scale = 1.0
     best = np.inf
 
-    for j in range(max_iter):
+    for j in range(_MAX_ITER):
         v = blocks[j // _BLOCK_ROWS][j % _BLOCK_ROWS]
         w = matrix @ v
         a = float(v @ w)
@@ -282,7 +280,7 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
         exhausted = base + m >= n
         breakdown = w_norm <= 1e-13 * scale
 
-        if breakdown or exhausted or m % _CHECK_EVERY == 0 or j == max_iter - 1:
+        if breakdown or exhausted or m % _CHECK_EVERY == 0 or j == _MAX_ITER - 1:
             next_beta = 0.0 if (breakdown or exhausted) else w_norm
             result, worst = _ritz_bottom(
                 matrix, _filled(blocks, m), alpha, beta, next_beta, tol,
@@ -295,7 +293,7 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
         if breakdown or exhausted:
             raise _NotConverged(best)
         if m % _BLOCK_ROWS == 0:
-            blocks.append(np.empty((min(_BLOCK_ROWS, max_iter + 1 - m), n)))
+            blocks.append(np.empty((min(_BLOCK_ROWS, _MAX_ITER + 1 - m), n)))
         np.divide(w, w_norm, out=blocks[m // _BLOCK_ROWS][m % _BLOCK_ROWS])
         beta.append(w_norm)
         scale = max(scale, w_norm)
@@ -305,14 +303,10 @@ def _lanczos_ground(matrix, n, tol, max_iter, seed, locked, full) -> EigenResult
 
 def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
     """Bottom Ritz pair of the current tridiagonal; (result or None, worst)."""
-    m = len(alpha)
-    if m == 1:
-        theta = np.asarray([alpha[0]])
-        y = np.ones((1, 1))
-    else:
-        theta, y = eigh_tridiagonal(
-            np.asarray(alpha), np.asarray(beta[: m - 1]), select="i", select_range=(0, 0)
-        )
+    # The recurrence has appended one beta fewer than alphas.
+    theta, y = eigh_tridiagonal(
+        np.asarray(alpha), np.asarray(beta), select="i", select_range=(0, 0)
+    )
     bound = abs(next_beta * y[-1, 0])
     if not force and bound > 0.25 * tol:
         return None, float(bound)

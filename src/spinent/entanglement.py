@@ -9,10 +9,10 @@ Ground states here are real, so every RDM is real symmetric.
 What a pair's RDM and correlators read off the basis alone is kept per
 (basis, pair), so a sweep derives it once rather than at every point: each
 state's rest group (int32) and pair code (uint8), and, for each direction
-of the spin flip, the rows it moves (int32), their two digits (uint8) and
-the rows they reach (int32), about 10 bytes per sector state for spin-1/2
-and 15 for spin-1. The tables are held weakly by the basis and die with
-it.
+of the spin flip, the rows it moves and the rows they reach (both int32),
+about 9 bytes per sector state for spin-1/2 and 12.5 for spin-1. A flip
+needs no digits: its weight is one number per spin. The tables are held
+weakly by the basis and die with it.
 
 Index convention inside the RDM: site i is the slow tensor factor, site j
 the fast one, and each site's local states are ordered by descending Sz
@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import SpinBasis
+from .basis import SPIN_VALUE, SpinBasis
 from .hamiltonian import spin_matrices
 
 _ENTROPY_CLAMP = -1e-8
@@ -63,10 +62,7 @@ class XFormElements:
 @dataclass(frozen=True)
 class BondCorrelators:
     cxx: float
-    cyy: float
     czz: float
-    mz_i: float
-    mz_j: float
 
 
 def _check_pair(basis: SpinBasis, i: int, j: int) -> None:
@@ -162,42 +158,22 @@ def xform_extract(rdm: TwoSiteRDM) -> XFormElements:
     )
 
 
-@lru_cache(maxsize=None)
-def _lowering_amplitudes(spin: str) -> np.ndarray:
-    """amps[a] = <a | S- | a+1> over ascending digits, i.e. S+ weights;
-    built once per spin, read-only because every caller shares it."""
-    _, sp, _ = spin_matrices(spin)
-    amps = np.array([sp[a + 1, a] for a in range(sp.shape[0] - 1)])
-    amps.flags.writeable = False
-    return amps
+# The weight of an in-sector flip S+_dst S-_src. Every S+ element of spin
+# 1/2 (1) and of spin 1 (sqrt 2) has one value, so every flip has its square.
+_FLIP_WEIGHT = {
+    spin: float(np.square(spin_matrices(spin)[1][1, 0])) for spin in SPIN_VALUE
+}
 
 
-def _hops(basis: SpinBasis, src: int, dst: int) -> tuple[np.ndarray, ...]:
-    """(row, digit at src minus one, digit at dst, row reached) of every
-    state that S+_dst S-_src keeps in the sector."""
-    d = basis.local_dim
+def _flips(basis: SpinBasis, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, row reached) of every state that S+_dst S-_src keeps in the sector."""
     digits_src = basis.site_digits(src)
     digits_dst = basis.site_digits(dst)
-    movable = (digits_src > 0) & (digits_dst < d - 1)
-    lowered = digits_src[movable] - 1
-    raised = digits_dst[movable]
-    targets = basis.with_pair_digits(basis.states[movable], src, dst, lowered, raised + 1)
-    return (
-        np.nonzero(movable)[0].astype(np.int32),
-        lowered.astype(np.uint8),
-        raised.astype(np.uint8),
-        basis.index(targets).astype(np.int32),
+    rows = np.flatnonzero((digits_src > 0) & (digits_dst < basis.local_dim - 1))
+    targets = basis.with_pair_digits(
+        basis.states[rows], src, dst, digits_src[rows] - 1, digits_dst[rows] + 1
     )
-
-
-def _hopping_expectation(
-    state: np.ndarray, basis: SpinBasis, src: int, dst: int
-) -> float:
-    """<S+_dst S-_src> by in-sector operator application."""
-    amps = _lowering_amplitudes(basis.spin)
-    rows, lowered, raised, targets = _pair_table(_hops, basis, src, dst)
-    weight = amps[lowered] * amps[raised]
-    return float(np.sum(state[rows] * weight * state[targets]))
+    return rows.astype(np.int32), basis.index(targets).astype(np.int32)
 
 
 def bond_correlators(
@@ -205,25 +181,27 @@ def bond_correlators(
 ) -> BondCorrelators:
     """Spin-spin expectation values on one bond, within the Sz sector.
 
-    The diagonal pieces (czz, per-site mz) are plain weighted sums. The
-    transverse ones use 4*SxSx = 4*SySy = S+S- + S-S+ on a real state in a
-    fixed-Sz sector; the sector-leaving combinations S+S+ and S-S- have
-    expectation value exactly zero there, which is why cxx equals cyy here
-    by construction rather than by numerical accident.
+    czz is a plain weighted sum over the sector, read from the site digits
+    rather than from the RDM, so it is a second route to the RDM's diagonal.
+    The transverse one uses 4*SxSx = 4*SySy = S+S- + S-S+ on a real state in
+    a fixed-Sz sector; the sector-leaving combinations S+S+ and S-S- have
+    expectation value exactly zero there, so cyy equals cxx by construction
+    and only cxx is reported.
     """
     i, j = bond
     _check_pair(basis, i, j)
     state = _check_state(state, basis)
-    weight = state * state
     sz_i = basis.local_sz(basis.site_digits(i))
     sz_j = basis.local_sz(basis.site_digits(j))
-    czz = float(np.sum(weight * sz_i * sz_j))
-    mz_i = float(np.sum(weight * sz_i))
-    mz_j = float(np.sum(weight * sz_j))
-    plus_minus = _hopping_expectation(state, basis, src=j, dst=i)
-    minus_plus = _hopping_expectation(state, basis, src=i, dst=j)
-    transverse = 0.25 * (plus_minus + minus_plus)
-    return BondCorrelators(cxx=transverse, cyy=transverse, czz=czz, mz_i=mz_i, mz_j=mz_j)
+    czz = float(np.sum(state * state * sz_i * sz_j))
+    # Freed before a first call builds the flip tables, which sets its peak.
+    del sz_i, sz_j
+    weight = _FLIP_WEIGHT[basis.spin]
+    hops = []
+    for src, dst in ((j, i), (i, j)):
+        rows, targets = _pair_table(_flips, basis, src, dst)
+        hops.append(float(np.sum(state[rows] * weight * state[targets])))
+    return BondCorrelators(cxx=0.25 * (hops[0] + hops[1]), czz=czz)
 
 
 def _entropy_bits(probabilities: np.ndarray) -> float:

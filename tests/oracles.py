@@ -250,11 +250,14 @@ def two_site_rdm_reference(state, basis, i, j):
 
 def hopping_reference(state, basis, src, dst):
     """<S+_dst S-_src> as computed before its tables were kept per basis,
-    kept verbatim: every call looks up the row each movable state reaches."""
-    from spinent.entanglement import _lowering_amplitudes
+    kept verbatim but for its amplitudes, read here from the S+ matrix: every
+    call looks up the row each movable state reaches and weighs it by the S+
+    elements of its own two digits."""
+    from spinent.hamiltonian import spin_matrices
 
     d = basis.local_dim
-    amps = _lowering_amplitudes(basis.spin)
+    _, sp, _ = spin_matrices(basis.spin)
+    amps = np.array([sp[a + 1, a] for a in range(d - 1)])
     digits_src = basis.site_digits(src)
     digits_dst = basis.site_digits(dst)
     movable = (digits_src > 0) & (digits_dst < d - 1)

@@ -2,6 +2,7 @@ import collections
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from oracles import (
     two_site_rdm_reference,
 )
 from spinent import analysis, entanglement
-from spinent.basis import SpinBasis, build_basis
+from spinent.basis import SPIN_VALUE, SpinBasis, build_basis
 from spinent.entanglement import (
     PatternViolationError,
     TwoSiteRDM,
@@ -34,8 +35,8 @@ from spinent.entanglement import (
     xform_extract,
     xform_eigenvalues,
 )
-from spinent.eigensolver import ground_state_scan
-from spinent.hamiltonian import SectorWorkspace, model_for
+from spinent.eigensolver import ground_state_scan, lanczos_lowest
+from spinent.hamiltonian import SectorWorkspace, model_for, spin_matrices
 from spinent.lattice import chain_lattice
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -224,15 +225,11 @@ def test_correlators_agree_with_xform_elements():
         corr.czz, 0.25 * (el.u_plus + el.u_minus - el.w1 - el.w2), atol=1e-9
     )
     np.testing.assert_allclose(corr.cxx, 0.5 * el.z, atol=1e-9)
-    np.testing.assert_allclose(
-        corr.mz_i + corr.mz_j, el.u_plus - el.u_minus, atol=1e-9
-    )
 
 
 def test_isotropic_point_correlators_coincide():
     basis, vals, vecs = _sector_ground("xxz_half", 8, 0.0, value=1.0)
     corr = bond_correlators(vecs[:, 0], basis, (0, 1))
-    assert corr.cxx == corr.cyy
     np.testing.assert_allclose(corr.cxx, corr.czz, atol=1e-9)
 
 
@@ -245,7 +242,6 @@ def test_neel_product_state_correlators():
     corr = bond_correlators(state, basis, (0, 1))
     np.testing.assert_allclose(corr.czz, -0.25, atol=1e-15)
     assert corr.cxx == 0.0
-    np.testing.assert_allclose([corr.mz_i, corr.mz_j], [0.5, -0.5], atol=1e-15)
 
 
 def test_correlators_match_full_space_operators():
@@ -372,11 +368,85 @@ def test_pair_tables_are_released_with_their_basis():
     assert all(ref() is None for ref in watched)
 
 
+# Kept bytes per sector state of one pair's tables: int32 rest group and
+# uint8 pair code (5), and per flip direction its int32 rows and rows reached.
+_TABLE_BYTES_PER_STATE = {"half": 10, "one": 13}
+
+
 @pytest.mark.parametrize("spin,size", [("half", 12), ("one", 8)])
 def test_pair_tables_take_at_most_16_bytes_per_state(spin, size):
-    """The grouping, and both directions' hops, of one pair."""
+    """The grouping, and both directions' flips, of one pair: 9.4 bytes per
+    state for spin-1/2 N=12 and 12.7 for spin-1 L=8."""
     basis = build_basis(size, spin, 0.0)
     state = _uniform_state(basis)
     two_site_rdm(state, basis, 2, 3)
     bond_correlators(state, basis, (2, 3))
-    assert sum(array.nbytes for array in _table_arrays(basis)) <= 16 * basis.dimension
+    kept = sum(array.nbytes for array in _table_arrays(basis))
+    assert kept <= _TABLE_BYTES_PER_STATE[spin] * basis.dimension
+
+
+def test_first_correlators_call_peak_memory():
+    """Building both flip tables of a pair on the N=20 Sz=0 sector traces at
+    most 55 bytes per sector state (about 33; 60 when each flip also kept
+    its two digits)."""
+    basis = build_basis(20, "half", 0.0)
+    basis.index(basis.states[:1])
+    state = _uniform_state(basis)
+    tracemalloc.start()
+    try:
+        bond_correlators(state, basis, (0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 55 * basis.dimension
+
+
+@pytest.mark.parametrize("spin", sorted(SPIN_VALUE))
+def test_every_raising_element_has_one_value(spin):
+    """bond_correlators gives every flip one weight, the square of S+'s one
+    element value; a spin whose S+ elements differ would need a weight per
+    digit."""
+    _, sp, _ = spin_matrices(spin)
+    d = sp.shape[0]
+    elements = sp[np.arange(1, d), np.arange(d - 1)]
+    assert np.count_nonzero(sp) == d - 1
+    assert (elements == elements[0]).all()
+    assert entanglement._FLIP_WEIGHT[spin] == elements[0] * elements[0]
+
+
+def _ring_sectors():
+    for spin, family, value, sizes in (
+        ("half", "xxz_half", 0.7, range(4, 13)),
+        ("one", "xxz_one", 1.3, range(4, 9)),
+    ):
+        for n in sizes:
+            top = SPIN_VALUE[spin] * n
+            for sz in np.arange(top % 1, top + 0.5):
+                yield pytest.param(family, value, n, float(sz), id=f"{family}-{n}-{sz:g}")
+
+
+def _same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("family,value,n,sz", list(_ring_sectors()))
+def test_correlators_are_bitwise_the_per_state_route(family, value, n, sz):
+    """cxx is a quarter of the two flip directions summed state by state with
+    a weight per digit, and czz the plain sum of state^2 sz_i sz_j, both with
+    == and the sign bit, on a seeded random vector and on the sector's
+    ground state."""
+    workspace = SectorWorkspace(family, chain_lattice(n))
+    basis = workspace.basis(sz)
+    random = np.random.default_rng(n).standard_normal(basis.dimension)
+    ground = lanczos_lowest(workspace.matrix(model_for(family, value, 0.0), sz))[0]
+    for state in (random / np.linalg.norm(random), ground.vector):
+        for i, j in ((0, 1), (1, 0), (0, 2), (1, n // 2)):
+            corr = bond_correlators(state, basis, (i, j))
+            hops = hopping_reference(state, basis, j, i) + hopping_reference(state, basis, i, j)
+            assert _same_bits(corr.cxx, 0.25 * hops)
+            sz_i = basis.site_digits(i) - SPIN_VALUE[basis.spin]
+            sz_j = basis.site_digits(j) - SPIN_VALUE[basis.spin]
+            assert _same_bits(corr.czz, float(np.sum(state * state * sz_i * sz_j)))
+    for (build, _), table in entanglement._PAIR_TABLES[basis].items():
+        if build is entanglement._flips:
+            assert [array.dtype for array in table] == [np.int32, np.int32]
