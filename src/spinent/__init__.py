@@ -42,7 +42,6 @@ from .eigensolver import (
 from .entanglement import (
     BondCorrelators,
     PatternViolationError,
-    TwoSiteRDM,
     XFormElements,
     bond_correlators,
     concurrence,
@@ -77,7 +76,6 @@ __all__ = [
     "SpinBasis",
     "SweepRow",
     "SweepTable",
-    "TwoSiteRDM",
     "UnsupportedRegimeError",
     "XFormElements",
     "bond_correlators",

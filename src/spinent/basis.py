@@ -69,9 +69,8 @@ class SpinBasis:
 
     def site_digits(self, site: int) -> np.ndarray:
         """Packed digit of ``site`` for every state (0 = lowest local Sz)."""
-        shift = self.bits_per_site * site
-        mask = self.local_dim - 1 if self.spin == "half" else 3
-        return (self.states >> shift) & mask
+        b = self.bits_per_site
+        return (self.states >> (b * site)) & ((1 << b) - 1)
 
     def with_pair_digits(
         self, states: np.ndarray, i: int, j: int, digit_i: int, digit_j: int
@@ -155,16 +154,13 @@ def _split_register(spin: str, num_sites: int) -> _SplitRegister:
     low_sites = num_sites // 2
     high_sites = num_sites - low_sites
     codes = np.arange(1 << (b * high_sites), dtype=np.int64)
-    if spin == "half":
-        units = np.bitwise_count(codes).astype(np.int64)
-    else:
-        units = np.zeros_like(codes)
-        unused = np.zeros(codes.size, dtype=bool)
-        for site in range(high_sites):
-            digit = (codes >> (2 * site)) & 3
-            units += digit
-            unused |= digit == 3
-        units[unused] = _INVALID
+    units = np.zeros_like(codes)
+    unused = np.zeros(codes.size, dtype=bool)
+    for site in range(high_sites):
+        digit = (codes >> (b * site)) & ((1 << b) - 1)
+        units += digit
+        unused |= digit >= _LOCAL_DIM[spin]
+    units[unused] = _INVALID
     low = units[: 1 << (b * low_sites)]
     valid = np.nonzero(low >= 0)[0]
     # a stable sort keeps every count's codes ascending

@@ -333,7 +333,7 @@ def _criterion_8(jobs: int):
         f"(neighbours {entropy[su3 - 1]:.8g}, {entropy[su3 + 1]:.8g})",
     ))
     ground, basis = sector_ground("blbq", 6, 3 * math.pi / 2)
-    spectrum = np.linalg.eigvalsh(two_site_rdm(ground.vector, basis, 0, 1).matrix)
+    spectrum = np.linalg.eigvalsh(two_site_rdm(ground.vector, basis, 0, 1))
     clusters = degeneracy_count(spectrum, 1e-10)
     checks.append(_equals(
         clusters, [8, 1], "pair RDM eigenvalue multiplicities at 3pi/2 (tol 1e-10)"
@@ -410,15 +410,14 @@ def _criterion_10(jobs: int):
         trace_err = symm_err = eig_low = eig_high = 0.0
         xform_err = closed_err = 0.0
         for pair in pairs:
-            rdm = two_site_rdm(ground.vector, basis, *pair)
-            rho = rdm.matrix
+            rho = two_site_rdm(ground.vector, basis, *pair)
             trace_err = max(trace_err, abs(np.trace(rho) - 1.0))
             symm_err = max(symm_err, float(np.max(np.abs(rho - rho.T))))
             eigenvalues = np.linalg.eigvalsh(rho)
             eig_low = min(eig_low, float(eigenvalues.min()))
             eig_high = max(eig_high, float(eigenvalues.max()))
             if basis.spin == "half":
-                elements = xform_extract(rdm)
+                elements = xform_extract(rho)
                 correlators = bond_correlators(ground.vector, basis, pair)
                 xform_err = max(
                     xform_err,
@@ -430,7 +429,7 @@ def _criterion_10(jobs: int):
                 )
                 closed_err = max(
                     closed_err,
-                    abs(entropy_closed_form(elements) - von_neumann_entropy(rdm)),
+                    abs(entropy_closed_form(elements) - von_neumann_entropy(rho)),
                 )
         tag = f"{family} N={size} param={param}"
         checks.append(_at_most(trace_err, 1e-10, f"{tag}: worst |trace - 1|"))

@@ -84,10 +84,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class EigenResult:
+    """One eigenpair and its true residual ||H v - E v||. A Lanczos result
+    is accepted only at a residual within its tolerance; a dense one's is
+    not finite if the matrix's entries overflow it."""
+
     energy: float
     vector: np.ndarray
     residual_norm: float
-    converged: bool
 
 
 @dataclass(eq=False)
@@ -202,11 +205,12 @@ def _project_out(vec: np.ndarray, blocks) -> float:
     needed) and return the norm of what is left."""
     blocks = [rows for rows in blocks if rows.shape[0]]
     before = np.linalg.norm(vec)
+    if not blocks:
+        return float(before)
     for _ in range(2):
-        if blocks:
-            coeffs = [rows @ vec for rows in blocks]
-            for rows, c in zip(blocks, coeffs):
-                vec -= rows.T @ c
+        coeffs = [rows @ vec for rows in blocks]
+        for rows, c in zip(blocks, coeffs):
+            vec -= rows.T @ c
         after = np.linalg.norm(vec)
         if after > 0.5 * before:
             break
@@ -267,12 +271,7 @@ def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
             np.multiply(prev, beta[j - 1], out=tmp)
             np.subtract(w, tmp, out=w)
         m = j + 1
-        if full:
-            w_norm = _project_out(w, [locked, *_filled(blocks, m)])
-        elif base:
-            w_norm = _project_out(w, [locked])
-        else:
-            w_norm = float(np.linalg.norm(w))
+        w_norm = _project_out(w, [locked, *(_filled(blocks, m) if full else ())])
 
         if not (math.isfinite(a) and math.isfinite(w_norm)):
             raise _NotFinite
@@ -316,7 +315,7 @@ def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(matrix @ vec - theta[0] * vec))
     if residual <= tol:
-        return EigenResult(float(theta[0]), vec, residual, True), residual
+        return EigenResult(float(theta[0]), vec, residual), residual
     return None, residual
 
 
@@ -325,7 +324,7 @@ def _dense_pair(dense: np.ndarray, vals: np.ndarray, vecs: np.ndarray, idx: int)
     # A matrix of huge entries overflows the residual; the caller sees inf.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
-    return EigenResult(float(vals[idx]), vec, residual, math.isfinite(residual))
+    return EigenResult(float(vals[idx]), vec, residual)
 
 
 def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult]:
@@ -397,7 +396,7 @@ def sector_lowest(
             dense = hamiltonian.dense()
             values, vecs = np.linalg.eigh(dense)
             found = _dense_pair(dense, values, vecs, 0)
-        if not found.converged:
+        if not math.isfinite(found.residual_norm):
             raise ValueError(
                 f"the ground of {model.label} in sector Sz={sz:g} has a residual of "
                 f"{found.residual_norm}: its matrix is too large to check it"

@@ -4,15 +4,16 @@ The RDM of a nearest-neighbor pair is obtained by partial trace over the
 rest of the chain, carried out as a grouped outer product: basis states
 sharing the same rest-of-system configuration are collected, their
 amplitudes arranged into a (rest, pair) rectangle A, and rho = A^T A.
-Ground states here are real, so every RDM is real symmetric.
+Ground states here are real, so every RDM is a real symmetric (d^2, d^2)
+array for local dimension d, and the measures below take that array.
 
 What a pair's RDM and correlators read off the basis alone is kept per
 (basis, pair), so a sweep derives it once rather than at every point: each
-state's rest group (int32) and pair code (uint8), and, for each direction
-of the spin flip, the rows it moves and the rows they reach (both int32),
-about 9 bytes per sector state for spin-1/2 and 12.5 for spin-1. A flip
-needs no digits: its weight is one number per spin. The tables are held
-weakly by the basis and die with it.
+state's rest group (int32, found by sorting the rest codes as uint32) and
+pair code (uint8), and, for each direction of the spin flip, the rows it
+moves and the rows they reach (both int32), about 9 bytes per sector state
+for spin-1/2 and 12.5 for spin-1. A flip needs no digits: its weight is one
+number per spin. The tables are held weakly by the basis and die with it.
 
 Index convention inside the RDM: site i is the slow tensor factor, site j
 the fast one, and each site's local states are ordered by descending Sz
@@ -42,12 +43,6 @@ class PatternViolationError(ValueError):
     symmetry-broken manifold rather than a clean U(1)-symmetric ground
     state.
     """
-
-
-@dataclass(eq=False)
-class TwoSiteRDM:
-    local_dim: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,24 +93,26 @@ def _pair_table(build, basis: SpinBasis, *sites: int) -> tuple:
 def _rest_groups(basis: SpinBasis, i: int, j: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(number of rest configurations, each state's rest group, each state's
     pair code) for the partial trace onto sites (i, j)."""
+    # Every register fits 32 bits, so the sort runs on a uint32 copy.
+    rest = basis.with_pair_digits(basis.states, i, j, 0, 0).astype(np.uint32)
+    _, group = np.unique(rest, return_inverse=True)
     d = basis.local_dim
     # Packed digits count up from the lowest Sz; the RDM wants descending.
-    pair = (d - 1 - basis.site_digits(i)) * d + (d - 1 - basis.site_digits(j))
-    rest = basis.with_pair_digits(basis.states, i, j, 0, 0)
-    _, group = np.unique(rest, return_inverse=True)
-    return int(group.max()) + 1, group.astype(np.int32), pair.astype(np.uint8)
+    digit_i, digit_j = (basis.site_digits(k).astype(np.uint8) for k in (i, j))
+    pair = (d - 1 - digit_i) * d + (d - 1 - digit_j)
+    return int(group.max()) + 1, group.astype(np.int32), pair
 
 
-def two_site_rdm(state: np.ndarray, basis: SpinBasis, i: int, j: int) -> TwoSiteRDM:
-    """Partial trace onto sites (i, j), exact up to round-off."""
+def two_site_rdm(state: np.ndarray, basis: SpinBasis, i: int, j: int) -> np.ndarray:
+    """Partial trace onto sites (i, j), exact up to round-off: the (d^2, d^2)
+    array rho of local dimension d, in the module docstring's index order."""
     _check_pair(basis, i, j)
     state = _check_state(state, basis)
     d = basis.local_dim
     groups, group, pair = _pair_table(_rest_groups, basis, i, j)
     amp = np.zeros((groups, d * d))
     amp[group, pair] = state
-    rho = amp.T @ amp
-    return TwoSiteRDM(local_dim=d, matrix=rho)
+    return amp.T @ amp
 
 
 _XFORM_DIAGONAL = (0, 1, 2, 3)
@@ -123,16 +120,15 @@ _XFORM_DIAGONAL = (0, 1, 2, 3)
 _TOL_PATTERN = 1e-8
 
 
-def xform_extract(rdm: TwoSiteRDM) -> XFormElements:
+def xform_extract(rho: np.ndarray) -> XFormElements:
     """Read the five X-pattern entries of a spin-1/2 pair RDM.
 
     Positions (descending-Sz order): u_plus at (0,0) for both-up, w1 and w2
     on the central diagonal, u_minus at (3,3), z on the central off-diagonal.
     Any other entry larger than _TOL_PATTERN raises PatternViolationError.
     """
-    if rdm.local_dim != 2:
-        raise ValueError(f"X form needs local dimension 2, got {rdm.local_dim}")
-    rho = rdm.matrix
+    if rho.shape != (4, 4):
+        raise ValueError(f"X form needs a two-qubit RDM, got shape {rho.shape}")
     allowed = {(a, a) for a in _XFORM_DIAGONAL}
     allowed.add((1, 2))
     allowed.add((2, 1))
@@ -216,14 +212,13 @@ def _entropy_bits(probabilities: np.ndarray) -> float:
     return max(0.0, float(-np.sum(p[mask] * np.log2(p[mask]))))
 
 
-def von_neumann_entropy(rdm: TwoSiteRDM) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """-sum(p log2 p) over all eigenvalues of the pair RDM.
 
     Tiny negative eigenvalues from round-off are clamped to zero; anything
     below -1e-8 is rejected as not a density matrix.
     """
-    eigenvalues = np.linalg.eigvalsh(rdm.matrix)
-    return _entropy_bits(eigenvalues)
+    return _entropy_bits(np.linalg.eigvalsh(rho))
 
 
 def xform_eigenvalues(elements: XFormElements) -> tuple[float, float, float, float]:
@@ -243,7 +238,7 @@ def entropy_closed_form(elements: XFormElements) -> float:
     return _entropy_bits(np.array(xform_eigenvalues(elements)))
 
 
-def concurrence(rdm: TwoSiteRDM) -> float:
+def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit RDM.
 
     Computes max(0, sqrt(r1) - sqrt(r2) - sqrt(r3) - sqrt(r4)) where the
@@ -252,12 +247,11 @@ def concurrence(rdm: TwoSiteRDM) -> float:
     which shares its spectrum and stays positive semidefinite under
     round-off.
     """
-    if rdm.local_dim != 2:
+    if rho.shape != (4, 4):
         raise ValueError(
-            f"concurrence is defined for a pair of qubits only, got local "
-            f"dimension {rdm.local_dim}"
+            f"concurrence is defined for a pair of qubits only, got an RDM of "
+            f"shape {rho.shape}"
         )
-    rho = rdm.matrix
     # (sigma_y x sigma_y) in the same descending-Sz product basis.
     flip = np.zeros((4, 4))
     flip[0, 3] = flip[3, 0] = -1.0

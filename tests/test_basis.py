@@ -13,6 +13,7 @@ from spinent.basis import (
     SPIN_VALUE,
     _permute,
     build_basis,
+    check_register,
     nonnegative_sectors,
     parity_blocks,
     sector_values,
@@ -82,6 +83,18 @@ def test_oversized_register_rejected():
         build_basis(25, "half", 0.5)
     with pytest.raises(ValueError):
         build_basis(15, "one", 0.0)
+
+
+def test_register_needs_a_site():
+    with pytest.raises(ValueError, match="need at least one site, got 0"):
+        check_register("half", 0)
+
+
+@pytest.mark.parametrize("spin", sorted(SPIN_VALUE))
+def test_every_register_fits_32_bits(spin):
+    """The pair tables sort rest codes as uint32, so a site limit whose
+    register passed 32 bits would wrap those codes silently."""
+    assert basis_module._BITS_PER_SITE[spin] * basis_module._MAX_SITES[spin] <= 32
 
 
 def test_unknown_spin_tag_rejected():

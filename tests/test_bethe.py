@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full
+from spinent import bethe
 from spinent.bethe import (
     UnsupportedRegimeError,
     _HF_STEP,
@@ -12,6 +13,7 @@ from spinent.bethe import (
     solve_ground,
     xx_oracle,
 )
+from spinent.eigensolver import ConvergenceError
 from spinent.entanglement import bond_correlators
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
@@ -42,6 +44,48 @@ def test_energy_calibration_against_brute_force(n, delta):
 def test_twelve_site_energies(delta):
     _, reference, _ = _dense_ground(12, delta)
     assert abs(solve_ground(12, delta).energy - reference) <= 1e-8
+
+
+def test_solve_is_one_newton_from_the_free_fermion_rapidities(monkeypatch):
+    """No continuation in delta: one Newton solve at the target, started
+    from the exact delta = 0 rapidities."""
+    calls = []
+    real = bethe._newton
+
+    def newton(kernels, lam, n, numbers):
+        calls.append((kernels.delta, lam.copy()))
+        return real(kernels, lam, n, numbers)
+
+    monkeypatch.setattr(bethe, "_newton", newton)
+    solve_ground(16, -0.9)
+    assert len(calls) == 1
+    delta, start = calls[0]
+    assert delta == -0.9
+    numbers = np.arange(8) - 3.5
+    free = (4.0 / math.pi) * np.arctanh(np.tan(math.pi * numbers / 16))
+    np.testing.assert_array_equal(start, free)
+
+
+@pytest.mark.parametrize("n", [4, 10, 64, 256])
+@pytest.mark.parametrize("delta", [-0.99999, -0.999, -0.9, -0.5, 0.5, 0.999, 1.0])
+def test_cold_start_converges_across_the_planar_regime(n, delta):
+    """The free-fermion start reaches the ground state near both ends of
+    (-1, 1]; on rings small enough for dense ED it is that ground."""
+    state = solve_ground(n, delta)
+    assert state.max_equation_residual <= 1e-10
+    if n <= 12:
+        _, reference, _ = _dense_ground(n, delta)
+        assert abs(state.energy - reference) <= 1e-10
+
+
+def test_newton_out_of_steps_names_delta_and_best_residual(monkeypatch):
+    monkeypatch.setattr(bethe, "_MAX_NEWTON", 1)
+    with pytest.raises(ConvergenceError) as failure:
+        solve_ground(16, -0.9)
+    message = str(failure.value)
+    assert "delta=-0.9 after 1 Newton iterations" in message
+    assert f"(best residual {failure.value.best_residual:.3e})" in message
+    assert failure.value.best_residual > bethe._RESIDUAL_TOL
 
 
 def test_free_fermion_point_is_exact():

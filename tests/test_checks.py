@@ -91,7 +91,7 @@ def test_su3_point_is_an_entropy_maximum_with_a_singlet_plus_octet_spectrum():
         oracle = _entropy_bits(pair_rdm_full(full_state, n, 3, 0, 1))
         entropies.append(von_neumann_entropy(rdm))
         assert abs(entropies[-1] - oracle) <= 1e-10
-        clusters.append(degeneracy_count(np.linalg.eigvalsh(rdm.matrix), 1e-10))
+        clusters.append(degeneracy_count(np.linalg.eigvalsh(rdm), 1e-10))
     assert entropies[1] > max(entropies[0], entropies[2])
     assert clusters[1] == [8, 1]
     # away from the SU(3) point the octet splits into SU(2) multiplets

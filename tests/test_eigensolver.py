@@ -55,7 +55,7 @@ def test_lanczos_matches_dense_on_a_ring():
     direct = dense_lowest(ham, k=3)
     for a, b in zip(iterative, direct):
         assert abs(a.energy - b.energy) < 1e-10
-        assert a.converged and a.residual_norm <= 1e-10
+        assert a.residual_norm <= 1e-10
 
 
 def _clustered(n=60):
@@ -262,10 +262,15 @@ def test_k_clipped_to_dimension():
     assert len(lanczos_lowest(ham, k=5)) == 2
 
 
+def test_empty_piece_is_refused():
+    with pytest.raises(ValueError, match="empty sector"):
+        lanczos_lowest(_FakeHamiltonian(sparse.csr_matrix((0, 0))))
+
+
 def test_single_state_sector():
     ham = _sector_ham(ModelSpec("xxz_half", delta=0.8), 2, 1.0)
     result = lanczos_lowest(ham)[0]
-    assert result.converged
+    assert result.residual_norm <= 1e-10
     assert abs(result.energy - 0.2) < 1e-14
 
 
@@ -753,4 +758,4 @@ def test_lanczos_overflow_is_a_value_error_naming_the_matrix():
     huge = sparse.diags([1e306, 1e306], [-1, 1], shape=(50, 50), format="csr")
     with pytest.raises(ValueError, match="the sector matrix overflows"):
         lanczos_lowest(_FakeHamiltonian(huge))
-    assert lanczos_lowest(_FakeHamiltonian(huge * 1e-306))[0].converged
+    assert lanczos_lowest(_FakeHamiltonian(huge * 1e-306))[0].residual_norm <= 1e-10

@@ -24,7 +24,6 @@ from spinent import analysis, entanglement
 from spinent.basis import SPIN_VALUE, SpinBasis, build_basis
 from spinent.entanglement import (
     PatternViolationError,
-    TwoSiteRDM,
     XFormElements,
     bond_correlators,
     concurrence,
@@ -64,7 +63,7 @@ def test_singlet_pair_covers_whole_system():
     # tracing out nothing leaves the pure singlet projector
     singlet = np.zeros(4)
     singlet[1], singlet[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    np.testing.assert_allclose(rdm.matrix, np.outer(singlet, singlet), atol=1e-14)
+    np.testing.assert_allclose(rdm, np.outer(singlet, singlet), atol=1e-14)
     assert von_neumann_entropy(rdm) < 1e-12
     np.testing.assert_allclose(concurrence(rdm), 1.0, atol=1e-12)
     el = xform_extract(rdm)
@@ -79,7 +78,7 @@ def test_polarized_pair_is_unentangled():
     basis = build_basis(4, "half", 2.0)
     assert basis.dimension == 1
     rdm = two_site_rdm(np.array([1.0]), basis, 1, 2)
-    np.testing.assert_allclose(rdm.matrix, np.diag([1.0, 0, 0, 0]), atol=1e-15)
+    np.testing.assert_allclose(rdm, np.diag([1.0, 0, 0, 0]), atol=1e-15)
     entropy = von_neumann_entropy(rdm)
     assert entropy == 0.0
     # an exactly-zero entropy must not carry a negative sign into reports
@@ -93,17 +92,17 @@ def test_rdm_matches_brute_force_partial_trace(pair):
     rdm = two_site_rdm(vecs[:, 0], basis, *pair)
     full = _embed(basis, vecs[:, 0])
     np.testing.assert_allclose(
-        rdm.matrix, pair_rdm_full(full, 6, 2, *pair), atol=1e-13
+        rdm, pair_rdm_full(full, 6, 2, *pair), atol=1e-13
     )
 
 
 def test_spin_one_rdm_matches_brute_force():
     basis, vals, vecs = _sector_ground("xxz_one", 4, 0.0, value=1.2, beta=0.3)
     rdm = two_site_rdm(vecs[:, 0], basis, 0, 1)
-    assert rdm.matrix.shape == (9, 9)
+    assert rdm.shape == (9, 9)
     full = _embed(basis, vecs[:, 0])
     np.testing.assert_allclose(
-        rdm.matrix, pair_rdm_full(full, 4, 3, 0, 1), atol=1e-13
+        rdm, pair_rdm_full(full, 4, 3, 0, 1), atol=1e-13
     )
 
 
@@ -114,23 +113,23 @@ def test_rdm_of_superposition_matches_brute_force():
     rdm = two_site_rdm(state, basis, 2, 5)
     full = _embed(basis, state)
     np.testing.assert_allclose(
-        rdm.matrix, pair_rdm_full(full, 6, 2, 2, 5), atol=1e-13
+        rdm, pair_rdm_full(full, 6, 2, 2, 5), atol=1e-13
     )
 
 
 def test_rdm_is_a_density_matrix():
     basis, vals, vecs = _sector_ground("xxz_half", 8, 0.0, value=-0.4)
     rdm = two_site_rdm(vecs[:, 0], basis, 0, 1)
-    np.testing.assert_allclose(np.trace(rdm.matrix), 1.0, atol=1e-13)
-    np.testing.assert_allclose(rdm.matrix, rdm.matrix.T, atol=1e-14)
-    assert np.linalg.eigvalsh(rdm.matrix).min() > -1e-12
+    np.testing.assert_allclose(np.trace(rdm), 1.0, atol=1e-13)
+    np.testing.assert_allclose(rdm, rdm.T, atol=1e-14)
+    assert np.linalg.eigvalsh(rdm).min() > -1e-12
 
 
 def test_swapping_sites_permutes_the_pair_factors():
     basis, vals, vecs = _sector_ground("xxz_half", 6, 0.0, value=0.3)
     state = vecs[:, 2]
-    forward = two_site_rdm(state, basis, 1, 4).matrix
-    backward = two_site_rdm(state, basis, 4, 1).matrix
+    forward = two_site_rdm(state, basis, 1, 4)
+    backward = two_site_rdm(state, basis, 4, 1)
     perm = np.zeros((4, 4))
     for a in range(2):
         for b in range(2):
@@ -141,9 +140,9 @@ def test_swapping_sites_permutes_the_pair_factors():
 def test_ring_ground_state_rdm_is_translation_invariant():
     basis, vals, vecs = _sector_ground("xxz_half", 8, 0.0, value=1.0)
     state = vecs[:, 0]
-    reference = two_site_rdm(state, basis, 0, 1).matrix
+    reference = two_site_rdm(state, basis, 0, 1)
     for k in range(1, 8):
-        shifted = two_site_rdm(state, basis, k, (k + 1) % 8).matrix
+        shifted = two_site_rdm(state, basis, k, (k + 1) % 8)
         np.testing.assert_allclose(shifted, reference, atol=1e-10)
 
 
@@ -153,7 +152,7 @@ def test_frozen_heisenberg_chain_values():
     np.testing.assert_allclose(vals[0], -(0.75 + GOLDEN), atol=1e-13)
     rdm = two_site_rdm(vecs[:, 0], basis, 0, 1)
     np.testing.assert_allclose(
-        np.diag(rdm.matrix),
+        np.diag(rdm),
         [
             0.1160357456590927,
             0.3839642543409070,
@@ -182,7 +181,7 @@ def test_isotropic_limit_elements_reproduce_known_measures():
 
 
 def test_maximally_mixed_pair():
-    rdm = TwoSiteRDM(local_dim=2, matrix=np.eye(4) / 4.0)
+    rdm = np.eye(4) / 4.0
     np.testing.assert_allclose(von_neumann_entropy(rdm), 2.0, atol=1e-14)
     el = xform_extract(rdm)
     assert el.z == 0.0
@@ -195,7 +194,7 @@ def test_xform_rejects_entries_off_the_pattern():
     bad = np.eye(4) / 4.0
     bad[0, 1] = bad[1, 0] = 0.1
     with pytest.raises(PatternViolationError):
-        xform_extract(TwoSiteRDM(local_dim=2, matrix=bad))
+        xform_extract(bad)
 
 
 def test_xform_rejects_asymmetric_coherence():
@@ -203,7 +202,7 @@ def test_xform_rejects_asymmetric_coherence():
     bad[1, 2] = 0.05
     bad[2, 1] = -0.05
     with pytest.raises(PatternViolationError):
-        xform_extract(TwoSiteRDM(local_dim=2, matrix=bad))
+        xform_extract(bad)
 
 
 def test_qubit_only_measures_reject_spin_one():
@@ -264,9 +263,9 @@ def test_correlators_match_full_space_operators():
 
 
 def test_entropy_clamps_round_off_but_rejects_real_negativity():
-    near = TwoSiteRDM(local_dim=2, matrix=np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0]))
+    near = np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0])
     assert von_neumann_entropy(near) == 0.0
-    bad = TwoSiteRDM(local_dim=2, matrix=np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]))
+    bad = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
     with pytest.raises(ValueError):
         von_neumann_entropy(bad)
 
@@ -298,13 +297,12 @@ def test_closed_forms_match_matrix_routes_on_random_x_states(weights, fraction):
     z = fraction * math.sqrt(w1 * w2)
     matrix = np.diag([u_plus, w1, w2, u_minus])
     matrix[1, 2] = matrix[2, 1] = z
-    rdm = TwoSiteRDM(local_dim=2, matrix=matrix)
-    el = xform_extract(rdm)
+    el = xform_extract(matrix)
     np.testing.assert_allclose(
-        entropy_closed_form(el), von_neumann_entropy(rdm), atol=1e-10
+        entropy_closed_form(el), von_neumann_entropy(matrix), atol=1e-10
     )
     np.testing.assert_allclose(
-        concurrence_closed_form(el), concurrence(rdm), atol=1e-7
+        concurrence_closed_form(el), concurrence(matrix), atol=1e-7
     )
 
 
@@ -339,9 +337,9 @@ def test_a_sweep_builds_each_pair_table_once(monkeypatch):
         assert report.ground_sz == 0.0
         state, basis = report.representative.vector, workspace.basis(0.0)
         rdm = two_site_rdm_reference(state, basis, 0, 1)
-        assert np.array_equal(two_site_rdm(state, basis, 0, 1).matrix, rdm)
-        assert row.ev == von_neumann_entropy(TwoSiteRDM(2, rdm))
-        assert row.concurrence == concurrence(TwoSiteRDM(2, rdm))
+        assert np.array_equal(two_site_rdm(state, basis, 0, 1), rdm)
+        assert row.ev == von_neumann_entropy(rdm)
+        assert row.concurrence == concurrence(rdm)
         hops = hopping_reference(state, basis, 1, 0) + hopping_reference(state, basis, 0, 1)
         assert row.cxx == 0.25 * hops
     assert calls == {"unique": 1, "index": 2}
@@ -383,6 +381,21 @@ def test_pair_tables_take_at_most_16_bytes_per_state(spin, size):
     bond_correlators(state, basis, (2, 3))
     kept = sum(array.nbytes for array in _table_arrays(basis))
     assert kept <= _TABLE_BYTES_PER_STATE[spin] * basis.dimension
+
+
+def test_first_rdm_call_peak_memory():
+    """Grouping a pair by its rest configurations on the N=20 Sz=0 sector
+    traces at most 48 bytes per sector state (about 40; 63 when the sort
+    ran on int64 codes)."""
+    basis = build_basis(20, "half", 0.0)
+    state = _uniform_state(basis)
+    tracemalloc.start()
+    try:
+        two_site_rdm(state, basis, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * basis.dimension
 
 
 def test_first_correlators_call_peak_memory():
