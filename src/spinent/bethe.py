@@ -51,7 +51,6 @@ class BetheState:
     rapidities: np.ndarray
     quantum_numbers: np.ndarray
     energy: float
-    converged: bool
     max_equation_residual: float
 
 
@@ -168,7 +167,6 @@ def solve_ground(num_sites: int, delta: float) -> BetheState:
         rapidities=lam,
         quantum_numbers=numbers,
         energy=energy,
-        converged=True,
         max_equation_residual=worst,
     )
 

@@ -15,7 +15,7 @@ hard-coded seed so runs are reproducible bit for bit; if that pass fails it
 is restarted once from a second hard-coded seed, with full
 reorthogonalization against the locked and every stored Krylov vector,
 before failing. A dense eigendecomposition doubles as an independent oracle
-for small sectors.
+for small sectors. lanczos_lowest can go on from pairs an earlier call locked.
 
 sector_lowest is the one sector solve, for scans, spectra, the degenerate
 top-up and the check battery alike. It picks the kind of pieces a sector
@@ -49,7 +49,7 @@ stencil parts that solves at other parameter values reuse.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,12 +65,13 @@ _CHECK_EVERY = 5
 _BLOCK_ROWS = 64
 # Lanczos steps per pass before a seed is given up.
 _MAX_ITER = 400
+# A memory cap, 128 MB of float64 at 4,000 states, for dense_lowest, low_spectrum's
+# refusal and the top-up's dense switch; dense versus Lanczos is _DENSE_CUTOFF's rule.
 _DENSE_LIMIT = 4000
 # Dimension up to which sector_lowest solves a sector whole, as its parity
 # blocks, and diagonalizes a piece densely.
 _DENSE_CUTOFF = 300
-# Levels a scan's degenerate Lanczos sector is topped up to by Lanczos; past
-# them it asks sector_lowest for every level if it has <= _DENSE_LIMIT states.
+# Lanczos levels a top-up finds before a sector of <= _DENSE_LIMIT states goes dense.
 _LANCZOS_TOP_UP = 4
 
 
@@ -104,12 +105,8 @@ class GroundStateReport:
     of its parity blocks' levels, values only, except the representative's
     piece, whose levels come from the ``eigh`` that also gives its vector;
     the ground energy is the lowest level after that swap. A sector solved
-    whole by Lanczos contributes its lowest level, and more while its
-    levels found so far all lie within ``tol_deg`` of the ground: the scan
-    asks sector_lowest for twice as many levels, up to _LANCZOS_TOP_UP, and
-    past that for all of them if the sector has at most _DENSE_LIMIT
-    states, which sector_lowest answers with a values-only dense solve of
-    each of its parity blocks; a larger sector goes on doubling. So a
+    whole by Lanczos contributes the levels of sector_lowest's top-up,
+    which goes on until one clears ``tol_deg`` above the ground, so a
     manifold with several members in one large sector is counted in full
     (45 at blbq theta = 5*pi/4, L = 8, and 2,207 at theta = pi/2). A
     sector solved in its translation block contributes one level: there
@@ -152,18 +149,21 @@ def lanczos_lowest(
     hamiltonian: SparseHamiltonian,
     k: int = 1,
     tol: float = 1e-10,
+    found: Sequence[EigenResult] = (),
 ) -> list[EigenResult]:
-    """The k lowest eigenpairs of a sector matrix, energies nondecreasing.
+    """The k lowest eigenpairs of a sector matrix, energies ascending to round-off.
 
     Levels are found sequentially: pass i runs Lanczos on the operator
     deflated by the i vectors already locked in, so a degenerate level is
     resolved one copy per pass rather than hiding behind the single copy a
-    Krylov space can see. Residuals are verified as the true ||H v - E v||
-    against the undeflated matrix before a pass is accepted. Raises
-    ConvergenceError, carrying the best residual, if any pass runs out of
-    iterations (_MAX_ITER steps) on both seeds, and ValueError, naming the
-    matrix, if a Lanczos coefficient is not finite: its entries are then too
-    large for the recurrence.
+    Krylov space can see. ``found``, pairs an earlier call gave for this
+    matrix and ``tol``, is locked in first, and the passes go on from it bit
+    for bit as a fresh call's. Residuals are verified as the true
+    ||H v - E v|| against the undeflated matrix before a pass is accepted.
+    Raises ConvergenceError, carrying the best residual, if any pass runs
+    out of iterations (_MAX_ITER steps) on both seeds, and ValueError,
+    naming the matrix, if a Lanczos coefficient is not finite: its entries
+    are then too large for the recurrence.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -173,15 +173,17 @@ def lanczos_lowest(
     k_eff = min(k, n)
     matrix = hamiltonian.matrix
     locked = np.zeros((k_eff, n))
-    results: list[EigenResult] = []
-    for level in range(k_eff):
+    results = list(found[:k_eff])
+    for level, result in enumerate(results):
+        locked[level] = result.vector
+    for level in range(len(results), k_eff):
         best = np.inf
-        found = None
+        pair = None
         for seed, full in ((_PRIMARY_SEED, False), (_RESTART_SEED, True)):
             try:
                 # An overflow is caught as a coefficient that is not finite.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    found = _lanczos_ground(matrix, tol, seed, locked[:level], full)
+                    pair = _lanczos_ground(matrix, tol, seed, locked[:level], full)
                 break
             except _NotConverged as fail:
                 best = min(best, fail.best_residual)
@@ -189,14 +191,14 @@ def lanczos_lowest(
                 raise ValueError(
                     f"{hamiltonian.name} overflows: its Lanczos recurrence is not finite"
                 ) from None
-        if found is None:
+        if pair is None:
             raise ConvergenceError(
                 f"Lanczos did not reach tol={tol} within {_MAX_ITER} iterations "
                 f"for level {level} of a dimension-{n} sector, even after one restart",
                 best,
             )
-        locked[level] = found.vector
-        results.append(found)
+        locked[level] = pair.vector
+        results.append(pair)
     return results
 
 
@@ -328,11 +330,7 @@ def _dense_pair(dense: np.ndarray, vals: np.ndarray, vecs: np.ndarray, idx: int)
 
 
 def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult]:
-    """Full dense diagonalization oracle; k lowest eigenpairs.
-
-    Only for sectors of dimension <= 4000; anything larger belongs to
-    lanczos_lowest.
-    """
+    """Dense diagonalization oracle: the k lowest eigenpairs, up to _DENSE_LIMIT states."""
     n = hamiltonian.dimension
     if n > _DENSE_LIMIT:
         raise ValueError(
@@ -351,10 +349,10 @@ def sector_lowest(
     sz: float,
     count: int = 1,
     tol: float = 1e-10,
-) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], bool]:
+) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], Callable | None]:
     """The ``count`` lowest energies of one sector, a call that gives them
-    with the sector's bottom eigenpair over the plain sector, and whether
-    the sector was solved whole.
+    with the sector's bottom eigenpair over the plain sector, and, for a
+    sector solved whole, a call that tops its levels up.
 
     The pieces and the dense-versus-Lanczos rule are the module
     docstring's: the kind is picked once and every piece of it is solved
@@ -369,6 +367,11 @@ def sector_lowest(
     naming the model, if the pair's residual is not finite: the matrix is
     then too large to check it. A ``tol`` that check_tolerances refuses, or
     a ``count`` below 1, raises ValueError first.
+
+    The top-up call takes a ceiling and returns the levels, sorted: while
+    all lie at or below it and some are missing, lanczos_lowest deflates the
+    Lanczos piece a level further on its combined matrix or, past
+    _LANCZOS_TOP_UP, a sector of at most _DENSE_LIMIT states goes dense.
     """
     check_tolerances(tol, 0.0)
     if count < 1:
@@ -386,7 +389,7 @@ def sector_lowest(
             solved.append((np.linalg.eigvalsh(hamiltonian.dense()), None))
         else:
             results = lanczos_lowest(hamiltonian, k=count, tol=tol)
-            solved.append((np.array([r.energy for r in results]), results[0]))
+            solved.append((np.array([r.energy for r in results]), results))
     levels = np.sort(np.concatenate([values for values, _ in solved]))
     pick = next(i for i, (values, _) in enumerate(solved) if values[0] <= levels[0] + tol)
 
@@ -395,18 +398,27 @@ def sector_lowest(
         if found is None:
             dense = hamiltonian.dense()
             values, vecs = np.linalg.eigh(dense)
-            found = _dense_pair(dense, values, vecs, 0)
-        if not math.isfinite(found.residual_norm):
+            found = [_dense_pair(dense, values, vecs, 0)]
+        if not math.isfinite(found[0].residual_norm):
             raise ValueError(
                 f"the ground of {model.label} in sector Sz={sz:g} has a residual of "
-                f"{found.residual_norm}: its matrix is too large to check it"
+                f"{found[0].residual_norm}: its matrix is too large to check it"
             )
         others = [other for i, (other, _) in enumerate(solved) if i != pick]
         union = np.sort(np.concatenate([values, *others]))
-        vector = hamiltonian.block.expand(found.vector)
-        return list(map(float, union[: None if whole else 1])), replace(found, vector=vector)
+        vector = hamiltonian.block.expand(found[0].vector)
+        return list(map(float, union[: None if whole else 1])), replace(found[0], vector=vector)
 
-    return list(map(float, levels[: None if whole else 1])), bottom, whole
+    def top_up(ceiling: float) -> list[float]:
+        energies, found = levels, solved[0][1]
+        while found and len(found) < dim and energies[-1] <= ceiling:
+            if len(found) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
+                return sector_lowest(workspace, model, sz, dim, tol)[0]
+            found = lanczos_lowest(pieces[0], k=len(found) + 1, tol=tol, found=found)
+            energies = np.sort([r.energy for r in found])
+        return list(map(float, energies))
+
+    return list(map(float, levels[: None if whole else 1])), bottom, top_up if whole else None
 
 
 def ground_state_scan(
@@ -424,13 +436,10 @@ def ground_state_scan(
     sector_lowest. The representative sector is picked from those levels;
     only then is its bottom pair formed, its levels replaced by the ones
     that solve gives, and the ground energy taken, so a dense point runs one
-    ``eigh``, on one parity block. A sector solved whole by Lanczos whose
-    levels all lie within ``tol_deg`` of the ground is topped up, after the
-    ground energy and the representative are fixed, until a level clears
-    that window: sector_lowest is asked for more of its levels, all of them
-    at last as the union of its parity blocks'. GroundStateReport describes
-    the top-up and the degenerate-representative rule. A tolerance that
-    check_tolerances refuses raises its ValueError first.
+    ``eigh``, on one parity block. Then each sector solved whole by Lanczos
+    is topped up by the call sector_lowest gave for it. GroundStateReport
+    describes the top-up and the degenerate-representative rule. A
+    tolerance that check_tolerances refuses raises its ValueError first.
     """
     check_tolerances(tol, tol_deg)
     sectors = nonnegative_sectors(workspace.spin, workspace.lattice.num_sites)
@@ -440,16 +449,9 @@ def ground_state_scan(
     rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
     per_sector[rep_sz], bottom = solved[rep_sz][1]()
     ground = min(levels[0] for levels in per_sector.values())
-    for sz, levels in per_sector.items():
-        if not solved[sz][2]:
-            continue
-        dim = workspace.basis(sz).dimension
-        while len(levels) < dim and levels[-1] <= ground + tol_deg:
-            count = 2 * len(levels)
-            if len(levels) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
-                count = dim
-            levels = sector_lowest(workspace, model, sz, count, tol)[0]
-        per_sector[sz] = levels
+    for sz, (_, _, top_up) in solved.items():
+        if top_up and len(per_sector[sz]) < workspace.basis(sz).dimension:
+            per_sector[sz] = top_up(ground + tol_deg)
     degeneracy = 0
     for sz, levels in per_sector.items():
         hits = sum(1 for e in levels if e <= ground + tol_deg)

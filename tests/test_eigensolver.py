@@ -535,17 +535,18 @@ def test_scan_counts_every_member_in_large_sectors(model, size, expected):
 def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
     """blbq theta = pi/2, L = 8: the SU(3) point where 512 levels of the
     1,107-state Sz=0 sector sit within the window. Each Lanczos sector is
-    topped up by Lanczos to four levels, all in the window, and then read
-    whole from a values-only dense solve, which counts what eigvalsh of
-    every sector counts."""
+    topped up by Lanczos one level at a time, each call going on from the
+    levels the one before found, to four levels, all in the window, and
+    then read whole from a values-only dense solve, which counts what
+    eigvalsh of every sector counts."""
     model, lattice = ModelSpec("blbq", theta=np.pi / 2), chain_lattice(8)
     workspace = SectorWorkspace("blbq", lattice)
     calls = []
     real_lanczos = eigensolver.lanczos_lowest
 
-    def lanczos(ham, k=1, **kwargs):
-        calls.append((ham.dimension, k))
-        return real_lanczos(ham, k, **kwargs)
+    def lanczos(ham, k=1, found=(), **kwargs):
+        calls.append((ham.dimension, k, len(found)))
+        return real_lanczos(ham, k, found=found, **kwargs)
 
     monkeypatch.setattr(eigensolver, "lanczos_lowest", lanczos)
     report = ground_state_scan(workspace, model)
@@ -555,7 +556,9 @@ def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
         expected += int(np.sum(vals <= report.ground_energy + 1e-8)) * (2 if sz else 1)
     assert report.degeneracy == expected == 2207
     dims = [1107, 1016, 784, 504]
-    assert calls == [(dim, 1) for dim in dims] + [(dim, k) for dim in dims for k in (2, 4)]
+    assert calls == [(dim, 1, 0) for dim in dims] + [
+        (dim, k, k - 1) for dim in dims for k in (2, 3, 4)
+    ]
 
 
 def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch):
@@ -580,6 +583,109 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
     small = [141, 125, 60, 52, 21, 15, 5, 3, 1]  # Sz = 4 .. 8: 266, 112, 36, 8, 1
     topped_up = [292, 278, 262, 275, 521, 495, 406, 378, 261, 243]  # 1107, 1016, 784, 504
     assert calls == small + [1] + topped_up
+
+
+def test_lanczos_goes_on_from_the_levels_it_was_given(monkeypatch):
+    """The plain Sz=0 piece of blbq L=8 at theta = pi/4 (1,107 states, a
+    degenerate ground): four levels asked for with two given are the four
+    of a fresh call, bit for bit in energies, residuals and vectors, and
+    only the two new levels run a Lanczos pass. Given more than ``k``
+    levels, the call keeps the first ``k`` and runs none."""
+    model = ModelSpec("blbq", theta=np.pi / 4)
+    ham = SectorWorkspace("blbq", chain_lattice(8)).matrix(model, 0.0)
+    assert ham.dimension == 1107
+    fresh = lanczos_lowest(ham, 4)
+    two = lanczos_lowest(ham, 2)
+    assert abs(fresh[1].energy - fresh[0].energy) <= 1e-8
+    passes = []
+    real = eigensolver._lanczos_ground
+
+    def counting(*args):
+        passes.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(eigensolver, "_lanczos_ground", counting)
+    four = lanczos_lowest(ham, 4, found=two)
+    assert passes == [eigensolver._PRIMARY_SEED] * 2
+    assert four[:2] == two
+    for ours, theirs in zip(four, fresh, strict=True):
+        assert ours.energy == theirs.energy
+        assert ours.residual_norm == theirs.residual_norm
+        assert np.array_equal(ours.vector, theirs.vector)
+    assert lanczos_lowest(ham, 1, found=four) == four[:1]
+    assert len(passes) == 2
+
+
+# (model, lattice, Lanczos passes, combine_parts calls, dense switches) of a
+# warmed scan: each whole Lanczos sector combines once, and its top-up runs
+# one pass per level it adds.
+_TOP_UP_SCANS = [
+    (ModelSpec("blbq", theta=0.3), chain_lattice(8), 5, 4, 0),
+    (ModelSpec("blbq", theta=np.pi / 4), chain_lattice(8), 8, 4, 0),
+    (ModelSpec("blbq", theta=1.25 * np.pi), chain_lattice(8), 16, 4, 3),
+    (ModelSpec("blbq", theta=np.pi / 2), chain_lattice(8), 16, 4, 4),
+    (ModelSpec("xxz_half", delta=1.0), chain_lattice(13), 5, 3, 0),
+    (ModelSpec("xxz_one", delta=1.0, beta=-0.2), chain_lattice(10), 8, 7, 0),
+]
+_TOP_UP_IDS = ["blbq-0.3", "blbq-pi/4", "blbq-5pi/4", "blbq-pi/2", "odd-ring", "xxz_one-beta"]
+
+
+@pytest.mark.parametrize("model,lattice,passes,combines,_", _TOP_UP_SCANS, ids=_TOP_UP_IDS)
+def test_a_top_up_combines_once_and_solves_each_level_once(
+    model, lattice, passes, combines, _, monkeypatch
+):
+    """Every Lanczos pass of a warmed scan runs inside the
+    ``eigensolver.lanczos_lowest`` binding, the top-up's too, and the scan
+    makes one pass per level and one combine_parts call per Lanczos sector."""
+    workspace = SectorWorkspace(model.family, lattice)
+    ground_state_scan(workspace, model)
+    counts = {"inside": 0, "outside": 0, "combine": 0}
+    depth = []
+    real_lowest, real_ground = eigensolver.lanczos_lowest, eigensolver._lanczos_ground
+    real_combine = hamiltonian.combine_parts
+
+    def lowest(*args, **kwargs):
+        depth.append(1)
+        try:
+            return real_lowest(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def ground(*args):
+        counts["inside" if depth else "outside"] += 1
+        return real_ground(*args)
+
+    def combine(*args):
+        counts["combine"] += 1
+        return real_combine(*args)
+
+    monkeypatch.setattr(eigensolver, "lanczos_lowest", lowest)
+    monkeypatch.setattr(eigensolver, "_lanczos_ground", ground)
+    monkeypatch.setattr(hamiltonian, "combine_parts", combine)
+    ground_state_scan(workspace, model)
+    assert counts == {"inside": passes, "outside": 0, "combine": combines}
+
+
+@pytest.mark.parametrize("model,lattice,_,__,switches", _TOP_UP_SCANS, ids=_TOP_UP_IDS)
+def test_a_scan_enters_sector_lowest_once_per_sector_and_dense_switch(
+    model, lattice, _, __, switches, monkeypatch
+):
+    """The top-up goes on from the first solve instead of solving its sector
+    again: sector_lowest is entered once per sector, and once more, for
+    every level, where a top-up switches to a dense solve."""
+    workspace = SectorWorkspace(model.family, lattice)
+    counts = []
+    real = eigensolver.sector_lowest
+
+    def lowest(workspace, model, sz, count=1, tol=1e-10):
+        counts.append(count)
+        return real(workspace, model, sz, count, tol)
+
+    monkeypatch.setattr(eigensolver, "sector_lowest", lowest)
+    ground_state_scan(workspace, model)
+    sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
+    assert counts.count(1) == len(sectors)
+    assert len(counts) == len(sectors) + switches
 
 
 def test_asking_for_every_level_solves_densely(monkeypatch):
