@@ -34,7 +34,7 @@ from .eigensolver import ConvergenceError
 _RESIDUAL_TOL = 1e-10
 _MAX_NEWTON = 200
 _RATIONAL_GAMMA = 1e-8
-# Step in delta of hf_correlators' finite differences.
+# Step in delta of hf_correlators' central difference.
 _HF_STEP = 1e-4
 
 
@@ -223,33 +223,13 @@ def hf_correlators(
 ) -> tuple[float, float]:
     """(czz, cxx) from an energy curve via the Hellmann-Feynman theorem.
 
-    czz is the central difference dE/d(delta), of step _HF_STEP, divided
-    by the site count; cxx follows from E/N = 2*cxx + delta*czz on the
-    ring. When the provider cannot evaluate one side of the stencil (a
-    domain edge such as delta = 1 for the Bethe solver), a second-order
-    one-sided difference pointing into the valid side is used instead; if
-    neither side works the provider's error propagates.
+    czz is the central difference dE/d(delta) of step _HF_STEP over the
+    site count, and cxx follows from E/N = 2*cxx + delta*czz on the ring.
+    Any error the provider raises at delta or delta +- _HF_STEP propagates.
     """
     step = _HF_STEP
     center = energy_fn(delta)
-    try:
-        upper = energy_fn(delta + step)
-    except (ValueError, RuntimeError):
-        upper = None
-    try:
-        lower = energy_fn(delta - step)
-    except (ValueError, RuntimeError) as fail:
-        if upper is None:
-            raise fail
-        lower = None
-
-    if upper is not None and lower is not None:
-        slope = (upper - lower) / (2.0 * step)
-    elif upper is None:
-        slope = (3.0 * center - 4.0 * lower + energy_fn(delta - 2.0 * step)) / (2.0 * step)
-    else:
-        slope = (-3.0 * center + 4.0 * upper - energy_fn(delta + 2.0 * step)) / (2.0 * step)
-
+    slope = (energy_fn(delta + step) - energy_fn(delta - step)) / (2.0 * step)
     czz = slope / num_sites
     cxx = (center / num_sites - delta * czz) / 2.0
     return czz, cxx

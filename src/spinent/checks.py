@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .entanglement import (
     von_neumann_entropy,
     xform_eigenvalues,
     xform_extract,
+    xform_from_correlators,
 )
 from .hamiltonian import model_for
 from .basis import SpinBasis, nonnegative_sectors
@@ -98,17 +99,15 @@ def _bethe_pair(n: int, delta: float) -> tuple[float, float, XFormElements]:
 
     Hellmann-Feynman turns the Bethe energy curve into the bond correlators,
     and on a ring with conserved Sz and real amplitudes those fix the whole
-    pair density matrix. No exact-diagonalization code is involved.
+    pair density matrix. At delta = 1, the solver's domain edge, the ground
+    is an SU(2) singlet, so czz = cxx = E/(3N) from one solve and no
+    derivative. No exact-diagonalization code is involved.
     """
-    def energy_fn(x):
-        return solve_ground(n, x).energy
-
-    czz, cxx = hf_correlators(energy_fn, n, delta)
-    elements = XFormElements(
-        u_plus=0.25 + czz, w1=0.25 - czz, w2=0.25 - czz, u_minus=0.25 + czz,
-        z=2 * cxx,
-    )
-    return czz, cxx, elements
+    if delta == 1.0:
+        czz = cxx = solve_ground(n, delta).energy / (3 * n)
+    else:
+        czz, cxx = hf_correlators(lambda x: solve_ground(n, x).energy, n, delta)
+    return czz, cxx, xform_from_correlators(czz, cxx)
 
 
 def _dicke_pair_entropy(n: int) -> float:
@@ -419,14 +418,9 @@ def _criterion_10(jobs: int):
             if basis.spin == "half":
                 elements = xform_extract(rho)
                 correlators = bond_correlators(ground.vector, basis, pair)
-                xform_err = max(
-                    xform_err,
-                    abs(elements.u_plus - (0.25 + correlators.czz)),
-                    abs(elements.u_minus - (0.25 + correlators.czz)),
-                    abs(elements.w1 - (0.25 - correlators.czz)),
-                    abs(elements.w2 - (0.25 - correlators.czz)),
-                    abs(elements.z - 2 * correlators.cxx),
-                )
+                implied = xform_from_correlators(correlators.czz, correlators.cxx)
+                gaps = np.subtract(astuple(elements), astuple(implied))
+                xform_err = max(xform_err, float(np.abs(gaps).max()))
                 closed_err = max(
                     closed_err,
                     abs(entropy_closed_form(elements) - von_neumann_entropy(rho)),

@@ -154,6 +154,13 @@ def xform_extract(rho: np.ndarray) -> XFormElements:
     )
 
 
+def xform_from_correlators(czz: float, cxx: float) -> XFormElements:
+    """The X form a bond's correlators fix at zero site magnetization and real
+    amplitudes: u_plus = u_minus = 1/4 + czz, w1 = w2 = 1/4 - czz, z = 2*cxx."""
+    aligned, opposed = 0.25 + czz, 0.25 - czz
+    return XFormElements(u_plus=aligned, w1=opposed, w2=opposed, u_minus=aligned, z=2 * cxx)
+
+
 # The weight of an in-sector flip S+_dst S-_src. Every S+ element of spin
 # 1/2 (1) and of spin 1 (sqrt 2) has one value, so every flip has its square.
 _FLIP_WEIGHT = {

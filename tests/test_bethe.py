@@ -1,10 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from oracles import full_hamiltonian, ground_full
-from spinent import bethe
+from spinent import bethe, checks
 from spinent.bethe import (
     UnsupportedRegimeError,
     _HF_STEP,
@@ -14,17 +15,15 @@ from spinent.bethe import (
     xx_oracle,
 )
 from spinent.eigensolver import ConvergenceError
-from spinent.entanglement import bond_correlators
+from spinent.entanglement import bond_correlators, two_site_rdm, xform_extract
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 
-def _dense_ground(n, delta):
+def _dense_energy(n, delta):
     workspace = SectorWorkspace("xxz_half", chain_lattice(n))
-    basis = workspace.basis(0.0)
     ham = workspace.matrix(model_for("xxz_half", delta), 0.0)
-    vals, vecs = np.linalg.eigh(ham.matrix.toarray())
-    return basis, float(vals[0]), vecs[:, 0]
+    return float(np.linalg.eigvalsh(ham.matrix.toarray())[0])
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -41,7 +40,7 @@ def test_energy_calibration_against_brute_force(n, delta):
 
 @pytest.mark.parametrize("delta", [-0.5, 0.5, 1.0])
 def test_twelve_site_energies(delta):
-    _, reference, _ = _dense_ground(12, delta)
+    reference = _dense_energy(12, delta)
     assert abs(solve_ground(12, delta).energy - reference) <= 1e-8
 
 
@@ -73,7 +72,7 @@ def test_cold_start_converges_across_the_planar_regime(n, delta):
     state = solve_ground(n, delta)
     assert state.max_equation_residual <= 1e-10
     if n <= 12:
-        _, reference, _ = _dense_ground(n, delta)
+        reference = _dense_energy(n, delta)
         assert abs(state.energy - reference) <= 1e-10
 
 
@@ -201,29 +200,26 @@ def test_differentiated_linear_energy_is_exact():
     np.testing.assert_allclose(cxx, 0.0, atol=1e-10)
 
 
-def test_differentiation_falls_back_to_one_sided_at_the_domain_edge():
-    """delta = 1 is the solver's edge: the upper stencil point raises."""
-    czz, cxx = hf_correlators(lambda d: solve_ground(12, d).energy, 12, 1.0)
-    basis, _, ground = _dense_ground(12, 1.0)
-    corr = bond_correlators(ground, basis, (0, 1))
-    assert abs(czz - corr.czz) <= 1e-5
-    assert abs(cxx - corr.cxx) <= 1e-5
+def test_bethe_pair_at_the_isotropic_point_is_one_solve_of_the_singlet(monkeypatch):
+    """delta = 1 is the solver's domain edge; the SU(2) singlet ground gives
+    czz = cxx = E/(3N) there, from one solve and no derivative."""
+    calls = []
 
+    def counted(n, delta):
+        calls.append((n, delta))
+        return solve_ground(n, delta)
 
-def test_differentiation_falls_back_to_one_sided_at_a_lower_edge():
-    """A curve that raises below its edge takes the forward stencil there,
-    whose error is h**2 / 3 times the third derivative: 4e-9 in czz here."""
-    edge, size = 0.2, 8
-
-    def energy(d):
-        if d < edge:
-            raise ValueError("below the edge")
-        return size * math.exp(d)
-
-    czz, cxx = hf_correlators(energy, size, edge)
-    bound = _HF_STEP**2 * math.exp(edge) / 2.0
-    assert abs(czz - math.exp(edge)) <= bound
-    assert abs(cxx - (1.0 - edge) * math.exp(edge) / 2.0) <= bound
+    monkeypatch.setattr(checks, "solve_ground", counted)
+    for n in (8, 12, 16, 20):
+        czz, cxx, elements = checks._bethe_pair(n, 1.0)
+        ground, basis = checks.sector_ground("xxz_half", n, 1.0)
+        corr = bond_correlators(ground.vector, basis, (0, 1))
+        assert czz == cxx
+        assert abs(czz - corr.czz) <= 1e-10
+        assert abs(cxx - corr.cxx) <= 1e-10
+        exact = astuple(xform_extract(two_site_rdm(ground.vector, basis, 0, 1)))
+        np.testing.assert_allclose(astuple(elements), exact, rtol=0, atol=1e-10)
+    assert calls == [(8, 1.0), (12, 1.0), (16, 1.0), (20, 1.0)]
 
 
 def test_differentiated_free_fermion_point_matches_oracle():
@@ -241,3 +237,19 @@ def test_differentiation_propagates_a_dead_provider():
 
     with pytest.raises(ValueError):
         hf_correlators(only_at_center, num_sites=8, delta=0.5)
+
+
+def test_differentiation_propagates_a_failure_on_one_side():
+    """A solver that fails at one stencil point is an error, not a cue to
+    differentiate from the other side."""
+    calls = []
+
+    def fails_above(d):
+        calls.append(d)
+        if d > 0.5:
+            raise ConvergenceError("no convergence above 0.5", 1.0)
+        return 8 * math.exp(d)
+
+    with pytest.raises(ConvergenceError):
+        hf_correlators(fails_above, num_sites=8, delta=0.5)
+    assert calls == [0.5, 0.5 + _HF_STEP]
