@@ -19,9 +19,9 @@ A sector is solved as pieces, one SparseHamiltonian per block, which
 carries its block and the block's parts; ``SectorWorkspace.pieces`` is the
 one way to a sector's blocks.
 
-The parts of a family are assembled in one pass over the bonds that
-shares each bond's work between them, rows found by ``SpinBasis.index``,
-a table lookup (see assemble_parts).
+The parts of a family are assembled in one pass over the bonds, rows
+found by ``SpinBasis.index``, a table lookup; a plain sector's parts come
+out in CSR order, one diagonal entry per state (see assemble_parts).
 """
 
 from __future__ import annotations
@@ -246,16 +246,19 @@ def assemble_parts(
     every state reached adds to the row of its own block state, weighted by
     its amplitude there times the square root of the column's orbit size
     (Sandvik, arXiv:1101.3281, sec. 4). Over the plain block every weight
-    is 1.
+    is 1, and a move adds a fixed shift to the packed state, in which
+    SpinBasis.index is monotone: the moves of all bonds by descending shift,
+    each part's diagonal summed over the bonds in bond order at shift 0,
+    fill each row in column order, so ``tocsr`` neither sorts nor merges.
 
-    All parts share one pass over the bonds. Per bond, the pair digits, the
-    states each input pair selects and the row of each distinct move are
-    found once, for every part that holds that stencil entry. A purely
-    diagonal part adds every state's entry of the bond into one vector,
-    exactly in any order (each is a small multiple of 1/4), and keeps an
-    entry, zero or not, for each state that had one; the other parts
-    scatter COO triplets that ``tocsr`` sums as duplicates, so every part
-    is the CSR matrix a part-by-part assembly gives, bit for bit.
+    Over another block all parts share one pass over the bonds. Per bond,
+    the pair digits, the states each input pair selects and the row of each
+    distinct move are found once, for every part that holds that stencil
+    entry. A purely diagonal part adds every state's entry of the bond into
+    one vector, exactly in any order (each is a small multiple of 1/4), and
+    keeps an entry, zero or not, for each state that had one; the other
+    parts scatter COO triplets that ``tocsr`` sums as duplicates, so each
+    part is the CSR matrix a part-by-part assembly gives, bit for bit.
     """
     basis, reps = block.basis, block.reps
     if FAMILY_SPIN[family] != basis.spin:
@@ -269,8 +272,35 @@ def assemble_parts(
         )
     d = basis.local_dim
     dim = block.dimension
-    plain = reps is basis
-    root_orbit = None if plain else np.sqrt(block.orbit)
+    if reps is basis:
+        p_in, shifts, parts = _plain_moves(family, lattice.bonds, basis.bits_per_site, d)
+        sums = {name: (*part[3], np.zeros(dim), np.zeros(dim, dtype=bool))
+                for name, part in parts.items() if part[3]}
+        moved = []
+        for (i, j), bond_shifts in zip(lattice.bonds, shifts):
+            pair = basis.site_digits(i) * d + basis.site_digits(j)
+            for entry, has, total, stored in sums.values():
+                total += entry[pair]
+                stored |= has[pair]
+            selected = {p: np.nonzero(pair == p)[0].astype(np.int32) for p in set(p_in)}
+            cols = [selected[p] for p in p_in]  # at CSR's index width
+            sizes = [c.size for c in cols]
+            rows = basis.index(basis.states[np.concatenate(cols)] + np.repeat(bond_shifts, sizes))
+            moved += zip(np.split(rows.astype(np.int32), np.cumsum(sizes)[:-1]), cols)
+        plain = {}
+        for name, (moves, up, amps, _) in parts.items():
+            rows, cols = [moved[k][0] for k in moves], [moved[k][1] for k in moves]
+            vals = [np.full(c.size, amp) for c, amp in zip(cols, amps[moves % len(p_in)])]
+            if name in sums:
+                _, _, total, stored = sums[name]
+                where = np.nonzero(stored)[0].astype(np.int32)
+                rows.insert(up, where)
+                cols.insert(up, where)
+                vals.insert(up, total[where])
+            rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+            plain[name] = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        return plain
+    root_orbit = np.sqrt(block.orbit)
     entries = {
         name: [
             (int(p_out), int(p_in), stencil[p_out, p_in])
@@ -305,17 +335,17 @@ def assemble_parts(
                     # A diagonal entry leaves every state where it is.
                     rows.append(sel)
                     cols.append(sel)
-                    vals.append(amp if plain else np.full(sel.size, amp))
+                    vals.append(np.full(sel.size, amp))
                     continue
                 if (p_out, p_in) not in moved:
                     targets = reps.with_pair_digits(
                         reps.states[sel], i, j, p_out // d, p_out % d
                     )
-                    moved[p_out, p_in] = _move(block, plain, root_orbit, sel, targets)
+                    moved[p_out, p_in] = _move(block, root_orbit, sel, targets)
                 target_rows, columns, coef, root = moved[p_out, p_in]
                 rows.append(target_rows)
                 cols.append(columns)
-                vals.append(amp if plain else amp * coef * root)
+                vals.append(amp * coef * root)
     out: dict[str, sparse.csr_matrix] = {}
     for name in entries:
         if name in diagonals:
@@ -326,11 +356,7 @@ def assemble_parts(
             continue
         rows, cols, vals = triplets.pop(name)
         if rows:
-            # On the plain block every weight is its entry, kept as a scalar.
-            if plain:
-                vals = np.repeat(vals, [columns.size for columns in cols])
-            else:
-                vals = np.concatenate(vals)
+            vals = np.concatenate(vals)
             coo = sparse.coo_matrix(
                 (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
             )
@@ -344,13 +370,11 @@ def assemble_parts(
     return out
 
 
-def _move(block: SectorBlock, plain: bool, root_orbit, sel, targets):
+def _move(block: SectorBlock, root_orbit, sel, targets):
     """(rows, columns, amplitudes, root orbits) of one stencil move of the
     block states ``sel`` onto the plain states ``targets``, keeping the
-    moves that land in the block; the last two are None on the plain block."""
+    moves that land in the block."""
     found = block.basis.index(targets)
-    if plain:
-        return found, sel, None, None
     target_rows = block.row[found]
     coef, root = block.coef[found], root_orbit[sel]
     inside = target_rows >= 0
@@ -359,6 +383,27 @@ def _move(block: SectorBlock, plain: bool, root_orbit, sel, targets):
             target_rows[inside], sel[inside], coef[inside], root[inside]
         )
     return target_rows, sel, coef, root
+
+
+@lru_cache(maxsize=None)
+def _plain_moves(family: str, bonds: tuple[tuple[int, int], ...], bits: int, d: int):
+    """Each hop's input pair, a hop being a stencil entry off the diagonal;
+    ``shifts[b, h]``, what hop h adds to a packed state on bond b; and per
+    part its moves b * hops + h by descending shift, how many shift up, its
+    amplitude of each hop, and its kept diagonal entry by pair, if any."""
+    stencils = bond_stencils(family)
+    kept = {name: np.abs(stencil) > _STENCIL_PRUNE for name, stencil in stencils.items()}
+    p_out, p_in = np.nonzero(np.logical_or.reduce(list(kept.values())) & ~np.eye(d * d, dtype=bool))
+    i, j = bits * np.array(bonds).T[:, :, None]
+    shifts = ((p_out // d - p_in // d) << i) + ((p_out % d - p_in % d) << j)
+    order = np.argsort(-shifts.ravel(), kind="stable")
+    parts = {}
+    for name, keep in kept.items():
+        moves = order[np.tile(keep[p_out, p_in], len(bonds))[order]]
+        up, has = np.count_nonzero(shifts.ravel()[moves] > 0), np.diag(keep)
+        diagonal = (np.where(has, np.diag(stencils[name]), 0.0), has) if has.any() else None
+        parts[name] = (moves, up, stencils[name][p_out, p_in], diagonal)
+    return tuple(p_in.tolist()), shifts, parts
 
 
 def combine_parts(

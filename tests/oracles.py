@@ -187,6 +187,29 @@ def assemble_parts_reference(family, lattice, block):
     return out
 
 
+def stencil_diagonal_sum(family, lattice, basis):
+    """Each part's diagonal over a plain sector: its stencil's diagonal entry
+    of every state's pair digits, summed over ``lattice.bonds`` in bond
+    order, and whether any bond gave the state an entry. Returns
+    {name: (sums, has an entry)}; the package's plain assembly must give
+    these sums bit for bit."""
+    from spinent.hamiltonian import _STENCIL_PRUNE, bond_stencils
+
+    d = basis.local_dim
+    out = {}
+    for name, stencil in bond_stencils(family).items():
+        diagonal = np.diag(stencil)
+        kept = np.abs(diagonal) > _STENCIL_PRUNE
+        sums = np.zeros(basis.dimension)
+        has = np.zeros(basis.dimension, dtype=bool)
+        for i, j in lattice.bonds:
+            pair = basis.site_digits(i) * d + basis.site_digits(j)
+            sums += np.where(kept[pair], diagonal[pair], 0.0)
+            has |= kept[pair]
+        out[name] = (sums, has)
+    return out
+
+
 def orbit_block_reference(basis, elements):
     """The state-by-state block builder that preceded building each orbit
     from its representative, kept verbatim: ``elements`` gives the image of

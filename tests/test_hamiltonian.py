@@ -12,6 +12,7 @@ from oracles import (
     full_hamiltonian,
     momentum_characters,
     momentum_sets,
+    stencil_diagonal_sum,
 )
 from spinent import hamiltonian
 from spinent.basis import (
@@ -413,16 +414,77 @@ _BITWISE_CASES += [("xxz_half", square_lattice(4, 4))]
     ids=[f"{f}-{lat.num_sites}-{len(lat.bonds)}" for f, lat in _BITWISE_CASES],
 )
 def test_assembly_is_bitwise_the_reference(family, lattice):
-    """The shared per-bond pass gives the CSR arrays of the part-by-part
-    assembly it replaced, bit for bit, explicit zeros included."""
+    """A translation block gives the CSR arrays of the part-by-part assembly
+    it replaced, bit for bit, explicit zeros included. A plain block gives
+    its pattern and off-diagonal values bit for bit, and as its diagonal the
+    bond-order sum of the stencil diagonal, bit for bit too. The reference
+    sums the same terms in the order its row sort left them, so the two agree
+    to twice the recursive-summation bound, (n - 1) u sum|x| with u = eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
+    sum|x| at most n times the largest stencil diagonal, n the bond count."""
+    n = len(lattice.bonds)
     for block in _every_block(lattice, FAMILY_SPIN[family]):
         parts = assemble_parts(family, lattice, block)
         reference = assemble_parts_reference(family, lattice, block)
+        plain = block.reps is block.basis
+        diagonals = stencil_diagonal_sum(family, lattice, block.basis) if plain else {}
         assert parts.keys() == reference.keys()
         for name, part in parts.items():
             expected = reference[name]
             assert part.shape == expected.shape
             for field in ("indptr", "indices", "data"):
                 mine, theirs = getattr(part, field), getattr(expected, field)
+                assert mine.dtype == theirs.dtype, (name, field)
+                if field == "data" and plain:
+                    rows = np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
+                    on = part.indices == rows
+                    sums, has = diagonals[name]
+                    assert part.indices[on].tobytes() == np.nonzero(has)[0].astype(np.int32).tobytes()
+                    assert mine[on].tobytes() == sums[has].tobytes(), name
+                    largest = np.abs(np.diag(bond_stencils(family)[name])).max()
+                    bound = (n - 1) * np.finfo(float).eps * n * largest
+                    assert np.all(np.abs(mine[on] - theirs[on]) <= bound), name
+                    mine, theirs = mine[~on], theirs[~on]
+                assert mine.tobytes() == theirs.tobytes(), (name, field)
+
+
+# The Sz = 0 plain sectors of spin-1/2 and spin-1 rings and tori.
+_PLAIN_CASES = [
+    ("xxz_half", chain_lattice(12)),
+    ("xxz_one", chain_lattice(8)),
+    ("blbq", square_lattice(3, 3)),
+    ("xxz_half", square_lattice(4, 4)),
+]
+_PLAIN_IDS = [f"{f}-{lat.geometry}-{lat.num_sites}" for f, lat in _PLAIN_CASES]
+
+
+def test_plain_assembly_neither_sorts_nor_merges(monkeypatch):
+    """Plain parts are emitted in canonical CSR order, so ``tocsr`` never
+    sorts a row's columns or sums duplicates."""
+    from scipy.sparse import _compressed
+
+    calls = {"csr_sort_indices": 0, "csr_sum_duplicates": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(_compressed, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_compressed, name, counted)
+    for family, lattice in _PLAIN_CASES:
+        basis = build_basis(lattice.num_sites, FAMILY_SPIN[family], 0.0)
+        assemble_parts(family, lattice, plain_block(basis))
+    assert calls == {"csr_sort_indices": 0, "csr_sum_duplicates": 0}
+
+
+@pytest.mark.parametrize("family,lattice", _PLAIN_CASES, ids=_PLAIN_IDS)
+def test_plain_parts_are_their_own_transpose(family, lattice):
+    """Every plain part equals its transpose bit for bit, the symmetry that
+    lets moves taken in shift order fill each row in column order."""
+    for sz in nonnegative_sectors(FAMILY_SPIN[family], lattice.num_sites):
+        basis = build_basis(lattice.num_sites, FAMILY_SPIN[family], sz)
+        for name, part in assemble_parts(family, lattice, plain_block(basis)).items():
+            transposed = part.T.tocsr()
+            for field in ("indptr", "indices", "data"):
+                mine, theirs = getattr(part, field), getattr(transposed, field)
                 assert mine.dtype == theirs.dtype, (name, field)
                 assert mine.tobytes() == theirs.tobytes(), (name, field)
