@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigensolver import ConvergenceError, check_tolerances, ground_state_scan
 from .entanglement import bond_correlators, concurrence, two_site_rdm, von_neumann_entropy
-from .hamiltonian import FAMILY_SPIN, SectorWorkspace, model_for
+from .hamiltonian import FAMILIES, SectorWorkspace, model_for
 from .lattice import chain_lattice, square_lattice
 
 _MEASURED_PAIR = (0, 1)
@@ -34,7 +34,7 @@ OBSERVABLES = ("energy", "czz", "cxx", "ev", "concurrence")
 
 def observables(family: str) -> tuple[str, ...]:
     """The OBSERVABLES that a family's sweep rows fill."""
-    spin_half = FAMILY_SPIN.get(family) == "half"
+    spin_half = family in FAMILIES and FAMILIES[family].spin == "half"
     return tuple(name for name in OBSERVABLES if spin_half or name != "concurrence")
 
 
@@ -103,11 +103,11 @@ def shared_workspace(family: str, geometry: str, size: int) -> SectorWorkspace:
 
 
 def _sweep_point(task) -> SweepRow:
-    family, geometry, size, param, beta, tol_deg, tol = task
+    family, geometry, size, param, fixed, tol_deg, tol = task
     label = size_label(geometry, size)
     try:
         workspace = shared_workspace(family, geometry, size)
-        model = model_for(family, param, beta)
+        model = model_for(family, param, **dict(fixed))
         report = ground_state_scan(workspace, model, tol=tol, tol_deg=tol_deg)
         state = report.representative.vector
         basis = workspace.basis(report.ground_sz)
@@ -137,20 +137,20 @@ def sweep(
     sizes: list[int],
     grid: tuple[float, float, int],
     *,
-    beta: float = 0.0,
+    fixed: dict[str, float] | None = None,
     tol_deg: float = 1e-8,
     tol: float = 1e-10,
     jobs: int = 1,
 ) -> SweepTable:
     """One SweepRow per (size, grid point), sizes outermost.
 
-    grid is (start, end, count) with count >= 2 and both endpoints included.
-    Bad input raises ValueError before any point runs: a grid, family,
-    model parameter, tolerance, geometry or size that is out of range. A
-    solver failure annotates its row with the error text instead of
-    aborting the sweep; so does running out of memory. jobs > 1 spreads
-    grid points over a process pool of at most one worker per task and per
-    core, and a pool of one runs serially instead; the table order is by
+    grid is (start, end, count) with count >= 2 and both endpoints included;
+    ``fixed`` holds the family's other parameters (see model_for). Bad input raises
+    ValueError before any point runs: a grid, family, model parameter, tolerance,
+    geometry or size that is out of range. A solver failure annotates its row with
+    the error text instead of aborting the sweep; so does running out of memory.
+    jobs > 1 spreads grid points over a process pool of at most one worker per task
+    and per core, and a pool of one runs serially instead; the table order is by
     (size, param) either way.
     """
     check_jobs(jobs)
@@ -163,11 +163,12 @@ def sweep(
     if end <= start:
         raise ValueError(f"grid end {end} must exceed start {start}")
     params = np.linspace(start, end, int(count))
-    model_for(family, float(params[0]), beta)
+    fixed_items = tuple(sorted((fixed or {}).items()))
+    model_for(family, float(params[0]), **dict(fixed_items))
     for size in sizes:
         shared_workspace(family, geometry, int(size))
     tasks = [
-        (family, geometry, int(size), float(param), beta, tol_deg, tol)
+        (family, geometry, int(size), float(param), fixed_items, tol_deg, tol)
         for size in sizes
         for param in params
     ]
@@ -266,12 +267,12 @@ def extremum_scaling(
     """Each size's refined extremum of one observable, as (size, param, value),
     and the fits of its location in every scaling form.
 
-    One sweep (``solve`` holds its keyword arguments); per size the series,
-    its first derivative if ``derivative``, and the ``extremum`` ("min" or
-    "max") refined by locate_extremum. Refused with ValueError before the
-    sweep: fewer than 3 sizes or grid points, another extremum kind, a
-    repeated size, an observable the family's rows leave empty. A size that
-    lost rows raises ConvergenceError.
+    One sweep (``solve`` holds its keyword arguments, ``fixed`` among them);
+    per size the series, its first derivative if ``derivative``, and the
+    ``extremum`` ("min" or "max") refined by locate_extremum. Refused with
+    ValueError before the sweep: fewer than 3 sizes or grid points, another
+    extremum kind, a repeated size, an observable the family's rows leave
+    empty. A size that lost rows raises ConvergenceError.
     """
     if len(sizes) < 3:
         raise ValueError("scaling needs at least 3 sizes")

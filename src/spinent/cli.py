@@ -7,8 +7,8 @@ extrapolation, and `check` runs the acceptance battery.
 
 Exit codes: 0 success, 1 usage error (the CLI only parses text, so this
 is also the ValueError the library raises for a grid, size, geometry,
-worker count or criterion out of range, or `--beta` for a family without
-it; an `--out` in a missing directory or naming a directory is refused
+worker count or criterion out of range, or a nonzero `--beta` for a family
+without it; an `--out` in a missing directory or naming a directory is refused
 before any work, and one that cannot be written exits 1 after it), 2
 numerical failure or running out of memory (output is still written with
 failed rows annotated where that makes sense).
@@ -49,9 +49,9 @@ from .analysis import (
 from .bethe import solve_ground
 from .checks import CRITERIA, run_all
 from .eigensolver import ConvergenceError, degeneracy_count, low_spectrum
-from .hamiltonian import FAMILY_PARAMETERS, FAMILY_SPIN, model_for
+from .hamiltonian import FAMILIES, model_for
 
-_MODEL_NAMES = {family.replace("_", "-"): family for family in FAMILY_SPIN}
+_MODEL_NAMES = {family.replace("_", "-"): family for family in FAMILIES}
 
 
 class _UsageError(Exception):
@@ -181,11 +181,10 @@ def _write_sweep_csv(path: str, meta: dict, rows) -> None:
 
 
 def _model_param(ns, family: str) -> float:
-    """The family's swept parameter, from --delta or --theta. Both leave the
-    namespace and the value stays as ``ns.param``, so the config records it
-    once."""
-    swept = FAMILY_PARAMETERS[family][0]
-    given = {name: vars(ns).pop(name) for name in ("delta", "theta")}
+    """The family's swept parameter. Every swept flag of FAMILIES leaves the
+    namespace and the value stays as ``ns.param``, so the config records it once."""
+    swept = FAMILIES[family].parameters[0]
+    given = {n: vars(ns).pop(n) for n in sorted({f.parameters[0] for f in FAMILIES.values()})}
     if given[swept] is None:
         raise _UsageError(f"{ns.model} needs --{swept}")
     for name, value in given.items():
@@ -199,7 +198,7 @@ def _cmd_sweep(ns) -> int:
     started = time.perf_counter()
     table = sweep(
         _MODEL_NAMES[ns.model], ns.geometry, ns.sizes, ns.grid,
-        beta=ns.beta, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
+        fixed={"beta": ns.beta}, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
     )
     elapsed = time.perf_counter() - started
     failed = [row for row in table.rows if row.error is not None]
@@ -219,7 +218,7 @@ def _cmd_sweep(ns) -> int:
 
 def _cmd_spectrum(ns) -> int:
     family = _MODEL_NAMES[ns.model]
-    model = model_for(family, _model_param(ns, family), ns.beta)
+    model = model_for(family, _model_param(ns, family), beta=ns.beta)
     workspace = shared_workspace(family, ns.geometry, ns.size)
     started = time.perf_counter()
     merged = low_spectrum(workspace, model, ns.levels, tol=ns.tol, tol_deg=ns.tol_deg)
@@ -250,7 +249,7 @@ def _cmd_scaling(ns) -> int:
     extrema, fits = extremum_scaling(
         _MODEL_NAMES[ns.model], ns.geometry, ns.sizes, ns.grid, ns.observable,
         derivative=ns.derivative, extremum=ns.extremum,
-        beta=ns.beta, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
+        fixed={"beta": ns.beta}, tol_deg=ns.tol_deg, tol=ns.tol, jobs=ns.jobs,
     )
     elapsed = time.perf_counter() - started
     payload = {

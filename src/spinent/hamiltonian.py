@@ -1,6 +1,7 @@
 """Sector-restricted sparse Hamiltonians for three bond-exchange families.
 
-Supported families (transverse coupling fixed to 1, energies dimensionless):
+Each is one entry of FAMILIES: its site spin, its parameters and their part
+coefficients (transverse coupling fixed to 1, energies dimensionless):
 
 * ``xxz_half`` -- spin-1/2 XXZ, bond term SxSx + SySy + delta*SzSz
 * ``xxz_one``  -- spin-1 XXZ with a biquadratic correction,
@@ -8,12 +9,10 @@ Supported families (transverse coupling fixed to 1, energies dimensionless):
 * ``blbq``     -- spin-1 bilinear-biquadratic chain,
   bond term cos(theta)*(S_i.S_j) + sin(theta)*(S_i.S_j)^2
 
-Every bond operator is expanded once as a dense stencil on the two-site
-product space (4x4 for spin-1/2, 9x9 for spin-1) and then scattered bond
-by bond into a sector block: the plain sector, one translation block or
-one parity block. The biquadratic stencil is simply the matrix square of
-the exchange stencil, so the two spin-1 families share one code path and
-repeated operator algebra cannot drift.
+A family's parts are dense stencils on the two-site product space (4x4 for
+spin-1/2, 9x9 for spin-1), picked by name from xy, zz, bl = xy + zz and
+bq = bl @ bl, so operator algebra cannot drift. Each is scattered bond by
+bond into a sector block: the plain sector, one translation or parity block.
 
 A sector is solved as pieces, one SparseHamiltonian per block, which
 carries its block and the block's parts; ``SectorWorkspace.pieces`` is the
@@ -29,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -45,61 +45,67 @@ from .basis import (
 )
 from .lattice import Lattice
 
-FAMILY_SPIN = {"xxz_half": "half", "xxz_one": "one", "blbq": "one"}
-#: The parameters each family takes, the swept one first.
-FAMILY_PARAMETERS = {"xxz_half": ("delta",), "xxz_one": ("delta", "beta"), "blbq": ("theta",)}
+
+class Family(NamedTuple):
+    """A family's site spin, parameter names (swept first) and part coefficients."""
+
+    spin: str
+    parameters: tuple[str, ...]
+    coefficients: Callable[..., dict[str, float]]
+
+
+FAMILIES = {
+    "xxz_half": Family("half", ("delta",), lambda delta: {"xy": 1.0, "zz": delta}),
+    "xxz_one": Family("one", ("delta", "beta"),
+                      lambda delta, beta: {"xy": 1.0, "zz": delta, "bq": -beta}),
+    "blbq": Family("one", ("theta",), lambda theta: {"bl": math.cos(theta), "bq": math.sin(theta)}),
+}
 
 _STENCIL_PRUNE = 1e-14
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """One point of a model family.
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}, expected one of {sorted(FAMILIES)}")
+    return FAMILIES[name]
 
-    Only the parameters of the named family are meaningful: ``delta`` and
-    ``beta`` for the XXZ families, ``theta`` for blbq. The rest are ignored.
-    """
+
+@dataclass(frozen=True, init=False)
+class ModelSpec:
+    """One point of a family: ``params``, its FAMILIES parameters in order, 0 unless
+    given. Refused: an unknown family, a value not finite, a nonzero one it does not take."""
 
     family: str
-    delta: float = 0.0
-    beta: float = 0.0
-    theta: float = 0.0
+    params: dict[str, float]
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILY_SPIN:
-            raise ValueError(
-                f"unknown family {self.family!r}, expected one of {sorted(FAMILY_SPIN)}"
-            )
-        for name in ("delta", "beta", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+    def __init__(self, family: str, **params: float) -> None:
+        names = _family(family).parameters
+        for name, value in params.items():
+            if value != 0.0 and name not in names:
+                raise ValueError(f"{family} takes no {name}, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        self.__dict__.update(family=family, params={n: params.get(n, 0.0) for n in names})
 
-    @property
-    def spin(self) -> str:
-        return FAMILY_SPIN[self.family]
+    def __hash__(self) -> int:
+        return hash((self.family, *self.params.items()))
 
     @property
     def label(self) -> str:
-        """The family and its meaningful parameters, e.g. ``xxz_one delta=1.0 beta=0.2``."""
-        names = FAMILY_PARAMETERS[self.family]
-        return " ".join([self.family] + [f"{n}={float(getattr(self, n))!r}" for n in names])
+        """The family and its parameters, e.g. ``xxz_one delta=1.0 beta=0.2``."""
+        return " ".join([self.family] + [f"{n}={float(v)!r}" for n, v in self.params.items()])
 
     def part_coefficients(self) -> dict[str, float]:
         """Coefficients combining the family's stencil parts into H."""
-        if self.family == "xxz_half":
-            return {"xy": 1.0, "zz": self.delta}
-        if self.family == "xxz_one":
-            return {"xy": 1.0, "zz": self.delta, "bq": -self.beta}
-        return {"bl": math.cos(self.theta), "bq": math.sin(self.theta)}
+        return FAMILIES[self.family].coefficients(**self.params)
 
 
-def model_for(family: str, value: float, beta: float = 0.0) -> ModelSpec:
-    """ModelSpec of a family at one value of its swept parameter; a nonzero
-    ``beta`` is refused for a family that does not take it."""
-    names = FAMILY_PARAMETERS.get(family, ("delta",))  # ModelSpec refuses an unknown family
-    if beta != 0.0 and "beta" not in names:
-        raise ValueError(f"{family} takes no beta, got {beta}")
-    return ModelSpec(family=family, beta=beta, **{names[0]: float(value)})
+def model_for(family: str, value: float, **fixed: float) -> ModelSpec:
+    """ModelSpec of a family at ``value`` of its swept parameter, any other one in ``fixed``."""
+    swept = _family(family).parameters[0]
+    if swept in fixed:
+        raise ValueError(f"{family} sweeps {swept}, so {swept} cannot also be fixed")
+    return ModelSpec(family, **{swept: float(value)}, **fixed)
 
 
 class SparseHamiltonian:
@@ -167,16 +173,12 @@ def bond_stencils(family: str) -> dict[str, np.ndarray]:
     site. All parts conserve the pair's total Sz, which keeps assembly
     inside one sector.
     """
-    sz, sp, sm = spin_matrices(FAMILY_SPIN[family])
+    sz, sp, sm = spin_matrices(_family(family).spin)
     xy = 0.5 * (np.kron(sp, sm) + np.kron(sm, sp))
     zz = np.kron(sz, sz)
-    if family == "xxz_half":
-        parts = {"xy": xy, "zz": zz}
-    elif family == "xxz_one":
-        parts = {"xy": xy, "zz": zz, "bq": (xy + zz) @ (xy + zz)}
-    else:
-        exchange = xy + zz
-        parts = {"bl": exchange, "bq": exchange @ exchange}
+    bl = xy + zz
+    stencils = {"xy": xy, "zz": zz, "bl": bl, "bq": bl @ bl}
+    parts = {name: stencils[name] for name in ModelSpec(family).part_coefficients()}
 
     d = sz.shape[0]
     pair_sz = np.add.outer(np.arange(d), np.arange(d)).ravel()
@@ -228,7 +230,7 @@ def ground_characters(model: ModelSpec, lattice: Lattice, sz: float) -> tuple[in
     colour = lattice.sublattice()
     if colour is None or not perron_frobenius(model):
         return ()
-    units = round(sz + lattice.num_sites * SPIN_VALUE[model.spin])
+    units = round(sz + lattice.num_sites * SPIN_VALUE[FAMILIES[model.family].spin])
     return tuple(
         (-1) ** units if colour[image[0]] != colour[0] else 1
         for image in lattice.translations()
@@ -261,9 +263,9 @@ def assemble_parts(
     part is the CSR matrix a part-by-part assembly gives, bit for bit.
     """
     basis, reps = block.basis, block.reps
-    if FAMILY_SPIN[family] != basis.spin:
+    if _family(family).spin != basis.spin:
         raise ValueError(
-            f"family {family!r} needs spin {FAMILY_SPIN[family]!r} sites, "
+            f"family {family!r} needs spin {FAMILIES[family].spin!r} sites, "
             f"basis holds spin {basis.spin!r}"
         )
     if lattice.num_sites != basis.num_sites:
@@ -457,11 +459,9 @@ class SectorWorkspace:
     """
 
     def __init__(self, family: str, lattice: Lattice):
-        if family not in FAMILY_SPIN:
-            raise ValueError(f"unknown family {family!r}")
         self.family = family
         self.lattice = lattice
-        self.spin = FAMILY_SPIN[family]
+        self.spin = _family(family).spin
         check_register(self.spin, lattice.num_sites)
         self._bases: dict[float, SpinBasis] = {}
         self._pieces: dict[tuple, list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]] = {}

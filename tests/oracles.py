@@ -187,6 +187,24 @@ def assemble_parts_reference(family, lattice, block):
     return out
 
 
+def bond_stencils_reference(family):
+    """``hamiltonian.bond_stencils`` as it was, one branch per family name,
+    before FAMILIES named each family's parts; the Sz check left out."""
+    from spinent.hamiltonian import spin_matrices
+
+    sz, sp, sm = spin_matrices({"xxz_half": "half", "xxz_one": "one", "blbq": "one"}[family])
+    xy = 0.5 * (np.kron(sp, sm) + np.kron(sm, sp))
+    zz = np.kron(sz, sz)
+    if family == "xxz_half":
+        parts = {"xy": xy, "zz": zz}
+    elif family == "xxz_one":
+        parts = {"xy": xy, "zz": zz, "bq": (xy + zz) @ (xy + zz)}
+    else:
+        exchange = xy + zz
+        parts = {"bl": exchange, "bq": exchange @ exchange}
+    return parts
+
+
 def stencil_diagonal_sum(family, lattice, basis):
     """Each part's diagonal over a plain sector: its stencil's diagonal entry
     of every state's pair digits, summed over ``lattice.bonds`` in bond

@@ -57,9 +57,13 @@ def test_spin_one_rows_have_no_concurrence():
 
 
 def test_parallel_sweep_matches_serial():
-    serial = sweep("xxz_half", "chain", [4, 6], (0.0, 1.0, 3), jobs=1)
-    parallel = sweep("xxz_half", "chain", [4, 6], (0.0, 1.0, 3), jobs=2)
-    assert serial.rows == parallel.rows
+    """Pool workers get the fixed parameters too: a beta they dropped would
+    make the xxz_one rows those of beta = 0."""
+    for family, fixed in (("xxz_half", None), ("xxz_one", {"beta": -0.2})):
+        serial = sweep(family, "chain", [4, 6], (0.0, 1.0, 3), fixed=fixed, jobs=1)
+        parallel = sweep(family, "chain", [4, 6], (0.0, 1.0, 3), fixed=fixed, jobs=2)
+        assert serial.rows == parallel.rows
+    assert serial.rows != sweep("xxz_one", "chain", [4, 6], (0.0, 1.0, 3)).rows
 
 
 class _RecordingPool:
@@ -144,7 +148,7 @@ def test_sweep_input_validation():
         with pytest.raises(ValueError, match="finite"):
             sweep("xxz_half", "chain", [4], grid)
     with pytest.raises(ValueError, match="finite"):
-        sweep("xxz_one", "chain", [4], (0.0, 1.0, 3), beta=math.nan)
+        sweep("xxz_one", "chain", [4], (0.0, 1.0, 3), fixed={"beta": math.nan})
     # rejected before any process pool is started
     for jobs in (0, -5):
         with pytest.raises(ValueError, match="jobs"):

@@ -243,7 +243,7 @@ def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
     real_scan = analysis.ground_state_scan
 
     def scan(workspace, model, **kwargs):
-        if model.delta == 0.5:
+        if model.params["delta"] == 0.5:
             raise MemoryError()  # what a failed allocation in Python raises
         return real_scan(workspace, model, **kwargs)
 
@@ -504,7 +504,7 @@ def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monk
     real_scan = analysis.ground_state_scan
 
     def scan(workspace, model, **kwargs):
-        if model.delta == 0.5:
+        if model.params["delta"] == 0.5:
             raise MemoryError("Unable to allocate 1. GiB for an array")
         return real_scan(workspace, model, **kwargs)
 
@@ -769,11 +769,11 @@ def test_choice_lists_are_their_library_owners():
     library defines, on every subcommand that takes them (--observable has
     its own test above)."""
     owners = {
-        "model": sorted(family.replace("_", "-") for family in hamiltonian.FAMILY_SPIN),
+        "model": sorted(family.replace("_", "-") for family in hamiltonian.FAMILIES),
         "geometry": list(analysis.GEOMETRIES),
         "extremum": list(analysis.EXTREMA),
     }
-    assert sorted(cli._MODEL_NAMES.values()) == sorted(hamiltonian.FAMILY_SPIN)
+    assert sorted(cli._MODEL_NAMES.values()) == sorted(hamiltonian.FAMILIES)
     subcommands = cli._build_parser()._subparsers._group_actions[0].choices
     offered = {}
     for name, parser in subcommands.items():

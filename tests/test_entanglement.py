@@ -44,7 +44,7 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 def _sector_ground(family, n, sz, **params):
     workspace = SectorWorkspace(family, chain_lattice(n))
     basis = workspace.basis(sz)
-    model = model_for(family, params.get("value", 0.0), params.get("beta", 0.0))
+    model = model_for(family, params.get("value", 0.0), beta=params.get("beta", 0.0))
     ham = workspace.matrix(model, sz)
     vals, vecs = np.linalg.eigh(ham.matrix.toarray())
     return basis, vals, vecs
@@ -333,7 +333,7 @@ def test_a_sweep_builds_each_pair_table_once(monkeypatch):
     assert calls == {"unique": 1, "index": 2}
     workspace = analysis.shared_workspace("xxz_half", "chain", 10)
     for row, delta in zip(rows, np.linspace(*grid)):
-        report = ground_state_scan(workspace, model_for("xxz_half", delta, 0.0))
+        report = ground_state_scan(workspace, model_for("xxz_half", delta))
         assert report.ground_sz == 0.0
         state, basis = report.representative.vector, workspace.basis(0.0)
         rdm = two_site_rdm_reference(state, basis, 0, 1)
@@ -451,7 +451,7 @@ def test_correlators_are_bitwise_the_per_state_route(family, value, n, sz):
     workspace = SectorWorkspace(family, chain_lattice(n))
     basis = workspace.basis(sz)
     random = np.random.default_rng(n).standard_normal(basis.dimension)
-    ground = lanczos_lowest(workspace.matrix(model_for(family, value, 0.0), sz))[0]
+    ground = lanczos_lowest(workspace.matrix(model_for(family, value), sz))[0]
     for state in (random / np.linalg.norm(random), ground.vector):
         for i, j in ((0, 1), (1, 0), (0, 2), (1, n // 2)):
             corr = bond_correlators(state, basis, (i, j))

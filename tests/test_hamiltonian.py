@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import sparse
 
 from oracles import (
     assemble_parts_reference,
+    bond_stencils_reference,
     embed_indices,
     full_hamiltonian,
     momentum_characters,
@@ -24,7 +26,7 @@ from spinent.basis import (
 )
 from spinent.eigensolver import ground_state_scan
 from spinent.hamiltonian import (
-    FAMILY_SPIN,
+    FAMILIES,
     ModelSpec,
     SectorWorkspace,
     SparseHamiltonian,
@@ -104,7 +106,7 @@ def test_sector_blocks_match_kronecker_oracle(family, n, kwargs):
     model = ModelSpec(family, **kwargs)
     workspace = SectorWorkspace(family, lattice)
     all_rows = []
-    for sz in sector_values(FAMILY_SPIN[family], n):
+    for sz in sector_values(FAMILIES[family].spin, n):
         basis = workspace.basis(sz)
         rows = embed_indices([basis.site_digits(s) for s in range(n)], basis.local_dim)
         all_rows.extend(rows.tolist())
@@ -332,7 +334,10 @@ def test_overflowing_matrix_names_the_parameter(form):
     with pytest.raises(ValueError, match=r"xxz_half delta=1e\+308 overflows"):
         ham.dense() if form == "dense" else ham.matrix
     assert ModelSpec("xxz_one", delta=1.0, beta=-0.2).label == "xxz_one delta=1.0 beta=-0.2"
-    assert ModelSpec("blbq", theta=0.5, delta=3.0).label == "blbq theta=0.5"
+    with pytest.raises(ValueError, match=re.escape("blbq takes no delta, got 3.0")):
+        ModelSpec("blbq", theta=0.5, delta=3.0)
+    with pytest.raises(ValueError, match=re.escape("xxz_half takes no beta, got 0.3")):
+        ModelSpec("xxz_half", delta=0.5, beta=0.3)
 
 
 def test_spin_matrices_algebra():
@@ -343,22 +348,36 @@ def test_spin_matrices_algebra():
 
 
 def test_stencils_conserve_pair_sz():
-    for family in FAMILY_SPIN:
+    for family in FAMILIES:
         parts = bond_stencils(family)
-        d = 2 if FAMILY_SPIN[family] == "half" else 3
+        d = 2 if FAMILIES[family].spin == "half" else 3
         pair_sz = np.add.outer(np.arange(d), np.arange(d)).ravel()
         for stencil in parts.values():
             out, inp = np.nonzero(np.abs(stencil) > 1e-14)
             assert np.all(pair_sz[out] == pair_sz[inp])
 
 
+@pytest.mark.parametrize("family", ["xxz_half", "xxz_one", "blbq"])
+def test_bond_stencils_are_bitwise_the_per_family_branches(family):
+    """Each family's stencils are the ones its own branch built, bit for bit
+    and in the same order, and its coefficient keys name them in that order:
+    combine_parts and combine_dense sum the parts in coefficient order."""
+    stencils, reference = bond_stencils(family), bond_stencils_reference(family)
+    assert list(stencils) == list(reference)
+    for name, stencil in stencils.items():
+        assert np.array_equal(stencil, reference[name]), name
+        assert stencil.tobytes() == reference[name].tobytes(), name
+    assert list(ModelSpec(family).part_coefficients()) == list(stencils)
+
+
 def test_model_spec_validation_and_coefficients():
     with pytest.raises(ValueError):
         ModelSpec("xyz_chain")
     for bad in (np.nan, np.inf, -np.inf):
-        for name in ("delta", "beta", "theta"):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                ModelSpec("xxz_one", **{name: bad})
+        for family, record in FAMILIES.items():
+            for name in record.parameters:
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ModelSpec(family, **{name: bad})
     assert ModelSpec("xxz_half", delta=2.0).part_coefficients() == {"xy": 1.0, "zz": 2.0}
     coeffs = ModelSpec("blbq", theta=np.pi / 2).part_coefficients()
     assert abs(coeffs["bl"]) < 1e-15 and abs(coeffs["bq"] - 1.0) < 1e-15
@@ -366,11 +385,26 @@ def test_model_spec_validation_and_coefficients():
 
 
 def test_model_for_routes_the_swept_parameter():
-    assert model_for("blbq", 1.5).theta == 1.5
-    assert model_for("xxz_half", -0.2).delta == -0.2
+    assert model_for("blbq", 1.5).params == {"theta": 1.5}
+    assert model_for("xxz_half", -0.2).params == {"delta": -0.2}
     one = model_for("xxz_one", 1.1, beta=0.3)
-    assert (one.delta, one.beta) == (1.1, 0.3)
-    assert model_for("xxz_one", 1.7, beta=one.beta) == ModelSpec("xxz_one", 1.7, 0.3)
+    assert list(one.params.items()) == [("delta", 1.1), ("beta", 0.3)]
+    assert model_for("xxz_one", 1.7, beta=one.params["beta"]) == ModelSpec(
+        "xxz_one", delta=1.7, beta=0.3
+    )
+
+
+def test_model_spec_holds_only_its_own_family_parameters():
+    """ModelSpec is the one validator. It used to keep a parameter the family
+    does not take, so two specs with equal coefficients compared unequal."""
+    spec = model_for("blbq", 1.0, beta=0.0)
+    assert spec == ModelSpec("blbq", theta=1.0) == ModelSpec("blbq", theta=1.0, delta=0.0)
+    assert hash(spec) == hash(ModelSpec("blbq", theta=1.0))
+    assert hash(spec) != hash(ModelSpec("blbq", theta=1.5))
+    assert list(ModelSpec("xxz_one", beta=0.3, delta=1.7).params) == ["delta", "beta"]
+    assert ModelSpec("xxz_one", delta=1.7).params == {"delta": 1.7, "beta": 0.0}
+    with pytest.raises(ValueError, match="delta"):
+        model_for("xxz_half", 0.5, delta=1.0)
 
 
 @pytest.mark.parametrize("family", ["xxz_half", "blbq"])
@@ -423,7 +457,7 @@ def test_assembly_is_bitwise_the_reference(family, lattice):
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
     sum|x| at most n times the largest stencil diagonal, n the bond count."""
     n = len(lattice.bonds)
-    for block in _every_block(lattice, FAMILY_SPIN[family]):
+    for block in _every_block(lattice, FAMILIES[family].spin):
         parts = assemble_parts(family, lattice, block)
         reference = assemble_parts_reference(family, lattice, block)
         plain = block.reps is block.basis
@@ -471,7 +505,7 @@ def test_plain_assembly_neither_sorts_nor_merges(monkeypatch):
 
         monkeypatch.setattr(_compressed, name, counted)
     for family, lattice in _PLAIN_CASES:
-        basis = build_basis(lattice.num_sites, FAMILY_SPIN[family], 0.0)
+        basis = build_basis(lattice.num_sites, FAMILIES[family].spin, 0.0)
         assemble_parts(family, lattice, plain_block(basis))
     assert calls == {"csr_sort_indices": 0, "csr_sum_duplicates": 0}
 
@@ -480,8 +514,8 @@ def test_plain_assembly_neither_sorts_nor_merges(monkeypatch):
 def test_plain_parts_are_their_own_transpose(family, lattice):
     """Every plain part equals its transpose bit for bit, the symmetry that
     lets moves taken in shift order fill each row in column order."""
-    for sz in nonnegative_sectors(FAMILY_SPIN[family], lattice.num_sites):
-        basis = build_basis(lattice.num_sites, FAMILY_SPIN[family], sz)
+    for sz in nonnegative_sectors(FAMILIES[family].spin, lattice.num_sites):
+        basis = build_basis(lattice.num_sites, FAMILIES[family].spin, sz)
         for name, part in assemble_parts(family, lattice, plain_block(basis)).items():
             transposed = part.T.tocsr()
             for field in ("indptr", "indices", "data"):

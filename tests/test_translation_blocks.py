@@ -67,7 +67,7 @@ def test_square_block_route_matches_plain(monkeypatch):
 def test_spin_one_block_route_matches_plain(size, beta, monkeypatch):
     workspace = shared_workspace("xxz_one", "chain", size)
     for delta in np.linspace(0.9, 2.1, 7):
-        _assert_routes_agree(model_for("xxz_one", delta, beta), workspace, monkeypatch)
+        _assert_routes_agree(model_for("xxz_one", delta, beta=beta), workspace, monkeypatch)
 
 
 @pytest.mark.parametrize("turns", [1.6, 1.75, 1.95])
