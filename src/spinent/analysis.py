@@ -1,24 +1,26 @@
 """Sweeps over model parameters and the numerics layered on top of them.
 
 A sweep walks one model family across a parameter grid for several system
-sizes, solving for the ground state at each point and recording energy,
-bond correlators, pair entropy, concurrence (spin-1/2 only) and degeneracy
-data. The downstream helpers differentiate those curves, refine extrema,
-and extrapolate finite-size trends; extremum_scaling chains them.
+sizes, solving for the ground state at each point. Each row records the
+OBSERVABLES its family's site spin allows, one column per entry of that
+table, and degeneracy data. The downstream helpers differentiate those curves,
+refine extrema, and extrapolate finite-size trends; extremum_scaling chains them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import SPIN_VALUE
 from .eigensolver import ConvergenceError, check_tolerances, ground_state_scan
 from .entanglement import bond_correlators, concurrence, two_site_rdm, von_neumann_entropy
-from .hamiltonian import FAMILIES, SectorWorkspace, model_for
+from .hamiltonian import SectorWorkspace, family_record, model_for
 from .lattice import chain_lattice, square_lattice
 
 _MEASURED_PAIR = (0, 1)
@@ -28,43 +30,43 @@ class EdgeExtremumError(ValueError):
     """The grid extremum sits on the boundary, so refinement is meaningless."""
 
 
-#: SweepRow's value columns; the concurrence is defined for spin-1/2 pairs only.
-OBSERVABLES = ("energy", "czz", "cxx", "ev", "concurrence")
+#: The sweep's value columns in order, each with the site spins it is defined for and
+#: its value from a point's (GroundStateReport, BondCorrelators, pair RDM). Entanglement
+#: functions are read as module globals at call time, so perfbench's tracer sees them.
+OBSERVABLES = {
+    "energy": (tuple(SPIN_VALUE), lambda report, bond, rdm: report.ground_energy),
+    "czz": (tuple(SPIN_VALUE), lambda report, bond, rdm: bond.czz),
+    "cxx": (tuple(SPIN_VALUE), lambda report, bond, rdm: bond.cxx),
+    "ev": (tuple(SPIN_VALUE), lambda report, bond, rdm: von_neumann_entropy(rdm)),
+    "concurrence": (("half",), lambda report, bond, rdm: concurrence(rdm)),
+}
 
 
 def observables(family: str) -> tuple[str, ...]:
-    """The OBSERVABLES that a family's sweep rows fill."""
-    spin_half = family in FAMILIES and FAMILIES[family].spin == "half"
-    return tuple(name for name in OBSERVABLES if spin_half or name != "concurrence")
+    """The OBSERVABLES defined for a family's site spin, which its rows fill.
+    An unknown family raises ValueError."""
+    spin = family_record(family).spin
+    return tuple(name for name, (spins, _) in OBSERVABLES.items() if spin in spins)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One point of a sweep; a failed point fills only its error."""
-
-    family: str
-    geometry: str
-    size: str
-    param: float
-    energy: float | None = None
-    czz: float | None = None
-    cxx: float | None = None
-    ev: float | None = None
-    concurrence: float | None = None
-    degeneracy: int | None = None
-    degenerate_flag: bool | None = None
-    error: str | None = None
+SweepRow = namedtuple(
+    "SweepRow",
+    ["family", "geometry", "size", "param", *OBSERVABLES, "degeneracy", "degenerate_flag", "error"],
+    defaults=[None] * (len(OBSERVABLES) + 3), module=__name__,
+)
+SweepRow.__doc__ = """One point of a sweep, a field per OBSERVABLES column (None where its
+family's spin leaves it undefined); a failed point fills only its error."""
 
 
 @dataclass
 class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
 
-    def series(self, size: str, column: str) -> list[tuple[float, float]]:
-        """(param, value) pairs of one column for one size, clean rows only."""
+    def series(self, size: int | str, column: str) -> list[tuple[float, float]]:
+        """(param, value) pairs of one column for one size label, clean rows only."""
         out = []
         for row in self.rows:
-            if row.size == size or row.size == str(size):
+            if row.size == str(size):
                 if row.error is None:
                     out.append((row.param, getattr(row, column)))
         return out
@@ -111,14 +113,11 @@ def _sweep_point(task) -> SweepRow:
         report = ground_state_scan(workspace, model, tol=tol, tol_deg=tol_deg)
         state = report.representative.vector
         basis = workspace.basis(report.ground_sz)
-        correlators = bond_correlators(state, basis, _MEASURED_PAIR)
+        bond = bond_correlators(state, basis, _MEASURED_PAIR)
         rdm = two_site_rdm(state, basis, *_MEASURED_PAIR)
-        entropy = von_neumann_entropy(rdm)
-        pair_concurrence = concurrence(rdm) if "concurrence" in observables(family) else None
         return SweepRow(
             family, geometry, label, param,
-            energy=report.ground_energy, czz=correlators.czz, cxx=correlators.cxx,
-            ev=entropy, concurrence=pair_concurrence,
+            **{name: OBSERVABLES[name][1](report, bond, rdm) for name in observables(family)},
             degeneracy=report.degeneracy, degenerate_flag=report.degeneracy > 1,
         )
     except (ValueError, RuntimeError, MemoryError) as fail:
@@ -142,7 +141,7 @@ def sweep(
     tol: float = 1e-10,
     jobs: int = 1,
 ) -> SweepTable:
-    """One SweepRow per (size, grid point), sizes outermost.
+    """One SweepRow per (size, grid point), sizes outermost, filling observables(family).
 
     grid is (start, end, count) with count >= 2 and both endpoints included;
     ``fixed`` holds the family's other parameters (see model_for). Bad input raises

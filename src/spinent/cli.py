@@ -29,7 +29,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from itertools import accumulate
 from pathlib import Path
 
@@ -173,7 +173,7 @@ def _write_sweep_csv(path: str, meta: dict, rows) -> None:
             lines.append(f"# row_error: param={_fmt(row.param)} size={row.size}: {row.error}")
     lines.append(f"# elapsed_seconds: {meta['elapsed_seconds']}")
     # the error text already went into the row_error lines above
-    columns = [f.name for f in fields(SweepRow) if f.name != "error"]
+    columns = [name for name in SweepRow._fields if name != "error"]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, name)) for name in columns))
@@ -204,7 +204,7 @@ def _cmd_sweep(ns) -> int:
     failed = [row for row in table.rows if row.error is not None]
     meta = _meta(ns, elapsed, failed_rows=len(failed))
     if ns.format == "json":
-        _write_json(ns.out, {"meta": meta, "rows": [asdict(r) for r in table.rows]})
+        _write_json(ns.out, {"meta": meta, "rows": [r._asdict() for r in table.rows]})
     else:
         _write_sweep_csv(ns.out, meta, table.rows)
     if failed:

@@ -64,7 +64,8 @@ FAMILIES = {
 _STENCIL_PRUNE = 1e-14
 
 
-def _family(name: str) -> Family:
+def family_record(name: str) -> Family:
+    """FAMILIES[name]; an unknown name raises ValueError."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}, expected one of {sorted(FAMILIES)}")
     return FAMILIES[name]
@@ -79,7 +80,7 @@ class ModelSpec:
     params: dict[str, float]
 
     def __init__(self, family: str, **params: float) -> None:
-        names = _family(family).parameters
+        names = family_record(family).parameters
         for name, value in params.items():
             if value != 0.0 and name not in names:
                 raise ValueError(f"{family} takes no {name}, got {value}")
@@ -102,7 +103,7 @@ class ModelSpec:
 
 def model_for(family: str, value: float, **fixed: float) -> ModelSpec:
     """ModelSpec of a family at ``value`` of its swept parameter, any other one in ``fixed``."""
-    swept = _family(family).parameters[0]
+    swept = family_record(family).parameters[0]
     if swept in fixed:
         raise ValueError(f"{family} sweeps {swept}, so {swept} cannot also be fixed")
     return ModelSpec(family, **{swept: float(value)}, **fixed)
@@ -173,7 +174,7 @@ def bond_stencils(family: str) -> dict[str, np.ndarray]:
     site. All parts conserve the pair's total Sz, which keeps assembly
     inside one sector.
     """
-    sz, sp, sm = spin_matrices(_family(family).spin)
+    sz, sp, sm = spin_matrices(family_record(family).spin)
     xy = 0.5 * (np.kron(sp, sm) + np.kron(sm, sp))
     zz = np.kron(sz, sz)
     bl = xy + zz
@@ -263,7 +264,7 @@ def assemble_parts(
     part is the CSR matrix a part-by-part assembly gives, bit for bit.
     """
     basis, reps = block.basis, block.reps
-    if _family(family).spin != basis.spin:
+    if family_record(family).spin != basis.spin:
         raise ValueError(
             f"family {family!r} needs spin {FAMILIES[family].spin!r} sites, "
             f"basis holds spin {basis.spin!r}"
@@ -363,12 +364,9 @@ def assemble_parts(
                 (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
             )
             del rows, cols, vals
-            mat = coo.tocsr()
+            out[name] = coo.tocsr()
         else:
-            mat = sparse.csr_matrix((dim, dim))
-        mat.sum_duplicates()
-        mat.sort_indices()
-        out[name] = mat
+            out[name] = sparse.csr_matrix((dim, dim))
     return out
 
 
@@ -461,7 +459,7 @@ class SectorWorkspace:
     def __init__(self, family: str, lattice: Lattice):
         self.family = family
         self.lattice = lattice
-        self.spin = _family(family).spin
+        self.spin = family_record(family).spin
         check_register(self.spin, lattice.num_sites)
         self._bases: dict[float, SpinBasis] = {}
         self._pieces: dict[tuple, list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]] = {}

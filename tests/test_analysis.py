@@ -161,6 +161,7 @@ def test_series_selects_one_size_and_column():
     assert len(energies) == 3
     assert [p for p, _ in energies] == [0.0, 0.5, 1.0]
     assert all(isinstance(v, float) for _, v in energies)
+    assert table.series(6, "energy") == energies
 
 
 def test_ising_limit_entropy_saturates_at_one_bit():
@@ -258,6 +259,14 @@ def test_extremum_scaling_refuses_an_unknown_kind_before_the_sweep(monkeypatch):
         analysis.extremum_scaling(
             "xxz_half", "chain", [6, 8, 10], (0.5, 1.5, 5), "ev", extremum="median"
         )
+
+
+@pytest.mark.parametrize("observable", ["ev", "concurrence"])
+def test_extremum_scaling_refuses_an_unknown_family_in_one_way(observable):
+    """An unknown family used to pass as spin-1 for the concurrence alone."""
+    message = r"^unknown family 'nope', expected one of \['blbq', 'xxz_half', 'xxz_one'\]$"
+    with pytest.raises(ValueError, match=message):
+        analysis.extremum_scaling("nope", "chain", [4, 6, 8], (0.5, 1.5, 5), observable)
 
 
 def test_extrapolation_recovers_exact_scaling_laws():

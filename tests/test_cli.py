@@ -551,10 +551,11 @@ def test_scaling_and_criterion_7_run_one_pipeline(tmp_path, monkeypatch):
 
 def test_observable_names_have_one_source(tmp_path):
     """The --observable choices, the CSV value columns and the JSON row keys
-    are all analysis.OBSERVABLES; spin-1 rows leave out what it says."""
+    are all analysis.OBSERVABLES, and so are SweepRow's value fields; spin-1
+    rows leave out what it says."""
     subcommands = cli._build_parser()._subparsers._group_actions[0].choices
     choices = subcommands["scaling"]._option_string_actions["--observable"].choices
-    assert tuple(choices) == analysis.OBSERVABLES
+    assert tuple(choices) == tuple(analysis.OBSERVABLES)
     argv = ["sweep", "--model", "xxz-one", "--sizes", "4", "--param", "0.5:1.5:2", "--out"]
     assert cli.run(argv + [str(tmp_path / "t.csv")]) == 0
     assert cli.run(argv + [str(tmp_path / "t.json")]) == 0
@@ -562,14 +563,18 @@ def test_observable_names_have_one_source(tmp_path):
                   if line.startswith("family,"))
     columns = header.split(",")
     assert tuple(columns[columns.index("param") + 1 : columns.index("degeneracy")]) == (
-        analysis.OBSERVABLES
+        tuple(analysis.OBSERVABLES)
+    )
+    assert analysis.SweepRow._fields == (
+        "family", "geometry", "size", "param", *analysis.OBSERVABLES,
+        "degeneracy", "degenerate_flag", "error",
     )
     row = json.loads((tmp_path / "t.json").read_text())["rows"][0]
     assert set(analysis.OBSERVABLES) <= set(row)
     filled = analysis.observables("xxz_one")
     assert [key for key in analysis.OBSERVABLES if row[key] is not None] == list(filled)
     assert "concurrence" not in filled
-    assert analysis.observables("xxz_half") == analysis.OBSERVABLES
+    assert analysis.observables("xxz_half") == tuple(analysis.OBSERVABLES)
 
 
 def test_scaling_repeated_size_is_a_usage_error(tmp_path, capsys, monkeypatch):
