@@ -63,13 +63,13 @@ class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
 
     def series(self, size: int | str, column: str) -> list[tuple[float, float]]:
-        """(param, value) pairs of one column for one size label, clean rows only."""
-        out = []
-        for row in self.rows:
-            if row.size == str(size):
-                if row.error is None:
-                    out.append((row.param, getattr(row, column)))
-        return out
+        """(param, value) pairs of one column for one size label, clean rows only.
+        A label that no row carries, such as 3 for the torus label "3x3", raises ValueError."""
+        rows = [row for row in self.rows if row.size == str(size)]
+        if not rows:
+            labels = list(dict.fromkeys(row.size for row in self.rows))
+            raise ValueError(f"no row has size {str(size)!r}; the rows have sizes {labels}")
+        return [(row.param, getattr(row, column)) for row in rows if row.error is None]
 
 
 @dataclass(frozen=True)

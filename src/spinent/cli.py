@@ -11,7 +11,9 @@ worker count or criterion out of range, or a nonzero `--beta` for a family
 without it; an `--out` in a missing directory or naming a directory is refused
 before any work, and one that cannot be written exits 1 after it), 2
 numerical failure or running out of memory (output is still written with
-failed rows annotated where that makes sense).
+failed rows annotated where that makes sense). A parameter whose sector
+matrix is too large to solve is refused before any solve: exit 1 from
+`spectrum`, a failed row and exit 2 from `sweep`.
 
 Output files start with `#` metadata lines (tool version, resolved
 configuration, wall-clock seconds) so they stay self-describing while

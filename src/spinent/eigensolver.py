@@ -86,8 +86,7 @@ class ConvergenceError(RuntimeError):
 @dataclass(eq=False)
 class EigenResult:
     """One eigenpair and its true residual ||H v - E v||. A Lanczos result
-    is accepted only at a residual within its tolerance; a dense one's is
-    not finite if the matrix's entries overflow it."""
+    is accepted only at a residual within its tolerance."""
 
     energy: float
     vector: np.ndarray
@@ -141,10 +140,6 @@ class _NotConverged(Exception):
         self.best_residual = best_residual
 
 
-class _NotFinite(Exception):
-    """A Lanczos coefficient overflowed."""
-
-
 def lanczos_lowest(
     hamiltonian: SparseHamiltonian,
     k: int = 1,
@@ -161,9 +156,7 @@ def lanczos_lowest(
     for bit as a fresh call's. Residuals are verified as the true
     ||H v - E v|| against the undeflated matrix before a pass is accepted.
     Raises ConvergenceError, carrying the best residual, if any pass runs
-    out of iterations (_MAX_ITER steps) on both seeds, and ValueError,
-    naming the matrix, if a Lanczos coefficient is not finite: its entries
-    are then too large for the recurrence.
+    out of iterations (_MAX_ITER steps) on both seeds.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -181,16 +174,10 @@ def lanczos_lowest(
         pair = None
         for seed, full in ((_PRIMARY_SEED, False), (_RESTART_SEED, True)):
             try:
-                # An overflow is caught as a coefficient that is not finite.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    pair = _lanczos_ground(matrix, tol, seed, locked[:level], full)
+                pair = _lanczos_ground(matrix, tol, seed, locked[:level], full)
                 break
             except _NotConverged as fail:
                 best = min(best, fail.best_residual)
-            except _NotFinite:
-                raise ValueError(
-                    f"{hamiltonian.name} overflows: its Lanczos recurrence is not finite"
-                ) from None
         if pair is None:
             raise ConvergenceError(
                 f"Lanczos did not reach tol={tol} within {_MAX_ITER} iterations "
@@ -274,9 +261,6 @@ def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
             np.subtract(w, tmp, out=w)
         m = j + 1
         w_norm = _project_out(w, [locked, *(_filled(blocks, m) if full else ())])
-
-        if not (math.isfinite(a) and math.isfinite(w_norm)):
-            raise _NotFinite
         scale = max(scale, abs(a))
         exhausted = base + m >= n
         breakdown = w_norm <= 1e-13 * scale
@@ -323,9 +307,7 @@ def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
 
 def _dense_pair(dense: np.ndarray, vals: np.ndarray, vecs: np.ndarray, idx: int):
     vec = vecs[:, idx]
-    # A matrix of huge entries overflows the residual; the caller sees inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
+    residual = float(np.linalg.norm(dense @ vec - vals[idx] * vec))
     return EigenResult(float(vals[idx]), vec, residual)
 
 
@@ -363,10 +345,9 @@ def sector_lowest(
     lowest level, written out over the plain sector by that piece's
     ``block.expand``. For a dense piece it runs an ``eigh`` of that piece's
     array, combined again, and returns the levels with that solve's in
-    place of the values-only ones of its piece. It raises ValueError,
-    naming the model, if the pair's residual is not finite: the matrix is
-    then too large to check it. A ``tol`` that check_tolerances refuses, or
-    a ``count`` below 1, raises ValueError first.
+    place of the values-only ones of its piece. A ``tol`` that
+    check_tolerances refuses, or a ``count`` below 1, raises ValueError
+    first.
 
     The top-up call takes a ceiling and returns the levels, sorted: while
     all lie at or below it and some are missing, lanczos_lowest deflates the
@@ -399,11 +380,6 @@ def sector_lowest(
             dense = hamiltonian.dense()
             values, vecs = np.linalg.eigh(dense)
             found = [_dense_pair(dense, values, vecs, 0)]
-        if not math.isfinite(found[0].residual_norm):
-            raise ValueError(
-                f"the ground of {model.label} in sector Sz={sz:g} has a residual of "
-                f"{found[0].residual_norm}: its matrix is too large to check it"
-            )
         others = [other for i, (other, _) in enumerate(solved) if i != pick]
         union = np.sort(np.concatenate([values, *others]))
         vector = hamiltonian.block.expand(found[0].vector)

@@ -116,9 +116,10 @@ class SparseHamiltonian:
     It holds the block's CSR stencil parts and combines them only in the
     form a solver reads: ``matrix`` by combine_parts on first access,
     ``dense()`` by combine_dense, so a dense solve builds no CSR total.
-    Either raises ValueError, naming the model, when the combination is not
-    finite. ``block.expand`` writes a vector of the piece out over the
-    plain sector.
+    Either raises ValueError, naming the model, when 16 ||H||_F^2 is not
+    finite; it bounds the square of every norm a solve takes (a Lanczos
+    vector is at most 3 ||H||, a residual 2 ||H||), so solvers need no
+    overflow checks. ``block.expand`` writes a piece's vector over the plain sector.
     """
 
     def __init__(self, model: ModelSpec, block: SectorBlock, parts: dict[str, sparse.csr_matrix]):
@@ -130,28 +131,24 @@ class SparseHamiltonian:
     def dimension(self) -> int:
         return self.block.dimension
 
-    @property
-    def name(self) -> str:
-        """What an error about this matrix calls it."""
-        return f"the Hamiltonian of {self._model.label}"
-
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_parts(self._parts, self._model.part_coefficients())
-        self._check_finite(total.data)
+            self._check_size(total.data)
         return total
 
     def dense(self) -> np.ndarray:
         """The matrix as a dense array, bitwise ``matrix.toarray()``."""
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_dense(self._parts, self._model.part_coefficients())
-        self._check_finite(total)
+            self._check_size(total.ravel())
         return total
 
-    def _check_finite(self, values: np.ndarray) -> None:
-        if not np.isfinite(values).all():
-            raise ValueError(f"{self.name} overflows: its sector matrix is not finite")
+    def _check_size(self, values: np.ndarray) -> None:
+        if not math.isfinite(16 * (values @ values)):
+            raise ValueError(f"the Hamiltonian of {self._model.label} overflows: its "
+                             "entries are too large for a solve to stay finite")
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,11 @@ def test_series_selects_one_size_and_column():
     assert [p for p, _ in energies] == [0.0, 0.5, 1.0]
     assert all(isinstance(v, float) for _, v in energies)
     assert table.series(6, "energy") == energies
+    torus = sweep("xxz_one", "square", [3], (0.5, 1.0, 2))
+    assert [p for p, _ in torus.series("3x3", "energy")] == [0.5, 1.0]
+    for size in (3, "3"):
+        with pytest.raises(ValueError, match=re.escape("the rows have sizes ['3x3']")):
+            torus.series(size, "energy")
 
 
 def test_ising_limit_entropy_saturates_at_one_bit():

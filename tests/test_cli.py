@@ -263,8 +263,8 @@ def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
 
 def test_sweep_rejects_overflowing_parameters_without_warnings(tmp_path, capsys):
     """delta = 1e308 overflows the sum over bonds, and at 5e307 the matrix
-    is finite but the residual of its ground overflows. Both rows fail with
-    the model named, and no numpy warning is raised on the way."""
+    is finite but too large for a solve to stay finite. Both rows fail with
+    the model named and one message, and no numpy warning is raised on the way."""
     out = tmp_path / "table.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -277,9 +277,11 @@ def test_sweep_rejects_overflowing_parameters_without_warnings(tmp_path, capsys)
     lines = out.read_text().splitlines()
     errors = [line for line in lines if line.startswith("# row_error:")]
     assert len(errors) == 2
-    assert "param=5e+307 size=8: the ground of xxz_half delta=5e+307" in errors[0]
-    assert "residual of inf" in errors[0]
-    assert "param=1e+308 size=8: the Hamiltonian of xxz_half delta=1e+308 overflows" in errors[1]
+    assert errors == [
+        f"# row_error: param={delta} size=8: the Hamiltonian of xxz_half delta={delta} "
+        "overflows: its entries are too large for a solve to stay finite"
+        for delta in ("5e+307", "1e+308")
+    ]
     data = lines[lines.index(CSV_HEADER) + 1 :]
     assert [bool(line.split(",")[4]) for line in data] == [True, False, False]
 
@@ -287,8 +289,9 @@ def test_sweep_rejects_overflowing_parameters_without_warnings(tmp_path, capsys)
 def test_sweep_rejects_a_lanczos_overflow_without_warnings(tmp_path, capsys):
     """At delta = 1e306 the 1,107-state Sz=0 sector of xxz_one L=8 (beta < 0,
     so it is solved whole by Lanczos) is finite, but the norm of its first
-    Lanczos vector overflows. The row fails with the model named, and no
-    numpy warning is raised on the way."""
+    Lanczos vector would overflow. The combination refuses it before any
+    solve: the row fails with the model named, and no numpy warning is
+    raised on the way."""
     out = tmp_path / "table.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -302,7 +305,7 @@ def test_sweep_rejects_a_lanczos_overflow_without_warnings(tmp_path, capsys):
     errors = [line for line in lines if line.startswith("# row_error:")]
     assert errors == [
         "# row_error: param=1e+306 size=8: the Hamiltonian of xxz_one delta=1e+306 "
-        "beta=-0.2 overflows: its Lanczos recurrence is not finite"
+        "beta=-0.2 overflows: its entries are too large for a solve to stay finite"
     ]
     data = lines[lines.index(CSV_HEADER) + 1 :]
     assert [bool(line.split(",")[4]) for line in data] == [True, False]

@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from spinent import eigensolver, hamiltonian
-from spinent.basis import nonnegative_sectors
+from spinent.basis import nonnegative_sectors, plain_block
 from spinent.eigensolver import (
     ConvergenceError,
     degeneracy_count,
@@ -19,15 +21,13 @@ from spinent.eigensolver import (
 )
 from spinent.analysis import shared_workspace
 from spinent.checks import sector_ground
-from spinent.hamiltonian import ModelSpec, SectorWorkspace, model_for
+from spinent.hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, model_for
 from spinent.lattice import chain_lattice
 
 
 class _FakeHamiltonian:
     """A plain symmetric matrix with the face lanczos_lowest and dense_lowest
-    read: ``matrix``, ``dimension`` and ``name``."""
-
-    name = "the sector matrix"
+    read: ``matrix`` and ``dimension``."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -857,11 +857,51 @@ def test_a_model_of_another_family_is_refused():
         low_spectrum(workspace, model, 4)
 
 
+_TOO_LARGE = "overflows: its entries are too large for a solve to stay finite"
+
+
 def test_lanczos_overflow_is_a_value_error_naming_the_matrix():
-    """A finite matrix of entries 1e306 overflows the norm of the first
-    Lanczos vector. That is a ValueError naming the matrix, raised without
-    a numpy warning, not scipy's complaint about the tridiagonal."""
-    huge = sparse.diags([1e306, 1e306], [-1, 1], shape=(50, 50), format="csr")
-    with pytest.raises(ValueError, match="the sector matrix overflows"):
-        lanczos_lowest(_FakeHamiltonian(huge))
+    """The entries of xxz_one L=8 at delta = 1e306 are finite, but the norm
+    of a first Lanczos vector would overflow. The piece refuses to combine,
+    densely or as CSR, and so lanczos_lowest refuses it too: a ValueError
+    naming the model, raised without a numpy warning. The same matrix scaled
+    down solves."""
+    workspace = SectorWorkspace("xxz_one", chain_lattice(8))
+    model = ModelSpec("xxz_one", delta=1e306, beta=-0.2)
+    ham = workspace.matrix(model, 0.0)
+    message = re.escape(f"the Hamiltonian of xxz_one delta=1e+306 beta=-0.2 {_TOO_LARGE}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: ham.matrix, ham.dense, lambda: lanczos_lowest(ham)):
+            with pytest.raises(ValueError, match=message):
+                solve()
+    huge = hamiltonian.combine_parts(workspace.sector(0.0)[1], model.part_coefficients())
     assert lanczos_lowest(_FakeHamiltonian(huge * 1e-306))[0].residual_norm <= 1e-10
+
+
+def test_the_overflow_guard_sits_at_sixteen_squared_frobenius_norms():
+    """16 ||H||_F^2 bounds the square of every norm a solve takes. Just
+    below the float maximum, the N=8 Sz=0 piece solves densely to a finite
+    residual, and Lanczos solves or runs out of iterations, finitely and
+    without a warning. Just above it, both combinations refuse the piece."""
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    basis, parts = workspace.sector(0.0)
+    model = ModelSpec("xxz_half", delta=1.0)
+    norm = np.linalg.norm(workspace.matrix(model, 0.0).matrix.data)
+    edge = math.sqrt(np.finfo(float).max / 16) / norm
+    below, above = (
+        SparseHamiltonian(model, plain_block(basis), {n: p * edge * f for n, p in parts.items()})
+        for f in (0.999, 1.001)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(dense_lowest(below)[0].residual_norm)
+        try:
+            [pair] = lanczos_lowest(below)
+            assert np.isfinite([pair.energy, pair.residual_norm, *pair.vector]).all()
+        except ConvergenceError as fail:
+            assert math.isfinite(fail.best_residual)
+        message = re.escape(f"the Hamiltonian of xxz_half delta=1.0 {_TOO_LARGE}")
+        for combine in (lambda: above.matrix, above.dense):
+            with pytest.raises(ValueError, match=message):
+                combine()
