@@ -271,7 +271,8 @@ def extremum_scaling(
     ``extremum`` ("min" or "max") refined by locate_extremum. Refused with
     ValueError before the sweep: fewer than 3 sizes or grid points, another
     extremum kind, a repeated size, an observable the family's rows leave
-    empty. A size that lost rows raises ConvergenceError.
+    empty. A size that lost rows raises ConvergenceError quoting its first
+    row's error, with no residual of its own.
     """
     if len(sizes) < 3:
         raise ValueError("scaling needs at least 3 sizes")
@@ -296,8 +297,7 @@ def extremum_scaling(
             first = next(row for row in table.rows if row.size == label and row.error)
             raise ConvergenceError(
                 f"size {size} lost {grid[2] - len(series)} rows to solver failures, "
-                f"the first at {first.param:.12g}: {first.error}",
-                math.nan,
+                f"the first at {first.param:.12g}: {first.error}"
             )
         if derivative:
             series = finite_difference(series)

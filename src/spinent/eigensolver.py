@@ -76,10 +76,13 @@ _LANCZOS_TOP_UP = 4
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve failed to reach the requested residual."""
+    """A solve failed to reach the requested residual; its message quotes
+    ``best_residual``, the closest it came, where one is known."""
 
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(f"{message} (best residual {best_residual:.3e})")
+    def __init__(self, message: str, best_residual: float | None = None):
+        if best_residual is not None:
+            message = f"{message} (best residual {best_residual:.3e})"
+        super().__init__(message)
         self.best_residual = best_residual
 
 
@@ -226,7 +229,8 @@ def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
     place through one scratch vector, so outside the projections a step
     allocates only the product ``matrix @ v``. The bottom Ritz pair is only
     formed once the cheap coupling bound |beta_next * y[-1]| clears the
-    tolerance; acceptance then rests on the true residual. A Krylov space that closes
+    tolerance; acceptance then rests on the true residual, and a failed pass
+    reports the smallest true residual it formed, inf if none. A Krylov space that closes
     early (numerically invariant subspace) is accepted at whatever it
     converged to: the seeded Gaussian start has weight on every
     eigendirection apart from a measure-zero accident, and the second seed
@@ -267,11 +271,11 @@ def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
 
         if breakdown or exhausted or m % _CHECK_EVERY == 0 or j == _MAX_ITER - 1:
             next_beta = 0.0 if (breakdown or exhausted) else w_norm
-            result, worst = _ritz_bottom(
+            result, residual = _ritz_bottom(
                 matrix, _filled(blocks, m), alpha, beta, next_beta, tol,
                 force=breakdown or exhausted,
             )
-            best = min(best, worst)
+            best = min(best, residual)
             if result is not None:
                 return result
 
@@ -287,14 +291,20 @@ def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
 
 
 def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
-    """Bottom Ritz pair of the current tridiagonal; (result or None, worst)."""
+    """Bottom Ritz pair of the current tridiagonal: (result or None, its true
+    residual, or inf where the coupling bound leaves the pair unformed)."""
     # The recurrence has appended one beta fewer than alphas.
     theta, y = eigh_tridiagonal(
         np.asarray(alpha), np.asarray(beta), select="i", select_range=(0, 0)
     )
-    bound = abs(next_beta * y[-1, 0])
-    if not force and bound > 0.25 * tol:
-        return None, float(bound)
+    if not np.isfinite(y).all():
+        # LAPACK's inverse iteration overflows on entries near the size guard's
+        # bound; the same tridiagonal over a power of two has the same vector.
+        k = math.frexp(max(map(abs, alpha + beta)))[1]
+        y = eigh_tridiagonal(np.ldexp(alpha, -k), np.ldexp(beta, -k), select="i",
+                             select_range=(0, 0))[1]
+    if not force and abs(next_beta * y[-1, 0]) > 0.25 * tol:
+        return None, np.inf
     vec = blocks[0].T @ y[: blocks[0].shape[0], 0]
     for i, rows in enumerate(blocks[1:], 1):
         vec += rows.T @ y[i * _BLOCK_ROWS : i * _BLOCK_ROWS + rows.shape[0], 0]

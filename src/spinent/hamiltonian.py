@@ -18,9 +18,11 @@ A sector is solved as pieces, one SparseHamiltonian per block, which
 carries its block and the block's parts; ``SectorWorkspace.pieces`` is the
 one way to a sector's blocks.
 
-The parts of a family are assembled in one pass over the bonds, rows
-found by ``SpinBasis.index``, a table lookup; a plain sector's parts come
-out in CSR order, one diagonal entry per state (see assemble_parts).
+Every block's parts come from one pass over the bonds: a hop moves a
+representative by a fixed shift of its packed state, ``SpinBasis.index``, a
+table lookup, finds the state reached, and the block's row and amplitude of
+that state place and weigh the term; the plain block skips those lookups and
+comes out in CSR order, one diagonal entry per state (see assemble_parts).
 """
 
 from __future__ import annotations
@@ -241,24 +243,22 @@ def assemble_parts(
     """Assemble each stencil part of the family over a sector block, coefficient 1.
 
     Keeping the parts separate lets a parameter sweep reuse them: the full
-    matrix for any parameter value is a fixed linear combination. Each
-    column is a block state: the bond terms act on its representative, and
-    every state reached adds to the row of its own block state, weighted by
-    its amplitude there times the square root of the column's orbit size
-    (Sandvik, arXiv:1101.3281, sec. 4). Over the plain block every weight
-    is 1, and a move adds a fixed shift to the packed state, in which
-    SpinBasis.index is monotone: the moves of all bonds by descending shift,
-    each part's diagonal summed over the bonds in bond order at shift 0,
-    fill each row in column order, so ``tocsr`` neither sorts nor merges.
+    matrix for any parameter value is a fixed linear combination. All parts
+    share one pass over the bonds. Each column is a block state, and the
+    bond terms act on its representative. A hop, a stencil entry off the
+    diagonal, adds a fixed shift to the packed state, and SpinBasis.index
+    finds the state reached once for every part that holds the hop. That
+    state adds to the row of its own block state, weighted by the hop's
+    amplitude times the state's amplitude there times the square root of
+    the column's orbit size, and not at all if the block's characters
+    annihilate its orbit (Sandvik, arXiv:1101.3281, sec. 4). Each part's
+    diagonal is its stencil diagonal summed over the bonds in bond order,
+    one entry, zero or not, per state that has one, at shift 0.
 
-    Over another block all parts share one pass over the bonds. Per bond,
-    the pair digits, the states each input pair selects and the row of each
-    distinct move are found once, for every part that holds that stencil
-    entry. A purely diagonal part adds every state's entry of the bond into
-    one vector, exactly in any order (each is a small multiple of 1/4), and
-    keeps an entry, zero or not, for each state that had one; the other
-    parts scatter COO triplets that ``tocsr`` sums as duplicates, so each
-    part is the CSR matrix a part-by-part assembly gives, bit for bit.
+    Moves go by descending shift. Over the plain block every weight is 1,
+    so the block lookups are skipped, and SpinBasis.index is monotone, so
+    every row fills in column order and ``tocsr`` neither sorts nor merges.
+    Over another block ``tocsr`` sums the duplicates.
     """
     basis, reps = block.basis, block.reps
     if family_record(family).spin != basis.spin:
@@ -270,120 +270,55 @@ def assemble_parts(
         raise ValueError(
             f"lattice has {lattice.num_sites} sites, basis has {basis.num_sites}"
         )
-    d = basis.local_dim
-    dim = block.dimension
-    if reps is basis:
-        p_in, shifts, parts = _plain_moves(family, lattice.bonds, basis.bits_per_site, d)
-        sums = {name: (*part[3], np.zeros(dim), np.zeros(dim, dtype=bool))
-                for name, part in parts.items() if part[3]}
-        moved = []
-        for (i, j), bond_shifts in zip(lattice.bonds, shifts):
-            pair = basis.site_digits(i) * d + basis.site_digits(j)
-            for entry, has, total, stored in sums.values():
-                total += entry[pair]
-                stored |= has[pair]
-            selected = {p: np.nonzero(pair == p)[0].astype(np.int32) for p in set(p_in)}
-            cols = [selected[p] for p in p_in]  # at CSR's index width
-            sizes = [c.size for c in cols]
-            rows = basis.index(basis.states[np.concatenate(cols)] + np.repeat(bond_shifts, sizes))
-            moved += zip(np.split(rows.astype(np.int32), np.cumsum(sizes)[:-1]), cols)
-        plain = {}
-        for name, (moves, up, amps, _) in parts.items():
-            rows, cols = [moved[k][0] for k in moves], [moved[k][1] for k in moves]
-            vals = [np.full(c.size, amp) for c, amp in zip(cols, amps[moves % len(p_in)])]
-            if name in sums:
-                _, _, total, stored = sums[name]
-                where = np.nonzero(stored)[0].astype(np.int32)
-                rows.insert(up, where)
-                cols.insert(up, where)
-                vals.insert(up, total[where])
-            rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-            plain[name] = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        return plain
+    d, dim, plain = basis.local_dim, block.dimension, reps is basis
+    p_in, shifts, parts = _moves(family, lattice.bonds, basis.bits_per_site, d)
+    sums = {name: (*part[3], np.zeros(dim), np.zeros(dim, dtype=bool))
+            for name, part in parts.items() if part[3]}
     root_orbit = np.sqrt(block.orbit)
-    entries = {
-        name: [
-            (int(p_out), int(p_in), stencil[p_out, p_in])
-            for p_out, p_in in zip(*np.nonzero(np.abs(stencil) > _STENCIL_PRUNE))
-        ]
-        for name, stencil in bond_stencils(family).items()
-    }
-    # A diagonal part's entry and whether it has one, by input pair.
-    diagonals = {}
-    for name, part in entries.items():
-        if all(p_out == p_in for p_out, p_in, _ in part):
-            amps, has = np.zeros(d * d), np.zeros(d * d, dtype=bool)
-            for _, p_in, amp in part:
-                amps[p_in], has[p_in] = amp, True
-            diagonals[name] = (amps, has, np.zeros(dim), np.zeros(dim, dtype=bool))
-    triplets = {name: ([], [], []) for name in entries if name not in diagonals}
-    for i, j in lattice.bonds:
+    moved = []
+    for (i, j), bond_shifts in zip(lattice.bonds, shifts):
         pair = reps.site_digits(i) * d + reps.site_digits(j)
-        for amps, has, total, stored in diagonals.values():
-            total += amps[pair]
+        for entry, has, total, stored in sums.values():
+            total += entry[pair]
             stored |= has[pair]
-        selected: dict[int, np.ndarray] = {}
-        moved: dict[tuple[int, int], tuple] = {}
-        for name, (rows, cols, vals) in triplets.items():
-            for p_out, p_in, amp in entries[name]:
-                if p_in not in selected:
-                    selected[p_in] = np.nonzero(pair == p_in)[0]
-                sel = selected[p_in]
-                if sel.size == 0:
-                    continue
-                if p_out == p_in:
-                    # A diagonal entry leaves every state where it is.
-                    rows.append(sel)
-                    cols.append(sel)
-                    vals.append(np.full(sel.size, amp))
-                    continue
-                if (p_out, p_in) not in moved:
-                    targets = reps.with_pair_digits(
-                        reps.states[sel], i, j, p_out // d, p_out % d
-                    )
-                    moved[p_out, p_in] = _move(block, root_orbit, sel, targets)
-                target_rows, columns, coef, root = moved[p_out, p_in]
-                rows.append(target_rows)
-                cols.append(columns)
-                vals.append(amp * coef * root)
-    out: dict[str, sparse.csr_matrix] = {}
-    for name in entries:
-        if name in diagonals:
-            _, _, total, stored = diagonals.pop(name)
-            where = np.nonzero(stored)[0]
-            indptr = np.concatenate(([0], np.cumsum(stored)))
-            out[name] = sparse.csr_matrix((total[where], where, indptr), shape=(dim, dim))
+        selected = {p: np.nonzero(pair == p)[0].astype(np.int32) for p in set(p_in)}
+        sizes = [selected[p].size for p in p_in]
+        cols = np.concatenate([selected[p] for p in p_in])  # at CSR's index width
+        found = basis.index(reps.states[cols] + np.repeat(bond_shifts, sizes))
+        bounds = np.cumsum([0, *sizes])
+        if plain:
+            moved.append((bounds.tolist(), found.astype(np.int32), cols))
             continue
-        rows, cols, vals = triplets.pop(name)
-        if rows:
-            vals = np.concatenate(vals)
-            coo = sparse.coo_matrix(
-                (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-            )
-            del rows, cols, vals
-            out[name] = coo.tocsr()
-        else:
-            out[name] = sparse.csr_matrix((dim, dim))
+        rows = block.row[found]
+        inside = rows >= 0  # row -1: an orbit the block's characters annihilate
+        if not inside.all():
+            bounds = np.concatenate(([0], np.cumsum(inside)))[bounds]
+            rows, cols, found = rows[inside], cols[inside], found[inside]
+        moved.append((bounds.tolist(), rows.astype(np.int32), cols,
+                      block.coef[found], root_orbit[cols]))
+    out = {}
+    for name, (moves, up, amps, _) in parts.items():
+        rows, cols, vals = [], [], []
+        for bond, hop in zip(*np.divmod(moves, len(p_in))):
+            bounds, bond_rows, bond_cols, *weights = moved[bond]
+            at = slice(bounds[hop], bounds[hop + 1])
+            rows.append(bond_rows[at])
+            cols.append(bond_cols[at])
+            vals.append(amps[hop] * weights[0][at] * weights[1][at] if weights
+                        else np.full(at.stop - at.start, amps[hop]))
+        if name in sums:
+            _, _, total, stored = sums[name]
+            where = np.nonzero(stored)[0].astype(np.int32)
+            rows.insert(up, where)
+            cols.insert(up, where)
+            vals.insert(up, total[where])
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        out[name] = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return out
 
 
-def _move(block: SectorBlock, root_orbit, sel, targets):
-    """(rows, columns, amplitudes, root orbits) of one stencil move of the
-    block states ``sel`` onto the plain states ``targets``, keeping the
-    moves that land in the block."""
-    found = block.basis.index(targets)
-    target_rows = block.row[found]
-    coef, root = block.coef[found], root_orbit[sel]
-    inside = target_rows >= 0
-    if not inside.all():
-        target_rows, sel, coef, root = (
-            target_rows[inside], sel[inside], coef[inside], root[inside]
-        )
-    return target_rows, sel, coef, root
-
-
 @lru_cache(maxsize=None)
-def _plain_moves(family: str, bonds: tuple[tuple[int, int], ...], bits: int, d: int):
+def _moves(family: str, bonds: tuple[tuple[int, int], ...], bits: int, d: int):
     """Each hop's input pair, a hop being a stencil entry off the diagonal;
     ``shifts[b, h]``, what hop h adds to a packed state on bond b; and per
     part its moves b * hops + h by descending shift, how many shift up, its

@@ -228,6 +228,37 @@ def stencil_diagonal_sum(family, lattice, basis):
     return out
 
 
+def diagonal_hop_terms(family, lattice, block):
+    """Per part, the hop terms of the part-by-part assembly that land on a
+    block state's own row, a hop taking its representative into its own
+    orbit: their count and the sum of their magnitudes for every block
+    state. Returns {name: (count, magnitude sum)}; both are zero throughout
+    the plain block, where a hop always changes the state."""
+    from spinent.hamiltonian import _STENCIL_PRUNE, bond_stencils
+
+    basis, reps = block.basis, block.reps
+    d = basis.local_dim
+    root_orbit = np.sqrt(block.orbit)
+    out = {}
+    for name, stencil in bond_stencils(family).items():
+        count = np.zeros(block.dimension, dtype=np.int64)
+        size = np.zeros(block.dimension)
+        for i, j in lattice.bonds:
+            pair = reps.site_digits(i) * d + reps.site_digits(j)
+            for p_out, p_in in zip(*np.nonzero(np.abs(stencil) > _STENCIL_PRUNE)):
+                if p_out == p_in:
+                    continue
+                sel = np.nonzero(pair == p_in)[0]
+                targets = reps.with_pair_digits(reps.states[sel], i, j, p_out // d, p_out % d)
+                found = np.searchsorted(basis.states, targets)
+                own = block.row[found] == sel
+                sel, found = sel[own], found[own]
+                count[sel] += 1
+                size[sel] += np.abs(stencil[p_out, p_in] * block.coef[found] * root_orbit[sel])
+        out[name] = (count, size)
+    return out
+
+
 def orbit_block_reference(basis, elements):
     """The state-by-state block builder that preceded building each orbit
     from its representative, kept verbatim: ``elements`` gives the image of

@@ -119,6 +119,17 @@ def test_failed_points_annotate_rows_instead_of_aborting():
     assert table.series("8", "energy") == []
 
 
+def test_a_lanczos_failure_quotes_a_true_residual_above_its_tolerance():
+    """At delta = 1e6 the N=16 translation block runs out of Lanczos
+    iterations. Its error used to quote the coupling bound of an unformed
+    Ritz pair, 3.269e-11, below the tolerance it failed to reach; now it
+    quotes the smallest true residual ||Hv - theta v|| of a formed pair."""
+    table = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2))
+    for row in table.rows:
+        found = re.fullmatch(r"Lanczos did not reach tol=1e-10 .* \(best residual (\S+)\)", row.error)
+        assert found and 1e-10 < float(found[1]) < math.inf, row.error
+
+
 @pytest.mark.parametrize(
     "geometry,size,message",
     [

@@ -503,7 +503,8 @@ def test_scaling_concurrence_of_spin_one_is_a_usage_error(model, tmp_path, capsy
 
 
 def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monkeypatch):
-    """It used to report only a count and a residual of nan."""
+    """It used to report only a count and a residual of nan, and then the
+    row's error with a residual of nan after it."""
     real_scan = analysis.ground_state_scan
 
     def scan(workspace, model, **kwargs):
@@ -520,7 +521,7 @@ def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monk
     assert code == 2
     assert capsys.readouterr().err == (
         "numerical failure: size 4 lost 1 rows to solver failures, the first at 0.5: "
-        "Unable to allocate 1. GiB for an array (best residual nan)\n"
+        "Unable to allocate 1. GiB for an array\n"
     )
     assert not out.exists()
 

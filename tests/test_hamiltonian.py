@@ -10,6 +10,7 @@ from scipy import sparse
 from oracles import (
     assemble_parts_reference,
     bond_stencils_reference,
+    diagonal_hop_terms,
     embed_indices,
     full_hamiltonian,
     momentum_characters,
@@ -20,11 +21,12 @@ from spinent import hamiltonian
 from spinent.basis import (
     build_basis,
     nonnegative_sectors,
+    parity_blocks,
     plain_block,
     sector_values,
     translation_block,
 )
-from spinent.eigensolver import ground_state_scan
+from spinent.eigensolver import _DENSE_CUTOFF, ground_state_scan
 from spinent.hamiltonian import (
     FAMILIES,
     ModelSpec,
@@ -428,13 +430,17 @@ def test_assemble_rejects_mismatched_inputs():
 
 
 def _every_block(lattice, spin):
-    """The plain block and every translation block of every sector."""
+    """The plain block and every translation block of every sector, and the
+    parity blocks of every sector a solve takes as parity blocks, those of
+    at most _DENSE_CUTOFF states (larger ones cost seconds here)."""
     translations = lattice.translations()
     for sz in sector_values(spin, lattice.num_sites):
         basis = build_basis(lattice.num_sites, spin, sz)
         yield plain_block(basis)
         for signs in momentum_sets(lattice):
             yield translation_block(basis, translations, momentum_characters(lattice, signs))
+        if basis.dimension <= _DENSE_CUTOFF:
+            yield from parity_blocks(basis, lattice.reflection())
 
 
 # Spin-1 chains stop at L=10: one L=12 family takes several seconds here.
@@ -448,20 +454,22 @@ _BITWISE_CASES += [("xxz_half", square_lattice(4, 4))]
     ids=[f"{f}-{lat.num_sites}-{len(lat.bonds)}" for f, lat in _BITWISE_CASES],
 )
 def test_assembly_is_bitwise_the_reference(family, lattice):
-    """A translation block gives the CSR arrays of the part-by-part assembly
-    it replaced, bit for bit, explicit zeros included. A plain block gives
-    its pattern and off-diagonal values bit for bit, and as its diagonal the
-    bond-order sum of the stencil diagonal, bit for bit too. The reference
-    sums the same terms in the order its row sort left them, so the two agree
-    to twice the recursive-summation bound, (n - 1) u sum|x| with u = eps / 2
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
-    sum|x| at most n times the largest stencil diagonal, n the bond count."""
+    """Every block gives the pattern and the off-diagonal values of the
+    part-by-part assembly it replaced, bit for bit, explicit zeros included.
+    Its diagonal is the bond-order sum of the stencil diagonal over the
+    block's representatives, bit for bit too, except where a hop takes a
+    representative into its own orbit and adds its terms there as well. The
+    reference sums the same terms in the order its row sort left them, so
+    the two agree to twice the recursive-summation bound, (m - 1) u sum|x|
+    with u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), over the m terms of an entry: n stencil diagonal entries, n
+    the bond count, each at most the largest in size, and the hop terms."""
     n = len(lattice.bonds)
     for block in _every_block(lattice, FAMILIES[family].spin):
         parts = assemble_parts(family, lattice, block)
         reference = assemble_parts_reference(family, lattice, block)
-        plain = block.reps is block.basis
-        diagonals = stencil_diagonal_sum(family, lattice, block.basis) if plain else {}
+        diagonals = stencil_diagonal_sum(family, lattice, block.reps)
+        hops = diagonal_hop_terms(family, lattice, block)
         assert parts.keys() == reference.keys()
         for name, part in parts.items():
             expected = reference[name]
@@ -469,14 +477,16 @@ def test_assembly_is_bitwise_the_reference(family, lattice):
             for field in ("indptr", "indices", "data"):
                 mine, theirs = getattr(part, field), getattr(expected, field)
                 assert mine.dtype == theirs.dtype, (name, field)
-                if field == "data" and plain:
+                if field == "data":
                     rows = np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
                     on = part.indices == rows
-                    sums, has = diagonals[name]
-                    assert part.indices[on].tobytes() == np.nonzero(has)[0].astype(np.int32).tobytes()
-                    assert mine[on].tobytes() == sums[has].tobytes(), name
+                    (sums, has), (count, size) = diagonals[name], hops[name]
+                    at = part.indices[on]
+                    assert at.tobytes() == np.nonzero(has | (count > 0))[0].astype(np.int32).tobytes()
+                    alone = count[at] == 0
+                    assert mine[on][alone].tobytes() == sums[at][alone].tobytes(), name
                     largest = np.abs(np.diag(bond_stencils(family)[name])).max()
-                    bound = (n - 1) * np.finfo(float).eps * n * largest
+                    bound = (n + count[at] - 1) * np.finfo(float).eps * (n * largest + size[at])
                     assert np.all(np.abs(mine[on] - theirs[on]) <= bound), name
                     mine, theirs = mine[~on], theirs[~on]
                 assert mine.tobytes() == theirs.tobytes(), (name, field)
