@@ -1,7 +1,8 @@
 """Sweeps over model parameters and the numerics layered on top of them.
 
 A sweep walks one model family across a parameter grid for several system
-sizes, solving for the ground state at each point. Each row records the
+sizes, solving for the ground state at each point, each size's grid in one
+ground-state scan. Each row records the
 OBSERVABLES its family's site spin allows, one column per entry of that
 table, and degeneracy data. The downstream helpers differentiate those curves,
 refine extrema, and extrapolate finite-size trends; extremum_scaling chains them.
@@ -104,24 +105,34 @@ def shared_workspace(family: str, geometry: str, size: int) -> SectorWorkspace:
     return workspace
 
 
-def _sweep_point(task) -> SweepRow:
-    family, geometry, size, param, fixed, tol_deg, tol = task
+def _sweep_rows(task) -> list[SweepRow]:
+    """The rows of one run of grid points of one size, from one ground_state_scan."""
+    family, geometry, size, params, fixed, tol_deg, tol = task
     label = size_label(geometry, size)
     try:
         workspace = shared_workspace(family, geometry, size)
-        model = model_for(family, param, **dict(fixed))
-        report = ground_state_scan(workspace, model, tol=tol, tol_deg=tol_deg)
-        state = report.representative.vector
-        basis = workspace.basis(report.ground_sz)
-        bond = bond_correlators(state, basis, _MEASURED_PAIR)
-        rdm = two_site_rdm(state, basis, *_MEASURED_PAIR)
-        return SweepRow(
-            family, geometry, label, param,
-            **{name: OBSERVABLES[name][1](report, bond, rdm) for name in observables(family)},
-            degeneracy=report.degeneracy, degenerate_flag=report.degeneracy > 1,
-        )
+        models = [model_for(family, param, **dict(fixed)) for param in params]
+        entries = ground_state_scan(workspace, models, tol=tol, tol_deg=tol_deg)
     except (ValueError, RuntimeError, MemoryError) as fail:
-        return SweepRow(family, geometry, label, param, error=str(fail) or type(fail).__name__)
+        entries = [fail] * len(params)
+    rows = []
+    for param, report in zip(params, entries):
+        try:
+            if isinstance(report, Exception):
+                raise report
+            state = report.representative.vector
+            basis = workspace.basis(report.ground_sz)
+            bond = bond_correlators(state, basis, _MEASURED_PAIR)
+            rdm = two_site_rdm(state, basis, *_MEASURED_PAIR)
+            rows.append(SweepRow(
+                family, geometry, label, param,
+                **{name: OBSERVABLES[name][1](report, bond, rdm) for name in observables(family)},
+                degeneracy=report.degeneracy, degenerate_flag=report.degeneracy > 1,
+            ))
+        except (ValueError, RuntimeError, MemoryError) as fail:
+            rows.append(SweepRow(family, geometry, label, param,
+                                 error=str(fail) or type(fail).__name__))
+    return rows
 
 
 def check_jobs(jobs: int) -> None:
@@ -148,9 +159,11 @@ def sweep(
     ValueError before any point runs: a grid, family, model parameter, tolerance,
     geometry or size that is out of range. A solver failure annotates its row with
     the error text instead of aborting the sweep; so does running out of memory.
-    jobs > 1 spreads grid points over a process pool of at most one worker per task
-    and per core, and a pool of one runs serially instead; the table order is by
-    (size, param) either way.
+    Each size's grid goes to one ground_state_scan, which solves its dense sectors
+    for all points at once. jobs > 1 spreads the points over a process pool of at
+    most one worker per grid point and per core, each size's grid split into one
+    contiguous run per worker, each run one scan; a pool of one runs serially
+    instead. The table order is by (size, param) either way.
     """
     check_jobs(jobs)
     start, end, count = grid
@@ -166,18 +179,19 @@ def sweep(
     model_for(family, float(params[0]), **dict(fixed_items))
     for size in sizes:
         shared_workspace(family, geometry, int(size))
+    workers = min(jobs, len(sizes) * len(params), os.cpu_count() or 1)
     tasks = [
-        (family, geometry, int(size), float(param), fixed_items, tol_deg, tol)
+        (family, geometry, int(size), tuple(map(float, run)), fixed_items, tol_deg, tol)
         for size in sizes
-        for param in params
+        for run in np.array_split(params, max(workers, 1))
+        if len(run)
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=4))
+            chunks = list(pool.map(_sweep_rows, tasks))
     else:
-        rows = [_sweep_point(task) for task in tasks]
-    return SweepTable(rows=rows)
+        chunks = [_sweep_rows(task) for task in tasks]
+    return SweepTable(rows=[row for chunk in chunks for row in chunk])
 
 
 def finite_difference(series: list[tuple[float, float]]) -> list[tuple[float, float]]:

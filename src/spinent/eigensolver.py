@@ -14,7 +14,9 @@ to form the Ritz vector and for the restart pass. The start vector comes from a
 hard-coded seed so runs are reproducible bit for bit; if that pass fails it
 is restarted once from a second hard-coded seed, with full
 reorthogonalization against the locked and every stored Krylov vector,
-before failing. A dense eigendecomposition doubles as an independent oracle
+before failing. A pair is accepted at a true residual of at most
+max(tol, 8 eps ||H||_F), since round-off alone leaves about eps ||H||.
+A dense eigendecomposition doubles as an independent oracle
 for small sectors. lanczos_lowest can go on from pairs an earlier call locked.
 
 sector_lowest is the one sector solve, for scans, spectra, the degenerate
@@ -41,22 +43,39 @@ goes to Lanczos. Eigenvectors of a dense piece come from a second,
 ``eigh`` solve made on demand, which a scan makes for the one piece that
 represents the point.
 
-Every solve takes a SectorWorkspace first and the model second: the
-workspace is the one handle on the lattice, and it keeps the bases and
+sector_lowest and ground_state_scan take a grid of models, one model
+being a grid of one, and give one entry per model: its result, or the
+ValueError, RuntimeError or MemoryError that this point alone raised. A
+block's parts do not depend on the point, so a dense piece is solved for
+the whole grid at once: its arrays are combined in stacks of at most
+_STACK_BYTES, each stack by one sum per part, and each stack is
+diagonalized by one ``eigvalsh``, which gives every point bitwise the
+values of its own solve. A scan solves its dense sectors that way and
+goes through the others, the representative's ``eigh`` and the top-up
+point by point.
+
+Every solve takes a SectorWorkspace first and the model or grid second:
+the workspace is the one handle on the lattice, and it keeps the bases and
 stencil parts that solves at other parameter values reuse.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .basis import nonnegative_sectors
-from .hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, ground_characters
+from .hamiltonian import (
+    ModelSpec,
+    SectorWorkspace,
+    SparseHamiltonian,
+    dense_stack,
+    ground_characters,
+)
 
 _PRIMARY_SEED = 1299709
 _RESTART_SEED = 15485863
@@ -65,12 +84,16 @@ _CHECK_EVERY = 5
 _BLOCK_ROWS = 64
 # Lanczos steps per pass before a seed is given up.
 _MAX_ITER = 400
+# Times ||H||_F, the residual below which round-off leaves no pair out of reach.
+_RESIDUAL_FLOOR = 8 * np.finfo(float).eps
 # A memory cap, 128 MB of float64 at 4,000 states, for dense_lowest, low_spectrum's
 # refusal and the top-up's dense switch; dense versus Lanczos is _DENSE_CUTOFF's rule.
 _DENSE_LIMIT = 4000
 # Dimension up to which sector_lowest solves a sector whole, as its parity
 # blocks, and diagonalizes a piece densely.
 _DENSE_CUTOFF = 300
+# Bytes of one stack of dense arrays that _dense_levels hands to one eigvalsh.
+_STACK_BYTES = 1 << 17
 # Lanczos levels a top-up finds before a sector of <= _DENSE_LIMIT states goes dense.
 _LANCZOS_TOP_UP = 4
 
@@ -129,6 +152,11 @@ class GroundStateReport:
     inversion, picked by a fixed rule rather than by LAPACK.
     ``representative`` is always a vector over the plain sector basis
     ``workspace.basis(ground_sz)`` of the scanned workspace.
+
+    A point's report is the same, bit for bit, whether the point is
+    scanned alone or in a grid: only how its dense blocks are batched
+    differs, and a stacked ``eigvalsh`` gives each array the values it
+    gives that array alone.
     """
 
     per_sector_energies: dict[float, tuple[float, ...]]
@@ -157,7 +185,11 @@ def lanczos_lowest(
     Krylov space can see. ``found``, pairs an earlier call gave for this
     matrix and ``tol``, is locked in first, and the passes go on from it bit
     for bit as a fresh call's. Residuals are verified as the true
-    ||H v - E v|| against the undeflated matrix before a pass is accepted.
+    ||H v - E v|| against the undeflated matrix before a pass is accepted,
+    at a residual of at most max(tol, 8 eps ||H||_F): round-off alone
+    leaves about eps ||H||, so an absolute tol cannot be met where the norm
+    is large. The coupling bound that decides when a Ritz pair is formed
+    uses the same limit, and the error names the limit that applied.
     Raises ConvergenceError, carrying the best residual, if any pass runs
     out of iterations (_MAX_ITER steps) on both seeds.
     """
@@ -168,6 +200,8 @@ def lanczos_lowest(
         raise ValueError("empty sector")
     k_eff = min(k, n)
     matrix = hamiltonian.matrix
+    floor = _RESIDUAL_FLOOR * hamiltonian.norm
+    target = f"tol={tol}" if floor <= tol else f"the residual floor 8*eps*||H||_F = {floor:.3e}"
     locked = np.zeros((k_eff, n))
     results = list(found[:k_eff])
     for level, result in enumerate(results):
@@ -177,13 +211,13 @@ def lanczos_lowest(
         pair = None
         for seed, full in ((_PRIMARY_SEED, False), (_RESTART_SEED, True)):
             try:
-                pair = _lanczos_ground(matrix, tol, seed, locked[:level], full)
+                pair = _lanczos_ground(matrix, max(tol, floor), seed, locked[:level], full)
                 break
             except _NotConverged as fail:
                 best = min(best, fail.best_residual)
         if pair is None:
             raise ConvergenceError(
-                f"Lanczos did not reach tol={tol} within {_MAX_ITER} iterations "
+                f"Lanczos did not reach {target} within {_MAX_ITER} iterations "
                 f"for level {level} of a dimension-{n} sector, even after one restart",
                 best,
             )
@@ -335,27 +369,44 @@ def dense_lowest(hamiltonian: SparseHamiltonian, k: int = 1) -> list[EigenResult
     return [_dense_pair(dense, vals, vecs, idx) for idx in range(min(k, n))]
 
 
+def _dense(dimension: int, count: int) -> bool:
+    """The one dense-versus-Lanczos rule, for a sector and for each of its
+    pieces: dense at most _DENSE_CUTOFF states, or where every level is asked for."""
+    return dimension <= _DENSE_CUTOFF or count >= dimension
+
+
+def _raised(entry):
+    """An entry of a grid solve, raising it if it is its point's failure."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
 def sector_lowest(
     workspace: SectorWorkspace,
-    model: ModelSpec,
+    models: Sequence[ModelSpec],
     sz: float,
     count: int = 1,
     tol: float = 1e-10,
-) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], Callable | None]:
-    """The ``count`` lowest energies of one sector, a call that gives them
-    with the sector's bottom eigenpair over the plain sector, and, for a
-    sector solved whole, a call that tops its levels up.
+) -> list:
+    """For each model of a grid, the ``count`` lowest energies of one
+    sector, a call that gives them with the sector's bottom eigenpair over
+    the plain sector, and, for a sector solved whole, a call that tops its
+    levels up; or, in their place, the ValueError, RuntimeError or
+    MemoryError that model's solve raised, the first in block order.
 
-    The pieces and the dense-versus-Lanczos rule are the module
-    docstring's: the kind is picked once and every piece of it is solved
-    from one list. The levels are the sorted union of the pieces', cut to
-    the one ground of a translation block, and a dense piece's array is
-    dropped once its values are found. The call gives the pair of the
-    first piece, in block order, whose bottom lies within ``tol`` of the
-    lowest level, written out over the plain sector by that piece's
-    ``block.expand``. For a dense piece it runs an ``eigh`` of that piece's
-    array, combined again, and returns the levels with that solve's in
-    place of the values-only ones of its piece. A ``tol`` that
+    The pieces and the dense-versus-Lanczos rule (``_dense``) are the
+    module docstring's: a model's kind is picked once and every piece of it
+    is solved from one list. The models of one kind share its blocks, so a
+    dense block is solved for all of them at once by _dense_levels; a
+    Lanczos piece is solved model by model. The levels are the sorted union
+    of the pieces', cut to the one ground of a translation block, and a
+    dense piece's array is dropped once its values are found. The call
+    gives the pair of the first piece, in block order, whose bottom lies
+    within ``tol`` of the lowest level, written out over the plain sector
+    by that piece's ``block.expand``. For a dense piece it runs an ``eigh``
+    of that piece's array, combined again, and returns the levels with that
+    solve's in place of the values-only ones of its piece. A ``tol`` that
     check_tolerances refuses, or a ``count`` below 1, raises ValueError
     first.
 
@@ -364,23 +415,88 @@ def sector_lowest(
     Lanczos piece a level further on its combined matrix or, past
     _LANCZOS_TOP_UP, a sector of at most _DENSE_LIMIT states goes dense.
     """
+    solves = _sector_solves(workspace, models, sz, count, tol)
+    return [_sector_entry(workspace, model, sz, tol, solve) for model, solve in zip(models, solves)]
+
+
+def _sector_solves(workspace, models, sz, count, tol) -> list:
+    """sector_lowest's solves, before any entry is formed: for each model,
+    its pieces, each piece's (values, Lanczos results or None) and whether
+    the sector is solved whole, or the first error of its pieces."""
     check_tolerances(tol, 0.0)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     dim = workspace.basis(sz).dimension
-    if dim <= _DENSE_CUTOFF or count >= dim:
-        kind = "parity"
-    else:
-        kind = ground_characters(model, workspace.lattice, sz) if count == 1 else ()
-    whole = kind in ("parity", ())
-    pieces = workspace.pieces(model, sz, kind)
-    solved = []
-    for hamiltonian in pieces:
-        if hamiltonian.dimension <= _DENSE_CUTOFF or count >= hamiltonian.dimension:
-            solved.append((np.linalg.eigvalsh(hamiltonian.dense()), None))
-        else:
-            results = lanczos_lowest(hamiltonian, k=count, tol=tol)
-            solved.append((np.array([r.energy for r in results]), results))
+    kinds = [
+        "parity" if _dense(dim, count)
+        else ground_characters(model, workspace.lattice, sz) if count == 1 else ()
+        for model in models
+    ]
+    solves = [None] * len(models)
+    for kind in dict.fromkeys(kinds):
+        at = [i for i, other in enumerate(kinds) if other == kind]
+        pieces = [workspace.pieces(models[i], sz, kind) for i in at]
+        solved = [[] for _ in at]
+        for block in zip(*pieces):
+            if _dense(block[0].dimension, count):
+                found = _dense_levels(block)
+            else:
+                found = [_lanczos_levels(piece, count, tol) for piece in block]
+            for own, piece_found in zip(solved, found):
+                own.append(piece_found)
+        for i, own_pieces, own in zip(at, pieces, solved):
+            failure = next((got for got in own if isinstance(got, Exception)), None)
+            solves[i] = failure or (own_pieces, own, kind in ("parity", ()))
+    return solves
+
+
+def _dense_levels(pieces: Sequence[SparseHamiltonian]) -> list:
+    """(eigvalsh of its array, None) for each piece of one block at several
+    points, or the error its point raised. The arrays come from dense_stack
+    in stacks of at most _STACK_BYTES, or one array where one is larger, and
+    each stack is solved by one eigvalsh; a point whose size check fails
+    stays out of its stack, and a stack whose eigvalsh raises is solved
+    again array by array."""
+    step = max(1, _STACK_BYTES // (8 * pieces[0].dimension ** 2))
+    levels = []
+    for start in range(0, len(pieces), step):
+        stack, errors = dense_stack(pieces[start : start + step])
+        if any(errors):
+            stack = stack[[i for i, error in enumerate(errors) if error is None]]
+        try:
+            values = iter(np.linalg.eigvalsh(stack))
+        except (ValueError, RuntimeError, MemoryError):
+            values = iter([_caught(np.linalg.eigvalsh, array) for array in stack])
+        for error in errors:
+            found = error or next(values)
+            levels.append(found if isinstance(found, Exception) else (found, None))
+    return levels
+
+
+def _lanczos_levels(hamiltonian: SparseHamiltonian, count: int, tol: float):
+    """(energies, results) of lanczos_lowest on one piece, or the error it raised."""
+    try:
+        results = lanczos_lowest(hamiltonian, k=count, tol=tol)
+    except (ValueError, RuntimeError, MemoryError) as failure:
+        return failure
+    return np.array([r.energy for r in results]), results
+
+
+def _caught(solve, *args):
+    """What ``solve`` returns, or the ValueError, RuntimeError or MemoryError it raises."""
+    try:
+        return solve(*args)
+    except (ValueError, RuntimeError, MemoryError) as failure:
+        return failure
+
+
+def _sector_entry(workspace, model, sz, tol, solve):
+    """sector_lowest's entry for one model from its _sector_solves entry; a
+    failure is passed on."""
+    if isinstance(solve, Exception):
+        return solve
+    pieces, solved, whole = solve
+    dim = workspace.basis(sz).dimension
     levels = np.sort(np.concatenate([values for values, _ in solved]))
     pick = next(i for i, (values, _) in enumerate(solved) if values[0] <= levels[0] + tol)
 
@@ -399,7 +515,7 @@ def sector_lowest(
         energies, found = levels, solved[0][1]
         while found and len(found) < dim and energies[-1] <= ceiling:
             if len(found) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
-                return sector_lowest(workspace, model, sz, dim, tol)[0]
+                return _raised(sector_lowest(workspace, [model], sz, dim, tol)[0])[0]
             found = lanczos_lowest(pieces[0], k=len(found) + 1, tol=tol, found=found)
             energies = np.sort([r.energy for r in found])
         return list(map(float, energies))
@@ -409,27 +525,57 @@ def sector_lowest(
 
 def ground_state_scan(
     workspace: SectorWorkspace,
-    model: ModelSpec,
+    models: Sequence[ModelSpec],
     *,
     tol: float = 1e-10,
     tol_deg: float = 1e-8,
-) -> GroundStateReport:
+) -> list:
     """Scan the workspace's Sz >= 0 sectors for the global ground state and
-    its degeneracy.
+    its degeneracy at each model of a grid; one model is a grid of one.
 
-    Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
-    skipped but counted in the degeneracy. Each sector is solved by
-    sector_lowest. The representative sector is picked from those levels;
-    only then is its bottom pair formed, its levels replaced by the ones
-    that solve gives, and the ground energy taken, so a dense point runs one
-    ``eigh``, on one parity block. Then each sector solved whole by Lanczos
-    is topped up by the call sector_lowest gave for it. GroundStateReport
-    describes the top-up and the degenerate-representative rule. A
-    tolerance that check_tolerances refuses raises its ValueError first.
+    Returns one entry per model: its GroundStateReport, or the ValueError,
+    RuntimeError or MemoryError that this point alone raised, the first in
+    sector order. Spin-flip symmetry makes the Sz < 0 sectors mirror
+    images, so they are skipped but counted in the degeneracy. Each sector
+    is solved by sector_lowest: first every sector that ``_dense`` solves
+    densely, for the whole grid at once, so each parity block is combined
+    and diagonalized in stacks over the points; then, point by point, the
+    other sectors, in sector order. The representative sector is picked
+    from a point's levels; only then is its bottom pair formed, its levels
+    replaced by the ones that solve gives, and the ground energy taken, so a
+    dense point runs one ``eigh``, on one parity block. Then each sector
+    solved whole by Lanczos is topped up by the call sector_lowest gave for
+    it. GroundStateReport describes the top-up and the
+    degenerate-representative rule. A tolerance that check_tolerances
+    refuses raises its ValueError first.
     """
     check_tolerances(tol, tol_deg)
+    models = list(models)
     sectors = nonnegative_sectors(workspace.spin, workspace.lattice.num_sites)
-    solved = {sz: sector_lowest(workspace, model, sz, tol=tol) for sz in sectors}
+    stacked = {
+        sz: _sector_solves(workspace, models, sz, 1, tol)
+        for sz in sectors if _dense(workspace.basis(sz).dimension, 1)
+    }
+    entries = []
+    for i, model in enumerate(models):
+        try:
+            solved = {}
+            for sz in sectors:
+                if sz in stacked:
+                    # Dropped once used, so the grid's solves shrink as its reports grow.
+                    solve, stacked[sz][i] = stacked[sz][i], None
+                    entry = _sector_entry(workspace, model, sz, tol, solve)
+                else:
+                    entry = sector_lowest(workspace, [model], sz, tol=tol)[0]
+                solved[sz] = _raised(entry)
+            entries.append(_point_report(workspace, solved, tol_deg))
+        except (ValueError, RuntimeError, MemoryError) as failure:
+            entries.append(failure)
+    return entries
+
+
+def _point_report(workspace: SectorWorkspace, solved: dict, tol_deg: float) -> GroundStateReport:
+    """One point's GroundStateReport from sector_lowest's entry for each sector."""
     per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
     lowest = min(levels[0] for levels in per_sector.values())
     rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
@@ -493,7 +639,7 @@ def low_spectrum(
             )
     merged: list[tuple[float, float]] = []
     for sz in sectors:
-        energies = sector_lowest(workspace, model, sz, levels, tol)[0][:levels]
+        energies = _raised(sector_lowest(workspace, [model], sz, levels, tol)[0])[0][:levels]
         for e in energies:
             merged.append((e, sz))
             if sz > 1e-12:

@@ -16,7 +16,8 @@ bond into a sector block: the plain sector, one translation or parity block.
 
 A sector is solved as pieces, one SparseHamiltonian per block, which
 carries its block and the block's parts; ``SectorWorkspace.pieces`` is the
-one way to a sector's blocks.
+one way to a sector's blocks. dense_stack combines one block's dense
+arrays at a grid of points at once.
 
 Every block's parts come from one pass over the bonds: a hop moves a
 representative by a fixed shift of its packed state, ``SpinBasis.index``, a
@@ -116,12 +117,13 @@ class SparseHamiltonian:
     ``block``, and the Hamiltonian over it.
 
     It holds the block's CSR stencil parts and combines them only in the
-    form a solver reads: ``matrix`` by combine_parts on first access,
-    ``dense()`` by combine_dense, so a dense solve builds no CSR total.
-    Either raises ValueError, naming the model, when 16 ||H||_F^2 is not
-    finite; it bounds the square of every norm a solve takes (a Lanczos
-    vector is at most 3 ||H||, a residual 2 ||H||), so solvers need no
-    overflow checks. ``block.expand`` writes a piece's vector over the plain sector.
+    form a solver reads: ``matrix`` by combine_parts on first access, which
+    also sets ``norm`` to ||H||_F, and ``dense()`` by combine_dense, so a
+    dense solve builds no CSR total. Either raises ValueError, naming the
+    model, when 16 ||H||_F^2 is not finite; it bounds the square of every
+    norm a solve takes (a Lanczos vector is at most 3 ||H||, a residual
+    2 ||H||), so solvers need no overflow checks. ``block.expand`` writes a
+    piece's vector over the plain sector.
     """
 
     def __init__(self, model: ModelSpec, block: SectorBlock, parts: dict[str, sparse.csr_matrix]):
@@ -137,20 +139,44 @@ class SparseHamiltonian:
     def matrix(self) -> sparse.csr_matrix:
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_parts(self._parts, self._model.part_coefficients())
-            self._check_size(total.data)
+            square = float(total.data @ total.data)
+        error = self._size_error(square)
+        if error:
+            raise error
+        self.norm = math.sqrt(square)
         return total
 
     def dense(self) -> np.ndarray:
-        """The matrix as a dense array, bitwise ``matrix.toarray()``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = combine_dense(self._parts, self._model.part_coefficients())
-            self._check_size(total.ravel())
-        return total
+        """The matrix as a dense array, bitwise ``matrix.toarray()``: the
+        one-point case of dense_stack."""
+        stack, [error] = dense_stack([self])
+        if error:
+            raise error
+        return stack[0]
 
-    def _check_size(self, values: np.ndarray) -> None:
-        if not math.isfinite(16 * (values @ values)):
-            raise ValueError(f"the Hamiltonian of {self._model.label} overflows: its "
-                             "entries are too large for a solve to stay finite")
+    def _size_error(self, square: float) -> ValueError | None:
+        if not math.isfinite(16 * square):
+            return ValueError(f"the Hamiltonian of {self._model.label} overflows: its "
+                              "entries are too large for a solve to stay finite")
+        return None
+
+
+def dense_stack(pieces: list[SparseHamiltonian]) -> tuple[np.ndarray, list[ValueError | None]]:
+    """The dense arrays of one block at several model points, stacked by one
+    combine_dense, and each point's size check: slice i is bitwise
+    ``pieces[i].dense()`` where check i is None, and check i is the
+    ValueError that call raises otherwise. Every piece must carry the parts
+    of the same block."""
+    coefficients: dict[str, list[float]] = {}
+    for piece in pieces:
+        for name, coeff in piece._model.part_coefficients().items():
+            coefficients.setdefault(name, []).append(coeff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = combine_dense(pieces[0]._parts, {
+            name: np.array(coeffs) for name, coeffs in coefficients.items()
+        })
+        squares = [float(values @ values) for values in stack.reshape(len(pieces), -1)]
+    return stack, [piece._size_error(square) for piece, square in zip(pieces, squares)]
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,18 +384,28 @@ def combine_parts(
 
 
 def combine_dense(
-    parts: dict[str, sparse.csr_matrix], coefficients: dict[str, float]
+    parts: dict[str, sparse.csr_matrix], coefficients: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """combine_parts straight into a dense array: the same sums in the same
-    order and the same pruning, so the result is bitwise
-    ``combine_parts(...).toarray()``. Adding a part's zero to an entry leaves
-    its value, and the pruning turns every zero into the +0.0 of an entry
-    the sparse sum leaves out."""
+    """combine_parts straight into dense arrays, one per point: given each
+    part's coefficient at every point, the ``(points, dim, dim)`` stack
+    whose slice t is bitwise ``combine_parts(parts, coefficients at t).toarray()``.
+    Each slice gets the same sums in the same order and the same pruning.
+    A part is skipped only where its coefficient is zero at every point;
+    adding its zeros at one point leaves every value there, and the pruning
+    turns every zero into the +0.0 of an entry the sparse sum leaves out."""
     dim = next(iter(parts.values())).shape[0]
-    total = np.zeros((dim, dim))
-    for name, coeff in coefficients.items():
-        if coeff:
-            total += coeff * parts[name].toarray()
+    points = len(next(iter(coefficients.values())))
+    total = np.zeros((points, dim, dim))
+    # Each part is scaled in place in one buffer, so a one-point stack never
+    # holds more than two arrays of its size: the L=9 top-up's blocks need that.
+    scaled = np.empty_like(total)
+    for name, coeffs in coefficients.items():
+        if np.any(coeffs):
+            parts[name].toarray(out=scaled[0])
+            scaled[1:] = scaled[0]
+            scaled *= coeffs[:, None, None]
+            total += scaled
+    del scaled
     total[np.abs(total) < _STENCIL_PRUNE] = 0.0
     return total
 
@@ -380,12 +416,13 @@ class SectorWorkspace:
     A sector is solved as a list of pieces, each one SparseHamiltonian over
     one block (see ``pieces``): the plain sector, the translation block of
     given characters (see ``ground_characters``), or its parity blocks,
-    which a dense solve diagonalizes one by one. One cache keeps the blocks
-    of each (sz, kind) with their stencil parts, assembled once, on first
-    use, and a sweep combines the cached parts with fresh coefficients at
-    every parameter value instead of reassembling the matrix. The CSR parts
-    are the one stored form of a block: a dense solve combines its array
-    from them each time (see combine_dense) and keeps nothing.
+    which a dense solve diagonalizes block by block, in stacks over a grid
+    of points. One cache keeps the blocks of each (sz, kind) with their
+    stencil parts, assembled once, on first use, and a sweep combines the
+    cached parts with fresh coefficients at every parameter value instead of
+    reassembling the matrix. The CSR parts are the one stored form of a
+    block: a dense solve combines its arrays from them each time (see
+    combine_dense) and keeps nothing.
     """
 
     def __init__(self, family: str, lattice: Lattice):

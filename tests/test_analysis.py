@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from spinent import analysis, checks
+from spinent import analysis, checks, eigensolver
 from spinent.analysis import (
     EdgeExtremumError,
     SweepRow,
@@ -16,8 +16,8 @@ from spinent.analysis import (
     sweep,
 )
 from spinent.basis import build_basis
-from spinent.eigensolver import ground_state_scan
-from spinent.hamiltonian import SectorWorkspace, model_for
+from one_point import scan_one
+from spinent.hamiltonian import SectorWorkspace, ground_characters, model_for
 from spinent.lattice import chain_lattice
 
 
@@ -38,7 +38,7 @@ def test_sweep_rows_carry_the_full_measurement_set():
         assert isinstance(row.degeneracy, int)
         assert row.degenerate_flag == (row.degeneracy > 1)
     workspace = SectorWorkspace("xxz_half", chain_lattice(4))
-    report = ground_state_scan(workspace, model_for("xxz_half", 0.5))
+    report = scan_one(workspace, model_for("xxz_half", 0.5))
     np.testing.assert_allclose(table.rows[1].energy, report.ground_energy, atol=1e-12)
 
 
@@ -108,6 +108,30 @@ def test_sweep_clamps_workers_to_tasks_and_cores(
     assert all(row.error is None for row in table.rows)
 
 
+def test_a_sweep_hands_each_size_one_grid_unless_pooled(monkeypatch):
+    """jobs=1 scans each size's grid in one call; a pool of two splits it
+    into two contiguous runs, and the rows come out the same."""
+    grids = []
+    real = analysis.ground_state_scan
+
+    def scan(workspace, models, **kwargs):
+        grids.append([model.params["delta"] for model in models])
+        return real(workspace, models, **kwargs)
+
+    monkeypatch.setattr(analysis, "ground_state_scan", scan)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    params = list(np.linspace(0.0, 1.0, 5))
+    serial = sweep("xxz_half", "chain", [4, 6], (0.0, 1.0, 5))
+    assert grids == [params] * 2
+    grids.clear()
+    pooled = sweep("xxz_half", "chain", [4, 6], (0.0, 1.0, 5), jobs=2)
+    assert _RecordingPool.created == [2]
+    assert grids == [params[:3], params[3:]] * 2
+    assert pooled.rows == serial.rows
+
+
 def test_failed_points_annotate_rows_instead_of_aborting():
     """delta = 1e308 and 1.7e308 overflow the N=8 Hamiltonian: both rows
     carry the error and no value, and the sweep returns instead of raising."""
@@ -119,15 +143,38 @@ def test_failed_points_annotate_rows_instead_of_aborting():
     assert table.series("8", "energy") == []
 
 
-def test_a_lanczos_failure_quotes_a_true_residual_above_its_tolerance():
-    """At delta = 1e6 the N=16 translation block runs out of Lanczos
-    iterations. Its error used to quote the coupling bound of an unformed
-    Ritz pair, 3.269e-11, below the tolerance it failed to reach; now it
-    quotes the smallest true residual ||Hv - theta v|| of a formed pair."""
+def test_a_lanczos_failure_quotes_a_true_residual_above_its_tolerance(monkeypatch):
+    """Held to an absolute 1e-10, with the residual floor taken away, the
+    N=16 translation block at delta = 1e6 runs out of Lanczos iterations.
+    Its error used to quote the coupling bound of an unformed Ritz pair,
+    3.269e-11, below the tolerance it failed to reach; it quotes the
+    smallest true residual ||Hv - theta v|| of a formed pair."""
+    monkeypatch.setattr(eigensolver, "_RESIDUAL_FLOOR", 0.0)
     table = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2))
     for row in table.rows:
         found = re.fullmatch(r"Lanczos did not reach tol=1e-10 .* \(best residual (\S+)\)", row.error)
         assert found and 1e-10 < float(found[1]) < math.inf, row.error
+
+
+def test_a_large_norm_solves_at_the_residual_floor(monkeypatch):
+    """Round-off leaves a Lanczos residual of about eps ||H||, 8.9e-10 on the
+    N=16 translation block at delta = 1e6, so the absolute 1e-10 lost both
+    rows. Held to max(tol, 8 eps ||H||_F) they solve, to the energies of
+    eigvalsh on that 810-state block; an error under the floor names it."""
+    table = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2))
+    workspace = SectorWorkspace("xxz_half", chain_lattice(16))
+    for row in table.rows:
+        assert row.error is None
+        model = model_for("xxz_half", row.param)
+        characters = ground_characters(model, workspace.lattice, 0.0)
+        [block] = workspace.pieces(model, 0.0, characters)
+        assert block.dimension == 810
+        exact = np.linalg.eigvalsh(block.dense())[0]
+        assert abs(row.energy - exact) <= 1e-12 * abs(exact)
+    monkeypatch.setattr(eigensolver, "_MAX_ITER", 5)
+    [row] = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2)).rows[:1]
+    assert re.match(r"Lanczos did not reach the residual floor 8\*eps\*\|\|H\|\|_F = \S+ "
+                    r"within 5 iterations", row.error), row.error
 
 
 @pytest.mark.parametrize(
@@ -141,10 +188,10 @@ def test_a_lanczos_failure_quotes_a_true_residual_above_its_tolerance():
     ids=["hexagonal", "chain-1", "square-2", "chain-25"],
 )
 def test_bad_size_or_geometry_is_refused_before_any_point(geometry, size, message, monkeypatch):
-    def no_point(task):
+    def no_point(*args, **kwargs):
         raise AssertionError("a point ran")
 
-    monkeypatch.setattr(analysis, "_sweep_point", no_point)
+    monkeypatch.setattr(analysis, "ground_state_scan", no_point)
     with pytest.raises(ValueError, match=message):
         sweep("xxz_half", geometry, [4, size], (0.0, 1.0, 2))
 
@@ -326,7 +373,7 @@ def test_a_worker_count_below_one_is_refused_by_sweep_and_the_battery(jobs, monk
     """One rule for both: the battery used to accept it and report the
     sweeping criteria as crashed while the others passed."""
     ran = []
-    monkeypatch.setattr(analysis, "_sweep_point", ran.append)
+    monkeypatch.setattr(analysis, "ground_state_scan", lambda *args, **kwargs: ran.append(args))
     monkeypatch.setitem(checks.CRITERIA, 5, ("probe", ran.append))
     message = f"--jobs must be at least 1, got {jobs}"
     with pytest.raises(ValueError, match=message):

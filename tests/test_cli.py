@@ -16,7 +16,7 @@ import spinent
 from spinent import __version__, analysis, checks, cli, eigensolver, hamiltonian
 from spinent.basis import nonnegative_sectors
 from spinent.bethe import BetheState
-from spinent.eigensolver import ground_state_scan
+from one_point import scan_one
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
@@ -182,7 +182,7 @@ def test_sweep_writes_the_documented_csv(tmp_path):
     assert first[2] == "4"
     assert first[3] == "0"
     workspace = SectorWorkspace("xxz_half", chain_lattice(4))
-    report = ground_state_scan(workspace, model_for("xxz_half", 0.0))
+    report = scan_one(workspace, model_for("xxz_half", 0.0))
     assert first[4] == f"{report.ground_energy:.12g}"
     assert first[10] in ("0", "1")
     # config json is parseable and round-trips the request
@@ -242,10 +242,12 @@ def test_sweep_annotates_failures_and_exits_two(tmp_path, capsys):
 def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
     real_scan = analysis.ground_state_scan
 
-    def scan(workspace, model, **kwargs):
-        if model.params["delta"] == 0.5:
-            raise MemoryError()  # what a failed allocation in Python raises
-        return real_scan(workspace, model, **kwargs)
+    def scan(workspace, models, **kwargs):
+        return [
+            MemoryError()  # what a failed allocation in Python raises
+            if model.params["delta"] == 0.5 else real_scan(workspace, [model], **kwargs)[0]
+            for model in models
+        ]
 
     monkeypatch.setattr(analysis, "ground_state_scan", scan)
     out = tmp_path / "table.csv"
@@ -507,10 +509,12 @@ def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monk
     row's error with a residual of nan after it."""
     real_scan = analysis.ground_state_scan
 
-    def scan(workspace, model, **kwargs):
-        if model.params["delta"] == 0.5:
-            raise MemoryError("Unable to allocate 1. GiB for an array")
-        return real_scan(workspace, model, **kwargs)
+    def scan(workspace, models, **kwargs):
+        return [
+            MemoryError("Unable to allocate 1. GiB for an array")
+            if model.params["delta"] == 0.5 else real_scan(workspace, [model], **kwargs)[0]
+            for model in models
+        ]
 
     monkeypatch.setattr(analysis, "ground_state_scan", scan)
     out = tmp_path / "scaling.json"

@@ -15,10 +15,10 @@ from spinent.eigensolver import (
     ConvergenceError,
     degeneracy_count,
     dense_lowest,
-    ground_state_scan,
     lanczos_lowest,
     low_spectrum,
 )
+from one_point import scan_one, sector_one
 from spinent.analysis import shared_workspace
 from spinent.checks import sector_ground
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, model_for
@@ -27,11 +27,12 @@ from spinent.lattice import chain_lattice
 
 class _FakeHamiltonian:
     """A plain symmetric matrix with the face lanczos_lowest and dense_lowest
-    read: ``matrix`` and ``dimension``."""
+    read: ``matrix``, ``dimension`` and ``norm``, its Frobenius norm."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, norm=None):
         self.matrix = matrix
         self.dimension = matrix.shape[0]
+        self.norm = sparse.linalg.norm(matrix) if norm is None else norm
 
 
 def _sector_ham(model, n, sz):
@@ -213,7 +214,7 @@ def test_krylov_store_peak_memory():
     counting = _CountingMatrix(ham.matrix)
     tracemalloc.start()
     try:
-        lanczos_lowest(_FakeHamiltonian(counting))
+        lanczos_lowest(_FakeHamiltonian(counting, ham.norm))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,7 +311,7 @@ def test_scans_and_checks_share_one_dispatch(n):
     gives the sector's ground alone."""
     workspace = shared_workspace("xxz_half", "chain", n)
     model = model_for("xxz_half", 0.5)
-    report = ground_state_scan(workspace, model)
+    report = scan_one(workspace, model)
     checked, basis = sector_ground("xxz_half", n, 0.5)
     assert report.ground_sz == 0.0
     assert basis is workspace.basis(report.ground_sz)
@@ -385,7 +386,7 @@ def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatc
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
-            report = ground_state_scan(workspace, model)
+            report = scan_one(workspace, model)
         assert calls == [block_dim] and block_dim < workspace.basis(sz).dimension
         assert report.ground_sz == sz == whole_sz
         assert report.ground_energy == energy
@@ -402,7 +403,7 @@ def test_odd_ring_representative_is_a_reflection_eigenstate():
     lattice = chain_lattice(9)
     workspace = SectorWorkspace("xxz_half", lattice)
     for delta in (-0.5, 0.5, 1.0):
-        report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=delta))
+        report = scan_one(workspace, ModelSpec("xxz_half", delta=delta))
         assert report.degeneracy == 4 and report.ground_sz == 0.5
         basis, vector = workspace.basis(report.ground_sz), report.representative.vector
         mirrored = np.zeros_like(basis.states)
@@ -417,7 +418,7 @@ def test_scan_ferromagnet_is_doubly_degenerate():
     """Deep in the ferromagnetic phase only the two polarized states are
     ground states; anisotropy splits the rest of the would-be multiplet."""
     workspace = SectorWorkspace("xxz_half", chain_lattice(8))
-    report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=-2.0))
+    report = scan_one(workspace, ModelSpec("xxz_half", delta=-2.0))
     assert report.ground_sz == 4.0
     assert report.degeneracy == 2
     assert abs(report.ground_energy - (-4.0)) < 1e-12
@@ -429,14 +430,14 @@ def test_scan_boundary_point_recovers_full_multiplet():
     # at delta = -1 the spectrum maps onto the isotropic point, so the
     # polarized states join an S_total = 4 multiplet: 2S+1 = 9 members
     workspace = SectorWorkspace("xxz_half", chain_lattice(8))
-    report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=-1.0))
+    report = scan_one(workspace, ModelSpec("xxz_half", delta=-1.0))
     assert report.degeneracy == 9
     assert abs(report.ground_energy - (-2.0)) < 1e-12
 
 
 def test_scan_gapless_point_is_unique():
     workspace = SectorWorkspace("xxz_half", chain_lattice(8))
-    report = ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5))
+    report = scan_one(workspace, ModelSpec("xxz_half", delta=0.5))
     assert report.ground_sz == 0.0
     assert report.degeneracy == 1
     assert set(report.per_sector_energies) == set(nonnegative_sectors("half", 8))
@@ -459,7 +460,7 @@ def test_scan_refuses_tolerances_that_check_tolerances_refuses(tol, tol_deg, mes
     fault."""
     workspace = SectorWorkspace("xxz_half", chain_lattice(8))
     with pytest.raises(ValueError, match=message):
-        ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5), tol=tol, tol_deg=tol_deg)
+        scan_one(workspace, ModelSpec("xxz_half", delta=0.5), tol=tol, tol_deg=tol_deg)
 
 
 @pytest.mark.parametrize(
@@ -487,7 +488,7 @@ def test_sector_solve_refuses_bad_input_before_assembly(size, count, tol, messag
 
     monkeypatch.setattr(hamiltonian, "assemble_parts", refuse)
     with pytest.raises(ValueError, match=message):
-        eigensolver.sector_lowest(workspace, ModelSpec("xxz_half", delta=0.5), 0.0, count, tol)
+        sector_one(workspace, ModelSpec("xxz_half", delta=0.5), 0.0, count, tol)
 
 
 @pytest.mark.parametrize(
@@ -507,7 +508,7 @@ def test_low_spectrum_of_one_level_is_the_first_of_two(family, size, param):
 
 def test_scan_blbq_ferro_arc_is_flagged():
     workspace = SectorWorkspace("blbq", chain_lattice(6))
-    report = ground_state_scan(workspace, ModelSpec("blbq", theta=np.pi))
+    report = scan_one(workspace, ModelSpec("blbq", theta=np.pi))
     assert report.degeneracy == 13  # S_total = 6 multiplet
 
 
@@ -526,7 +527,7 @@ def test_scan_counts_every_member_in_large_sectors(model, size, expected):
     in Sz = 1/2. Each such sector is deflated until a level clears the
     window, so the scan agrees with low_spectrum."""
     workspace = SectorWorkspace(model.family, chain_lattice(size))
-    report = ground_state_scan(workspace, model)
+    report = scan_one(workspace, model)
     levels = low_spectrum(workspace, model, expected + 5)
     assert degeneracy_count([e for e, _ in levels], 1e-8)[0] == expected
     assert report.degeneracy == expected
@@ -549,7 +550,7 @@ def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
         return real_lanczos(ham, k, found=found, **kwargs)
 
     monkeypatch.setattr(eigensolver, "lanczos_lowest", lanczos)
-    report = ground_state_scan(workspace, model)
+    report = scan_one(workspace, model)
     expected = 0
     for sz in nonnegative_sectors("one", 8):
         vals = np.linalg.eigvalsh(workspace.matrix(model, sz).matrix.toarray())
@@ -573,12 +574,14 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
 
     def combine_dense(parts, coefficients):
         total = real(parts, coefficients)
-        calls.append(total.shape[0])
+        points, dim, _ = total.shape
+        assert points == 1
+        calls.append(dim)
         return total
 
     monkeypatch.setattr(hamiltonian, "combine_dense", combine_dense)
     workspace = SectorWorkspace("blbq", chain_lattice(8))
-    report = ground_state_scan(workspace, ModelSpec("blbq", theta=np.pi / 2))
+    report = scan_one(workspace, ModelSpec("blbq", theta=np.pi / 2))
     assert report.degeneracy == 2207
     small = [141, 125, 60, 52, 21, 15, 5, 3, 1]  # Sz = 4 .. 8: 266, 112, 36, 8, 1
     topped_up = [292, 278, 262, 275, 521, 495, 406, 378, 261, 243]  # 1107, 1016, 784, 504
@@ -638,7 +641,7 @@ def test_a_top_up_combines_once_and_solves_each_level_once(
     ``eigensolver.lanczos_lowest`` binding, the top-up's too, and the scan
     makes one pass per level and one combine_parts call per Lanczos sector."""
     workspace = SectorWorkspace(model.family, lattice)
-    ground_state_scan(workspace, model)
+    scan_one(workspace, model)
     counts = {"inside": 0, "outside": 0, "combine": 0}
     depth = []
     real_lowest, real_ground = eigensolver.lanczos_lowest, eigensolver._lanczos_ground
@@ -662,7 +665,7 @@ def test_a_top_up_combines_once_and_solves_each_level_once(
     monkeypatch.setattr(eigensolver, "lanczos_lowest", lowest)
     monkeypatch.setattr(eigensolver, "_lanczos_ground", ground)
     monkeypatch.setattr(hamiltonian, "combine_parts", combine)
-    ground_state_scan(workspace, model)
+    scan_one(workspace, model)
     assert counts == {"inside": passes, "outside": 0, "combine": combines}
 
 
@@ -671,18 +674,20 @@ def test_a_scan_enters_sector_lowest_once_per_sector_and_dense_switch(
     model, lattice, _, __, switches, monkeypatch
 ):
     """The top-up goes on from the first solve instead of solving its sector
-    again: sector_lowest is entered once per sector, and once more, for
-    every level, where a top-up switches to a dense solve."""
+    again: sector_lowest's solve is entered once per sector, the dense
+    sectors' for the scan's whole grid and the others' through
+    sector_lowest, and once more, for every level, where a top-up switches
+    to a dense solve."""
     workspace = SectorWorkspace(model.family, lattice)
     counts = []
-    real = eigensolver.sector_lowest
+    real = eigensolver._sector_solves
 
-    def lowest(workspace, model, sz, count=1, tol=1e-10):
+    def solves(workspace, models, sz, count, tol):
         counts.append(count)
-        return real(workspace, model, sz, count, tol)
+        return real(workspace, models, sz, count, tol)
 
-    monkeypatch.setattr(eigensolver, "sector_lowest", lowest)
-    ground_state_scan(workspace, model)
+    monkeypatch.setattr(eigensolver, "_sector_solves", solves)
+    scan_one(workspace, model)
     sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
     assert counts.count(1) == len(sectors)
     assert len(counts) == len(sectors) + switches
@@ -706,7 +711,7 @@ def test_asking_for_every_level_solves_densely(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(eigensolver, "lanczos_lowest", refuse)
         patch.setattr(hamiltonian, "plain_block", refuse)
-        levels, pair, _ = eigensolver.sector_lowest(workspace, model, 2.0, count=dim)
+        levels, pair, _ = sector_one(workspace, model, 2.0, count=dim)
         found_levels, found = pair()
     pieces = workspace.pieces(model, 2.0, "parity")
     spectra = [np.linalg.eigvalsh(ham.dense()) for ham in pieces]
@@ -731,7 +736,7 @@ def test_low_spectrum_lists_the_scan_levels_of_a_dense_sector(family, size, para
     lists the levels the scan reports for it, bit for bit."""
     workspace = SectorWorkspace(family, chain_lattice(size))
     model = model_for(family, param)
-    report = ground_state_scan(workspace, model)
+    report = scan_one(workspace, model)
     assert report.ground_sz != sz
     assert workspace.basis(sz).dimension <= eigensolver._DENSE_CUTOFF
     states = workspace.basis(sz).local_dim ** size
@@ -837,11 +842,11 @@ def test_one_workspace_assembles_each_sector_once(family, size, first, second, m
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hamiltonian, "assemble_parts", assemble_parts)
-    ground_state_scan(workspace, model_for(family, first))
+    scan_one(workspace, model_for(family, first))
     low_spectrum(workspace, model_for(family, first), 8)
     assert calls
     calls.clear()
-    ground_state_scan(workspace, model_for(family, second))
+    scan_one(workspace, model_for(family, second))
     low_spectrum(workspace, model_for(family, second), 8)
     assert calls == []
 
@@ -852,7 +857,7 @@ def test_a_model_of_another_family_is_refused():
     workspace = SectorWorkspace("blbq", chain_lattice(6))
     model = model_for("xxz_one", 1.0)
     with pytest.raises(ValueError, match="workspace built for 'blbq', got model 'xxz_one'"):
-        ground_state_scan(workspace, model)
+        scan_one(workspace, model)
     with pytest.raises(ValueError, match="workspace built for 'blbq', got model 'xxz_one'"):
         low_spectrum(workspace, model, 4)
 

@@ -34,7 +34,8 @@ from spinent.entanglement import (
     xform_extract,
     xform_eigenvalues,
 )
-from spinent.eigensolver import ground_state_scan, lanczos_lowest
+from one_point import scan_one
+from spinent.eigensolver import lanczos_lowest
 from spinent.hamiltonian import SectorWorkspace, model_for, spin_matrices
 from spinent.lattice import chain_lattice
 
@@ -333,7 +334,7 @@ def test_a_sweep_builds_each_pair_table_once(monkeypatch):
     assert calls == {"unique": 1, "index": 2}
     workspace = analysis.shared_workspace("xxz_half", "chain", 10)
     for row, delta in zip(rows, np.linspace(*grid)):
-        report = ground_state_scan(workspace, model_for("xxz_half", delta))
+        report = scan_one(workspace, model_for("xxz_half", delta))
         assert report.ground_sz == 0.0
         state, basis = report.representative.vector, workspace.basis(0.0)
         rdm = two_site_rdm_reference(state, basis, 0, 1)

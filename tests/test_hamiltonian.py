@@ -26,7 +26,8 @@ from spinent.basis import (
     sector_values,
     translation_block,
 )
-from spinent.eigensolver import _DENSE_CUTOFF, ground_state_scan
+from one_point import scan_one
+from spinent.eigensolver import _DENSE_CUTOFF
 from spinent.hamiltonian import (
     FAMILIES,
     ModelSpec,
@@ -292,7 +293,8 @@ def test_a_zero_coefficient_part_is_skipped(model, size):
             assert np.array_equal(getattr(csr, field), getattr(expected, field))
         assert np.array_equal(np.signbit(csr.data), np.signbit(expected.data))
         if expected.shape[0] <= 1500:
-            dense, reference = combine_dense(kept, coefficients), expected.toarray()
+            at_one_point = {name: np.array([coeff]) for name, coeff in coefficients.items()}
+            dense, reference = combine_dense(kept, at_one_point)[0], expected.toarray()
             assert np.array_equal(dense, reference)
             assert np.array_equal(np.signbit(dense), np.signbit(reference))
 
@@ -318,7 +320,7 @@ def test_a_scan_stores_nothing_in_an_assembled_workspace(model, lattice):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ground_state_scan(workspace, model)
+        scan_one(workspace, model)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

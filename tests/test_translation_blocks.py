@@ -15,7 +15,8 @@ from oracles import momentum_characters
 from spinent import analysis, checks, eigensolver, hamiltonian
 from spinent.analysis import shared_workspace
 from spinent.basis import build_basis, nonnegative_sectors, translation_block
-from spinent.eigensolver import _DENSE_CUTOFF, ground_state_scan
+from one_point import scan_one, sector_one
+from spinent.eigensolver import _DENSE_CUTOFF
 from spinent.entanglement import bond_correlators, two_site_rdm, von_neumann_entropy
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, perron_frobenius, model_for
 from spinent.lattice import chain_lattice, square_lattice
@@ -29,10 +30,10 @@ def _observables(report, workspace):
 
 
 def _assert_routes_agree(model, workspace, monkeypatch):
-    block = ground_state_scan(workspace, model)
+    block = scan_one(workspace, model)
     with monkeypatch.context() as patch:
         patch.setattr(eigensolver, "ground_characters", lambda *args: ())
-        plain = ground_state_scan(workspace, model)
+        plain = scan_one(workspace, model)
     assert block.per_sector_energies.keys() == plain.per_sector_energies.keys()
     for sz, levels in block.per_sector_energies.items():
         assert abs(levels[0] - plain.per_sector_energies[sz][0]) <= 1e-10
@@ -96,11 +97,11 @@ def test_perron_frobenius_condition_table():
 def _record(monkeypatch):
     """Record (sector dimension, block dimension, kind) for every block
     assembled, the kind "plain", "translation" or "parity", and the
-    dimension of every piece sector_lowest solves: the translation block
+    dimension of every piece a sector solve solves: the translation block
     ground_characters predicts for a sector not solved whole, or else the
     whole sector."""
     assembled, solved, parity = [], [], set()
-    real_assemble, real_lowest = hamiltonian.assemble_parts, eigensolver.sector_lowest
+    real_assemble, real_solves = hamiltonian.assemble_parts, eigensolver._sector_solves
     real_parity = hamiltonian.parity_blocks
 
     def parity_blocks(*args):
@@ -117,18 +118,22 @@ def _record(monkeypatch):
         assembled.append((block.basis.dimension, block.dimension, kind))
         return real_assemble(family, lattice, block)
 
-    def lowest(workspace, model, sz, count=1, tol=1e-10):
-        found = real_lowest(workspace, model, sz, count, tol)
-        if found[2]:
-            solved.append(workspace.basis(sz).dimension)
-        else:
-            characters = hamiltonian.ground_characters(model, workspace.lattice, sz)
-            solved.append(workspace.pieces(model, sz, characters)[0].dimension)
+    def solves(workspace, models, sz, count, tol):
+        found = real_solves(workspace, models, sz, count, tol)
+        for model, (pieces, _, whole) in zip(models, found):
+            if whole:
+                solved.append(workspace.basis(sz).dimension)
+            else:
+                characters = hamiltonian.ground_characters(model, workspace.lattice, sz)
+                assert [piece.block for piece in pieces] == [
+                    piece.block for piece in workspace.pieces(model, sz, characters)
+                ]
+                solved.append(pieces[0].dimension)
         return found
 
     monkeypatch.setattr(hamiltonian, "parity_blocks", parity_blocks)
     monkeypatch.setattr(hamiltonian, "assemble_parts", assemble)
-    monkeypatch.setattr(eigensolver, "sector_lowest", lowest)
+    monkeypatch.setattr(eigensolver, "_sector_solves", solves)
     return assembled, solved
 
 
@@ -164,7 +169,7 @@ def _assert_no_small_plain_block(assembled):
 def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
     assembled, solved = _record(monkeypatch)
     workspace = SectorWorkspace(model.family, lattice)
-    ground_state_scan(workspace, model)
+    scan_one(workspace, model)
     sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
     dims = [workspace.basis(sz).dimension for sz in sectors]
     assert max(dims) > _DENSE_CUTOFF
@@ -177,8 +182,9 @@ def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
     dense = [dim for dim in dims if dim <= _DENSE_CUTOFF]
     split = _parity_sectors(assembled)
     assert set(dense) <= set(split) <= set(dims)
-    # every sector solved whole, some of them again for more levels
-    assert solved[: len(dims)] == dims
+    # every sector solved whole, the dense ones first, some of them again
+    # for more levels
+    assert solved[: len(dims)] == dense + [dim for dim in dims if dim > _DENSE_CUTOFF]
     assert set(solved) <= set(dims)
 
 
@@ -186,7 +192,7 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
     assembled, solved = _record(monkeypatch)
     lattice = chain_lattice(16)
     workspace = SectorWorkspace("xxz_half", lattice)
-    ground_state_scan(workspace, ModelSpec("xxz_half", delta=0.5))
+    scan_one(workspace, ModelSpec("xxz_half", delta=0.5))
     large = [dim for dim, _, _ in assembled if dim > _DENSE_CUTOFF]
     assert len(large) == 6  # Sz = 0 .. 5
     for dim, block_dim, kind in assembled:
@@ -199,7 +205,7 @@ def test_block_route_never_assembles_large_plain_sectors(monkeypatch):
     assert small == [120, 16, 1]  # Sz = 6, 7, 8
     assert _parity_sectors(assembled) == small
     blocks = [block_dim for _, block_dim, kind in assembled if kind == "translation"]
-    assert solved == blocks + small
+    assert solved == small + blocks
 
 
 def test_one_level_of_a_large_sector_reads_only_its_translation_block(monkeypatch):
@@ -209,11 +215,11 @@ def test_one_level_of_a_large_sector_reads_only_its_translation_block(monkeypatc
     assembled, solved = _record(monkeypatch)
     workspace = SectorWorkspace("xxz_half", chain_lattice(16))
     model = ModelSpec("xxz_half", delta=0.5)
-    one, _, whole = eigensolver.sector_lowest(workspace, model, 0.0)
+    one, _, whole = sector_one(workspace, model, 0.0)
     assert not whole and len(one) == 1
     ((dim, block_dim, kind),) = assembled
     assert (dim, kind) == (12870, "translation") and solved == [block_dim]
-    two, _, whole = eigensolver.sector_lowest(workspace, model, 0.0, count=2)
+    two, _, whole = sector_one(workspace, model, 0.0, count=2)
     assert whole and len(two) == 2
     assert assembled[1:] == [(12870, 12870, "plain")] and solved[1:] == [12870]
     assert abs(one[0] - two[0]) <= 1e-10
