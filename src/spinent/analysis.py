@@ -106,22 +106,25 @@ def shared_workspace(family: str, geometry: str, size: int) -> SectorWorkspace:
 
 
 def _sweep_rows(task) -> list[SweepRow]:
-    """The rows of one run of grid points of one size, from one ground_state_scan."""
+    """The rows of one run of grid points of one size, from one ground_state_scan.
+
+    Each point's row is made as soon as the scan hands on the point's entry,
+    so the run keeps one report, and one representative vector, at a time."""
     family, geometry, size, params, fixed, tol_deg, tol = task
     label = size_label(geometry, size)
-    try:
-        workspace = shared_workspace(family, geometry, size)
-        models = [model_for(family, param, **dict(fixed)) for param in params]
-        entries = ground_state_scan(workspace, models, tol=tol, tol_deg=tol_deg)
-    except (ValueError, RuntimeError, MemoryError) as fail:
-        entries = [fail] * len(params)
-    rows = []
-    for param, report in zip(params, entries):
+    rows: list[SweepRow] = []
+
+    def failed(param: float, fail: Exception) -> SweepRow:
+        return SweepRow(family, geometry, label, param, error=str(fail) or type(fail).__name__)
+
+    def add(report) -> None:
+        param = params[len(rows)]
+        if isinstance(report, Exception):
+            rows.append(failed(param, report))
+            return
+        state = report.representative.vector
+        basis = workspace.basis(report.ground_sz)
         try:
-            if isinstance(report, Exception):
-                raise report
-            state = report.representative.vector
-            basis = workspace.basis(report.ground_sz)
             bond = bond_correlators(state, basis, _MEASURED_PAIR)
             rdm = two_site_rdm(state, basis, *_MEASURED_PAIR)
             rows.append(SweepRow(
@@ -130,8 +133,14 @@ def _sweep_rows(task) -> list[SweepRow]:
                 degeneracy=report.degeneracy, degenerate_flag=report.degeneracy > 1,
             ))
         except (ValueError, RuntimeError, MemoryError) as fail:
-            rows.append(SweepRow(family, geometry, label, param,
-                                 error=str(fail) or type(fail).__name__))
+            rows.append(failed(param, fail))
+
+    try:
+        workspace = shared_workspace(family, geometry, size)
+        models = [model_for(family, param, **dict(fixed)) for param in params]
+        ground_state_scan(workspace, models, tol=tol, tol_deg=tol_deg, each=add)
+    except (ValueError, RuntimeError, MemoryError) as fail:
+        rows += [failed(param, fail) for param in params[len(rows):]]
     return rows
 
 

@@ -70,10 +70,8 @@ def sector_ground(family: str, size: int, param: float) -> tuple[EigenResult, Sp
     """Lowest eigenpair of a ring's Sz=0 sector at one parameter value, solved
     as ground_state_scan solves it and written over the plain sector."""
     workspace = shared_workspace(family, "chain", size)
-    [entry] = sector_lowest(workspace, [model_for(family, param)], 0.0)
-    if isinstance(entry, Exception):
-        raise entry
-    return entry[1]()[1], workspace.basis(0.0)
+    _, pair, _ = sector_lowest(workspace, model_for(family, param), 0.0)
+    return pair()[1], workspace.basis(0.0)
 
 
 def _close(value: float, target: float, tol: float, label: str):

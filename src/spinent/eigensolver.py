@@ -43,16 +43,15 @@ goes to Lanczos. Eigenvectors of a dense piece come from a second,
 ``eigh`` solve made on demand, which a scan makes for the one piece that
 represents the point.
 
-sector_lowest and ground_state_scan take a grid of models, one model
-being a grid of one, and give one entry per model: its result, or the
-ValueError, RuntimeError or MemoryError that this point alone raised. A
-block's parts do not depend on the point, so a dense piece is solved for
-the whole grid at once: its arrays are combined in stacks of at most
-_STACK_BYTES, each stack by one sum per part, and each stack is
-diagonalized by one ``eigvalsh``, which gives every point bitwise the
-values of its own solve. A scan solves its dense sectors that way and
-goes through the others, the representative's ``eigh`` and the top-up
-point by point.
+ground_state_scan takes a grid of models, one model being a grid of one,
+and gives one entry per model: its report, or the ValueError, RuntimeError
+or MemoryError that this point alone raised, each handed on as soon as it
+is formed. A block's parts do not depend on the point, so a scan solves
+each dense piece for the whole grid at once: its arrays are combined in
+stacks of at most _STACK_BYTES, each stack by one sum per part, and each
+stack is diagonalized by one ``eigvalsh``, which gives every point bitwise
+the values of its own solve. The scan goes through the other sectors, the
+representative's ``eigh`` and the top-up point by point.
 
 Every solve takes a SectorWorkspace first and the model or grid second:
 the workspace is the one handle on the lattice, and it keeps the bases and
@@ -62,7 +61,7 @@ stencil parts that solves at other parameter values reuse.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -375,38 +374,29 @@ def _dense(dimension: int, count: int) -> bool:
     return dimension <= _DENSE_CUTOFF or count >= dimension
 
 
-def _raised(entry):
-    """An entry of a grid solve, raising it if it is its point's failure."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
-
-
 def sector_lowest(
     workspace: SectorWorkspace,
-    models: Sequence[ModelSpec],
+    model: ModelSpec,
     sz: float,
     count: int = 1,
     tol: float = 1e-10,
-) -> list:
-    """For each model of a grid, the ``count`` lowest energies of one
-    sector, a call that gives them with the sector's bottom eigenpair over
-    the plain sector, and, for a sector solved whole, a call that tops its
-    levels up; or, in their place, the ValueError, RuntimeError or
-    MemoryError that model's solve raised, the first in block order.
+) -> tuple[list[float], Callable[[], tuple[list[float], EigenResult]], Callable | None]:
+    """The ``count`` lowest energies of one sector, a call that gives them
+    with the sector's bottom eigenpair over the plain sector, and, for a
+    sector solved whole, a call that tops its levels up.
 
     The pieces and the dense-versus-Lanczos rule (``_dense``) are the
-    module docstring's: a model's kind is picked once and every piece of it
-    is solved from one list. The models of one kind share its blocks, so a
-    dense block is solved for all of them at once by _dense_levels; a
-    Lanczos piece is solved model by model. The levels are the sorted union
-    of the pieces', cut to the one ground of a translation block, and a
-    dense piece's array is dropped once its values are found. The call
-    gives the pair of the first piece, in block order, whose bottom lies
-    within ``tol`` of the lowest level, written out over the plain sector
-    by that piece's ``block.expand``. For a dense piece it runs an ``eigh``
-    of that piece's array, combined again, and returns the levels with that
-    solve's in place of the values-only ones of its piece. A ``tol`` that
+    module docstring's: the kind is picked once and every piece of it is
+    solved from one list, by _sector_solves, the grid solve that
+    ground_state_scan also uses; it raises the first error of its pieces,
+    in block order. The levels are the sorted union of the pieces', cut to
+    the one ground of a translation block, and a dense piece's array is
+    dropped once its values are found. The call gives the pair of the
+    first piece, in block order, whose bottom lies within ``tol`` of the
+    lowest level, written out over the plain sector by that piece's
+    ``block.expand``. For a dense piece it runs an ``eigh`` of that piece's
+    array, combined again, and returns the levels with that solve's in
+    place of the values-only ones of its piece. A ``tol`` that
     check_tolerances refuses, or a ``count`` below 1, raises ValueError
     first.
 
@@ -415,14 +405,19 @@ def sector_lowest(
     Lanczos piece a level further on its combined matrix or, past
     _LANCZOS_TOP_UP, a sector of at most _DENSE_LIMIT states goes dense.
     """
-    solves = _sector_solves(workspace, models, sz, count, tol)
-    return [_sector_entry(workspace, model, sz, tol, solve) for model, solve in zip(models, solves)]
+    [solve] = _sector_solves(workspace, [model], sz, count, tol)
+    if isinstance(solve, Exception):
+        raise solve
+    return _sector_entry(workspace, model, sz, tol, solve)
 
 
 def _sector_solves(workspace, models, sz, count, tol) -> list:
-    """sector_lowest's solves, before any entry is formed: for each model,
-    its pieces, each piece's (values, Lanczos results or None) and whether
-    the sector is solved whole, or the first error of its pieces."""
+    """sector_lowest's solves at each model of a grid: the model's pieces,
+    each piece's (values, Lanczos results or None) and whether the sector
+    is solved whole; or, in their place, the first error of its pieces. The
+    models of one kind share its blocks, so a dense block is solved for all
+    of them at once by _dense_levels; a Lanczos piece is solved model by
+    model."""
     check_tolerances(tol, 0.0)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -466,7 +461,13 @@ def _dense_levels(pieces: Sequence[SparseHamiltonian]) -> list:
         try:
             values = iter(np.linalg.eigvalsh(stack))
         except (ValueError, RuntimeError, MemoryError):
-            values = iter([_caught(np.linalg.eigvalsh, array) for array in stack])
+            values = []
+            for array in stack:
+                try:
+                    values.append(np.linalg.eigvalsh(array))
+                except (ValueError, RuntimeError, MemoryError) as failure:
+                    values.append(failure)
+            values = iter(values)
         for error in errors:
             found = error or next(values)
             levels.append(found if isinstance(found, Exception) else (found, None))
@@ -482,19 +483,9 @@ def _lanczos_levels(hamiltonian: SparseHamiltonian, count: int, tol: float):
     return np.array([r.energy for r in results]), results
 
 
-def _caught(solve, *args):
-    """What ``solve`` returns, or the ValueError, RuntimeError or MemoryError it raises."""
-    try:
-        return solve(*args)
-    except (ValueError, RuntimeError, MemoryError) as failure:
-        return failure
-
-
 def _sector_entry(workspace, model, sz, tol, solve):
-    """sector_lowest's entry for one model from its _sector_solves entry; a
-    failure is passed on."""
-    if isinstance(solve, Exception):
-        return solve
+    """sector_lowest's (levels, bottom, top_up) from a _sector_solves entry
+    that is not a failure."""
     pieces, solved, whole = solve
     dim = workspace.basis(sz).dimension
     levels = np.sort(np.concatenate([values for values, _ in solved]))
@@ -515,7 +506,7 @@ def _sector_entry(workspace, model, sz, tol, solve):
         energies, found = levels, solved[0][1]
         while found and len(found) < dim and energies[-1] <= ceiling:
             if len(found) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
-                return _raised(sector_lowest(workspace, [model], sz, dim, tol)[0])[0]
+                return sector_lowest(workspace, model, sz, dim, tol)[0]
             found = lanczos_lowest(pieces[0], k=len(found) + 1, tol=tol, found=found)
             energies = np.sort([r.energy for r in found])
         return list(map(float, energies))
@@ -529,15 +520,22 @@ def ground_state_scan(
     *,
     tol: float = 1e-10,
     tol_deg: float = 1e-8,
+    each: Callable = lambda entry: entry,
 ) -> list:
     """Scan the workspace's Sz >= 0 sectors for the global ground state and
     its degeneracy at each model of a grid; one model is a grid of one.
 
-    Returns one entry per model: its GroundStateReport, or the ValueError,
+    A point's entry is its GroundStateReport, or the ValueError,
     RuntimeError or MemoryError that this point alone raised, the first in
-    sector order. Spin-flip symmetry makes the Sz < 0 sectors mirror
-    images, so they are skipped but counted in the degeneracy. Each sector
-    is solved by sector_lowest: first every sector that ``_dense`` solves
+    sector order. Each entry is handed to ``each`` as soon as it is formed,
+    before the next point is solved, and the scan returns what ``each``
+    gives, one per model; by default that is the entry itself. So a caller
+    that keeps only what it reads off each report, as a sweep does, holds
+    one representative vector at a time, however long the grid.
+
+    Spin-flip symmetry makes the Sz < 0 sectors mirror images, so they are
+    skipped but counted in the degeneracy. Each sector is solved as
+    sector_lowest solves it: first every sector that ``_dense`` solves
     densely, for the whole grid at once, so each parity block is combined
     and diagonalized in stacks over the points; then, point by point, the
     other sectors, in sector order. The representative sector is picked
@@ -556,22 +554,33 @@ def ground_state_scan(
         sz: _sector_solves(workspace, models, sz, 1, tol)
         for sz in sectors if _dense(workspace.basis(sz).dimension, 1)
     }
-    entries = []
-    for i, model in enumerate(models):
-        try:
-            solved = {}
-            for sz in sectors:
-                if sz in stacked:
-                    # Dropped once used, so the grid's solves shrink as its reports grow.
-                    solve, stacked[sz][i] = stacked[sz][i], None
-                    entry = _sector_entry(workspace, model, sz, tol, solve)
-                else:
-                    entry = sector_lowest(workspace, [model], sz, tol=tol)[0]
-                solved[sz] = _raised(entry)
-            entries.append(_point_report(workspace, solved, tol_deg))
-        except (ValueError, RuntimeError, MemoryError) as failure:
-            entries.append(failure)
-    return entries
+    # Reversed and popped, so a point's solves are dropped once it is done.
+    for solves in stacked.values():
+        solves.reverse()
+    return [
+        each(_point_entry(workspace, model, {sz: solves.pop() for sz, solves in stacked.items()},
+                          tol, tol_deg))
+        for model in models
+    ]
+
+
+def _point_entry(workspace, model, stacked: dict, tol: float, tol_deg: float):
+    """One point's GroundStateReport, or the error its first failing sector
+    raised, from its _sector_solves entries of the stacked sectors; every
+    other sector is solved here by sector_lowest. Nothing of the point's
+    solves outlives the call but the report."""
+    try:
+        solved = {}
+        for sz in nonnegative_sectors(workspace.spin, workspace.lattice.num_sites):
+            if sz not in stacked:
+                solved[sz] = sector_lowest(workspace, model, sz, tol=tol)
+            elif isinstance(stacked[sz], Exception):
+                raise stacked[sz]
+            else:
+                solved[sz] = _sector_entry(workspace, model, sz, tol, stacked[sz])
+        return _point_report(workspace, solved, tol_deg)
+    except (ValueError, RuntimeError, MemoryError) as failure:
+        return failure
 
 
 def _point_report(workspace: SectorWorkspace, solved: dict, tol_deg: float) -> GroundStateReport:
@@ -639,7 +648,7 @@ def low_spectrum(
             )
     merged: list[tuple[float, float]] = []
     for sz in sectors:
-        energies = _raised(sector_lowest(workspace, [model], sz, levels, tol)[0])[0][:levels]
+        energies = sector_lowest(workspace, model, sz, levels, tol)[0][:levels]
         for e in energies:
             merged.append((e, sz))
             if sz > 1e-12:

@@ -117,13 +117,14 @@ class SparseHamiltonian:
     ``block``, and the Hamiltonian over it.
 
     It holds the block's CSR stencil parts and combines them only in the
-    form a solver reads: ``matrix`` by combine_parts on first access, which
-    also sets ``norm`` to ||H||_F, and ``dense()`` by combine_dense, so a
-    dense solve builds no CSR total. Either raises ValueError, naming the
-    model, when 16 ||H||_F^2 is not finite; it bounds the square of every
-    norm a solve takes (a Lanczos vector is at most 3 ||H||, a residual
-    2 ||H||), so solvers need no overflow checks. ``block.expand`` writes a
-    piece's vector over the plain sector.
+    form a solver reads: ``matrix`` by combine_parts on first access, and
+    ``dense()`` by combine_dense, so a dense solve builds no CSR total.
+    Either raises ValueError, naming the model, when 16 ||H||_F^2 is not
+    finite; it bounds the square of every norm a solve takes (a Lanczos
+    vector is at most 3 ||H||, a residual 2 ||H||), so solvers need no
+    overflow checks. ``norm``, ||H||_F, is read off ``matrix``, combining it
+    first where needed. ``block.expand`` writes a piece's vector over the
+    plain sector.
     """
 
     def __init__(self, model: ModelSpec, block: SectorBlock, parts: dict[str, sparse.csr_matrix]):
@@ -139,12 +140,17 @@ class SparseHamiltonian:
     def matrix(self) -> sparse.csr_matrix:
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_parts(self._parts, self._model.part_coefficients())
-            square = float(total.data @ total.data)
-        error = self._size_error(square)
+            self._square = float(total.data @ total.data)
+        error = self._size_error(self._square)
         if error:
             raise error
-        self.norm = math.sqrt(square)
         return total
+
+    @cached_property
+    def norm(self) -> float:
+        """||H||_F, the root of the square that the size check of ``matrix`` takes."""
+        self.matrix
+        return math.sqrt(self._square)
 
     def dense(self) -> np.ndarray:
         """The matrix as a dense array, bitwise ``matrix.toarray()``: the

@@ -1,25 +1,16 @@
-"""The grid solves of ``spinent.eigensolver`` at a single point.
+"""ground_state_scan of ``spinent.eigensolver`` at a single point.
 
-ground_state_scan and sector_lowest take a grid of models and return one
-entry per model, a failure among them as the exception itself. Tests that
-solve one point call them through these, which raise that exception.
+The scan takes a grid of models and returns one entry per model, a
+failure among them as the exception itself. Tests that scan one point call
+it through scan_one, which raises that exception.
 """
 
 from spinent import eigensolver
 
 
-def _single(entries):
-    [entry] = entries
+def scan_one(workspace, model, **kwargs):
+    """The GroundStateReport of ground_state_scan at one model."""
+    [entry] = eigensolver.ground_state_scan(workspace, [model], **kwargs)
     if isinstance(entry, Exception):
         raise entry
     return entry
-
-
-def scan_one(workspace, model, **kwargs):
-    """The GroundStateReport of ground_state_scan at one model."""
-    return _single(eigensolver.ground_state_scan(workspace, [model], **kwargs))
-
-
-def sector_one(workspace, model, sz, count=1, tol=1e-10):
-    """sector_lowest's (levels, bottom, top_up) at one model."""
-    return _single(eigensolver.sector_lowest(workspace, [model], sz, count, tol))

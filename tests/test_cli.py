@@ -242,12 +242,12 @@ def test_sweep_annotates_failures_and_exits_two(tmp_path, capsys):
 def test_sweep_out_of_memory_keeps_the_good_rows(tmp_path, capsys, monkeypatch):
     real_scan = analysis.ground_state_scan
 
-    def scan(workspace, models, **kwargs):
-        return [
-            MemoryError()  # what a failed allocation in Python raises
-            if model.params["delta"] == 0.5 else real_scan(workspace, [model], **kwargs)[0]
-            for model in models
-        ]
+    def scan(workspace, models, *, each, **kwargs):
+        for model in models:
+            if model.params["delta"] == 0.5:
+                each(MemoryError())  # what a failed allocation in Python raises
+            else:
+                each(real_scan(workspace, [model], **kwargs)[0])
 
     monkeypatch.setattr(analysis, "ground_state_scan", scan)
     out = tmp_path / "table.csv"
@@ -509,12 +509,12 @@ def test_scaling_lost_rows_error_quotes_the_first_failure(tmp_path, capsys, monk
     row's error with a residual of nan after it."""
     real_scan = analysis.ground_state_scan
 
-    def scan(workspace, models, **kwargs):
-        return [
-            MemoryError("Unable to allocate 1. GiB for an array")
-            if model.params["delta"] == 0.5 else real_scan(workspace, [model], **kwargs)[0]
-            for model in models
-        ]
+    def scan(workspace, models, *, each, **kwargs):
+        for model in models:
+            if model.params["delta"] == 0.5:
+                each(MemoryError("Unable to allocate 1. GiB for an array"))
+            else:
+                each(real_scan(workspace, [model], **kwargs)[0])
 
     monkeypatch.setattr(analysis, "ground_state_scan", scan)
     out = tmp_path / "scaling.json"

@@ -18,7 +18,7 @@ from spinent.eigensolver import (
     lanczos_lowest,
     low_spectrum,
 )
-from one_point import scan_one, sector_one
+from one_point import scan_one
 from spinent.analysis import shared_workspace
 from spinent.checks import sector_ground
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, model_for
@@ -488,7 +488,7 @@ def test_sector_solve_refuses_bad_input_before_assembly(size, count, tol, messag
 
     monkeypatch.setattr(hamiltonian, "assemble_parts", refuse)
     with pytest.raises(ValueError, match=message):
-        sector_one(workspace, ModelSpec("xxz_half", delta=0.5), 0.0, count, tol)
+        eigensolver.sector_lowest(workspace, ModelSpec("xxz_half", delta=0.5), 0.0, count, tol)
 
 
 @pytest.mark.parametrize(
@@ -711,7 +711,7 @@ def test_asking_for_every_level_solves_densely(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(eigensolver, "lanczos_lowest", refuse)
         patch.setattr(hamiltonian, "plain_block", refuse)
-        levels, pair, _ = sector_one(workspace, model, 2.0, count=dim)
+        levels, pair, _ = eigensolver.sector_lowest(workspace, model, 2.0, count=dim)
         found_levels, found = pair()
     pieces = workspace.pieces(model, 2.0, "parity")
     spectra = [np.linalg.eigvalsh(ham.dense()) for ham in pieces]

@@ -6,13 +6,14 @@ None of that may show in a point's report or in which error a point gets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from one_point import scan_one
 from spinent import eigensolver
-from spinent.analysis import sweep
+from spinent.analysis import shared_workspace, sweep
 from spinent.eigensolver import ConvergenceError, ground_state_scan
 from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice, square_lattice
@@ -128,3 +129,22 @@ def test_a_stack_that_fails_is_solved_again_array_by_array(monkeypatch):
         else:
             report = scan_one(workspace, model_for("blbq", row.param))
             assert row.error is None and row.energy == report.ground_energy
+
+
+def test_a_long_serial_sweep_keeps_one_representative_at_a_time():
+    """A sweep turns each point's report into its row as soon as the scan
+    hands it on, so from 4 points to 16 its peak memory grows by less than
+    one representative vector; keeping every report to the end of the grid
+    would add twelve. xxz_half N=16 has its ground state in the 12,870-state
+    Sz=0 sector."""
+    workspace = shared_workspace("xxz_half", "chain", 16)
+    sweep("xxz_half", "chain", [16], (0.5, 1.5, 2))  # fills the workspace's caches
+    peaks = []
+    for count in (4, 16):
+        tracemalloc.start()
+        table = sweep("xxz_half", "chain", [16], (0.5, 1.5, count))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert [row.error for row in table.rows] == [None] * count
+        del table
+    assert peaks[1] - peaks[0] < 8 * workspace.basis(0.0).dimension

@@ -534,3 +534,15 @@ def test_plain_parts_are_their_own_transpose(family, lattice):
                 mine, theirs = getattr(part, field), getattr(transposed, field)
                 assert mine.dtype == theirs.dtype, (name, field)
                 assert mine.tobytes() == theirs.tobytes(), (name, field)
+
+
+def test_norm_can_be_read_before_the_matrix():
+    """``norm`` combines the matrix itself where nothing has read it yet,
+    and is its Frobenius norm either way."""
+    model = ModelSpec("xxz_half", delta=0.5)
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    first, second = workspace.matrix(model, 0.0), workspace.matrix(model, 0.0)
+    norm = first.norm
+    second.matrix
+    assert norm == second.norm == math.sqrt(first.matrix.data @ first.matrix.data)
+    assert norm == pytest.approx(sparse.linalg.norm(first.matrix), rel=1e-15)

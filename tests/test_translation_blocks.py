@@ -15,7 +15,7 @@ from oracles import momentum_characters
 from spinent import analysis, checks, eigensolver, hamiltonian
 from spinent.analysis import shared_workspace
 from spinent.basis import build_basis, nonnegative_sectors, translation_block
-from one_point import scan_one, sector_one
+from one_point import scan_one
 from spinent.eigensolver import _DENSE_CUTOFF
 from spinent.entanglement import bond_correlators, two_site_rdm, von_neumann_entropy
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, perron_frobenius, model_for
@@ -215,11 +215,11 @@ def test_one_level_of_a_large_sector_reads_only_its_translation_block(monkeypatc
     assembled, solved = _record(monkeypatch)
     workspace = SectorWorkspace("xxz_half", chain_lattice(16))
     model = ModelSpec("xxz_half", delta=0.5)
-    one, _, whole = sector_one(workspace, model, 0.0)
+    one, _, whole = eigensolver.sector_lowest(workspace, model, 0.0)
     assert not whole and len(one) == 1
     ((dim, block_dim, kind),) = assembled
     assert (dim, kind) == (12870, "translation") and solved == [block_dim]
-    two, _, whole = sector_one(workspace, model, 0.0, count=2)
+    two, _, whole = eigensolver.sector_lowest(workspace, model, 0.0, count=2)
     assert whole and len(two) == 2
     assert assembled[1:] == [(12870, 12870, "plain")] and solved[1:] == [12870]
     assert abs(one[0] - two[0]) <= 1e-10
