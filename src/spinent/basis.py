@@ -17,7 +17,8 @@ smaller high codes plus the rank of its low code.
 A sector splits further into blocks of one character under a group of
 site and spin maps, each spanned by representative states (H. Q. Lin, op.
 cit.; Sandvik, op. cit., sec. 4): the lattice translations, or the
-reflection and, at Sz = 0, the global spin inversion. A lattice map is the
+reflection, at Sz = 0 the global spin inversion, and the translations by
+half an even extent. A lattice map is the
 image of every site, and one routine, _permute, moves packed states by it;
 one builder, orbit_blocks, serves both groups. It finds the
 representatives first, the states no group element maps lower, and then
@@ -27,6 +28,8 @@ representatives are ever moved by the whole group. The plain sector is the block
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -247,8 +250,10 @@ class SectorBlock:
     ``row`` (int64) is the block state whose orbit holds it and ``coef``
     its amplitude there, character / sqrt(orbit size); an orbit the
     characters annihilate has row -1 and amplitude 0. ``orbit`` (int64) is
-    the orbit size of each block state. In the plain block ``reps`` is
-    ``basis`` and every amplitude and orbit size is 1.
+    the orbit size of each block state. ``characters`` is the character of
+    every group element, in the order of the maps that built the block. In
+    the plain block ``reps`` is ``basis``, every amplitude and orbit size is
+    1, and the one character is the identity's.
     """
 
     basis: SpinBasis
@@ -256,6 +261,7 @@ class SectorBlock:
     row: np.ndarray
     coef: np.ndarray
     orbit: np.ndarray
+    characters: tuple[int, ...] = (1,)
 
     @property
     def dimension(self) -> int:
@@ -322,25 +328,48 @@ def translation_block(
     return orbit_blocks(basis, moves, [characters])[0]
 
 
-def parity_blocks(basis: SpinBasis, reflection: tuple[int, ...]) -> list[SectorBlock]:
-    """The non-empty blocks of a sector under the site reflection R and, at
-    Sz = 0, the global spin inversion F, which maps every local Sz to its
-    negative. Each is real and of one character under R and F; they come in
-    the fixed order (R, F) = (+1, +1), (+1, -1), (-1, +1), (-1, -1), F
-    omitted away from Sz = 0, and together they span the sector (Sandvik,
-    arXiv:1101.3281, sec. 4.2-4.3). orbit_blocks builds them together from
-    the maps R, F and RF, or R alone.
+def parity_blocks(
+    basis: SpinBasis, reflection: tuple[int, ...], halves: tuple[tuple[int, ...], ...] = ()
+) -> list[SectorBlock]:
+    """The non-empty blocks of a sector under a group of commuting
+    involutions. Its generators are the site reflection R; at Sz = 0 the
+    global spin inversion F, which maps every local Sz to its negative; and
+    each site image of ``halves``, translations that are their own inverse
+    (``Lattice.half_translations``). Each block is real and of one
+    character, +1 or -1, under every generator. The blocks come in the
+    lexicographic order of those characters, generator by generator and +1
+    first: without ``halves`` (R, F) = (+1, +1), (+1, -1), (-1, +1),
+    (-1, -1), F omitted away from Sz = 0, and with them each of those
+    blocks splits into a run of consecutive ones. Together they span the
+    sector (Sandvik, arXiv:1101.3281, sec. 4.2-4.3). orbit_blocks builds
+    them together from every product of the generators, those of R and F
+    first, so a block's ``characters`` begin with the characters of the
+    (R, F) block that holds it.
     """
-    mirror = partial(_permute, basis, image=reflection)
-    moves = [lambda states: states, mirror]
-    representations = [(1, 1), (1, -1)]
+    b = basis.bits_per_site
+    # F takes digit d to its highest value minus d at every site, so it
+    # subtracts the state from the all-highest one; only Sz = 0 maps to itself.
+    top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
+    identity = tuple(range(basis.num_sites))
+    generators = [(reflection, False)]
     if basis.sz_sector == 0:
-        b = basis.bits_per_site
-        # F takes digit d to its highest value minus d at every site, so it
-        # subtracts the state from the all-highest one; only Sz = 0 maps to itself.
-        top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
-        moves += [lambda states: top - states, lambda states: top - mirror(states)]
-        representations = [(1, r, f, r * f) for r in (1, -1) for f in (1, -1)]
+        generators.append((identity, True))
+    generators += [(half, False) for half in halves]
+    # element k is the product of the generators of the set bits of k
+    elements = [(identity, False)]
+    for image, flip in generators:
+        elements += [(tuple(image[s] for s in old), old_flip != flip) for old, old_flip in elements]
+
+    def move(states, image, flip):
+        moved = states if image == identity else _permute(basis, states, image)
+        return top - moved if flip else moved
+
+    moves = [partial(move, image=image, flip=flip) for image, flip in elements]
+    representations = [
+        tuple(math.prod(c for bit, c in enumerate(signs) if k >> bit & 1)
+              for k in range(len(moves)))
+        for signs in itertools.product((1, -1), repeat=len(generators))
+    ]
     return [block for block in orbit_blocks(basis, moves, representations) if block.dimension]
 
 
@@ -360,7 +389,8 @@ def orbit_blocks(
     stabilizer are nonzero, that is, if every element that fixes the
     representative has character +1. Each kept orbit is then written once
     from its representative: the element that takes it to a state gives
-    that state the amplitude character / sqrt(orbit size).
+    that state the amplitude character / sqrt(orbit size). Each block keeps
+    its representation as its ``characters``.
     """
     reps = basis.states
     for move in moves[1:]:
@@ -384,7 +414,7 @@ def orbit_blocks(
     return [
         SectorBlock(
             basis, SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, reps[keep]),
-            row, coef, orbit[keep],
+            row, coef, orbit[keep], characters,
         )
-        for keep, row, coef in zip(kept, rows, coefs)
+        for keep, row, coef, characters in zip(kept, rows, coefs, representations)
     ]

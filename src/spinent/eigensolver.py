@@ -33,24 +33,27 @@ characters ``hamiltonian.ground_characters`` predicts under each lattice
 translation pick its block, about N times smaller than the sector. Every
 other sector is solved whole: a sector of at most _DENSE_CUTOFF states, or
 one whose every level is asked for, as its real parity blocks of one
-character each under the lattice reflection and, at Sz = 0, the global
-spin inversion (Sandvik, arXiv:1101.3281, sec. 4.2-4.3), a quarter to a
-half of its size; any other as the plain sector. A piece of at most
-_DENSE_CUTOFF states, or one whose every level is asked for, is
-diagonalized densely, values only, from an array combined straight from
-CSR parts, so a dense sector is never assembled whole; any other piece
-goes to Lanczos. Eigenvectors of a dense piece come from a second,
-``eigh`` solve made on demand, which a scan makes for the one piece that
-represents the point.
+character each under the lattice reflection R, at Sz = 0 the global spin
+inversion F, and the translations by half of an even extent (Sandvik,
+arXiv:1101.3281, sec. 4), an eighth to a half of its size; any other as
+the plain sector. A piece of at most _DENSE_CUTOFF states, or one whose
+every level is asked for, is diagonalized densely, values only, from an
+array combined straight from CSR parts, so a dense sector is never
+assembled whole; any other piece goes to Lanczos. Eigenvectors of a dense
+piece come from a second, ``eigh`` solve made on demand, which a scan
+makes once per point: on the piece that represents it, or, for a parity
+block, on the block of R and F alone that holds it, so the vector does not
+depend on the half translations.
 
 ground_state_scan takes a grid of models, one model being a grid of one,
 and gives one entry per model: its report, or the ValueError, RuntimeError
 or MemoryError that this point alone raised, each handed on as soon as it
 is formed. A block's parts do not depend on the point, so a scan solves
-each dense piece for the whole grid at once: its arrays are combined in
-stacks of at most _STACK_BYTES, each stack by one sum per part, and each
-stack is diagonalized by one ``eigvalsh``, which gives every point bitwise
-the values of its own solve. The scan goes through the other sectors, the
+each dense piece for the whole grid at once: the grid's coefficient of
+each part is one array, its arrays are combined in stacks of at most
+_STACK_BYTES, each stack by one sum per part, and each stack is
+diagonalized by one ``eigvalsh``, which gives every point bitwise the
+values of its own solve. The scan goes through the other sectors, the
 representative's ``eigh`` and the top-up point by point.
 
 Every solve takes a SectorWorkspace first and the model or grid second:
@@ -63,6 +66,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -73,7 +77,9 @@ from .hamiltonian import (
     SectorWorkspace,
     SparseHamiltonian,
     dense_stack,
+    grid_coefficients,
     ground_characters,
+    size_error,
 )
 
 _PRIMARY_SEED = 1299709
@@ -126,9 +132,10 @@ class GroundStateReport:
     energy across all sectors, doubling Sz > 0 sectors for their
     spin-flipped partners. Each sector contributes the levels sector_lowest
     gives for one level. A dense sector gives its full spectrum, the union
-    of its parity blocks' levels, values only, except the representative's
-    piece, whose levels come from the ``eigh`` that also gives its vector;
-    the ground energy is the lowest level after that swap. A sector solved
+    of its parity blocks' levels, values only, except in the
+    representative's sector, where the parity blocks of the block that
+    gives its vector give way to the levels of that block's ``eigh``; the
+    ground energy is the lowest level after that swap. A sector solved
     whole by Lanczos contributes the levels of sector_lowest's top-up,
     which goes on until one clears ``tol_deg`` above the ground, so a
     manifold with several members in one large sector is counted in full
@@ -143,12 +150,16 @@ class GroundStateReport:
     the largest-Sz sector attaining the ground energy, i.e. the polarized
     member of a ferromagnetic manifold. A polarized product state carries no
     entanglement, so downstream entropy columns read 0 there, deterministically.
-    A dense sector's lowest state is the bottom of one of its parity blocks:
-    the first, in the block order of ``basis.parity_blocks``, whose bottom
-    lies within ``tol`` of the sector's lowest level. So where that level is
-    degenerate, as for the momentum pair of an odd ring's Sz = 1/2 sector,
-    the vector is an eigenstate of the reflection, and at Sz = 0 of the spin
-    inversion, picked by a fixed rule rather than by LAPACK.
+    A dense sector's lowest state is the bottom of one of its blocks under
+    the reflection and, at Sz = 0, the spin inversion alone: the first, in
+    the block order of ``basis.parity_blocks``, whose bottom, the least of
+    its parity blocks' bottoms, lies within max(tol, 8 eps ||H||_F) of the
+    sector's lowest level, ||H||_F being the sector's. So where that level
+    is degenerate, as for the momentum pair of an odd ring's Sz = 1/2
+    sector, the vector is an eigenstate of the reflection, and at Sz = 0 of
+    the spin inversion, picked by a fixed rule rather than by LAPACK or by
+    round-off. Its ``eigh`` is made on that block, so the vector does not
+    depend on the half translations that split the values-only solves.
     ``representative`` is always a vector over the plain sector basis
     ``workspace.basis(ground_sz)`` of the scanned workspace.
 
@@ -391,14 +402,18 @@ def sector_lowest(
     ground_state_scan also uses; it raises the first error of its pieces,
     in block order. The levels are the sorted union of the pieces', cut to
     the one ground of a translation block, and a dense piece's array is
-    dropped once its values are found. The call gives the pair of the
-    first piece, in block order, whose bottom lies within ``tol`` of the
-    lowest level, written out over the plain sector by that piece's
-    ``block.expand``. For a dense piece it runs an ``eigh`` of that piece's
-    array, combined again, and returns the levels with that solve's in
-    place of the values-only ones of its piece. A ``tol`` that
-    check_tolerances refuses, or a ``count`` below 1, raises ValueError
-    first.
+    dropped once its values are found. The call takes the first piece, in
+    block order, whose bottom lies within max(tol, 8 eps ||H||_F) of the
+    lowest level, ||H||_F summed over the pieces' size checks, since
+    round-off leaves about eps ||H|| in every level. For a Lanczos piece it
+    gives that piece's pair. For a dense one it runs an ``eigh`` on the
+    piece ``SectorWorkspace.holder`` names, combined again: the piece
+    itself, or for a parity block the block of the reflection and the spin
+    inversion that holds it. It gives that solve's bottom pair, written out
+    over the plain sector by the holder's ``block.expand``, and the levels
+    with that solve's in place of the values-only ones of the blocks it
+    spans. A ``tol`` that check_tolerances refuses, or a ``count`` below 1,
+    raises ValueError first.
 
     The top-up call takes a ceiling and returns the levels, sorted: while
     all lie at or below it and some are missing, lanczos_lowest deflates the
@@ -412,12 +427,12 @@ def sector_lowest(
 
 
 def _sector_solves(workspace, models, sz, count, tol) -> list:
-    """sector_lowest's solves at each model of a grid: the model's pieces,
-    each piece's (values, Lanczos results or None) and whether the sector
-    is solved whole; or, in their place, the first error of its pieces. The
-    models of one kind share its blocks, so a dense block is solved for all
-    of them at once by _dense_levels; a Lanczos piece is solved model by
-    model."""
+    """sector_lowest's solves at each model of a grid: the kind of its
+    pieces and a _Solved for each piece, in block order; or, in their
+    place, the first error of its pieces. The models of one kind share its
+    blocks and one coefficient array per part, so a dense block is solved
+    for all of them at once by _dense_levels; a Lanczos piece is solved
+    model by model."""
     check_tolerances(tol, 0.0)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -430,32 +445,47 @@ def _sector_solves(workspace, models, sz, count, tol) -> list:
     solves = [None] * len(models)
     for kind in dict.fromkeys(kinds):
         at = [i for i, other in enumerate(kinds) if other == kind]
-        pieces = [workspace.pieces(models[i], sz, kind) for i in at]
+        grid = [models[i] for i in at]
+        coefficients = grid_coefficients(grid)
         solved = [[] for _ in at]
-        for block in zip(*pieces):
-            if _dense(block[0].dimension, count):
-                found = _dense_levels(block)
+        for block, parts in workspace.blocks(sz, kind, grid):
+            if _dense(block.dimension, count):
+                found = _dense_levels(parts, grid, coefficients)
             else:
-                found = [_lanczos_levels(piece, count, tol) for piece in block]
+                found = [_lanczos_levels(SparseHamiltonian(model, block, parts), count, tol)
+                         for model in grid]
             for own, piece_found in zip(solved, found):
                 own.append(piece_found)
-        for i, own_pieces, own in zip(at, pieces, solved):
+        for i, own in zip(at, solved):
             failure = next((got for got in own if isinstance(got, Exception)), None)
-            solves[i] = failure or (own_pieces, own, kind in ("parity", ()))
+            solves[i] = failure or (kind, own)
     return solves
 
 
-def _dense_levels(pieces: Sequence[SparseHamiltonian]) -> list:
-    """(eigvalsh of its array, None) for each piece of one block at several
-    points, or the error its point raised. The arrays come from dense_stack
-    in stacks of at most _STACK_BYTES, or one array where one is larger, and
-    each stack is solved by one eigvalsh; a point whose size check fails
-    stays out of its stack, and a stack whose eigvalsh raises is solved
-    again array by array."""
-    step = max(1, _STACK_BYTES // (8 * pieces[0].dimension ** 2))
+class _Solved(NamedTuple):
+    """One piece's solve at one point: its levels, its ||H||_F^2, and for a
+    Lanczos piece the piece itself and the pairs lanczos_lowest locked."""
+
+    values: np.ndarray
+    square: float
+    piece: SparseHamiltonian | None = None
+    found: list[EigenResult] | None = None
+
+
+def _dense_levels(parts, models, coefficients) -> list:
+    """A _Solved of eigvalsh of its array for one block at each model of a
+    grid, or the error its point raised. The arrays come from dense_stack,
+    given ``coefficients``, the grid's, in stacks of at most _STACK_BYTES,
+    or one array where one is larger, and each stack is solved by one
+    eigvalsh; a point whose size check fails stays out of its stack, and a
+    stack whose eigvalsh raises is solved again array by array."""
+    dim = next(iter(parts.values())).shape[0]
+    step = max(1, _STACK_BYTES // (8 * dim ** 2))
     levels = []
-    for start in range(0, len(pieces), step):
-        stack, errors = dense_stack(pieces[start : start + step])
+    for start in range(0, len(models), step):
+        at = slice(start, start + step)
+        stack, squares = dense_stack(parts, {name: c[at] for name, c in coefficients.items()})
+        errors = [size_error(model, square) for model, square in zip(models[at], squares)]
         if any(errors):
             stack = stack[[i for i, error in enumerate(errors) if error is None]]
         try:
@@ -468,46 +498,52 @@ def _dense_levels(pieces: Sequence[SparseHamiltonian]) -> list:
                 except (ValueError, RuntimeError, MemoryError) as failure:
                     values.append(failure)
             values = iter(values)
-        for error in errors:
+        for error, square in zip(errors, squares):
             found = error or next(values)
-            levels.append(found if isinstance(found, Exception) else (found, None))
+            levels.append(found if isinstance(found, Exception) else _Solved(found, square))
     return levels
 
 
 def _lanczos_levels(hamiltonian: SparseHamiltonian, count: int, tol: float):
-    """(energies, results) of lanczos_lowest on one piece, or the error it raised."""
+    """The _Solved of lanczos_lowest on one piece, or the error it raised."""
     try:
         results = lanczos_lowest(hamiltonian, k=count, tol=tol)
     except (ValueError, RuntimeError, MemoryError) as failure:
         return failure
-    return np.array([r.energy for r in results]), results
+    return _Solved(np.array([r.energy for r in results]), hamiltonian.norm ** 2,
+                   hamiltonian, results)
 
 
 def _sector_entry(workspace, model, sz, tol, solve):
     """sector_lowest's (levels, bottom, top_up) from a _sector_solves entry
     that is not a failure."""
-    pieces, solved, whole = solve
+    kind, solved = solve
+    whole = kind in ("parity", ())
     dim = workspace.basis(sz).dimension
-    levels = np.sort(np.concatenate([values for values, _ in solved]))
-    pick = next(i for i, (values, _) in enumerate(solved) if values[0] <= levels[0] + tol)
+    levels = np.sort(np.concatenate([own.values for own in solved]))
+    # round-off leaves about eps ||H|| in every level, so closer bottoms tie
+    limit = max(tol, _RESIDUAL_FLOOR * math.sqrt(sum(own.square for own in solved)))
+    pick = next(i for i, own in enumerate(solved) if own.values[0] <= levels[0] + limit)
 
     def bottom() -> tuple[list[float], EigenResult]:
-        hamiltonian, (values, found) = pieces[pick], solved[pick]
+        values, _, hamiltonian, found = solved[pick]
+        run = [pick]
         if found is None:
+            hamiltonian, run = workspace.holder(model, sz, kind, pick)
             dense = hamiltonian.dense()
             values, vecs = np.linalg.eigh(dense)
             found = [_dense_pair(dense, values, vecs, 0)]
-        others = [other for i, (other, _) in enumerate(solved) if i != pick]
+        others = [own.values for i, own in enumerate(solved) if i not in run]
         union = np.sort(np.concatenate([values, *others]))
         vector = hamiltonian.block.expand(found[0].vector)
         return list(map(float, union[: None if whole else 1])), replace(found[0], vector=vector)
 
     def top_up(ceiling: float) -> list[float]:
-        energies, found = levels, solved[0][1]
+        energies, (_, _, hamiltonian, found) = levels, solved[0]
         while found and len(found) < dim and energies[-1] <= ceiling:
             if len(found) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
                 return sector_lowest(workspace, model, sz, dim, tol)[0]
-            found = lanczos_lowest(pieces[0], k=len(found) + 1, tol=tol, found=found)
+            found = lanczos_lowest(hamiltonian, k=len(found) + 1, tol=tol, found=found)
             energies = np.sort([r.energy for r in found])
         return list(map(float, energies))
 
@@ -541,7 +577,8 @@ def ground_state_scan(
     other sectors, in sector order. The representative sector is picked
     from a point's levels; only then is its bottom pair formed, its levels
     replaced by the ones that solve gives, and the ground energy taken, so a
-    dense point runs one ``eigh``, on one parity block. Then each sector
+    dense point runs one ``eigh``, on one block of the reflection and the
+    spin inversion. Then each sector
     solved whole by Lanczos is topped up by the call sector_lowest gave for
     it. GroundStateReport describes the top-up and the
     degenerate-representative rule. A tolerance that check_tolerances

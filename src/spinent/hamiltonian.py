@@ -15,9 +15,10 @@ bq = bl @ bl, so operator algebra cannot drift. Each is scattered bond by
 bond into a sector block: the plain sector, one translation or parity block.
 
 A sector is solved as pieces, one SparseHamiltonian per block, which
-carries its block and the block's parts; ``SectorWorkspace.pieces`` is the
-one way to a sector's blocks. dense_stack combines one block's dense
-arrays at a grid of points at once.
+carries its block and the block's parts; ``SectorWorkspace.blocks`` is the
+one way to a sector's blocks, and ``pieces`` wraps them at one point.
+dense_stack combines one block's dense arrays at a grid of points at once,
+from one coefficient array per part (grid_coefficients).
 
 Every block's parts come from one pass over the bonds: a hop moves a
 representative by a fixed shift of its packed state, ``SpinBasis.index``, a
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -141,7 +142,7 @@ class SparseHamiltonian:
         with np.errstate(over="ignore", invalid="ignore"):
             total = combine_parts(self._parts, self._model.part_coefficients())
             self._square = float(total.data @ total.data)
-        error = self._size_error(self._square)
+        error = size_error(self._model, self._square)
         if error:
             raise error
         return total
@@ -155,34 +156,40 @@ class SparseHamiltonian:
     def dense(self) -> np.ndarray:
         """The matrix as a dense array, bitwise ``matrix.toarray()``: the
         one-point case of dense_stack."""
-        stack, [error] = dense_stack([self])
+        stack, [square] = dense_stack(self._parts, grid_coefficients([self._model]))
+        error = size_error(self._model, square)
         if error:
             raise error
         return stack[0]
 
-    def _size_error(self, square: float) -> ValueError | None:
-        if not math.isfinite(16 * square):
-            return ValueError(f"the Hamiltonian of {self._model.label} overflows: its "
-                              "entries are too large for a solve to stay finite")
-        return None
+
+def size_error(model: ModelSpec, square: float) -> ValueError | None:
+    """The ValueError a piece of ``model`` whose ||H||_F^2 is ``square``
+    raises, where 16 times that is not finite; else None."""
+    if not math.isfinite(16 * square):
+        return ValueError(f"the Hamiltonian of {model.label} overflows: its "
+                          "entries are too large for a solve to stay finite")
+    return None
 
 
-def dense_stack(pieces: list[SparseHamiltonian]) -> tuple[np.ndarray, list[ValueError | None]]:
-    """The dense arrays of one block at several model points, stacked by one
-    combine_dense, and each point's size check: slice i is bitwise
-    ``pieces[i].dense()`` where check i is None, and check i is the
-    ValueError that call raises otherwise. Every piece must carry the parts
-    of the same block."""
-    coefficients: dict[str, list[float]] = {}
-    for piece in pieces:
-        for name, coeff in piece._model.part_coefficients().items():
-            coefficients.setdefault(name, []).append(coeff)
+def grid_coefficients(models: Sequence[ModelSpec]) -> dict[str, np.ndarray]:
+    """Each part's coefficient at every model of a grid of one family."""
+    coefficients = [model.part_coefficients() for model in models]
+    return {name: np.array([each[name] for each in coefficients]) for name in coefficients[0]}
+
+
+def dense_stack(
+    parts: dict[str, sparse.csr_matrix], coefficients: dict[str, np.ndarray]
+) -> tuple[np.ndarray, list[float]]:
+    """One block's dense arrays at several points, stacked by one
+    combine_dense from each part's coefficient at every point, and each
+    array's ||H||_F^2, which size_error checks: slice i is bitwise the
+    ``dense()`` of the block's piece at point i where that check passes."""
+    points = len(next(iter(coefficients.values())))
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = combine_dense(pieces[0]._parts, {
-            name: np.array(coeffs) for name, coeffs in coefficients.items()
-        })
-        squares = [float(values @ values) for values in stack.reshape(len(pieces), -1)]
-    return stack, [piece._size_error(square) for piece, square in zip(pieces, squares)]
+        stack = combine_dense(parts, coefficients)
+        squares = [float(values @ values) for values in stack.reshape(points, -1)]
+    return stack, squares
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,10 +427,12 @@ class SectorWorkspace:
     """Per-sector bases and stencil-part caches for one (family, lattice).
 
     A sector is solved as a list of pieces, each one SparseHamiltonian over
-    one block (see ``pieces``): the plain sector, the translation block of
-    given characters (see ``ground_characters``), or its parity blocks,
-    which a dense solve diagonalizes block by block, in stacks over a grid
-    of points. One cache keeps the blocks of each (sz, kind) with their
+    one block (see ``pieces`` and ``blocks``): the plain sector, the
+    translation block of given characters (see ``ground_characters``), or
+    its parity blocks, which a dense solve diagonalizes block by block, in
+    stacks over a grid of points. A dense solve's eigenvectors come from
+    the coarser blocks of the reflection and the spin inversion alone (see
+    ``holder``). One cache keeps the blocks of each (sz, kind) with their
     stencil parts, assembled once, on first use, and a sweep combines the
     cached parts with fresh coefficients at every parameter value instead of
     reassembling the matrix. The CSR parts are the one stored form of a
@@ -449,29 +458,46 @@ class SectorWorkspace:
         self, model: ModelSpec, sz: float, kind: str | tuple[int, ...]
     ) -> list[SparseHamiltonian]:
         """The Hamiltonians of the sector's blocks of one kind at one model
-        point, in block order: kind ``"parity"`` gives its parity blocks
-        (see basis.parity_blocks), ``()`` the plain sector, and a tuple of
-        translation characters that translation block. The blocks and their
-        parts are built on the first call for the (sz, kind); each call
-        wraps them in fresh SparseHamiltonians."""
-        if model.family != self.family:
-            raise ValueError(f"workspace built for {self.family!r}, got model {model.family!r}")
-        return [SparseHamiltonian(model, block, parts) for block, parts in self._blocks(sz, kind)]
+        point, in block order, each wrapping a block and its parts as
+        ``blocks`` gives them."""
+        blocks = self.blocks(sz, kind, [model])
+        return [SparseHamiltonian(model, block, parts) for block, parts in blocks]
 
     def sector(self, sz: float) -> tuple[SpinBasis, dict[str, sparse.csr_matrix]]:
         """The plain sector basis and its stencil parts."""
-        [(block, parts)] = self._blocks(sz, ())
+        [(block, parts)] = self.blocks(sz, (), ())
         return block.basis, parts
 
     def matrix(self, model: ModelSpec, sz: float) -> SparseHamiltonian:
         """The plain piece of the sector at one model point."""
         return self.pieces(model, sz, ())[0]
 
-    def _blocks(self, sz: float, kind) -> list[tuple[SectorBlock, dict]]:
+    def blocks(
+        self, sz: float, kind: str | tuple[int, ...], models: Sequence[ModelSpec]
+    ) -> list[tuple[SectorBlock, dict[str, sparse.csr_matrix]]]:
+        """The sector's blocks of one kind, in block order, each with its
+        CSR stencil parts, for a grid of models, all of which must be of the
+        workspace's family. Kind ``"parity"`` gives the blocks of
+        basis.parity_blocks under the reflection R, at Sz = 0 the spin
+        inversion F and the lattice's half translations; ``"reflection"``
+        those under R and F alone, of which the parity blocks are runs (the
+        same blocks where the lattice has no half translation); ``()`` the
+        plain sector; and a tuple of translation characters that
+        translation block. The blocks and their parts are built on the
+        first call for the (sz, kind)."""
+        for model in models:
+            if model.family != self.family:
+                raise ValueError(f"workspace built for {self.family!r}, got model {model.family!r}")
+        if kind == "reflection" and not self.lattice.half_translations():
+            kind = "parity"
         key = (sz, kind)
         if key not in self._pieces:
             basis = self.basis(sz)
             if kind == "parity":
+                blocks = parity_blocks(
+                    basis, self.lattice.reflection(), self.lattice.half_translations()
+                )
+            elif kind == "reflection":
                 blocks = parity_blocks(basis, self.lattice.reflection())
             elif kind:
                 blocks = [translation_block(basis, self.lattice.translations(), kind)]
@@ -481,3 +507,19 @@ class SectorWorkspace:
                 (block, assemble_parts(self.family, self.lattice, block)) for block in blocks
             ]
         return self._pieces[key]
+
+    def holder(
+        self, model: ModelSpec, sz: float, kind: str | tuple[int, ...], index: int
+    ) -> tuple[SparseHamiltonian, list[int]]:
+        """The piece whose eigenvectors stand for block ``index`` of a kind,
+        and the blocks of that kind it spans: for kind ``"parity"`` the
+        ``"reflection"`` piece that holds the block, and the run of blocks
+        whose characters begin with its; for any other kind the block's own
+        piece."""
+        if kind != "parity":
+            return self.pieces(model, sz, kind)[index], [index]
+        characters = [block.characters for block, _ in self.blocks(sz, kind, [model])]
+        holder = next(piece for piece in self.pieces(model, sz, "reflection")
+                      if characters[index][: len(piece.block.characters)] == piece.block.characters)
+        prefix = holder.block.characters
+        return holder, [i for i, own in enumerate(characters) if own[: len(prefix)] == prefix]

@@ -43,6 +43,15 @@ class Lattice:
         shape."""
         return _translations(self.num_sites, self.extent[0])
 
+    def half_translations(self) -> tuple[tuple[int, ...], ...]:
+        """The translations by half of an even extent, of the width first
+        and then of the height; none along an odd extent. Each is its own
+        inverse and commutes with the reflection."""
+        width = self.extent[0]
+        rows = self.num_sites // width
+        halves = ((width // 2, width), (rows // 2 * width, rows))
+        return tuple(self.translations()[k] for k, extent in halves if extent % 2 == 0)
+
     def reflection(self) -> tuple[int, ...]:
         """Image of every site under the mirror that maps the bonds onto
         themselves: i -> -i mod N on a ring, and (row, col) -> (row, -col

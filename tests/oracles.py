@@ -9,7 +9,9 @@ independent cross-check, not a tautology.
 
 The ``*_reference`` functions are different: each is an earlier, slower
 package routine kept verbatim, which its replacement must match bit for
-bit.
+bit. So is reflection_block_ground, which takes the package's assembly of
+the blocks such a reference builds, so that a scan's representative can be
+held to it bit for bit.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import itertools
 import numpy as np
 
 SPIN_OF_FAMILY = {"xxz_half": 0.5, "xxz_one": 1.0, "blbq": 1.0}
+SPIN_TAG = {"xxz_half": "half", "xxz_one": "one", "blbq": "one"}
 
 
 def spin_ops(s):
@@ -192,7 +195,7 @@ def bond_stencils_reference(family):
     before FAMILIES named each family's parts; the Sz check left out."""
     from spinent.hamiltonian import spin_matrices
 
-    sz, sp, sm = spin_matrices({"xxz_half": "half", "xxz_one": "one", "blbq": "one"}[family])
+    sz, sp, sm = spin_matrices(SPIN_TAG[family])
     xy = 0.5 * (np.kron(sp, sm) + np.kron(sm, sp))
     zz = np.kron(sz, sz)
     if family == "xxz_half":
@@ -293,6 +296,63 @@ def orbit_block_reference(basis, elements):
     coef = np.where(kept, sign / np.sqrt(orbit), 0.0)
     reps = SpinBasis(basis.spin, basis.num_sites, basis.sz_sector, states[is_rep])
     return SectorBlock(basis, reps, row, coef, orbit[is_rep])
+
+
+def parity_blocks_reference(basis, reflection, halves=()):
+    """parity_blocks through the state-by-state builder, from images found
+    one site at a time: every product of the reflection, at Sz = 0 the spin
+    inversion, and the translations of ``halves``, and the blocks of every
+    choice of their characters, in parity_blocks' order, empty ones left
+    out."""
+    n, b = basis.num_sites, basis.bits_per_site
+    top = sum((basis.local_dim - 1) << (b * site) for site in range(n))
+    generators = [(reflection, False)]
+    if basis.sz_sector == 0:
+        generators.append((tuple(range(n)), True))
+    generators += [(half, False) for half in halves]
+    blocks = []
+    for signs in itertools.product((1, -1), repeat=len(generators)):
+        elements = []
+        for chosen in itertools.product((0, 1), repeat=len(generators)):
+            image, flip, character = tuple(range(n)), False, 1
+            for use, (other, inverts), sign in zip(chosen, generators, signs):
+                if use:
+                    image = tuple(other[site] for site in image)
+                    flip, character = flip != inverts, character * sign
+            moved = permuted_states(basis, image)
+            elements.append((top - moved if flip else moved, character))
+        block = orbit_block_reference(basis, elements)
+        if block.dimension:
+            blocks.append(block)
+    return blocks
+
+
+def reflection_block_ground(family, lattice, model, tol=1e-10, tol_deg=1e-8):
+    """A scan's ground energy, Sz and representative by eigh of every block
+    of the reflection and, at Sz = 0, the spin inversion (parity_blocks
+    without half translations, built state by state). The representative
+    sector is the largest Sz whose bottom lies within ``tol_deg`` of the
+    lowest, and within it the first block whose bottom lies within ``tol``
+    of the sector's. Returns (energy, sz, block dimension, vector over the
+    plain sector)."""
+    from spinent.basis import build_basis, nonnegative_sectors
+    from spinent.hamiltonian import assemble_parts, combine_parts
+
+    bottoms = {}
+    for sz in nonnegative_sectors(SPIN_TAG[family], lattice.num_sites):
+        basis = build_basis(lattice.num_sites, SPIN_TAG[family], sz)
+        for block in parity_blocks_reference(basis, lattice.reflection()):
+            parts = assemble_parts(family, lattice, block)
+            dense = combine_parts(parts, model.part_coefficients()).toarray()
+            vals, vecs = np.linalg.eigh(dense)
+            bottoms.setdefault(sz, []).append((vals[0], block, vecs[:, 0]))
+    lowest = {sz: min(entry[0] for entry in entries) for sz, entries in bottoms.items()}
+    ground = min(lowest.values())
+    sz = max(sz for sz, energy in lowest.items() if energy <= ground + tol_deg)
+    energy, block, vector = next(
+        entry for entry in bottoms[sz] if entry[0] <= lowest[sz] + tol
+    )
+    return energy, sz, block.dimension, block.expand(vector)
 
 
 def permuted_states(basis, image):

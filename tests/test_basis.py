@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import momentum_characters, momentum_sets, orbit_block_reference, permuted_states
+from oracles import (
+    momentum_characters,
+    momentum_sets,
+    orbit_block_reference,
+    parity_blocks_reference,
+    permuted_states,
+)
 from spinent import basis as basis_module
 from spinent.basis import (
     SPIN_VALUE,
@@ -333,41 +339,56 @@ def test_translation_block_peak_memory():
     assert peak <= 4 * 8 * basis.dimension
 
 
-def _reference_parity_blocks(basis, reflection):
-    """parity_blocks through the state-by-state builder, from images found
-    one site at a time."""
-    states = basis.states
-    mirrored = permuted_states(basis, reflection)
-    b = basis.bits_per_site
-    top = sum((basis.local_dim - 1) << (b * site) for site in range(basis.num_sites))
-    flips = (1, -1) if basis.sz_sector == 0 else (None,)
-    blocks = []
-    for r in (1, -1):
-        for f in flips:
-            elements = [(states, 1), (mirrored, r)]
-            if f is not None:
-                elements += [(top - states, f), (top - mirrored, r * f)]
-            block = orbit_block_reference(basis, elements)
-            if block.dimension:
-                blocks.append(block)
-    return blocks
-
-
 @pytest.mark.parametrize(
     "lattice,spin",
     [pytest.param(chain_lattice(n), "half", id=f"ring{n}-half") for n in range(4, 17)]
     + [pytest.param(chain_lattice(n), "one", id=f"ring{n}-one") for n in range(4, 11)]
     + [pytest.param(square_lattice(4, 4), "half", id="torus4x4-half")]
+    + [pytest.param(square_lattice(4, 3), "half", id="torus4x3-half")]
     + [pytest.param(square_lattice(3, 3), "one", id="torus3x3-one")],
 )
 def test_parity_blocks_are_bitwise_the_state_by_state_builder(lattice, spin):
     """Every parity block of every Sz >= 0 sector equals, array for array,
-    that of the builder that minimized every state over every image."""
+    that of the builder that minimized every state over every image, with
+    the lattice's half translations and without them; so do the blocks'
+    characters and their order."""
     reflection = lattice.reflection()
     for sz in nonnegative_sectors(spin, lattice.num_sites):
         basis = build_basis(lattice.num_sites, spin, sz)
-        blocks = parity_blocks(basis, reflection)
-        references = _reference_parity_blocks(basis, reflection)
-        assert len(blocks) == len(references)
-        for block, reference in zip(blocks, references):
-            _assert_blocks_equal(block, reference)
+        for halves in ((), lattice.half_translations()):
+            blocks = parity_blocks(basis, reflection, halves)
+            references = parity_blocks_reference(basis, reflection, halves)
+            assert len(blocks) == len(references)
+            for block, reference in zip(blocks, references):
+                _assert_blocks_equal(block, reference)
+            characters = [block.characters for block in blocks]
+            assert characters == sorted(set(characters), reverse=True)
+
+
+@pytest.mark.parametrize(
+    "lattice,count",
+    [(chain_lattice(n), 1 - n % 2) for n in range(2, 12)]
+    + [(square_lattice(4, 4), 2), (square_lattice(4, 3), 1), (square_lattice(3, 4), 1),
+       (square_lattice(3, 3), 0)],
+)
+def test_half_translations_are_the_involutive_translations_that_generate(lattice, count):
+    """One half translation per even extent: each is its own inverse and no
+    identity, commutes with the reflection, and together they generate
+    every translation that is its own inverse."""
+    identity = tuple(range(lattice.num_sites))
+    halves = lattice.half_translations()
+    assert len(halves) == count
+
+    def after(first, second):
+        return tuple(second[site] for site in first)
+
+    reflection = lattice.reflection()
+    for half in halves:
+        assert half in lattice.translations() and half != identity
+        assert after(half, half) == identity
+        assert after(half, reflection) == after(reflection, half)
+    involutions = {t for t in lattice.translations() if after(t, t) == identity}
+    generated = {identity}
+    for half in halves:
+        generated |= {after(element, half) for element in generated}
+    assert generated == involutions

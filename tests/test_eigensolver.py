@@ -19,6 +19,7 @@ from spinent.eigensolver import (
     low_spectrum,
 )
 from one_point import scan_one
+from oracles import reflection_block_ground
 from spinent.analysis import shared_workspace
 from spinent.checks import sector_ground
 from spinent.hamiltonian import ModelSpec, SectorWorkspace, SparseHamiltonian, model_for
@@ -343,20 +344,6 @@ def _whole_spectrum_ground(model, workspace):
     return lowest[0]
 
 
-def _parity_block_ground(model, workspace):
-    """Ground energy, sector, block dimension and vector over the plain
-    sector by eigh on every parity block of every sector, the lowest block
-    winning; only for points whose ground is unique."""
-    lowest = []
-    for sz in nonnegative_sectors(workspace.spin, workspace.lattice.num_sites):
-        for ham in workspace.pieces(model, sz, "parity"):
-            vals, vecs = np.linalg.eigh(ham.matrix.toarray())
-            lowest.append((vals[0], sz, ham.dimension, ham.block.expand(vecs[:, 0])))
-    lowest.sort(key=lambda entry: entry[0])
-    assert lowest[1][0] - lowest[0][0] > 1e-6
-    return lowest[0]
-
-
 @pytest.mark.parametrize(
     "family,size,params",
     [
@@ -368,9 +355,10 @@ def _parity_block_ground(model, workspace):
 )
 def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatch):
     """Every sector is dense, so every parity block is solved values-only;
-    only the block that holds the ground gets eigenvectors, and the ground
-    energy and vector equal those of eigh on every block, bit for bit, and
-    those of eigh on every whole sector to round-off."""
+    only the reflection block (under R and F alone) that holds the ground
+    gets eigenvectors, and the ground energy and vector equal those of eigh
+    on every such block, bit for bit, and those of eigh on every whole
+    sector to round-off."""
     workspace = SectorWorkspace(family, chain_lattice(size))
     calls = []
     real_eigh = np.linalg.eigh
@@ -381,7 +369,7 @@ def test_all_dense_scan_runs_one_eigh_per_point(family, size, params, monkeypatc
 
     for param in params:
         model = model_for(family, param)
-        energy, sz, block_dim, vector = _parity_block_ground(model, workspace)
+        energy, sz, block_dim, vector = reflection_block_ground(family, workspace.lattice, model)
         whole_energy, whole_sz, whole_vector = _whole_spectrum_ground(model, workspace)
         calls.clear()
         with monkeypatch.context() as patch:
@@ -412,6 +400,27 @@ def test_odd_ring_representative_is_a_reflection_eigenstate():
         reflected = np.zeros_like(vector)
         reflected[np.searchsorted(basis.states, mirrored)] = vector
         np.testing.assert_allclose(reflected, vector, rtol=0, atol=1e-12)
+
+
+def test_representative_at_a_large_norm_comes_from_the_first_parity_block():
+    """xxz_half N=8 at delta = 1e152: the Neel pair spans the first two
+    reflection blocks, (R, F) = (+1, +1) and (+1, -1), and its splitting is
+    far below the round-off of about 1e136 in every level. Bottoms are
+    compared at max(tol, 8 eps ||H||_F), so the pick is the first block in
+    order, not whichever round-off put lower: the representative is even
+    under the spin inversion and bitwise eigh's bottom of that block."""
+    lattice = chain_lattice(8)
+    workspace = SectorWorkspace("xxz_half", lattice)
+    model = model_for("xxz_half", 1e152)
+    report = scan_one(workspace, model)
+    assert report.ground_sz == 0.0
+    floor = eigensolver._RESIDUAL_FLOOR * workspace.matrix(model, 0.0).norm
+    assert floor > 1e130
+    energy, sz, _, vector = reflection_block_ground("xxz_half", lattice, model, tol=floor)
+    assert sz == 0.0 and np.array_equal(report.representative.vector, vector)
+    basis = workspace.basis(0.0)
+    flipped = np.searchsorted(basis.states, (1 << 8) - 1 - basis.states)
+    np.testing.assert_allclose(vector[flipped], vector, rtol=0, atol=1e-12)
 
 
 def test_scan_ferromagnet_is_doubly_degenerate():
@@ -564,8 +573,8 @@ def test_degenerate_lanczos_sectors_are_topped_up_densely(monkeypatch):
 
 def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch):
     """blbq theta = pi/2, L = 8: the small sectors' parity blocks are
-    combined in the first pass, and the representative's block (Sz = 8)
-    once more for its eigh; each Lanczos sector's top-up then asks
+    combined in the first pass, and the reflection block that holds the
+    representative (Sz = 8) for its eigh; each Lanczos sector's top-up then asks
     sector_lowest for every level once four sit in the window, so its parity
     blocks' arrays also come from combine_dense, once per sector, and no
     array of a whole Lanczos sector is formed."""
@@ -583,8 +592,11 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
     workspace = SectorWorkspace("blbq", chain_lattice(8))
     report = scan_one(workspace, ModelSpec("blbq", theta=np.pi / 2))
     assert report.degeneracy == 2207
-    small = [141, 125, 60, 52, 21, 15, 5, 3, 1]  # Sz = 4 .. 8: 266, 112, 36, 8, 1
-    topped_up = [292, 278, 262, 275, 521, 495, 406, 378, 261, 243]  # 1107, 1016, 784, 504
+    # Sz = 4 .. 8: 266, 112, 36, 8, 1
+    small = [77, 64, 61, 64, 32, 28, 24, 28, 13, 8, 7, 8, 3, 2, 1, 2, 1]
+    # Sz = 0 .. 3: 1107, 1016, 784, 504
+    topped_up = [166, 126, 132, 146, 136, 126, 129, 146, 267, 254, 241, 254,
+                 214, 192, 186, 192, 135, 126, 117, 126]
     assert calls == small + [1] + topped_up
 
 
@@ -698,8 +710,10 @@ def test_asking_for_every_level_solves_densely(monkeypatch):
     above the dense cutoff holds (xxz_half N=12 Sz=2, 495 states), it gives
     the union of eigvalsh of its parity blocks' arrays, bit for bit, which is
     eigvalsh of the whole array to round-off. It runs no Lanczos and
-    assembles no plain block, and its pair is eigh's bottom of the first
-    block that holds the lowest level, written out over the plain sector."""
+    assembles no plain block, and its pair is eigh's bottom of the
+    reflection block that holds the first parity block whose bottom is the
+    lowest level, written out over the plain sector; its levels are that
+    eigh's values and the other reflection blocks' parity-block values."""
     model = ModelSpec("xxz_half", delta=0.5)
     workspace = SectorWorkspace("xxz_half", chain_lattice(12))
     dim = workspace.basis(2.0).dimension
@@ -719,11 +733,18 @@ def test_asking_for_every_level_solves_densely(monkeypatch):
     whole = np.linalg.eigvalsh(workspace.matrix(model, 2.0).dense())
     np.testing.assert_allclose(levels, whole, rtol=0, atol=1e-12)
     first = next(i for i, values in enumerate(spectra) if values[0] <= levels[0] + 1e-10)
-    ham = pieces[first]
+    own = pieces[first].block.characters
+    holders = [ham for ham in workspace.pieces(model, 2.0, "reflection")
+               if own[: len(ham.block.characters)] == ham.block.characters]
+    assert len(holders) == 1 and holders[0].dimension > pieces[first].dimension
+    ham = holders[0]
     vals, vecs = np.linalg.eigh(ham.dense())
     assert found.energy == vals[0] == found_levels[0]
     assert np.array_equal(found.vector, ham.block.expand(vecs[:, 0]))
     assert found.vector.shape == (dim,)
+    run = [values for piece, values in zip(pieces, spectra)
+           if piece.block.characters[: len(ham.block.characters)] != ham.block.characters]
+    assert found_levels == list(np.sort(np.concatenate([vals, *run])))
 
 
 @pytest.mark.parametrize(

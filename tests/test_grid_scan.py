@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from one_point import scan_one
+from oracles import reflection_block_ground
 from spinent import eigensolver
 from spinent.analysis import shared_workspace, sweep
 from spinent.eigensolver import ConvergenceError, ground_state_scan
@@ -54,6 +55,23 @@ def test_a_grid_scan_is_bitwise_the_one_point_scans(family, lattice, params, fix
     workspace = SectorWorkspace(family, lattice)
     for model, entry in zip(models, grid):
         _assert_same_report(entry, scan_one(workspace, model))
+
+
+def test_grid_representatives_are_bitwise_eigh_of_their_reflection_blocks():
+    """blbq L=6 on 41 points of [0, 2pi]: the scan solves the parity blocks
+    (R, F and the half translation) values-only, and each point's
+    representative is eigh of the block of R and F alone that holds it, and
+    its energy that eigh's bottom, both bit for bit. Where the ground is
+    degenerate across sectors, the ground energy is the lowest level of any
+    sector, which may be another sector's values-only one."""
+    lattice = chain_lattice(6)
+    models = [model_for("blbq", theta) for theta in np.linspace(0.0, 2 * math.pi, 41)]
+    reports = ground_state_scan(SectorWorkspace("blbq", lattice), models)
+    for model, report in zip(models, reports):
+        energy, sz, _, vector = reflection_block_ground("blbq", lattice, model)
+        assert report.ground_sz == sz and report.representative.energy == energy
+        assert abs(report.ground_energy - energy) <= 1e-13
+        assert np.array_equal(report.representative.vector, vector)
 
 
 def test_overflowing_points_fail_alone_among_solvable_ones():

@@ -223,17 +223,18 @@ def test_dense_combine_of_torus_translation_blocks():
 )
 def test_pieces_carry_their_blocks_and_are_assembled_once(model, size, monkeypatch):
     """Each kind of piece, the plain sector, the ground_characters
-    translation block and the parity blocks, is a SparseHamiltonian over
-    its own block; the parity blocks partition the sector, and asking for a
-    kind again assembles nothing and gives the same blocks."""
+    translation block, the parity blocks and the reflection blocks, is a
+    SparseHamiltonian over its own block; the parity blocks partition the
+    sector, each reflection block is a run of them, and asking for a kind
+    again assembles nothing and gives the same blocks."""
     workspace = SectorWorkspace(model.family, chain_lattice(size))
     blocks = {}
     for sz in nonnegative_sectors(workspace.spin, size):
         characters = ground_characters(model, workspace.lattice, sz)
         assert characters
-        for kind in ((), characters, "parity"):
+        for kind in ((), characters, "parity", "reflection"):
             pieces = workspace.pieces(model, sz, kind)
-            assert len(pieces) == 1 or kind == "parity"
+            assert len(pieces) == 1 or kind in ("parity", "reflection")
             for piece in pieces:
                 assert isinstance(piece, SparseHamiltonian)
                 assert piece.dimension == piece.block.dimension
@@ -242,6 +243,16 @@ def test_pieces_carry_their_blocks_and_are_assembled_once(model, size, monkeypat
             blocks[sz, kind] = [piece.block for piece in pieces]
         dimensions = [block.dimension for block in blocks[sz, "parity"]]
         assert sum(dimensions) == workspace.basis(sz).dimension
+        start = 0
+        for holder in blocks[sz, "reflection"]:
+            run = holder.characters
+            stop = start + sum(own.characters[: len(run)] == run for own in blocks[sz, "parity"])
+            assert sum(dimensions[start:stop]) == holder.dimension
+            for index in range(start, stop):
+                piece, span = workspace.holder(model, sz, "parity", index)
+                assert piece.block is holder and span == list(range(start, stop))
+            start = stop
+        assert start == len(dimensions)
 
     def refuse(*args):
         raise AssertionError("a cached block was assembled again")
@@ -309,13 +320,14 @@ def test_a_zero_coefficient_part_is_skipped(model, size):
 )
 def test_a_scan_stores_nothing_in_an_assembled_workspace(model, lattice):
     """A block is stored once, as its CSR parts: with every block of the
-    scan, plain and parity, assembled beforehand, a scan over dense sectors
-    leaves nothing behind in the workspace."""
+    scan, plain, parity and reflection, assembled beforehand, a scan over
+    dense sectors leaves nothing behind in the workspace."""
     workspace = SectorWorkspace(model.family, lattice)
     for sz in nonnegative_sectors(workspace.spin, lattice.num_sites):
         assert workspace.matrix(model, sz).dimension <= 300
-        pieces = workspace.pieces(model, sz, "parity")
-        assert sum(piece.dimension for piece in pieces) == workspace.basis(sz).dimension
+        for kind in ("parity", "reflection"):
+            pieces = workspace.pieces(model, sz, kind)
+            assert sum(piece.dimension for piece in pieces) == workspace.basis(sz).dimension
     gc.collect()
     tracemalloc.start()
     try:

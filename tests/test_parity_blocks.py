@@ -1,9 +1,9 @@
-"""Reflection and spin-inversion blocks of a sector against the whole sector.
+"""Parity blocks of a sector against the whole sector.
 
 A dense sector is diagonalized as its parity blocks: the reflection R of
-the lattice and, at Sz = 0, the global spin inversion F split it into real
-blocks of one character each, and the union of their spectra is the
-sector's spectrum.
+the lattice, at Sz = 0 the global spin inversion F, and the translations by
+half of each even extent split it into real blocks of one character each,
+and the union of their spectra is the sector's spectrum.
 """
 
 import math
@@ -45,38 +45,47 @@ def _character(vectors, where):
 
 
 @pytest.mark.parametrize(
-    "lattice,spin",
+    "lattice,spin,largest",
     [
         *[
-            pytest.param(chain_lattice(n), "half", id=f"ring{n}-half")
+            pytest.param(chain_lattice(n), "half", 300, id=f"ring{n}-half")
             for n in (2, 3, 4, 5, 8, 9, 10)
         ],
-        *[pytest.param(chain_lattice(n), "one", id=f"ring{n}-one") for n in (2, 3, 4, 5, 6)],
-        pytest.param(square_lattice(3, 3), "half", id="torus3x3-half"),
-        pytest.param(square_lattice(4, 3), "half", id="torus4x3-half"),
+        *[pytest.param(chain_lattice(n), "one", 300, id=f"ring{n}-one") for n in (2, 3, 4, 5, 6)],
+        pytest.param(square_lattice(3, 3), "half", 300, id="torus3x3-half"),
+        pytest.param(square_lattice(4, 3), "half", 1000, id="torus4x3-half"),
+        pytest.param(square_lattice(4, 4), "half", 2000, id="torus4x4-half"),
     ],
 )
-def test_blocks_partition_the_sector_into_character_states(lattice, spin):
+def test_blocks_partition_the_sector_into_character_states(lattice, spin, largest):
     """The blocks' dimensions add up to the sector's; their expanded states
-    are orthonormal, and each block is an eigenspace of R, and at Sz = 0 of
-    F, with one character per block, the blocks in their fixed order."""
-    reflection = lattice.reflection()
+    are orthonormal, and each block is an eigenspace of R, at Sz = 0 of F,
+    and of each half translation, with one character per block under each,
+    the block's ``characters`` at those generators, the blocks in their
+    fixed order. Sectors above ``largest`` states are left out: the 4x4
+    torus keeps Sz = 4 to 8, so its two half translations are checked
+    there, and F beside a half translation on the rings and the 4x3 torus."""
+    reflection, halves = lattice.reflection(), lattice.half_translations()
     for sz in nonnegative_sectors(spin, lattice.num_sites):
         basis = build_basis(lattice.num_sites, spin, sz)
-        blocks = parity_blocks(basis, reflection)
+        if basis.dimension > largest:
+            continue
+        blocks = parity_blocks(basis, reflection, halves)
         assert sum(block.dimension for block in blocks) == basis.dimension
         assert all(block.dimension for block in blocks)
         vectors = np.vstack(
             [[block.expand(unit) for unit in np.eye(block.dimension)] for block in blocks]
         )
         np.testing.assert_allclose(vectors @ vectors.T, np.eye(basis.dimension), atol=1e-12)
-        mirror = _site_map(basis, reflection)
+        maps = [_site_map(basis, reflection)]
+        if sz == 0:
+            maps.append(_inversion_map(basis))
+        maps += [_site_map(basis, half) for half in halves]
         characters = []
         for block in blocks:
             states = np.array([block.expand(unit) for unit in np.eye(block.dimension)])
-            found = (_character(states, mirror),)
-            if sz == 0:
-                found += (_character(states, _inversion_map(basis)),)
+            found = tuple(_character(states, where) for where in maps)
+            assert found == tuple(block.characters[1 << k] for k in range(len(maps)))
             characters.append(found)
         assert characters == sorted(set(characters), reverse=True)
 

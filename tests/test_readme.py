@@ -1,6 +1,9 @@
 import re
 from pathlib import Path
 
+from spinent.basis import build_basis, nonnegative_sectors, parity_blocks
+from spinent.lattice import chain_lattice
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,3 +16,26 @@ def test_library_example_prints_the_values_it_shows(capsys):
     assert claimed == ["-4.557272440830395", "1.3555854562382934", "0.38666476054084775"]
     exec(compile(example, str(_README), "exec"), {})
     assert capsys.readouterr().out.split() == claimed
+
+
+def test_quoted_block_sizes_are_the_parity_blocks():
+    """The L=6 spin-1 block sizes the README quotes, under R and F and with
+    the half translation, are those parity_blocks builds, in its order, and
+    so are the sums of cubes it quotes over every Sz >= 0 sector."""
+    text = " ".join(_README.read_text().split())
+    quoted = re.findall(
+        r"Sz=(\d+)'s (\d+) states split into ([\d, and]+) under R and F, "
+        r"and into ([\d, and]+) with the half translation", text)
+    assert [sz for sz, *_ in quoted] == ["0", "1"]
+    ring = chain_lattice(6)
+    for sz, states, coarse, fine in quoted:
+        basis = build_basis(6, "one", float(sz))
+        assert int(states) == basis.dimension
+        for sizes, halves in ((coarse, ()), (fine, ring.half_translations())):
+            blocks = parity_blocks(basis, ring.reflection(), halves)
+            assert list(map(int, re.findall(r"\d+", sizes))) == [b.dimension for b in blocks]
+    cubes = re.search(r"sum of cubes over its Sz >= 0 blocks falls from ([\d,]+) to ([\d,]+)", text)
+    for quoted_sum, halves in zip(cubes.groups(), ((), ring.half_translations())):
+        blocks = [block for sz in nonnegative_sectors("one", 6)
+                  for block in parity_blocks(build_basis(6, "one", sz), ring.reflection(), halves)]
+        assert int(quoted_sum.replace(",", "")) == sum(block.dimension ** 3 for block in blocks)

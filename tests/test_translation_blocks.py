@@ -96,42 +96,41 @@ def test_perron_frobenius_condition_table():
 
 def _record(monkeypatch):
     """Record (sector dimension, block dimension, kind) for every block
-    assembled, the kind "plain", "translation" or "parity", and the
-    dimension of every piece a sector solve solves: the translation block
+    assembled, the kind "plain", "translation", "parity" or "reflection" of
+    the SectorWorkspace.blocks call that built it, and the dimension of
+    every piece a sector solve solves: the translation block
     ground_characters predicts for a sector not solved whole, or else the
     whole sector."""
-    assembled, solved, parity = [], [], set()
+    assembled, solved, building = [], [], []
     real_assemble, real_solves = hamiltonian.assemble_parts, eigensolver._sector_solves
-    real_parity = hamiltonian.parity_blocks
+    real_blocks = SectorWorkspace.blocks
 
-    def parity_blocks(*args):
-        blocks = real_parity(*args)
-        parity.update(id(block) for block in blocks)
-        return blocks
+    def blocks(workspace, sz, kind, models):
+        building.append(kind)
+        try:
+            return real_blocks(workspace, sz, kind, models)
+        finally:
+            building.pop()
 
     def assemble(family, lattice, block):
-        kind = "translation"
-        if block.reps is block.basis:
-            kind = "plain"
-        elif id(block) in parity:
-            kind = "parity"
+        kind = building[-1]
+        if not isinstance(kind, str):
+            kind = "translation" if kind else "plain"
         assembled.append((block.basis.dimension, block.dimension, kind))
         return real_assemble(family, lattice, block)
 
     def solves(workspace, models, sz, count, tol):
         found = real_solves(workspace, models, sz, count, tol)
-        for model, (pieces, _, whole) in zip(models, found):
-            if whole:
+        for model, (kind, _) in zip(models, found):
+            if kind in ("parity", ()):
                 solved.append(workspace.basis(sz).dimension)
             else:
-                characters = hamiltonian.ground_characters(model, workspace.lattice, sz)
-                assert [piece.block for piece in pieces] == [
-                    piece.block for piece in workspace.pieces(model, sz, characters)
-                ]
-                solved.append(pieces[0].dimension)
+                assert kind == hamiltonian.ground_characters(model, workspace.lattice, sz)
+                [(block, _)] = workspace.blocks(sz, kind, [model])
+                solved.append(block.dimension)
         return found
 
-    monkeypatch.setattr(hamiltonian, "parity_blocks", parity_blocks)
+    monkeypatch.setattr(SectorWorkspace, "blocks", blocks)
     monkeypatch.setattr(hamiltonian, "assemble_parts", assemble)
     monkeypatch.setattr(eigensolver, "_sector_solves", solves)
     return assembled, solved
@@ -169,13 +168,19 @@ def _assert_no_small_plain_block(assembled):
 def test_failing_points_take_the_plain_route(model, lattice, monkeypatch):
     assembled, solved = _record(monkeypatch)
     workspace = SectorWorkspace(model.family, lattice)
-    scan_one(workspace, model)
+    report = scan_one(workspace, model)
     sectors = nonnegative_sectors(workspace.spin, lattice.num_sites)
     dims = [workspace.basis(sz).dimension for sz in sectors]
     assert max(dims) > _DENSE_CUTOFF
     assert [(dim, dim, "plain") for dim in dims if dim > _DENSE_CUTOFF] == [
-        entry for entry in assembled if entry[2] != "parity"
+        entry for entry in assembled if entry[2] not in ("parity", "reflection")
     ]
+    # reflection blocks are built only for the eigh of a dense representative
+    reflection = [entry for entry in assembled if entry[2] == "reflection"]
+    represented = workspace.basis(report.ground_sz).dimension
+    if reflection:
+        assert {dim for dim, _, _ in reflection} == {represented}
+        assert sum(block_dim for _, block_dim, _ in reflection) == represented <= _DENSE_CUTOFF
     _assert_no_small_plain_block(assembled)
     # every dense sector is split into its parity blocks, and so is every
     # sector that a dense top-up reads whole
