@@ -3,18 +3,16 @@
 The workhorse is a Lanczos iteration. Eigenpairs are extracted one at a
 time, each pass deflated by the vectors already found: a single Krylov space
 reaches one copy of each eigenvalue, so this is what makes degenerate copies
-show up with their full multiplicity. The first pass of each level keeps
+show up with their full multiplicity. Each level runs one pass, which keeps
 every Lanczos vector orthogonal to the locked eigenvectors only; Krylov
 vectors lose orthogonality to one another only along Ritz vectors that have
 already converged (Paige, Linear Algebra Appl. 34, 235 (1980)), and the true
-residual decides acceptance, so the bottom pair comes out right without the
-per-step sweep over the whole Krylov basis. The Krylov vectors are kept, in
-fixed 64-row blocks that are added as the pass grows and never copied, only
-to form the Ritz vector and for the restart pass. The start vector comes from a
-hard-coded seed so runs are reproducible bit for bit; if that pass fails it
-is restarted once from a second hard-coded seed, with full
-reorthogonalization against the locked and every stored Krylov vector,
-before failing. A pair is accepted at a true residual of at most
+residual decides acceptance, so the bottom pair comes out right without a
+sweep over the whole Krylov basis. The Krylov vectors are kept, in fixed
+64-row blocks that are added as the pass grows and never copied, only to
+form the Ritz vector. The start vector comes from a hard-coded seed so runs
+are reproducible bit for bit, and a pass that runs out of steps raises
+ConvergenceError. A pair is accepted at a true residual of at most
 max(tol, 8 eps ||H||_F), since round-off alone leaves about eps ||H||.
 A dense eigendecomposition doubles as an independent oracle
 for small sectors. lanczos_lowest can go on from pairs an earlier call locked.
@@ -43,7 +41,9 @@ assembled whole; any other piece goes to Lanczos. Eigenvectors of a dense
 piece come from a second, ``eigh`` solve made on demand, which a scan
 makes once per point: on the piece that represents it, or, for a parity
 block, on the block of R and F alone that holds it, so the vector does not
-depend on the half translations.
+depend on the half translations. Where a Lanczos piece fails, the sector
+is solved again for every level, densely on its parity blocks, if each has
+at most _DENSE_LIMIT states; else the failure stands.
 
 ground_state_scan takes a grid of models, one model being a grid of one,
 and gives one entry per model: its report, or the ValueError, RuntimeError
@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .basis import nonnegative_sectors
+from .basis import nonnegative_sectors, parity_blocks
 from .hamiltonian import (
     ModelSpec,
     SectorWorkspace,
@@ -83,7 +83,6 @@ from .hamiltonian import (
 )
 
 _PRIMARY_SEED = 1299709
-_RESTART_SEED = 15485863
 _CHECK_EVERY = 5
 # Krylov vectors per storage block; see _lanczos_ground.
 _BLOCK_ROWS = 64
@@ -128,16 +127,17 @@ class EigenResult:
 class GroundStateReport:
     """Outcome of scanning all Sz sectors for the global ground state.
 
-    ``degeneracy`` counts states within the scan's ``tol_deg`` of the ground
-    energy across all sectors, doubling Sz > 0 sectors for their
-    spin-flipped partners. Each sector contributes the levels sector_lowest
-    gives for one level. A dense sector gives its full spectrum, the union
-    of its parity blocks' levels, values only, except in the
-    representative's sector, where the parity blocks of the block that
-    gives its vector give way to the levels of that block's ``eigh``; the
-    ground energy is the lowest level after that swap. A sector solved
+    ``degeneracy`` counts states within max(tol_deg, 8 eps ||H||_F) of the
+    ground energy across all sectors, ||H||_F being each sector's, since
+    round-off alone leaves about eps ||H|| in a level, and doubles Sz > 0
+    sectors for their spin-flipped partners. Each sector contributes the
+    levels sector_lowest gives for one level. A dense sector gives its full
+    spectrum, the union of its parity blocks' levels, values only, except
+    in the representative's sector, where the parity blocks of the block
+    that gives its vector give way to the levels of that block's ``eigh``;
+    the ground energy is the lowest level after that swap. A sector solved
     whole by Lanczos contributes the levels of sector_lowest's top-up,
-    which goes on until one clears ``tol_deg`` above the ground, so a
+    which goes on until one clears that window above the ground, so a
     manifold with several members in one large sector is counted in full
     (45 at blbq theta = 5*pi/4, L = 8, and 2,207 at theta = pi/2). A
     sector solved in its translation block contributes one level: there
@@ -176,11 +176,6 @@ class GroundStateReport:
     representative: EigenResult
 
 
-class _NotConverged(Exception):
-    def __init__(self, best_residual: float):
-        self.best_residual = best_residual
-
-
 def lanczos_lowest(
     hamiltonian: SparseHamiltonian,
     k: int = 1,
@@ -200,8 +195,8 @@ def lanczos_lowest(
     leaves about eps ||H||, so an absolute tol cannot be met where the norm
     is large. The coupling bound that decides when a Ritz pair is formed
     uses the same limit, and the error names the limit that applied.
-    Raises ConvergenceError, carrying the best residual, if any pass runs
-    out of iterations (_MAX_ITER steps) on both seeds.
+    Raises ConvergenceError, carrying the best residual, if a level's one
+    pass runs out of iterations (_MAX_ITER steps).
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -217,18 +212,11 @@ def lanczos_lowest(
     for level, result in enumerate(results):
         locked[level] = result.vector
     for level in range(len(results), k_eff):
-        best = np.inf
-        pair = None
-        for seed, full in ((_PRIMARY_SEED, False), (_RESTART_SEED, True)):
-            try:
-                pair = _lanczos_ground(matrix, max(tol, floor), seed, locked[:level], full)
-                break
-            except _NotConverged as fail:
-                best = min(best, fail.best_residual)
+        pair, best = _lanczos_ground(matrix, max(tol, floor), locked[:level])
         if pair is None:
             raise ConvergenceError(
                 f"Lanczos did not reach {target} within {_MAX_ITER} iterations "
-                f"for level {level} of a dimension-{n} sector, even after one restart",
+                f"for level {level} of a dimension-{n} sector",
                 best,
             )
         locked[level] = pair.vector
@@ -236,17 +224,14 @@ def lanczos_lowest(
     return results
 
 
-def _project_out(vec: np.ndarray, blocks) -> float:
-    """Project the rows of every block out of ``vec`` in place (twice if
-    needed) and return the norm of what is left."""
-    blocks = [rows for rows in blocks if rows.shape[0]]
+def _project_out(vec: np.ndarray, rows: np.ndarray) -> float:
+    """Project ``rows`` out of ``vec`` in place (twice if needed) and
+    return the norm of what is left."""
     before = np.linalg.norm(vec)
-    if not blocks:
+    if not rows.shape[0]:
         return float(before)
     for _ in range(2):
-        coeffs = [rows @ vec for rows in blocks]
-        for rows, c in zip(blocks, coeffs):
-            vec -= rows.T @ c
+        vec -= rows.T @ (rows @ vec)
         after = np.linalg.norm(vec)
         if after > 0.5 * before:
             break
@@ -254,42 +239,36 @@ def _project_out(vec: np.ndarray, blocks) -> float:
     return float(after)
 
 
-def _filled(blocks: list[np.ndarray], m: int) -> list[np.ndarray]:
-    """Views of the first ``m`` Krylov rows, one per block."""
-    return [block[: m - i * _BLOCK_ROWS] for i, block in enumerate(blocks)]
-
-
-def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
-    """Lowest eigenpair of ``matrix`` on the complement of the locked rows.
+def _lanczos_ground(matrix, tol, locked) -> tuple[EigenResult | None, float]:
+    """Lowest eigenpair of ``matrix`` on the complement of the locked rows,
+    or None, and the smallest true residual of a Ritz pair the pass formed,
+    inf if none.
 
     The Krylov vectors live in a list of ``_BLOCK_ROWS``-row blocks, each
     allocated uninitialized when the previous one fills and never copied or
     resized; the locked rows stay in the caller's ``locked`` array. Every
-    new Lanczos vector is projected against the locked rows, so deflation
-    stays exact; with ``full`` it is projected against the filled blocks
-    too, in the same sweep. Without ``full`` the three-term recurrence alone
-    keeps the Krylov vectors orthogonal until the bottom Ritz pair
-    converges, which is all the pass needs. The three-term update runs in
-    place through one scratch vector, so outside the projections a step
-    allocates only the product ``matrix @ v``. The bottom Ritz pair is only
-    formed once the cheap coupling bound |beta_next * y[-1]| clears the
-    tolerance; acceptance then rests on the true residual, and a failed pass
-    reports the smallest true residual it formed, inf if none. A Krylov space that closes
+    new Lanczos vector is projected against the locked rows alone, so
+    deflation stays exact, and the three-term recurrence keeps the Krylov
+    vectors orthogonal to one another until the bottom Ritz pair converges,
+    which is all the pass needs. The three-term update runs in place through
+    one scratch vector, so outside the projection a step allocates only the
+    product ``matrix @ v``. The bottom Ritz pair is only formed once the
+    cheap coupling bound |beta_next * y[-1]| clears the tolerance;
+    acceptance then rests on the true residual. A Krylov space that closes
     early (numerically invariant subspace) is accepted at whatever it
     converged to: the seeded Gaussian start has weight on every
-    eigendirection apart from a measure-zero accident, and the second seed
-    covers the paranoid case.
+    eigendirection apart from a measure-zero accident.
     """
     base, n = locked.shape
     # Seed per pass: reusing one draw across passes leaves the start with
     # zero weight on a degenerate copy whose partner was already locked
     # (its share of the draw is exactly what got locked in).
-    rng = np.random.default_rng([seed, base])
+    rng = np.random.default_rng([_PRIMARY_SEED, base])
     blocks = [np.empty((min(_BLOCK_ROWS, _MAX_ITER + 1), n))]
     start = rng.standard_normal(n, out=blocks[0][0])
-    start_norm = _project_out(start, [locked])
+    start_norm = _project_out(start, locked)
     if start_norm <= 1e-13:
-        raise _NotConverged(np.inf)
+        return None, np.inf
     np.divide(start, start_norm, out=start)
     tmp = np.empty(n)
     alpha: list[float] = []
@@ -308,30 +287,31 @@ def _lanczos_ground(matrix, tol, seed, locked, full) -> EigenResult:
             np.multiply(prev, beta[j - 1], out=tmp)
             np.subtract(w, tmp, out=w)
         m = j + 1
-        w_norm = _project_out(w, [locked, *(_filled(blocks, m) if full else ())])
+        w_norm = _project_out(w, locked)
         scale = max(scale, abs(a))
         exhausted = base + m >= n
         breakdown = w_norm <= 1e-13 * scale
 
         if breakdown or exhausted or m % _CHECK_EVERY == 0 or j == _MAX_ITER - 1:
             next_beta = 0.0 if (breakdown or exhausted) else w_norm
+            # views of the first m Krylov rows, one per block
+            filled = [block[: m - i * _BLOCK_ROWS] for i, block in enumerate(blocks)]
             result, residual = _ritz_bottom(
-                matrix, _filled(blocks, m), alpha, beta, next_beta, tol,
-                force=breakdown or exhausted,
+                matrix, filled, alpha, beta, next_beta, tol, force=breakdown or exhausted
             )
             best = min(best, residual)
             if result is not None:
-                return result
+                return result, residual
 
         if breakdown or exhausted:
-            raise _NotConverged(best)
+            return None, best
         if m % _BLOCK_ROWS == 0:
             blocks.append(np.empty((min(_BLOCK_ROWS, _MAX_ITER + 1 - m), n)))
         np.divide(w, w_norm, out=blocks[m // _BLOCK_ROWS][m % _BLOCK_ROWS])
         beta.append(w_norm)
         scale = max(scale, w_norm)
         prev = v
-    raise _NotConverged(best)
+    return None, best
 
 
 def _ritz_bottom(matrix, blocks, alpha, beta, next_beta, tol, force=False):
@@ -419,11 +399,23 @@ def sector_lowest(
     all lie at or below it and some are missing, lanczos_lowest deflates the
     Lanczos piece a level further on its combined matrix or, past
     _LANCZOS_TOP_UP, a sector of at most _DENSE_LIMIT states goes dense.
+
+    Where a Lanczos piece raises ConvergenceError, in the first solve or in
+    the top-up, the sector is solved for every level instead if each of its
+    parity blocks has at most _DENSE_LIMIT states, else the error is raised;
+    the bottom's ``eigh`` then reads a block of R and F, of up to twice that.
     """
     [solve] = _sector_solves(workspace, [model], sz, count, tol)
     if isinstance(solve, Exception):
         raise solve
-    return _sector_entry(workspace, model, sz, tol, solve)
+    return _sector_entry(workspace, model, sz, tol, solve)[:3]
+
+
+def _parity_blocks_fit(workspace: SectorWorkspace, sz: float) -> bool:
+    """Whether each of the sector's parity blocks fits _DENSE_LIMIT; nothing is assembled."""
+    lattice = workspace.lattice
+    blocks = parity_blocks(workspace.basis(sz), lattice.reflection(), lattice.half_translations())
+    return max(block.dimension for block in blocks) <= _DENSE_LIMIT
 
 
 def _sector_solves(workspace, models, sz, count, tol) -> list:
@@ -432,7 +424,8 @@ def _sector_solves(workspace, models, sz, count, tol) -> list:
     place, the first error of its pieces. The models of one kind share its
     blocks and one coefficient array per part, so a dense block is solved
     for all of them at once by _dense_levels; a Lanczos piece is solved
-    model by model."""
+    model by model, and where it raises ConvergenceError the model's solve
+    is the sector's for every level, if its parity blocks fit _DENSE_LIMIT."""
     check_tolerances(tol, 0.0)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -459,6 +452,8 @@ def _sector_solves(workspace, models, sz, count, tol) -> list:
         for i, own in zip(at, solved):
             failure = next((got for got in own if isinstance(got, Exception)), None)
             solves[i] = failure or (kind, own)
+            if isinstance(failure, ConvergenceError) and _parity_blocks_fit(workspace, sz):
+                [solves[i]] = _sector_solves(workspace, [models[i]], sz, dim, tol)
     return solves
 
 
@@ -516,14 +511,14 @@ def _lanczos_levels(hamiltonian: SparseHamiltonian, count: int, tol: float):
 
 def _sector_entry(workspace, model, sz, tol, solve):
     """sector_lowest's (levels, bottom, top_up) from a _sector_solves entry
-    that is not a failure."""
+    that is not a failure, and 8 eps ||H||_F, the round-off in its levels."""
     kind, solved = solve
     whole = kind in ("parity", ())
     dim = workspace.basis(sz).dimension
     levels = np.sort(np.concatenate([own.values for own in solved]))
     # round-off leaves about eps ||H|| in every level, so closer bottoms tie
-    limit = max(tol, _RESIDUAL_FLOOR * math.sqrt(sum(own.square for own in solved)))
-    pick = next(i for i, own in enumerate(solved) if own.values[0] <= levels[0] + limit)
+    floor = _RESIDUAL_FLOOR * math.sqrt(sum(own.square for own in solved))
+    pick = next(i for i, own in enumerate(solved) if own.values[0] <= levels[0] + max(tol, floor))
 
     def bottom() -> tuple[list[float], EigenResult]:
         values, _, hamiltonian, found = solved[pick]
@@ -543,11 +538,17 @@ def _sector_entry(workspace, model, sz, tol, solve):
         while found and len(found) < dim and energies[-1] <= ceiling:
             if len(found) >= _LANCZOS_TOP_UP and dim <= _DENSE_LIMIT:
                 return sector_lowest(workspace, model, sz, dim, tol)[0]
-            found = lanczos_lowest(hamiltonian, k=len(found) + 1, tol=tol, found=found)
+            try:
+                found = lanczos_lowest(hamiltonian, k=len(found) + 1, tol=tol, found=found)
+            except ConvergenceError:
+                if not _parity_blocks_fit(workspace, sz):
+                    raise
+                return sector_lowest(workspace, model, sz, dim, tol)[0]
             energies = np.sort([r.energy for r in found])
         return list(map(float, energies))
 
-    return list(map(float, levels[: None if whole else 1])), bottom, top_up if whole else None
+    shown = levels[: None if whole else 1]
+    return list(map(float, shown)), bottom, top_up if whole else None, floor
 
 
 def ground_state_scan(
@@ -604,35 +605,34 @@ def ground_state_scan(
 def _point_entry(workspace, model, stacked: dict, tol: float, tol_deg: float):
     """One point's GroundStateReport, or the error its first failing sector
     raised, from its _sector_solves entries of the stacked sectors; every
-    other sector is solved here by sector_lowest. Nothing of the point's
+    other sector is solved here, one by one. Nothing of the point's
     solves outlives the call but the report."""
     try:
         solved = {}
         for sz in nonnegative_sectors(workspace.spin, workspace.lattice.num_sites):
             if sz not in stacked:
-                solved[sz] = sector_lowest(workspace, model, sz, tol=tol)
-            elif isinstance(stacked[sz], Exception):
+                [stacked[sz]] = _sector_solves(workspace, [model], sz, 1, tol)
+            if isinstance(stacked[sz], Exception):
                 raise stacked[sz]
-            else:
-                solved[sz] = _sector_entry(workspace, model, sz, tol, stacked[sz])
+            solved[sz] = _sector_entry(workspace, model, sz, tol, stacked[sz])
         return _point_report(workspace, solved, tol_deg)
     except (ValueError, RuntimeError, MemoryError) as failure:
         return failure
 
 
 def _point_report(workspace: SectorWorkspace, solved: dict, tol_deg: float) -> GroundStateReport:
-    """One point's GroundStateReport from sector_lowest's entry for each sector."""
-    per_sector = {sz: levels for sz, (levels, _, _) in solved.items()}
+    """One point's GroundStateReport from _sector_entry's entry for each sector."""
+    per_sector = {sz: levels for sz, (levels, _, _, _) in solved.items()}
     lowest = min(levels[0] for levels in per_sector.values())
     rep_sz = max(sz for sz, levels in per_sector.items() if levels[0] <= lowest + tol_deg)
     per_sector[rep_sz], bottom = solved[rep_sz][1]()
     ground = min(levels[0] for levels in per_sector.values())
-    for sz, (_, _, top_up) in solved.items():
-        if top_up and len(per_sector[sz]) < workspace.basis(sz).dimension:
-            per_sector[sz] = top_up(ground + tol_deg)
     degeneracy = 0
-    for sz, levels in per_sector.items():
-        hits = sum(1 for e in levels if e <= ground + tol_deg)
+    for sz, (_, _, top_up, floor) in solved.items():
+        ceiling = ground + max(tol_deg, floor)
+        if top_up and len(per_sector[sz]) < workspace.basis(sz).dimension:
+            per_sector[sz] = top_up(ceiling)
+        hits = sum(1 for e in per_sector[sz] if e <= ceiling)
         degeneracy += hits * (2 if sz > 1e-12 else 1)
 
     return GroundStateReport(

@@ -145,11 +145,14 @@ def test_failed_points_annotate_rows_instead_of_aborting():
 
 def test_a_lanczos_failure_quotes_a_true_residual_above_its_tolerance(monkeypatch):
     """Held to an absolute 1e-10, with the residual floor taken away, the
-    N=16 translation block at delta = 1e6 runs out of Lanczos iterations.
-    Its error used to quote the coupling bound of an unformed Ritz pair,
-    3.269e-11, below the tolerance it failed to reach; it quotes the
-    smallest true residual ||Hv - theta v|| of a formed pair."""
+    N=16 translation block at delta = 1e6 runs out of Lanczos iterations,
+    and with the dense limit below each Sz=0 parity block (1,568 to 1,667
+    states) no dense solve takes its place. Its error used to quote the
+    coupling bound of an unformed Ritz pair, 3.269e-11, below the tolerance
+    it failed to reach; it quotes the smallest true residual
+    ||Hv - theta v|| of a formed pair."""
     monkeypatch.setattr(eigensolver, "_RESIDUAL_FLOOR", 0.0)
+    monkeypatch.setattr(eigensolver, "_DENSE_LIMIT", 1500)
     table = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2))
     for row in table.rows:
         found = re.fullmatch(r"Lanczos did not reach tol=1e-10 .* \(best residual (\S+)\)", row.error)
@@ -160,7 +163,8 @@ def test_a_large_norm_solves_at_the_residual_floor(monkeypatch):
     """Round-off leaves a Lanczos residual of about eps ||H||, 8.9e-10 on the
     N=16 translation block at delta = 1e6, so the absolute 1e-10 lost both
     rows. Held to max(tol, 8 eps ||H||_F) they solve, to the energies of
-    eigvalsh on that 810-state block; an error under the floor names it."""
+    eigvalsh on that 810-state block; an error under the floor names it,
+    where the dense limit lies below each Sz=0 parity block."""
     table = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2))
     workspace = SectorWorkspace("xxz_half", chain_lattice(16))
     for row in table.rows:
@@ -172,6 +176,7 @@ def test_a_large_norm_solves_at_the_residual_floor(monkeypatch):
         exact = np.linalg.eigvalsh(block.dense())[0]
         assert abs(row.energy - exact) <= 1e-12 * abs(exact)
     monkeypatch.setattr(eigensolver, "_MAX_ITER", 5)
+    monkeypatch.setattr(eigensolver, "_DENSE_LIMIT", 1500)
     [row] = sweep("xxz_half", "chain", [16], (1e6, 2e6, 2)).rows[:1]
     assert re.match(r"Lanczos did not reach the residual floor 8\*eps\*\|\|H\|\|_F = \S+ "
                     r"within 5 iterations", row.error), row.error

@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from spinent import eigensolver, hamiltonian
-from spinent.basis import nonnegative_sectors, plain_block
+from spinent.basis import nonnegative_sectors, parity_blocks, plain_block
 from spinent.eigensolver import (
     ConvergenceError,
     degeneracy_count,
@@ -70,16 +70,11 @@ def _clustered(n=60):
     return sparse.csr_matrix((mat + mat.T) / 2)
 
 
-@pytest.mark.parametrize("case", [0, 1, 2, "clustered", "clustered-150"])
+@pytest.mark.parametrize("case", [0, 1, 2])
 def test_lanczos_matches_dense_on_random_sparse(case):
-    if case == "clustered":
-        mat, k = _clustered(), 3
-    elif case == "clustered-150":
-        mat, k = _clustered(150), 3
-    else:
-        rng = np.random.default_rng(case)
-        mat = sparse.random(120, 120, density=0.05, random_state=rng, format="csr")
-        mat, k = mat + mat.T, 2  # symmetrize
+    rng = np.random.default_rng(case)
+    mat = sparse.random(120, 120, density=0.05, random_state=rng, format="csr")
+    mat, k = mat + mat.T, 2  # symmetrize
     ham = _FakeHamiltonian(mat)
     iterative = lanczos_lowest(ham, k=k)
     direct = dense_lowest(ham, k=k)
@@ -91,36 +86,28 @@ def test_lanczos_matches_dense_on_random_sparse(case):
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(k), atol=1e-9)
 
 
-def test_clustered_levels_need_the_restart_pass(monkeypatch):
-    """The cheap first pass fails on every level of the clustered matrix; the
-    fully reorthogonalized restart is what resolves it."""
-    real = eigensolver._lanczos_ground
-    passes = []
-
-    def recording(*args):
-        passes.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(eigensolver, "_lanczos_ground", recording)
-    lanczos_lowest(_FakeHamiltonian(_clustered()), k=3)
-    assert passes == [False, True] * 3
-
-    monkeypatch.setattr(eigensolver, "_lanczos_ground", lambda *args: real(*args[:-1], False))
-    with pytest.raises(ConvergenceError):
-        lanczos_lowest(_FakeHamiltonian(_clustered()), k=3)
+@pytest.mark.parametrize("n", [60, 150])
+def test_clustered_levels_fail_with_a_finite_best_residual(n):
+    """One pass per level, with no reorthogonalization against its Krylov
+    basis, runs out of steps on the clustered bottom: lanczos_lowest raises
+    at level 0, quoting the smallest true residual of a Ritz pair it formed,
+    finite and above the tolerance."""
+    with pytest.raises(ConvergenceError, match="for level 0 of a dimension") as caught:
+        lanczos_lowest(_FakeHamiltonian(_clustered(n)), k=3)
+    assert 1e-10 < caught.value.best_residual < math.inf
 
 
 def _record_passes(monkeypatch):
-    """Record (full, Krylov blocks at the last Ritz step) for every pass."""
+    """Record the Krylov blocks at the last Ritz step of every pass."""
     real_ground, real_ritz = eigensolver._lanczos_ground, eigensolver._ritz_bottom
     passes = []
 
     def ground(*args):
-        passes.append([args[-1], None])
+        passes.append(None)
         return real_ground(*args)
 
     def ritz(matrix, blocks, *args, **kwargs):
-        passes[-1][1] = [rows.copy() for rows in blocks]
+        passes[-1] = [rows.copy() for rows in blocks]
         return real_ritz(matrix, blocks, *args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "_lanczos_ground", ground)
@@ -131,36 +118,26 @@ def _record_passes(monkeypatch):
 def test_first_pass_runs_across_block_boundaries(monkeypatch):
     """A disordered tight-binding chain (n=3000) whose bottom two levels take
     both first passes past 128 Krylov rows, so the store spans three or more
-    64-row blocks; energies still match ARPACK."""
+    64-row blocks; energies still match ARPACK. The clustered spectrum at
+    n=150, whose one pass runs out of steps, fills the store across its
+    blocks the same way."""
     n = 3000
     rng = np.random.default_rng(1)
     off = np.full(n - 1, -1.0)
     mat = sparse.diags([off, 2.0 + rng.uniform(0.0, 0.5, n), off], [-1, 0, 1], format="csr")
     passes = _record_passes(monkeypatch)
     ours = lanczos_lowest(_FakeHamiltonian(mat), k=2)
-    assert [full for full, _ in passes] == [False, False]
-    for _, blocks in passes:
+    assert len(passes) == 2
+    with pytest.raises(ConvergenceError):
+        lanczos_lowest(_FakeHamiltonian(_clustered(150)), k=3)
+    assert len(passes) == 3
+    for blocks in passes:
         heights = [len(rows) for rows in blocks]
         assert sum(heights) > 128
         assert heights[:-1] == [64] * (len(heights) - 1)
     v0 = np.random.default_rng(5).standard_normal(n)
     theirs = np.sort(eigsh(mat, k=2, which="SA", tol=1e-14, v0=v0)[0])
     np.testing.assert_allclose([r.energy for r in ours], theirs, rtol=0, atol=1e-10)
-
-
-def test_restart_pass_runs_across_block_boundaries(monkeypatch):
-    """The clustered spectrum at n=150 (checked against dense above): every
-    level needs the fully reorthogonalized restart, which then keeps more
-    than two blocks of Krylov rows orthonormal to one another."""
-    passes = _record_passes(monkeypatch)
-    lanczos_lowest(_FakeHamiltonian(_clustered(150)), k=3)
-    assert [full for full, _ in passes] == [False, True] * 3
-    for _, blocks in passes[1::2]:
-        heights = [len(rows) for rows in blocks]
-        assert sum(heights) > 128
-        assert heights[:-1] == [64] * (len(heights) - 1)
-        krylov = np.vstack(blocks)
-        np.testing.assert_allclose(krylov @ krylov.T, np.eye(len(krylov)), atol=1e-10)
 
 
 def test_step_matches_the_allocating_recurrence(monkeypatch):
@@ -284,7 +261,8 @@ def test_unconverged_solve_raises_with_best_residual(monkeypatch):
     with pytest.raises(ConvergenceError) as caught:
         lanczos_lowest(ham)
     assert caught.value.best_residual > 0.0
-    assert "restart" in str(caught.value)
+    assert re.fullmatch(r"Lanczos did not reach tol=1e-10 within 3 iterations for level 0 "
+                        r"of a dimension-60 sector \(best residual \S+\)", str(caught.value))
 
 
 def test_deterministic_restarts():
@@ -418,9 +396,24 @@ def test_representative_at_a_large_norm_comes_from_the_first_parity_block():
     assert floor > 1e130
     energy, sz, _, vector = reflection_block_ground("xxz_half", lattice, model, tol=floor)
     assert sz == 0.0 and np.array_equal(report.representative.vector, vector)
+    assert report.degeneracy == 2
     basis = workspace.basis(0.0)
     flipped = np.searchsorted(basis.states, (1 << 8) - 1 - basis.states)
     np.testing.assert_allclose(vector[flipped], vector, rtol=0, atol=1e-12)
+
+
+def test_a_pair_split_by_round_off_counts_twice():
+    """xxz_half N=8 at delta = 1e12: the Neel pair's Sz=0 levels differ by
+    round-off alone, 5e-4, far outside tol_deg = 1e-8, while the true
+    splitting is of order delta^-3. Levels count within max(tol_deg,
+    8 eps ||H||_F) of the ground, so the pair counts twice."""
+    workspace = SectorWorkspace("xxz_half", chain_lattice(8))
+    model = model_for("xxz_half", 1e12)
+    report = scan_one(workspace, model)
+    first, second = report.per_sector_energies[0.0][:2]
+    floor = eigensolver._RESIDUAL_FLOOR * workspace.matrix(model, 0.0).norm
+    assert 1e-8 < second - first <= floor
+    assert report.degeneracy == 2
 
 
 def test_scan_ferromagnet_is_doubly_degenerate():
@@ -600,6 +593,73 @@ def test_degenerate_top_up_combines_its_dense_arrays_from_the_parts(monkeypatch)
     assert calls == small + [1] + topped_up
 
 
+# theta next to the SU(3) point pi/2, where Lanczos runs out of steps on
+# the nearly degenerate bottom of blbq L=8's sectors, and the degeneracy
+# that eigvalsh of every sector gives.
+_NEAR_SU3 = [(np.pi / 2 + 1e-6, 17), (np.pi / 2 + 1e-4, 17), (1.570796325, 752)]
+
+
+@pytest.mark.parametrize("theta,degeneracy", _NEAR_SU3)
+def test_a_failed_lanczos_sector_is_solved_densely_on_its_parity_blocks(theta, degeneracy):
+    """Where Lanczos fails on a sector, the sector is solved again for
+    every level, densely on its parity blocks, which all fit _DENSE_LIMIT.
+    The ground energy is that of eigvalsh of the plain sectors to 1e-10,
+    and the degeneracy is what it counts."""
+    model = model_for("blbq", theta)
+    workspace = SectorWorkspace("blbq", chain_lattice(8))
+    with pytest.raises(ConvergenceError, match="of a dimension-1107 sector"):
+        lanczos_lowest(workspace.matrix(model, 0.0), k=2)
+    report = scan_one(workspace, model)
+    spectra = {sz: np.linalg.eigvalsh(workspace.matrix(model, sz).dense())
+               for sz in nonnegative_sectors("one", 8)}
+    ground = min(values[0] for values in spectra.values())
+    assert abs(report.ground_energy - ground) <= 1e-10
+    counted = sum(int(np.sum(values <= ground + 1e-8)) * (2 if sz else 1)
+                  for sz, values in spectra.items())
+    assert report.degeneracy == counted == degeneracy
+
+
+@pytest.mark.parametrize("theta,level", [(np.pi / 2 + 1e-6, 0), (1.570796325, 1)])
+def test_the_dense_rescue_stops_at_the_dense_limit(theta, level, monkeypatch):
+    """blbq L=8's Sz=0 sector (1,107 states), whose Lanczos solve fails in
+    sector_lowest's first solve (level 0) or in its top-up (level 1). Its
+    parity blocks fit _DENSE_LIMIT, so the sector is solved again for
+    every level, to eigvalsh of the whole sector. With _DENSE_LIMIT one
+    below the largest block, the ConvergenceError lanczos_lowest raises
+    reaches the caller unchanged."""
+    model, lattice = model_for("blbq", theta), chain_lattice(8)
+    workspace = SectorWorkspace("blbq", lattice)
+
+    def every_level():
+        _, _, top_up = eigensolver.sector_lowest(workspace, model, 0.0)
+        return top_up(math.inf)
+
+    with pytest.raises(ConvergenceError, match=f"for level {level} of a dimension-1107") as direct:
+        lanczos_lowest(workspace.matrix(model, 0.0), k=level + 1)
+    exact = np.linalg.eigvalsh(workspace.matrix(model, 0.0).dense())
+    np.testing.assert_allclose(every_level(), exact, rtol=0, atol=1e-10)
+    blocks = parity_blocks(workspace.basis(0.0), lattice.reflection(), lattice.half_translations())
+    monkeypatch.setattr(eigensolver, "_DENSE_LIMIT", max(b.dimension for b in blocks) - 1)
+    with pytest.raises(ConvergenceError) as caught:
+        every_level()
+    assert str(caught.value) == str(direct.value)
+    assert caught.value.best_residual == direct.value.best_residual
+
+
+@pytest.mark.parametrize("size,lucas", [(3, 18), (4, 47), (5, 123), (6, 322), (7, 843),
+                                        (8, 2207), (9, 5778)])
+def test_the_su3_point_degeneracy_is_the_lucas_number(size, lucas):
+    """At theta = pi/2 the ring has L + sum_i e_i, e_i three times the bond
+    singlet projector: Temperley-Lieb generators of loop weight
+    3 = q + 1/q, q = (3 + sqrt 5) / 2. Each e_i >= 0, so the ground states
+    are their common kernel, at energy L, of q^L + q^-L states: the Lucas
+    number L_{2L}."""
+    report = scan_one(SectorWorkspace("blbq", chain_lattice(size)), model_for("blbq", np.pi / 2))
+    q = (3 + math.sqrt(5)) / 2
+    assert abs(report.ground_energy - size) <= 1e-9
+    assert report.degeneracy == lucas == round(q ** size + q ** -size)
+
+
 def test_lanczos_goes_on_from_the_levels_it_was_given(monkeypatch):
     """The plain Sz=0 piece of blbq L=8 at theta = pi/4 (1,107 states, a
     degenerate ground): four levels asked for with two given are the four
@@ -615,13 +675,13 @@ def test_lanczos_goes_on_from_the_levels_it_was_given(monkeypatch):
     passes = []
     real = eigensolver._lanczos_ground
 
-    def counting(*args):
-        passes.append(args[2])
-        return real(*args)
+    def counting(matrix, tol, locked):
+        passes.append(len(locked))
+        return real(matrix, tol, locked)
 
     monkeypatch.setattr(eigensolver, "_lanczos_ground", counting)
     four = lanczos_lowest(ham, 4, found=two)
-    assert passes == [eigensolver._PRIMARY_SEED] * 2
+    assert passes == [2, 3]
     assert four[:2] == two
     for ours, theirs in zip(four, fresh, strict=True):
         assert ours.energy == theirs.energy

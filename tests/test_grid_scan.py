@@ -101,7 +101,8 @@ def test_an_earlier_lanczos_failure_wins_over_a_later_dense_overflow(monkeypatch
     """xxz_half N=16: Sz=0 goes to Lanczos, Sz=6 to 8 are dense. At delta =
     1e154 every sector overflows; a Lanczos solve that fails first, in
     sector order, is the error the point reports, and the point beside it
-    solves."""
+    solves. The dense limit lies below each Sz=0 parity block, so no dense
+    solve of that sector takes the failure's place."""
     real = eigensolver.lanczos_lowest
 
     def lanczos(hamiltonian, *args, **kwargs):
@@ -112,6 +113,7 @@ def test_an_earlier_lanczos_failure_wins_over_a_later_dense_overflow(monkeypatch
         return real(hamiltonian, *args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "lanczos_lowest", lanczos)
+    monkeypatch.setattr(eigensolver, "_DENSE_LIMIT", 1500)
     workspace = SectorWorkspace("xxz_half", chain_lattice(16))
     solvable, overflowing = model_for("xxz_half", 1.0), model_for("xxz_half", 1e154)
     with pytest.raises(ValueError, match="overflows"):

@@ -1,7 +1,9 @@
 import re
 from pathlib import Path
 
+from one_point import scan_one
 from spinent.basis import build_basis, nonnegative_sectors, parity_blocks
+from spinent.hamiltonian import SectorWorkspace, model_for
 from spinent.lattice import chain_lattice
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +41,15 @@ def test_quoted_block_sizes_are_the_parity_blocks():
         blocks = [block for sz in nonnegative_sectors("one", 6)
                   for block in parity_blocks(build_basis(6, "one", sz), ring.reflection(), halves)]
         assert int(quoted_sum.replace(",", "")) == sum(block.dimension ** 3 for block in blocks)
+
+
+def test_quoted_rescued_degeneracy_is_the_scan_count():
+    """The blbq ground-state count the README quotes next to the SU(3)
+    point, where Lanczos runs out of steps and the sector is solved densely
+    instead, is what a scan counts."""
+    text = " ".join(_README.read_text().split())
+    size, theta, count = re.search(
+        r"`blbq` L=(\d+) at theta = ([\d.]+) counts ([\d,]+) ground states", text).groups()
+    workspace = SectorWorkspace("blbq", chain_lattice(int(size)))
+    report = scan_one(workspace, model_for("blbq", float(theta)))
+    assert report.degeneracy == int(count.replace(",", "")) == 752
