@@ -97,6 +97,28 @@ def test_clustered_levels_fail_with_a_finite_best_residual(n):
     assert 1e-10 < caught.value.best_residual < math.inf
 
 
+def test_clustered_levels_get_one_pass_and_no_restart(monkeypatch):
+    """Each level runs one pass from the primary seed: the random matrix's
+    three levels take three passes, and the clustered matrix's level 0, on
+    which that pass runs out of steps, raises after its one pass."""
+    real = eigensolver._lanczos_ground
+    passes = []
+
+    def recording(matrix, tol, locked):
+        passes.append(len(locked))
+        return real(matrix, tol, locked)
+
+    monkeypatch.setattr(eigensolver, "_lanczos_ground", recording)
+    rng = np.random.default_rng(0)
+    mat = sparse.random(120, 120, density=0.05, random_state=rng, format="csr")
+    lanczos_lowest(_FakeHamiltonian(mat + mat.T), k=3)
+    assert passes == [0, 1, 2]
+    passes.clear()
+    with pytest.raises(ConvergenceError, match="for level 0 of a dimension-60"):
+        lanczos_lowest(_FakeHamiltonian(_clustered()), k=3)
+    assert passes == [0]
+
+
 def _record_passes(monkeypatch):
     """Record the Krylov blocks at the last Ritz step of every pass."""
     real_ground, real_ritz = eigensolver._lanczos_ground, eigensolver._ritz_bottom
@@ -118,9 +140,7 @@ def _record_passes(monkeypatch):
 def test_first_pass_runs_across_block_boundaries(monkeypatch):
     """A disordered tight-binding chain (n=3000) whose bottom two levels take
     both first passes past 128 Krylov rows, so the store spans three or more
-    64-row blocks; energies still match ARPACK. The clustered spectrum at
-    n=150, whose one pass runs out of steps, fills the store across its
-    blocks the same way."""
+    64-row blocks; energies still match ARPACK."""
     n = 3000
     rng = np.random.default_rng(1)
     off = np.full(n - 1, -1.0)
@@ -128,9 +148,6 @@ def test_first_pass_runs_across_block_boundaries(monkeypatch):
     passes = _record_passes(monkeypatch)
     ours = lanczos_lowest(_FakeHamiltonian(mat), k=2)
     assert len(passes) == 2
-    with pytest.raises(ConvergenceError):
-        lanczos_lowest(_FakeHamiltonian(_clustered(150)), k=3)
-    assert len(passes) == 3
     for blocks in passes:
         heights = [len(rows) for rows in blocks]
         assert sum(heights) > 128
@@ -138,6 +155,19 @@ def test_first_pass_runs_across_block_boundaries(monkeypatch):
     v0 = np.random.default_rng(5).standard_normal(n)
     theirs = np.sort(eigsh(mat, k=2, which="SA", tol=1e-14, v0=v0)[0])
     np.testing.assert_allclose([r.energy for r in ours], theirs, rtol=0, atol=1e-10)
+
+
+def test_a_failing_pass_runs_across_block_boundaries(monkeypatch):
+    """The clustered spectrum at n=150: the one pass of level 0 runs out of
+    steps after more than two 64-row blocks of Krylov rows, and fills the
+    store block by block up to its last Ritz step."""
+    passes = _record_passes(monkeypatch)
+    with pytest.raises(ConvergenceError, match="for level 0 of a dimension-150"):
+        lanczos_lowest(_FakeHamiltonian(_clustered(150)), k=3)
+    assert len(passes) == 1
+    heights = [len(rows) for rows in passes[0]]
+    assert sum(heights) > 128
+    assert heights[:-1] == [64] * (len(heights) - 1)
 
 
 def test_step_matches_the_allocating_recurrence(monkeypatch):
